@@ -53,7 +53,7 @@ use gmr_serve::{
 };
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 const SCHEMA: &str = "gmr-bench-scenario/v1";
 /// Aggregate-throughput floor: the sweep must beat 256 solo requests by
@@ -205,7 +205,6 @@ fn sweep_bench(quick: bool) -> SweepBench {
         .expect("builtin admits");
     let config = ServerConfig {
         workers: 4,
-        batch_window: Duration::ZERO,
         ..ServerConfig::default()
     };
     let handle = Server::new(config, registry, Tables::new())
@@ -301,8 +300,6 @@ fn start_cluster(serve_bin: &Path, dir: PathBuf, backends: usize) -> (Cluster, G
         // Capacity rule: backend workers must exceed the gateway's.
         "--workers".into(),
         (GatewayConfig::default().workers + 2).to_string(),
-        "--window-ms".into(),
-        "0".into(),
     ];
     let cluster = Cluster::start(config).expect("cluster must start");
     let gateway = Gateway::new(GatewayConfig::default(), cluster.slots())

@@ -19,8 +19,9 @@
 //!   connections, which the batcher coalesces into multi-trajectory
 //!   register-VM sweeps.
 //!
-//! The server runs with a **zero** coalescing window so the comparison
-//! isolates work-sharing; the gate is `batched_speedup >= 2`.
+//! The batcher never waits for company (each flush takes only what
+//! queued during the previous one), so the comparison isolates
+//! work-sharing; the gate is `batched_speedup >= 2`.
 //!
 //! **Cluster section** (`--cluster`, or default): real backend processes
 //! (the `gmr-serve` binary, spawned and supervised exactly as
@@ -70,7 +71,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 const SCHEMA: &str = "gmr-bench-serve/v2";
 /// Recalibrated from v1's 3.0: the register-VM fast paths sped the
@@ -226,7 +227,6 @@ fn tracing_probe(quick: bool) -> TraceProbe {
     tables.insert("t", HostedTable::Single(forcing_rows(days)));
     let config = ServerConfig {
         workers: 2,
-        batch_window: Duration::ZERO,
         ..ServerConfig::default()
     };
     let handle = Server::new(config, registry, tables)
@@ -386,7 +386,6 @@ fn bench(days: usize, seq_requests: usize, per_client: usize) -> BenchResult {
     let config = ServerConfig {
         workers: CLIENTS,
         sim_queue: CLIENTS * 4,
-        batch_window: Duration::ZERO,
         ..ServerConfig::default()
     };
     let handle: ServerHandle = Server::new(config, registry, tables)
@@ -593,8 +592,6 @@ fn start_cluster(
         // Capacity rule: backend workers must exceed the gateway's.
         "--workers".into(),
         (GatewayConfig::default().workers + 2).to_string(),
-        "--window-ms".into(),
-        "0".into(),
     ];
     config
         .backend_args

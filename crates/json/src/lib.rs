@@ -108,11 +108,23 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`parse`] accepts. Parsing recurses once
+/// per level, so an unbounded depth would let a request body of `[`s
+/// overflow the parsing thread's stack; the deepest document this
+/// workspace writes nests 6 levels.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parse one complete JSON value; trailing non-whitespace is an error
-/// (a truncated or concatenated JSONL line must not half-parse).
+/// (a truncated or concatenated JSONL line must not half-parse), and so is
+/// nesting deeper than [`MAX_DEPTH`].
 pub fn parse(src: &str) -> Result<Value, ParseError> {
     let bytes = src.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        src,
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -123,8 +135,11 @@ pub fn parse(src: &str) -> Result<Value, ParseError> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -153,8 +168,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -163,6 +178,21 @@ impl<'a> Parser<'a> {
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse a container one nesting level deeper, refusing past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &'static str, v: Value) -> Result<Value, ParseError> {
@@ -243,16 +273,20 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("invalid escape")),
                     }
                 }
+                Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("empty"))?;
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("raw control character in string"));
+                    // Copy the run up to the next quote, backslash or control
+                    // byte in one go. All three are ASCII, so the run ends on
+                    // a char boundary of the (already valid UTF-8) source.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c >= 0x20 && c != b'"' && c != b'\\') {
+                        self.pos += 1;
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = self
+                        .src
+                        .get(start..self.pos)
+                        .ok_or_else(|| self.err("invalid UTF-8"))?;
+                    out.push_str(run);
                 }
             }
         }
@@ -425,6 +459,49 @@ mod tests {
         assert!(parse(r#"{"a": 1} extra"#).is_err());
         assert!(parse(r#"{"a": }"#).is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn nesting_past_max_depth_is_an_error_not_a_stack_overflow() {
+        // Hostile bodies, parsed on a thread with the default stack the
+        // way a server worker parses them: an error, never an abort.
+        let results = std::thread::spawn(|| {
+            ["[", r#"{"a":"#, r#"[{"a":"#].map(|open| parse(&open.repeat(100_000)).map(drop))
+        })
+        .join()
+        .expect("parsing deep input must not kill the thread");
+        for r in results {
+            assert_eq!(r.unwrap_err().msg, "nesting too deep");
+        }
+        let nest = |open: &str, close: &str, depth: usize| {
+            format!("{}0{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(parse(&nest("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse(&nest(r#"{"a":"#, "}", MAX_DEPTH)).is_ok());
+        let err = parse(&nest("[", "]", MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!((err.at, err.msg), (MAX_DEPTH, "nesting too deep"));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 4 MiB of mixed ASCII and multi-byte text with escapes sprinkled
+        // in. Linear parsing takes well under a second even in a debug
+        // build; re-validating the rest of the buffer per char would take
+        // hours.
+        let chunk = r#"plain ascii é水🌊 \\ \n \u00e9 "#;
+        let decoded = "plain ascii é水🌊 \\ \n é ";
+        let reps = (4 << 20) / chunk.len();
+        let body = format!("\"{}\"", chunk.repeat(reps));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let v = parse(&body);
+            let _ = tx.send(());
+            v
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(20))
+            .expect("a 4 MiB string must parse within 20 s");
+        let v = worker.join().unwrap().unwrap();
+        assert_eq!(v, Value::Str(decoded.repeat(reps)));
     }
 
     #[test]

@@ -1,15 +1,19 @@
 //! Simulation execution and request batching.
 //!
 //! All `/simulate` work funnels through one bounded queue into a single
-//! batcher thread. The batcher drains the queue inside a short coalescing
-//! window and groups jobs that simulate the *same model over the same
-//! forcing table*; each group runs as one multi-trajectory register-VM
-//! sweep ([`gmr_expr::MultiSession`]): the state-independent prefix is
-//! computed once per forcing row and shared by every request in the
-//! group, and the sequential core dispatches each instruction once for up
-//! to [`LANES`] trajectories. On the single-core machines this project
-//! targets, that work-sharing — not thread parallelism — is where batched
-//! throughput comes from.
+//! batcher thread. The batcher is self-clocking: each flush takes the job
+//! that woke it plus whatever queued while the previous flush ran, so
+//! batch width follows load and no job ever waits for company. Waiting
+//! would not pay: on an open-loop `/simulate` mix a 2 ms linger was half
+//! the median request and widened the mean batch only from 1.01 to 1.08
+//! (DESIGN.md, "Serving subsystem"). It groups jobs that simulate the
+//! *same model over the same forcing table*; each group runs as one
+//! multi-trajectory register-VM sweep ([`gmr_expr::MultiSession`]): the
+//! state-independent prefix is computed once per forcing row and shared
+//! by every request in the group, and the sequential core dispatches each
+//! instruction once for up to [`LANES`] trajectories. On the single-core
+//! machines this project targets, that work-sharing — not thread
+//! parallelism — is where batched throughput comes from.
 //!
 //! Batching never changes answers: per-lane arithmetic is the same scalar
 //! protected-op sequence a solo session runs (pinned by the VM's
@@ -32,9 +36,9 @@ use gmr_expr::{CompiledSystem, PrefixTable, LANES};
 use gmr_hydro::NUM_VARS;
 use gmr_json::Value;
 use std::collections::BTreeMap;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Where a request's forcing rows come from.
 #[derive(Debug, Clone, PartialEq)]
@@ -319,24 +323,9 @@ pub struct SimJob {
     pub reply: Sender<SimOutcome>,
 }
 
-/// Batcher tuning.
-#[derive(Debug, Clone, Copy)]
-pub struct BatcherConfig {
-    /// How long to hold the first job while coalescing more.
-    pub window: Duration,
-    /// Upper bound on jobs drained per flush (grouping still caps each
-    /// sweep at [`LANES`] trajectories).
-    pub max_batch: usize,
-}
-
-impl Default for BatcherConfig {
-    fn default() -> Self {
-        BatcherConfig {
-            window: Duration::from_millis(2),
-            max_batch: 256,
-        }
-    }
-}
+/// Upper bound on jobs drained per flush (grouping still caps each sweep
+/// at [`LANES`] trajectories).
+const MAX_BATCH: usize = 256;
 
 /// Single-trajectory forward Euler over `rows`, identical to
 /// `RiverProblem::integrate`: day `t` records the *pre-step* state, steps
@@ -713,49 +702,13 @@ fn flush(jobs: Vec<SimJob>, tables: &Tables, registry: &ModelRegistry) {
     }
 }
 
-/// The batcher loop: block for one job, coalesce within the window, flush.
-/// Exits when every sender is gone (server drain) — after flushing what it
-/// already drained, so no accepted job is ever dropped.
-pub fn run_batcher(
-    rx: Receiver<SimJob>,
-    tables: Arc<Tables>,
-    registry: Arc<ModelRegistry>,
-    cfg: BatcherConfig,
-) {
-    loop {
-        let first = match rx.recv() {
-            Ok(job) => job,
-            Err(_) => return,
-        };
+/// The batcher loop: block for one job, take whatever else queued while
+/// the previous flush ran, flush. Exits when every sender is gone (server
+/// drain) and the queue is empty, so no accepted job is ever dropped.
+pub fn run_batcher(rx: Receiver<SimJob>, tables: Arc<Tables>, registry: Arc<ModelRegistry>) {
+    while let Ok(first) = rx.recv() {
         let mut jobs = vec![first];
-        // Natural batching first: whatever queued while the previous flush
-        // ran coalesces for free, with zero added latency for a lone
-        // sequential client.
-        while jobs.len() < cfg.max_batch {
-            match rx.try_recv() {
-                Ok(job) => jobs.push(job),
-                Err(_) => break,
-            }
-        }
-        // Then optionally linger for the configured window to catch
-        // requests that are in flight but not yet enqueued.
-        if !cfg.window.is_zero() {
-            let deadline = Instant::now() + cfg.window;
-            while jobs.len() < cfg.max_batch {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                match rx.recv_timeout(deadline - now) {
-                    Ok(job) => jobs.push(job),
-                    Err(RecvTimeoutError::Timeout) => break,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        flush(jobs, &tables, &registry);
-                        return;
-                    }
-                }
-            }
-        }
+        jobs.extend(rx.try_iter().take(MAX_BATCH - 1));
         flush(jobs, &tables, &registry);
     }
 }
@@ -766,6 +719,7 @@ mod tests {
     use crate::artifact::ModelArtifact;
     use crate::registry::ModelRegistry;
     use gmr_bio::{RiverProblem, SimOptions};
+    use std::time::Duration;
 
     fn rows(n: usize) -> Vec<[f64; NUM_VARS]> {
         (0..n)
@@ -860,10 +814,6 @@ mod tests {
         tables.insert("t", HostedTable::Single(table.clone()));
         let tables = Arc::new(tables);
         let (tx, rx) = std::sync::mpsc::sync_channel::<SimJob>(16);
-        let t_tables = Arc::clone(&tables);
-        let t_reg = Arc::clone(&reg);
-        let batcher =
-            std::thread::spawn(move || run_batcher(rx, t_tables, t_reg, BatcherConfig::default()));
         let inits = [(8.0, 1.2), (3.0, 0.5), (11.0, 2.0)];
         let mut rxs = Vec::new();
         for &init in &inits {
@@ -888,6 +838,13 @@ mod tests {
             .unwrap();
             rxs.push((init, outcome_rx));
         }
+        // Every job is queued, and every sender gone, before the batcher
+        // starts: its first flush must take all three as one sweep, and it
+        // must still answer them after the disconnect.
+        drop(tx);
+        let t_tables = Arc::clone(&tables);
+        let t_reg = Arc::clone(&reg);
+        let batcher = std::thread::spawn(move || run_batcher(rx, t_tables, t_reg));
         for (init, rx) in rxs {
             let outcome = rx.recv_timeout(Duration::from_secs(10)).unwrap();
             let SimOutput::Single { bphy, bzoo } = outcome.result.unwrap() else {
@@ -896,9 +853,8 @@ mod tests {
             let (want_p, want_z) = simulate_single(&sys, &table, init, 1.0, 1e9);
             assert_eq!(bphy, want_p);
             assert_eq!(bzoo, want_z);
-            assert!(outcome.batch >= 1);
+            assert_eq!(outcome.batch, inits.len());
         }
-        drop(tx);
         batcher.join().unwrap();
     }
 

@@ -33,11 +33,12 @@ use std::time::Duration;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: gmr-serve serve [--addr A] [--artifacts DIR] [--port-file P] [--journal P]
-                       [--workers N] [--conn-queue N] [--sim-queue N] [--window-ms MS]
+                       [--workers N] [--conn-queue N] [--sim-queue N]
                        [--days N] [--seed S] [--no-builtin] [--hot-models N]
                        [--fidelity bit-exact|allow-relaxed]
        gmr-serve cluster --backends N [--addr A] [--artifacts DIR] [--port-file P]
-                         [--journal P] [--hot-models N] [serve flags forwarded to backends]
+                         [--journal P] [--hot-models N] [--dir DIR] [--restart-budget N]
+                         [serve flags forwarded to backends]
        gmr-serve export --out PATH
        gmr-serve scenario-spec [--name S] [--seed N] [--stations N] [--years N]
                                [--kind mainstem|tributaries|braided] [--spread X]
@@ -65,6 +66,27 @@ fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter()
         .position(|a| a == name)
         .and_then(|i| args.get(i + 1).cloned())
+}
+
+/// Refuse any argument that is not a known flag (value flags must carry a
+/// value), so a stale or misspelt flag stops the command instead of being
+/// silently ignored.
+fn check_flags(
+    args: &[String],
+    value_flags: &[&[&str]],
+    bare_flags: &[&str],
+) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(a) = rest.next() {
+        if value_flags.iter().any(|set| set.contains(&a.as_str())) {
+            if rest.next().is_none() {
+                return Err(format!("{a} needs a value"));
+            }
+        } else if !bare_flags.contains(&a.as_str()) {
+            return Err(format!("unrecognised argument: {a}"));
+        }
+    }
+    Ok(())
 }
 
 fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
@@ -102,6 +124,14 @@ fn hosted_tables(seed: u64, days: Option<usize>) -> Tables {
 }
 
 fn cmd_serve(args: &[String]) -> ExitCode {
+    if let Err(e) = check_flags(
+        args,
+        &[OWN_FLAGS, FORWARDED_VALUE_FLAGS],
+        FORWARDED_BARE_FLAGS,
+    ) {
+        eprintln!("{e}");
+        return usage();
+    }
     sig::install();
     gmr_obsv::init(gmr_obsv::DEFAULT_CAPACITY);
     let policy = match flag(args, "--fidelity") {
@@ -130,7 +160,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             }
         }
     }
-    let (seed, days, workers, conn_queue, sim_queue, window_ms, hot_models) = match (|| {
+    let (seed, days, workers, conn_queue, sim_queue, hot_models) = match (|| {
         Ok::<_, String>((
             parse_flag(args, "--seed", SyntheticConfig::default().seed)?,
             flag(args, "--days")
@@ -139,7 +169,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             parse_flag(args, "--workers", ServerConfig::default().workers)?,
             parse_flag(args, "--conn-queue", ServerConfig::default().conn_queue)?,
             parse_flag(args, "--sim-queue", ServerConfig::default().sim_queue)?,
-            parse_flag(args, "--window-ms", 2u64)?,
             parse_flag(args, "--hot-models", 0usize)?,
         ))
     })() {
@@ -155,7 +184,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         workers,
         conn_queue,
         sim_queue,
-        batch_window: Duration::from_millis(window_ms),
         hot_models,
         ..ServerConfig::default()
     };
@@ -195,6 +223,9 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Value flags `serve` and `cluster` each apply to their own process.
+const OWN_FLAGS: &[&str] = &["--addr", "--port-file", "--journal"];
+
 /// Backend flags `cluster` forwards verbatim to every spawned `serve`
 /// process: value-carrying flags first, then bare switches.
 const FORWARDED_VALUE_FLAGS: &[&str] = &[
@@ -204,13 +235,20 @@ const FORWARDED_VALUE_FLAGS: &[&str] = &[
     "--workers",
     "--conn-queue",
     "--sim-queue",
-    "--window-ms",
     "--fidelity",
     "--hot-models",
 ];
 const FORWARDED_BARE_FLAGS: &[&str] = &["--no-builtin"];
 
+/// Value flags only `cluster` takes.
+const CLUSTER_FLAGS: &[&str] = &["--backends", "--dir", "--restart-budget"];
+
 fn cmd_cluster(args: &[String]) -> ExitCode {
+    let value_flags = [OWN_FLAGS, CLUSTER_FLAGS, FORWARDED_VALUE_FLAGS];
+    if let Err(e) = check_flags(args, &value_flags, FORWARDED_BARE_FLAGS) {
+        eprintln!("{e}");
+        return usage();
+    }
     sig::install();
     gmr_obsv::init(gmr_obsv::DEFAULT_CAPACITY);
     let backends = match parse_flag(args, "--backends", 0usize) {

@@ -9,7 +9,7 @@
 //!                                   sim queue (bounded, sync_channel)
 //!                                                         │
 //!                                                         ▼
-//!                                              batcher (coalesces)
+//!                                              batcher (self-clocking)
 //! ```
 //!
 //! Backpressure is explicit at both queues: a full connection queue gets
@@ -24,9 +24,7 @@
 //! dropped its queue handle, and `shutdown` joins every thread before
 //! returning.
 
-use crate::batch::{
-    run_batcher, BatcherConfig, ForcingSource, Mode, SimJob, SimOutcome, SimOutput, Tables,
-};
+use crate::batch::{run_batcher, ForcingSource, Mode, SimJob, SimOutcome, SimOutput, Tables};
 use crate::http::{self, HttpError, Request};
 use crate::registry::ModelRegistry;
 use crate::scenario::{parse_sweep_request, render_sweep, run_sweep, ScenarioStore};
@@ -45,8 +43,9 @@ use std::time::{Duration, Instant};
 
 /// Server tuning. The defaults suit the single-core CI boxes this repo
 /// targets: a small worker pool (workers mostly block on I/O or on the
-/// batcher, so they outnumber cores without thrashing) and a coalescing
-/// window a couple of orders below human-visible latency.
+/// batcher, so they outnumber cores without thrashing). Batching has no
+/// knob: the batcher coalesces whatever queued while its previous flush
+/// ran, so batch width follows load (see [`crate::batch`]).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address; port `0` picks an ephemeral port.
@@ -58,8 +57,6 @@ pub struct ServerConfig {
     pub conn_queue: usize,
     /// Simulation queue bound; a full queue turns the request into `429`.
     pub sim_queue: usize,
-    /// Batcher coalescing window.
-    pub batch_window: Duration,
     /// Per-read socket timeout. Bounds how long a worker can ignore the
     /// shutdown flag while parked on an idle keep-alive connection.
     pub read_timeout: Duration,
@@ -79,7 +76,6 @@ impl Default for ServerConfig {
             workers: 4,
             conn_queue: 64,
             sim_queue: 128,
-            batch_window: Duration::from_millis(2),
             read_timeout: Duration::from_millis(250),
             max_idle_reads: 40,
             hot_models: 0,
@@ -230,16 +226,10 @@ impl Server {
 
         let batcher_tables = Arc::clone(&shared.tables);
         let batcher_registry = Arc::clone(&shared.registry);
-        let batcher_cfg = BatcherConfig {
-            window: shared.config.batch_window,
-            max_batch: 256,
-        };
         threads.push(
             thread::Builder::new()
                 .name("serve-batcher".into())
-                .spawn(move || {
-                    run_batcher(sim_rx, batcher_tables, batcher_registry, batcher_cfg)
-                })?,
+                .spawn(move || run_batcher(sim_rx, batcher_tables, batcher_registry))?,
         );
         for i in 0..workers {
             let shared = Arc::clone(&shared);

@@ -409,6 +409,35 @@ fn gateway_propagates_backend_429_and_retry_after() {
     gateway.shutdown();
 }
 
+/// The gateway parses `/simulate` and `/sweep` bodies itself to route
+/// them, so a hostile body must be refused there with a 400 — not take
+/// down a gateway worker — and the gateway must keep serving.
+#[test]
+fn gateway_answers_hostile_nesting_with_400_and_keeps_serving() {
+    let mut registry = ModelRegistry::new();
+    registry.insert(ModelArtifact::builtin_manual()).unwrap();
+    let backend = Server::new(ServerConfig::default(), registry, reference_tables())
+        .start()
+        .unwrap();
+    let slots: Arc<Vec<BackendSlot>> = Arc::new(vec![BackendSlot::default()]);
+    slots[0].set_addr(backend.addr());
+    let gateway = Gateway::new(GatewayConfig::default(), slots)
+        .start()
+        .unwrap();
+
+    let deep = "[".repeat(20_000);
+    for path in ["/simulate", "/sweep"] {
+        let (status, bytes) = http_request(gateway.addr(), "POST", path, deep.as_bytes()).unwrap();
+        assert_eq!(status, 400, "{path}: {}", String::from_utf8_lossy(&bytes));
+    }
+    let body = sim_body("table5-manual");
+    let (status, bytes) =
+        http_request(gateway.addr(), "POST", "/simulate", body.as_bytes()).unwrap();
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&bytes));
+    gateway.shutdown();
+    backend.shutdown();
+}
+
 /// Scenario serving at cluster scale: `POST /scenarios` broadcasts to
 /// every backend (any backend may later be asked to resolve the
 /// scenario), `/sweep` routes by (model, scenario) through the ring, and

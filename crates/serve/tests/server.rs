@@ -129,10 +129,7 @@ fn simulate_is_bit_identical_to_in_process_evaluation() {
 
 #[test]
 fn concurrent_same_model_requests_coalesce_and_stay_exact() {
-    let (handle, table) = start(200, |c| {
-        c.batch_window = Duration::from_millis(50);
-        c.workers = 8;
-    });
+    let (handle, table) = start(200, |c| c.workers = 8);
     let reg = {
         let mut r = ModelRegistry::new();
         r.insert(ModelArtifact::builtin_manual()).unwrap();
@@ -161,7 +158,9 @@ fn concurrent_same_model_requests_coalesce_and_stay_exact() {
             })
         })
         .collect();
-    let mut max_batch = 0u64;
+    // However the six requests happen to share sweeps, each answer must be
+    // bit-exact. That they do share one when queued together is pinned by
+    // construction in `batch.rs`'s `batcher_coalesces_ref_jobs_and_answers_all`.
     for (t, &init) in threads.into_iter().zip(&inits) {
         let (status, text) = t.join().unwrap();
         assert_eq!(status, 200, "{text}");
@@ -173,14 +172,7 @@ fn concurrent_same_model_requests_coalesce_and_stay_exact() {
             "init {init:?} diverged under batching"
         );
         assert_eq!(json_series(&v, "bzoo"), want.1);
-        max_batch = max_batch.max(v.get("batch").and_then(Value::as_u64).unwrap());
     }
-    // Six concurrent requests inside a 50 ms window: at least two must
-    // have shared a sweep (each still bit-exact, asserted above).
-    assert!(
-        max_batch >= 2,
-        "no coalescing observed (max batch {max_batch})"
-    );
     handle.shutdown();
 }
 
@@ -218,6 +210,12 @@ fn bad_inputs_get_4xx_and_the_server_stays_healthy() {
     let (status, bytes) = http_request(handle.addr(), "POST", "/simulate", b"{not json").unwrap();
     assert_eq!(status, 400);
     gmr_json::parse(std::str::from_utf8(&bytes).unwrap()).expect("error body is strict JSON");
+    // Hostile nesting on every JSON endpoint: 400, not a blown worker stack.
+    let deep = "[".repeat(20_000);
+    for path in ["/simulate", "/sweep", "/scenarios"] {
+        let (status, _) = http_request(handle.addr(), "POST", path, deep.as_bytes()).unwrap();
+        assert_eq!(status, 400, "{path}");
+    }
     // Unknown endpoint / wrong method.
     let (status, _) = http_request(handle.addr(), "GET", "/nope", b"").unwrap();
     assert_eq!(status, 404);
