@@ -20,8 +20,8 @@
 //!   cross-equation sharing (the historical `CompiledExpr` path);
 //! * `register`    — whole-system register VM: constant folding, peephole
 //!   identities, cross-equation CSE, linear-scan registers;
-//! * `fused`       — plus corpus-selected superinstructions (`VarBin`,
-//!   `ConstBin`, `MulAdd`, `MulSub`, `SubMul`);
+//! * `fused`       — plus the fixed superinstruction set (`VarBin`,
+//!   `ConstBin`, `MulSub`);
 //! * `split`       — plus the state-independent prefix hoisted out of the
 //!   sequential loop and swept columnar in 32-lane chunks;
 //! * `threaded`    — the split pipeline compiled to threaded code

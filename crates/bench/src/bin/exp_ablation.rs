@@ -16,7 +16,7 @@
 //! * `paper-letter` — all four at once (the paper's exact operator set at
 //!   this budget).
 
-use gmr_bench::{cli, dataset, Scale};
+use gmr_bench::{cli, dataset};
 use gmr_core::{Gmr, GmrConfig};
 use gmr_gp::short_circuit::Extrapolate;
 use gmr_gp::GpConfig;
@@ -24,8 +24,8 @@ use gmr_gp::GpConfig;
 type Tweak = Box<dyn Fn(&mut GpConfig)>;
 
 fn main() {
-    let obsv = cli::init_obsv();
-    let scale = Scale::from_args();
+    let (obsv, args) = cli::init(cli::Flags::Scale);
+    let scale = args.scale();
     gmr_obsv::info!("scale: {} (use --quick / --full to change)", scale.name);
     let ds = dataset(&scale);
     let gmr = Gmr::new(&ds);

@@ -15,7 +15,7 @@
 //! is each technique helping and the three composing.
 
 use gmr_bench::table::render_kv;
-use gmr_bench::{cli, dataset, Scale};
+use gmr_bench::{cli, dataset};
 use gmr_core::{river_priors, Gmr, RiverEvaluator};
 use gmr_gp::short_circuit::Extrapolate;
 use gmr_gp::{Engine, GpConfig};
@@ -83,8 +83,8 @@ const COMBOS: [Combo; 8] = [
 ];
 
 fn main() {
-    let obsv = cli::init_obsv();
-    let scale = Scale::from_args();
+    let (obsv, args) = cli::init(cli::Flags::Scale);
+    let scale = args.scale();
     gmr_obsv::info!("scale: {} (use --quick / --full to change)", scale.name);
     let ds = dataset(&scale);
     let gmr = Gmr::new(&ds);

@@ -16,7 +16,7 @@
 //! all of the step savings without that bias, which is why it is the
 //! library default.
 
-use gmr_bench::{cli, dataset, Scale};
+use gmr_bench::{cli, dataset};
 use gmr_core::{Gmr, GmrConfig};
 use gmr_gp::short_circuit::Extrapolate;
 
@@ -29,8 +29,8 @@ struct Row {
 }
 
 fn main() {
-    let obsv = cli::init_obsv();
-    let scale = Scale::from_args();
+    let (obsv, args) = cli::init(cli::Flags::Scale);
+    let scale = args.scale();
     gmr_obsv::info!("scale: {} (use --quick / --full to change)", scale.name);
     let ds = dataset(&scale);
     let gmr = Gmr::new(&ds);

@@ -4,14 +4,14 @@
 //!
 //! Usage: `cargo run --release -p gmr-bench --bin exp_fig9 [--quick|--full]`
 
-use gmr_bench::{cli, dataset, Scale};
+use gmr_bench::{cli, dataset};
 use gmr_bio::RiverProblem;
 use gmr_core::{extension_usage, perturb_correlation, selectivity, Correlation, Gmr, GmrConfig};
 use gmr_hydro::vars::{self, VALK, VCD, VDO, VLGT, VPH, VTMP};
 
 fn main() {
-    let obsv = cli::init_obsv();
-    let scale = Scale::from_args();
+    let (obsv, args) = cli::init(cli::Flags::Scale);
+    let scale = args.scale();
     gmr_obsv::info!("scale: {} (use --quick / --full to change)", scale.name);
     let ds = dataset(&scale);
     let gmr = Gmr::new(&ds);

@@ -9,14 +9,8 @@ use gmr_core::{Gmr, GmrConfig};
 use gmr_gp::GpConfig;
 
 fn main() {
-    let obsv = cli::init_obsv();
-    let args: Vec<String> = std::env::args().collect();
-    let runs = args
-        .iter()
-        .position(|a| a == "--runs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(8);
+    let (obsv, args) = cli::init(cli::Flags::Runs);
+    let runs = args.runs.unwrap_or(8);
 
     let scale = Scale::default_scale();
     let ds = dataset(&scale);

@@ -22,8 +22,8 @@ use gmr_core::{Gmr, GmrConfig};
 use gmr_hydro::{generate, SyntheticConfig};
 
 fn main() {
-    let obsv = cli::init_obsv();
-    let quick = std::env::args().any(|a| a == "--quick");
+    let (obsv, args) = cli::init(cli::Flags::Quick);
+    let quick = args.quick;
     let (end_year, train_end, runs, budget) = if quick {
         (1999, 1998, 2, 400)
     } else {

@@ -9,11 +9,11 @@
 
 use gmr_bench::methods::run_all;
 use gmr_bench::table::{render_csv, render_fig1, render_table5};
-use gmr_bench::{cli, dataset, Scale};
+use gmr_bench::{cli, dataset};
 
 fn main() {
-    let obsv = cli::init_obsv();
-    let scale = Scale::from_args();
+    let (obsv, args) = cli::init(cli::Flags::Scale);
+    let scale = args.scale();
     gmr_obsv::info!("scale: {} (use --quick / --full to change)", scale.name);
     let ds = dataset(&scale);
     gmr_obsv::info!(

@@ -1,7 +1,7 @@
 //! Shared CLI plumbing for the experiment binaries.
 //!
-//! Every `exp_*` binary agrees on three flags, parsed in exactly one
-//! place:
+//! Every `exp_*` command line is parsed here, in [`parse`]. All binaries
+//! accept three shared flags:
 //!
 //! * `--quiet` / `-q` — warnings only;
 //! * `-v` / `--verbose` — diagnostic logging *and* fine span detail
@@ -9,13 +9,115 @@
 //! * `--journal PATH` — flush the run journal to `gmr-journal/v1` JSONL
 //!   at exit, ready for `gmr-trace summary|chrome|validate`.
 //!
-//! Binaries call [`init_obsv`] first thing in `main` and [`finish_obsv`]
+//! Each binary adds the flags its [`Flags`] names. Any other argument
+//! exits with status 2 and a usage line, so a misspelt `--quik` cannot
+//! silently start a default-scale run.
+//!
+//! Binaries call [`init`] first thing in `main` and [`finish_obsv`]
 //! last; [`write_report`] drops a full [`RunReport`] (pool statistics and
 //! metric snapshot included) next to an experiment's other `results/`
 //! outputs.
 
+use crate::Scale;
 use gmr_gp::RunReport;
 use gmr_obsv::log::Level;
+
+/// The flags one experiment binary reads on top of the shared ones.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flags {
+    /// `--quick` / `--full`: the [`Scale`] presets.
+    Scale,
+    /// `--quick` only.
+    Quick,
+    /// `--runs N` only.
+    Runs,
+}
+
+impl Flags {
+    fn usage(self) -> &'static str {
+        match self {
+            Flags::Scale => "[--quick | --full]",
+            Flags::Quick => "[--quick]",
+            Flags::Runs => "[--runs N]",
+        }
+    }
+}
+
+/// A parsed experiment command line.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Args {
+    /// `--quick` was given.
+    pub quick: bool,
+    /// `--full` was given.
+    pub full: bool,
+    /// The value of `--runs`.
+    pub runs: Option<usize>,
+}
+
+impl Args {
+    /// The scale preset the flags select: `--quick` over `--full` over
+    /// the default.
+    pub fn scale(&self) -> Scale {
+        if self.quick {
+            Scale::quick()
+        } else if self.full {
+            Scale::full()
+        } else {
+            Scale::default_scale()
+        }
+    }
+}
+
+/// Parse an experiment command line (without the program name), refusing
+/// any argument `flags` and the shared flags do not cover.
+pub fn parse<S: AsRef<str>>(args: &[S], flags: Flags) -> Result<Args, String> {
+    let mut out = Args::default();
+    let mut it = args.iter().map(AsRef::as_ref);
+    while let Some(a) = it.next() {
+        match (a, flags) {
+            ("--quiet" | "-q" | "-v" | "--verbose", _) => {}
+            ("--journal", _) => {
+                it.next().ok_or("--journal needs a path")?;
+            }
+            ("--quick", Flags::Scale | Flags::Quick) => out.quick = true,
+            ("--full", Flags::Scale) => out.full = true,
+            ("--runs", Flags::Runs) => {
+                let v = it.next().ok_or("--runs needs a count")?;
+                let n = v
+                    .parse()
+                    .map_err(|_| format!("bad value for --runs: {v}"))?;
+                out.runs = Some(n);
+            }
+            _ => return Err(format!("unrecognised argument: {a}")),
+        }
+    }
+    Ok(out)
+}
+
+/// Parse `std::env::args` for a binary reading `flags` and install the
+/// observability state ([`init_obsv_from`]). On a bad command line,
+/// print the problem and a usage line, and exit with status 2.
+pub fn init(flags: Flags) -> (Obsv, Args) {
+    let argv: Vec<String> = std::env::args().collect();
+    let rest = argv.get(1..).unwrap_or_default();
+    match parse(rest, flags) {
+        Ok(args) => (init_obsv_from(rest), args),
+        Err(e) => {
+            let bin = argv.first().map_or("exp", |p| {
+                std::path::Path::new(p)
+                    .file_name()
+                    .and_then(|f| f.to_str())
+                    .unwrap_or(p)
+            });
+            eprintln!("{bin}: {e}");
+            eprintln!(
+                "usage: {bin} {} [--quiet | -q] [-v | --verbose] [--journal PATH]",
+                flags.usage()
+            );
+            std::process::exit(2);
+        }
+    }
+}
 
 /// Observability state shared by the experiment binaries.
 #[derive(Debug, Clone)]
@@ -26,15 +128,9 @@ pub struct Obsv {
     pub level: Level,
 }
 
-/// Parse the shared observability flags from `std::env::args` and install
-/// the global state: log level, journal ring, and span detail (raised to
+/// Install the global observability state the shared flags in `args`
+/// ask for: log level, journal ring, and span detail (raised to
 /// [`gmr_obsv::Detail::Fine`] under `-v`).
-pub fn init_obsv() -> Obsv {
-    let args: Vec<String> = std::env::args().collect();
-    init_obsv_from(&args)
-}
-
-/// [`init_obsv`] over an explicit argument list (testable).
 pub fn init_obsv_from<S: AsRef<str>>(args: &[S]) -> Obsv {
     let level = gmr_obsv::log::level_from_args(args);
     gmr_obsv::log::set_level(level);
@@ -116,6 +212,28 @@ mod tests {
         assert_eq!(o.journal.as_deref(), Some("run.jsonl"));
         let o = init_obsv_from(&["exp", "--quick"]);
         assert_eq!(o.journal, None);
+    }
+
+    #[test]
+    fn each_binary_accepts_only_its_own_flags() {
+        let shared = ["-q", "--verbose", "--journal", "run.jsonl"];
+        for flags in [Flags::Scale, Flags::Quick, Flags::Runs] {
+            assert_eq!(parse(&shared, flags), Ok(Args::default()));
+        }
+        let scale = |args: &[&str]| parse(args, Flags::Scale).unwrap().scale().name;
+        assert_eq!(scale(&[]), "default");
+        assert_eq!(scale(&["--full"]), "full");
+        assert_eq!(scale(&["--quick", "--full"]), "quick");
+        assert!(parse(&["--quick"], Flags::Quick).unwrap().quick);
+        assert!(parse(&["--full"], Flags::Quick).is_err());
+        assert_eq!(parse(&["--runs", "3"], Flags::Runs).unwrap().runs, Some(3));
+        assert!(parse(&["--quick"], Flags::Runs).is_err());
+        assert!(parse(&["--runs", "x"], Flags::Runs).is_err());
+        assert!(parse(&["--runs"], Flags::Runs).is_err());
+        assert!(parse(&["--runs", "3"], Flags::Scale).is_err());
+        assert!(parse(&["--journal"], Flags::Scale).is_err());
+        assert!(parse(&["--quik"], Flags::Scale).is_err());
+        assert!(parse(&["extra"], Flags::Scale).is_err());
     }
 
     #[test]

@@ -110,19 +110,6 @@ impl Scale {
         }
     }
 
-    /// Parse the scale from CLI arguments (`--quick` / `--full`; default
-    /// otherwise).
-    pub fn from_args() -> Scale {
-        let args: Vec<String> = std::env::args().collect();
-        if args.iter().any(|a| a == "--quick") {
-            Scale::quick()
-        } else if args.iter().any(|a| a == "--full") {
-            Scale::full()
-        } else {
-            Scale::default_scale()
-        }
-    }
-
     /// The GP configuration this scale implies (paper defaults otherwise).
     pub fn gp_config(&self, seed: u64) -> GpConfig {
         GpConfig {

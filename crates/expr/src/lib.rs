@@ -27,6 +27,10 @@
 //! * [`mod@compile`] — lowering to a flat stack-VM bytecode, the Rust substitute
 //!   for the paper's G++ runtime compilation (same shape: pay once per tree,
 //!   then evaluate thousands of time steps cheaply);
+//! * [`mod@vm`] — the optimizing register VM that compiles a whole system
+//!   once (cross-equation CSE, a fixed set of fused superinstructions, a
+//!   columnar state-independent prefix) into the [`Tier`]s the engine and
+//!   the server run;
 //! * a canonical structural [`hash`](Expr::structural_hash) used as the
 //!   fitness-cache key;
 //! * a [`parser`](parse::parse()) and pretty [`printer`](display) for human
@@ -37,10 +41,7 @@ pub mod compile;
 pub mod display;
 pub mod eval;
 pub mod fastmath;
-pub mod fusion;
-pub mod fusion_gen;
 pub mod hash;
-pub mod opstats;
 pub mod parse;
 pub mod simd;
 pub mod simplify;
@@ -51,9 +52,7 @@ pub use ast::{BinOp, Expr, ParamSlot, UnOp};
 pub use compile::{check_arity, CompileError, CompiledExpr, Instr};
 pub use display::NameTable;
 pub use eval::{protected_div, protected_exp, protected_log, EvalContext};
-pub use fusion::FusionTable;
 pub use hash::TreeKey;
-pub use opstats::{pair_counts, total_pairs, PairCount};
 pub use parse::{parse, ParseError};
 pub use simplify::simplify;
 pub use vm::{

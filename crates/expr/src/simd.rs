@@ -286,24 +286,8 @@ mod imp {
     // (no memory access) — see the element-helpers note above.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn e_mul_add(x: __m256d, y: __m256d, z: __m256d) -> __m256d {
-        _mm256_add_pd(_mm256_mul_pd(x, y), z)
-    }
-
-    // SAFETY: `unsafe` only for `target_feature`; register-only math
-    // (no memory access) — see the element-helpers note above.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
     unsafe fn e_mul_sub(x: __m256d, y: __m256d, z: __m256d) -> __m256d {
         _mm256_sub_pd(_mm256_mul_pd(x, y), z)
-    }
-
-    // SAFETY: `unsafe` only for `target_feature`; register-only math
-    // (no memory access) — see the element-helpers note above.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn e_sub_mul(x: __m256d, y: __m256d, z: __m256d) -> __m256d {
-        _mm256_sub_pd(x, _mm256_mul_pd(y, z))
     }
 
     /// Vector `fast_exp` — operation-for-operation the scalar
@@ -422,9 +406,7 @@ mod imp {
     kern1!(neg_k, e_neg);
     kern1!(exp_k, e_exp);
     kern1!(log_k, e_log);
-    kern3!(mul_add_k, e_mul_add);
     kern3!(mul_sub_k, e_mul_sub);
-    kern3!(sub_mul_k, e_sub_mul);
 
     #[cfg(test)]
     mod tests {

@@ -182,20 +182,17 @@ macro_rules! t_cbr {
     };
 }
 
-/// Three-register fused: `r[dst] = f(r[a], r[b], r[c])`.
-macro_rules! t_f3 {
-    ($name:ident, $f:expr) => {
-        // SAFETY: see the shared thunk argument above.
-        unsafe fn $name(t: &TArgs, r: *mut f64, _v: *const f64, _s: *const f64) {
-            // SAFETY: see the shared thunk argument above.
-            unsafe {
-                let x = *r.add(t.a as usize);
-                let y = *r.add(t.b as usize);
-                let z = *r.add(t.c as usize);
-                *r.add(t.dst as usize) = $f(x, y, z);
-            }
-        }
-    };
+/// Fused `r[dst] = r[a] * r[b] - r[c]`: two roundings on purpose; see
+/// `RInstr::MulSub`.
+// SAFETY: see the shared thunk argument above.
+unsafe fn t_mul_sub(t: &TArgs, r: *mut f64, _v: *const f64, _s: *const f64) {
+    // SAFETY: see the shared thunk argument above.
+    unsafe {
+        let x = *r.add(t.a as usize);
+        let y = *r.add(t.b as usize);
+        let z = *r.add(t.c as usize);
+        *r.add(t.dst as usize) = x * y - z;
+    }
 }
 
 unsafe fn t_load_var(t: &TArgs, r: *mut f64, v: *const f64, _s: *const f64) {
@@ -258,11 +255,6 @@ t_cbr!(t_cbr_min, f64::min);
 t_cbr!(t_cbr_max, f64::max);
 t_cbr!(t_cbr_pow, protected_pow);
 t_cbr!(t_cbr_pow_fast, fast_pow);
-
-// Two roundings on purpose in all three; see `RInstr::MulAdd`.
-t_f3!(t_mul_add, |x: f64, y: f64, z: f64| x * y + z);
-t_f3!(t_mul_sub, |x: f64, y: f64, z: f64| x * y - z);
-t_f3!(t_sub_mul, |x: f64, y: f64, z: f64| x - y * z);
 
 fn bin_fn(op: BinOp, fast: bool) -> TFn {
     match op {
@@ -408,9 +400,7 @@ impl ThreadedProgram {
                 RInstr::ConstBinR { op, a, c, .. } => {
                     (cbr_fn(op, fast), TArgs { a, imm: c, ..zero })
                 }
-                RInstr::MulAdd { a, b, c, .. } => (t_mul_add, TArgs { a, b, c, ..zero }),
                 RInstr::MulSub { a, b, c, .. } => (t_mul_sub, TArgs { a, b, c, ..zero }),
-                RInstr::SubMul { a, b, c, .. } => (t_sub_mul, TArgs { a, b, c, ..zero }),
             };
             thunks.push(Thunk { f, args });
         }

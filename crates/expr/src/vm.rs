@@ -29,11 +29,12 @@
 //!    fixed register file sized at compile time — no push/pop. Constants
 //!    live in *pinned* registers written once per scratch buffer, so the
 //!    steady state of the inner loop never dispatches a "push literal". A
-//!    fusion peephole collapses common pairs into superinstructions —
-//!    `VarBin{L,R}` (forcing-variable load folded into a binary op),
-//!    `ConstBin{L,R}` (binary op with an inline immediate) and `MulAdd` —
-//!    cutting dispatch count. A linear-scan allocator with a LIFO free
-//!    list then compacts the SSA temporaries into a small reusable file.
+//!    fusion peephole collapses common pairs into a fixed set of
+//!    superinstructions — `VarBin{L,R}` (forcing-variable load folded into
+//!    a binary op), `ConstBin{L,R}` (binary op with an inline immediate)
+//!    and `MulSub` (`a·b − c`) — cutting dispatch count. A linear-scan
+//!    allocator with a LIFO free list then compacts the SSA temporaries
+//!    into a small reusable file.
 //!
 //! 3. **State-independent split.** Each equation is partitioned into a
 //!    *prefix* (maximal subexpressions depending only on forcing variables
@@ -63,7 +64,6 @@ use crate::eval::{
     apply_bin, apply_un, protected_div, protected_exp, protected_log, protected_pow, EvalContext,
 };
 use crate::fastmath::{fast_exp, fast_log, fast_pow};
-use crate::fusion::FusionTable;
 use crate::threaded::ThreadedProgram;
 use std::collections::HashMap;
 
@@ -96,15 +96,10 @@ pub enum Exec {
 /// the VM tiers that `bench_vm` compares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OptOptions {
-    /// Emit fused superinstructions (`VarBin`, `ConstBin`, `MulAdd`,
-    /// `MulSub`, `SubMul`), as permitted by `table`.
+    /// Emit the fused superinstructions (`VarBin`, `ConstBin`, `MulSub`).
     pub fuse: bool,
     /// Split out the state-independent prefix for the columnar sweep.
     pub split: bool,
-    /// Which superinstruction patterns the fuser may emit (ignored when
-    /// `fuse` is off). Defaults to the corpus-selected table
-    /// ([`crate::fusion_gen::SELECTED`]).
-    pub table: FusionTable,
     /// Execution backend for the sequential core (and scalar prefix).
     pub exec: Exec,
 }
@@ -115,7 +110,6 @@ impl OptOptions {
         OptOptions {
             fuse: false,
             split: false,
-            table: FusionTable::NONE,
             exec: Exec::Match,
         }
     }
@@ -125,7 +119,6 @@ impl OptOptions {
         OptOptions {
             fuse: true,
             split: false,
-            table: FusionTable::default(),
             exec: Exec::Match,
         }
     }
@@ -136,7 +129,6 @@ impl OptOptions {
         OptOptions {
             fuse: true,
             split: true,
-            table: FusionTable::default(),
             exec: Exec::Match,
         }
     }
@@ -238,9 +230,16 @@ impl Tier {
         }
     }
 
-    /// The fastest tier whose fidelity `policy` admits. Property-tested
-    /// and bench-gated: `threaded` is the fastest bit-exact tier, `simd`
-    /// the fastest overall where its kernels are live.
+    /// The fastest tier whose fidelity `policy` admits: `simd` where its
+    /// kernels are live and relaxed fidelity is allowed, else `threaded`.
+    ///
+    /// `threaded` is the bit-exact choice because it wins on the search's
+    /// own workload, not on `bench_vm`'s four fixed models (which favour
+    /// `split`). On a 2-vCPU x86-64 host, making `split` the default in
+    /// perfbench's `gmr_search` raised `vm.ns_per_step` by 5.0% and 7.9%
+    /// on two identical traced searches, and median `p50_ms` by 9.6% over
+    /// 8 alternating untraced pairs. No bench gate compares the two tiers;
+    /// re-measure on `gmr_search` before changing this.
     pub fn fastest(policy: FidelityPolicy) -> Tier {
         match policy {
             FidelityPolicy::AllowRelaxed if crate::simd::active() => Tier::Simd,
@@ -340,14 +339,10 @@ pub enum RInstr {
     ConstBinL { op: BinOp, dst: u16, c: f64, b: u16 },
     /// Fused: `r[dst] = bin(op, r[a], c)` with an inline immediate.
     ConstBinR { op: BinOp, dst: u16, a: u16, c: f64 },
-    /// Fused: `r[dst] = r[a] * r[b] + r[c]`, multiply and add rounded
-    /// separately (NOT an FMA — equivalence with the interpreter forbids
-    /// contracting the intermediate rounding).
-    MulAdd { dst: u16, a: u16, b: u16, c: u16 },
-    /// Fused: `r[dst] = r[a] * r[b] - r[c]`, two roundings like `MulAdd`.
+    /// Fused: `r[dst] = r[a] * r[b] - r[c]`, multiply and subtract
+    /// rounded separately (NOT an FMA — equivalence with the interpreter
+    /// forbids contracting the intermediate rounding).
     MulSub { dst: u16, a: u16, b: u16, c: u16 },
-    /// Fused: `r[dst] = r[a] - r[b] * r[c]`, two roundings like `MulAdd`.
-    SubMul { dst: u16, a: u16, b: u16, c: u16 },
 }
 
 impl RInstr {
@@ -361,9 +356,7 @@ impl RInstr {
             | RInstr::VarBinR { dst, .. }
             | RInstr::ConstBinL { dst, .. }
             | RInstr::ConstBinR { dst, .. }
-            | RInstr::MulAdd { dst, .. }
-            | RInstr::MulSub { dst, .. }
-            | RInstr::SubMul { dst, .. } => *dst = r,
+            | RInstr::MulSub { dst, .. } => *dst = r,
         }
     }
 
@@ -378,9 +371,7 @@ impl RInstr {
             | RInstr::VarBinR { dst, .. }
             | RInstr::ConstBinL { dst, .. }
             | RInstr::ConstBinR { dst, .. }
-            | RInstr::MulAdd { dst, .. }
-            | RInstr::MulSub { dst, .. }
-            | RInstr::SubMul { dst, .. } => dst,
+            | RInstr::MulSub { dst, .. } => dst,
         }
     }
 
@@ -396,9 +387,7 @@ impl RInstr {
                 f(a);
                 f(b);
             }
-            RInstr::MulAdd { a, b, c, .. }
-            | RInstr::MulSub { a, b, c, .. }
-            | RInstr::SubMul { a, b, c, .. } => {
+            RInstr::MulSub { a, b, c, .. } => {
                 f(a);
                 f(b);
                 f(c);
@@ -700,26 +689,12 @@ impl RegProgram {
                         let av = *regs.get_unchecked(a as usize);
                         *regs.get_unchecked_mut(dst as usize) = apply_bin(op, av, c);
                     }
-                    RInstr::MulAdd { dst, a, b, c } => {
-                        let av = *regs.get_unchecked(a as usize);
-                        let bv = *regs.get_unchecked(b as usize);
-                        let cv = *regs.get_unchecked(c as usize);
-                        // Two roundings on purpose; see `RInstr::MulAdd`.
-                        *regs.get_unchecked_mut(dst as usize) = av * bv + cv;
-                    }
                     RInstr::MulSub { dst, a, b, c } => {
                         let av = *regs.get_unchecked(a as usize);
                         let bv = *regs.get_unchecked(b as usize);
                         let cv = *regs.get_unchecked(c as usize);
-                        // Two roundings on purpose; see `RInstr::MulAdd`.
+                        // Two roundings on purpose; see `RInstr::MulSub`.
                         *regs.get_unchecked_mut(dst as usize) = av * bv - cv;
-                    }
-                    RInstr::SubMul { dst, a, b, c } => {
-                        let av = *regs.get_unchecked(a as usize);
-                        let bv = *regs.get_unchecked(b as usize);
-                        let cv = *regs.get_unchecked(c as usize);
-                        // Two roundings on purpose; see `RInstr::MulAdd`.
-                        *regs.get_unchecked_mut(dst as usize) = av - bv * cv;
                     }
                 }
             }
@@ -789,14 +764,8 @@ impl RegProgram {
                 RInstr::ConstBinR { op, dst, a, c } => {
                     l_bin_cr(op, fast, regs, off(dst), off(a), c, m);
                 }
-                RInstr::MulAdd { dst, a, b, c } => {
-                    l_fused3(F3::MulAdd, regs, off(dst), off(a), off(b), off(c), m);
-                }
                 RInstr::MulSub { dst, a, b, c } => {
-                    l_fused3(F3::MulSub, regs, off(dst), off(a), off(b), off(c), m);
-                }
-                RInstr::SubMul { dst, a, b, c } => {
-                    l_fused3(F3::SubMul, regs, off(dst), off(a), off(b), off(c), m);
+                    l_fused3(regs, off(dst), off(a), off(b), off(c), m);
                 }
             }
         }
@@ -862,14 +831,8 @@ impl RegProgram {
                 RInstr::ConstBinR { op, dst, a, c } => {
                     l_bin_cr(op, fast, regs, off(dst), off(a), c, m);
                 }
-                RInstr::MulAdd { dst, a, b, c } => {
-                    l_fused3(F3::MulAdd, regs, off(dst), off(a), off(b), off(c), m);
-                }
                 RInstr::MulSub { dst, a, b, c } => {
-                    l_fused3(F3::MulSub, regs, off(dst), off(a), off(b), off(c), m);
-                }
-                RInstr::SubMul { dst, a, b, c } => {
-                    l_fused3(F3::SubMul, regs, off(dst), off(a), off(b), off(c), m);
+                    l_fused3(regs, off(dst), off(a), off(b), off(c), m);
                 }
             }
         }
@@ -945,14 +908,8 @@ impl RegProgram {
                 RInstr::ConstBinR { op, dst, a, c } => {
                     l_bin_cr(op, fast, regs, off(dst), off(a), c, m);
                 }
-                RInstr::MulAdd { dst, a, b, c } => {
-                    l_fused3(F3::MulAdd, regs, off(dst), off(a), off(b), off(c), m);
-                }
                 RInstr::MulSub { dst, a, b, c } => {
-                    l_fused3(F3::MulSub, regs, off(dst), off(a), off(b), off(c), m);
-                }
-                RInstr::SubMul { dst, a, b, c } => {
-                    l_fused3(F3::SubMul, regs, off(dst), off(a), off(b), off(c), m);
+                    l_fused3(regs, off(dst), off(a), off(b), off(c), m);
                 }
             }
         }
@@ -1011,17 +968,6 @@ fn k_bin_cr(f: impl Fn(f64, f64) -> f64, regs: &mut [f64], d: usize, a: usize, c
             *regs.get_unchecked_mut(d + l) = f(av, c);
         }
     }
-}
-
-/// The three-operand fused shapes (all two separate roundings, never FMA).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum F3 {
-    /// `a*b + c`
-    MulAdd,
-    /// `a*b - c`
-    MulSub,
-    /// `a - b*c`
-    SubMul,
 }
 
 // Lane-kernel dispatchers: resolve `(op, fast)` to the right kernel once
@@ -1221,17 +1167,15 @@ fn l_bin_vr(
     }
 }
 
+/// The three-operand lane dispatcher: `d = a·b − c` (`MulSub`, the only
+/// three-operand superinstruction).
 #[inline]
-fn l_fused3(kind: F3, regs: &mut [f64], d: usize, a: usize, b: usize, c: usize, m: usize) {
+fn l_fused3(regs: &mut [f64], d: usize, a: usize, b: usize, c: usize, m: usize) {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     if m == LANES && crate::simd::active() {
         // SAFETY: see the shared dispatcher argument above.
         unsafe {
-            return match kind {
-                F3::MulAdd => crate::simd::mul_add_k(regs, d, a, b, c),
-                F3::MulSub => crate::simd::mul_sub_k(regs, d, a, b, c),
-                F3::SubMul => crate::simd::sub_mul_k(regs, d, a, b, c),
-            };
+            return crate::simd::mul_sub_k(regs, d, a, b, c);
         }
     }
     for l in 0..m {
@@ -1240,12 +1184,8 @@ fn l_fused3(kind: F3, regs: &mut [f64], d: usize, a: usize, b: usize, c: usize, 
             let av = *regs.get_unchecked(a + l);
             let bv = *regs.get_unchecked(b + l);
             let cv = *regs.get_unchecked(c + l);
-            // Two roundings on purpose; see `RInstr::MulAdd`.
-            *regs.get_unchecked_mut(d + l) = match kind {
-                F3::MulAdd => av * bv + cv,
-                F3::MulSub => av * bv - cv,
-                F3::SubMul => av - bv * cv,
-            };
+            // Two roundings on purpose; see `RInstr::MulSub`.
+            *regs.get_unchecked_mut(d + l) = av * bv - cv;
         }
     }
 }
@@ -1450,9 +1390,7 @@ enum VOp {
     VarBinR(BinOp, VR, u8),
     ConstBinL(BinOp, f64, VR),
     ConstBinR(BinOp, VR, f64),
-    MulAdd(VR, VR, VR),
     MulSub(VR, VR, VR),
-    SubMul(VR, VR, VR),
 }
 
 impl VOp {
@@ -1466,7 +1404,7 @@ impl VOp {
                 f(a);
                 f(b);
             }
-            VOp::MulAdd(a, b, c) | VOp::MulSub(a, b, c) | VOp::SubMul(a, b, c) => {
+            VOp::MulSub(a, b, c) => {
                 f(a);
                 f(b);
                 f(c);
@@ -1557,16 +1495,17 @@ impl<'d> Emitter<'d> {
 // Superinstruction fusion
 // ---------------------------------------------------------------------------
 
-/// Fusion peephole over virtual code. Priority per binary instruction:
-/// the three-operand shapes (`MulAdd`/`MulSub`/`SubMul`, erasing a whole
-/// instruction) over `VarBin` (erases a load and its dispatch) over
-/// `ConstBin` (inlines an immediate, freeing a pinned register read).
-/// Which patterns may fire at all is governed by `table` — the
-/// corpus-selected [`FusionTable`] by default. Multi-use temporaries are
-/// never destroyed: a `LoadVar` feeding several consumers fuses into each,
-/// and its defining instruction dies only when no uses remain. Output
+/// Fusion peephole over virtual code, applying the fixed superinstruction
+/// set. Priority per binary instruction: `MulSub` (a single-use `Mul` as
+/// the left operand of a `Sub`, erasing a whole instruction) over `VarBin`
+/// (erases a load and its dispatch) over `ConstBin` (inlines an immediate,
+/// freeing a pinned register read). The set is frozen: it is the one
+/// evolved elites were measured to use (see DESIGN.md), and changing it
+/// changes every compiled program. Multi-use temporaries are never
+/// destroyed: a `LoadVar` feeding several consumers fuses into each, and
+/// its defining instruction dies only when no uses remain. Output
 /// references count as uses, so an output definition never fuses away.
-fn fuse(code: &mut Vec<VIns>, outputs: &[VR], dag: &Dag, table: FusionTable) {
+fn fuse(code: &mut Vec<VIns>, outputs: &[VR], dag: &Dag) {
     let mut def_idx: HashMap<u32, usize> = HashMap::with_capacity(code.len());
     for (i, ins) in code.iter().enumerate() {
         def_idx.insert(ins.dst, i);
@@ -1589,89 +1528,61 @@ fn fuse(code: &mut Vec<VIns>, outputs: &[VR], dag: &Dag, table: FusionTable) {
         let VOp::Bin(op, a, b) = code[i].op else {
             continue;
         };
-        // Three-operand shapes: a single-use Mul feeding an Add operand
-        // (either side) or a Sub operand (left → MulSub, right → SubMul).
-        // The decision is computed first and applied after, so the
-        // immutable probe of `code`/`uses` ends before the mutation.
-        let fused3 = {
-            let try_mul = |v: VR| -> Option<(u32, usize, VR, VR)> {
-                let VR::Temp(t) = v else { return None };
-                if uses.get(&t) != Some(&1) {
-                    return None;
-                }
+        // MulSub: a single-use Mul as the left operand of a Sub. The
+        // decision is computed first and applied after, so the immutable
+        // probe of `code`/`uses` ends before the mutation.
+        let mul = match (op, a) {
+            (BinOp::Sub, VR::Temp(t)) if uses.get(&t) == Some(&1) => {
                 let j = def_idx[&t];
                 match code[j].op {
                     VOp::Bin(BinOp::Mul, x, y) => Some((t, j, x, y)),
                     _ => None,
                 }
-            };
-            match op {
-                BinOp::Add if table.mul_add => try_mul(a)
-                    .map(|(t, j, x, y)| (t, j, VOp::MulAdd(x, y, b)))
-                    .or_else(|| try_mul(b).map(|(t, j, x, y)| (t, j, VOp::MulAdd(x, y, a)))),
-                BinOp::Sub => {
-                    let ms = if table.mul_sub {
-                        try_mul(a).map(|(t, j, x, y)| (t, j, VOp::MulSub(x, y, b)))
-                    } else {
-                        None
-                    };
-                    ms.or_else(|| {
-                        if table.sub_mul {
-                            try_mul(b).map(|(t, j, x, y)| (t, j, VOp::SubMul(a, x, y)))
-                        } else {
-                            None
-                        }
-                    })
-                }
-                _ => None,
             }
+            _ => None,
         };
-        if let Some((t, j, new_op)) = fused3 {
-            code[i].op = new_op;
+        if let Some((t, j, x, y)) = mul {
+            code[i].op = VOp::MulSub(x, y, b);
             code[j].dead = true;
             uses.insert(t, 0);
             continue;
         }
         // VarBin: fold a forcing-variable load into the consumer. The
         // load's definition survives while other consumers still need it.
-        if table.var_bin {
-            let load_of = |v: VR| -> Option<(u32, usize, u8)> {
-                let VR::Temp(t) = v else { return None };
-                let j = def_idx[&t];
-                match code[j].op {
-                    VOp::LoadVar(idx) => Some((t, j, idx)),
-                    _ => None,
-                }
-            };
-            if let Some((t, j, idx)) = load_of(a) {
-                code[i].op = VOp::VarBinL(op, idx, b);
-                let u = uses.get_mut(&t).expect("use count for operand");
-                *u -= 1;
-                if *u == 0 {
-                    code[j].dead = true;
-                }
-                continue;
+        let load_of = |v: VR| -> Option<(u32, usize, u8)> {
+            let VR::Temp(t) = v else { return None };
+            let j = def_idx[&t];
+            match code[j].op {
+                VOp::LoadVar(idx) => Some((t, j, idx)),
+                _ => None,
             }
-            if let Some((t, j, idx)) = load_of(b) {
-                code[i].op = VOp::VarBinR(op, a, idx);
-                let u = uses.get_mut(&t).expect("use count for operand");
-                *u -= 1;
-                if *u == 0 {
-                    code[j].dead = true;
-                }
-                continue;
+        };
+        if let Some((t, j, idx)) = load_of(a) {
+            code[i].op = VOp::VarBinL(op, idx, b);
+            let u = uses.get_mut(&t).expect("use count for operand");
+            *u -= 1;
+            if *u == 0 {
+                code[j].dead = true;
             }
+            continue;
+        }
+        if let Some((t, j, idx)) = load_of(b) {
+            code[i].op = VOp::VarBinR(op, a, idx);
+            let u = uses.get_mut(&t).expect("use count for operand");
+            *u -= 1;
+            if *u == 0 {
+                code[j].dead = true;
+            }
+            continue;
         }
         // ConstBin: inline a pinned constant as an immediate. (Both sides
         // constant is impossible — the DAG folded that.)
-        if table.const_bin {
-            if let VR::Const(c) = a {
-                code[i].op = VOp::ConstBinL(op, dag.cnum(c).expect("const node"), b);
-                continue;
-            }
-            if let VR::Const(c) = b {
-                code[i].op = VOp::ConstBinR(op, a, dag.cnum(c).expect("const node"));
-            }
+        if let VR::Const(c) = a {
+            code[i].op = VOp::ConstBinL(op, dag.cnum(c).expect("const node"), b);
+            continue;
+        }
+        if let VR::Const(c) = b {
+            code[i].op = VOp::ConstBinR(op, a, dag.cnum(c).expect("const node"));
         }
     }
     code.retain(|ins| !ins.dead);
@@ -1808,19 +1719,7 @@ fn allocate(code: &[VIns], outputs: &[VR], dag: &Dag, n_pre: u16) -> RegProgram 
                     a: resolve(&a),
                     c,
                 },
-                VOp::MulAdd(a, b, c) => RInstr::MulAdd {
-                    dst: 0,
-                    a: resolve(&a),
-                    b: resolve(&b),
-                    c: resolve(&c),
-                },
                 VOp::MulSub(a, b, c) => RInstr::MulSub {
-                    dst: 0,
-                    a: resolve(&a),
-                    b: resolve(&b),
-                    c: resolve(&c),
-                },
-                VOp::SubMul(a, b, c) => RInstr::SubMul {
                     dst: 0,
                     a: resolve(&a),
                     b: resolve(&b),
@@ -1989,7 +1888,7 @@ impl CompiledSystem {
                 .collect();
             let mut code = em.code;
             if opts.fuse {
-                fuse(&mut code, &outs, &dag, opts.table);
+                fuse(&mut code, &outs, &dag);
             }
             allocate(&code, &outs, &dag, 0)
         } else {
@@ -2000,7 +1899,7 @@ impl CompiledSystem {
         let outs: Vec<VR> = roots.iter().map(|&r| em.value(r)).collect();
         let mut code = em.code;
         if opts.fuse {
-            fuse(&mut code, &outs, &dag, opts.table);
+            fuse(&mut code, &outs, &dag);
         }
         let core = allocate(&code, &outs, &dag, n_pre);
         debug_assert_eq!(prefix.outputs.len(), n_pre as usize);
@@ -3273,66 +3172,29 @@ mod tests {
 
     #[test]
     fn sub_patterns_fuse_and_stay_exact() {
-        // s0*s1 - s0  → MulSub;  s0 - s1*s1 → SubMul.
-        let mul_sub = Expr::bin(
+        // s0*s1 - s0  → MulSub.
+        let eq = Expr::bin(
             BinOp::Sub,
             Expr::bin(BinOp::Mul, Expr::State(0), Expr::State(1)),
             Expr::State(0),
         );
-        let sub_mul = Expr::bin(
-            BinOp::Sub,
-            Expr::State(0),
-            Expr::bin(BinOp::Mul, Expr::State(1), Expr::State(1)),
-        );
-        // Pin the table to ALL: this test is about the *patterns* firing
-        // and staying exact, independent of what the current corpus selects.
-        let opts = OptOptions {
-            table: FusionTable::ALL,
-            ..OptOptions::fused()
-        };
-        for eq in [&mul_sub, &sub_mul] {
-            let sys = CompiledSystem::compile(std::slice::from_ref(eq), opts);
-            let fused_shapes = sys
-                .core()
-                .instructions()
-                .iter()
-                .filter(|i| matches!(i, RInstr::MulSub { .. } | RInstr::SubMul { .. }))
-                .count();
-            assert!(fused_shapes >= 1, "no Sub-shape fused for {eq:?}");
-            for state in [[2.0, 3.0], [0.0, 0.0], [-1.5, 1e9], [f64::NAN, 1.0]] {
-                let ctx = EvalContext {
-                    vars: &[],
-                    state: &state,
-                };
-                let mut out = [0.0];
-                sys.eval_step(&ctx, &mut sys.scratch(), &mut out);
-                assert!(feq(out[0], eq.eval(&ctx)), "diverged at {state:?}");
-            }
+        let sys = CompiledSystem::compile(std::slice::from_ref(&eq), OptOptions::fused());
+        let fused_shapes = sys
+            .core()
+            .instructions()
+            .iter()
+            .filter(|i| matches!(i, RInstr::MulSub { .. }))
+            .count();
+        assert!(fused_shapes >= 1, "no MulSub fused for {eq:?}");
+        for state in [[2.0, 3.0], [0.0, 0.0], [-1.5, 1e9], [f64::NAN, 1.0]] {
+            let ctx = EvalContext {
+                vars: &[],
+                state: &state,
+            };
+            let mut out = [0.0];
+            sys.eval_step(&ctx, &mut sys.scratch(), &mut out);
+            assert!(feq(out[0], eq.eval(&ctx)), "diverged at {state:?}");
         }
-    }
-
-    #[test]
-    fn fusion_table_gates_patterns() {
-        let eqs = sample_system();
-        let all = CompiledSystem::compile(
-            &eqs,
-            OptOptions {
-                table: FusionTable::ALL,
-                ..OptOptions::fused()
-            },
-        );
-        // fuse=true with an empty table must equal the register tier's
-        // instruction stream (nothing is permitted to fire).
-        let none = CompiledSystem::compile(
-            &eqs,
-            OptOptions {
-                table: FusionTable::NONE,
-                ..OptOptions::fused()
-            },
-        );
-        let register = CompiledSystem::compile(&eqs, OptOptions::register());
-        assert_eq!(none.core().instructions(), register.core().instructions());
-        assert!(all.core_len() < none.core_len());
     }
 
     #[test]

@@ -575,22 +575,6 @@ impl<'a, E: Evaluator> Engine<'a, E> {
                     size: best.tree.size() as u64,
                     origin: best.origin,
                 });
-                // Opcode-pair statistics of the new elite's simplified
-                // system — pre-aggregated here so the journal stays
-                // expression-free. `gmr-trace opcodes` sums these into
-                // the corpus that drives superinstruction selection.
-                if let Some(pheno) = &best.pheno {
-                    let counts = gmr_expr::pair_counts(pheno.eqs());
-                    gmr_obsv::emit(Event::Opcodes {
-                        seed: self.cfg.seed,
-                        generation: gen as u64,
-                        total: gmr_expr::total_pairs(&counts),
-                        pairs: counts
-                            .into_iter()
-                            .map(|c| (c.parent.to_string(), c.child.to_string(), c.pos, c.count))
-                            .collect(),
-                    });
-                }
             }
         }
     }

@@ -134,29 +134,14 @@ fn bin_transfer(op: BinOp, a: AbsVal, b: AbsVal) -> AbsVal {
     })
 }
 
-/// Which three-operand superinstruction a fused transfer models.
-#[derive(Clone, Copy)]
-enum Fused3 {
-    /// `a·b + c` (`RInstr::MulAdd`).
-    MulAdd,
-    /// `a·b − c` (`RInstr::MulSub`).
-    MulSub,
-    /// `a − b·c` (`RInstr::SubMul`).
-    SubMul,
-}
-
-/// Transfer for the fused three-operand superinstructions. Each executes
-/// as two separately-rounded IEEE ops (never an FMA contraction), so the
+/// Transfer for the fused `a·b − c` (`RInstr::MulSub`). It executes as
+/// two separately-rounded IEEE ops (never an FMA contraction), so the
 /// abstract image is exactly the composition of the two interval ops.
-fn fused3_transfer(shape: Fused3, a: AbsVal, b: AbsVal, c: AbsVal) -> AbsVal {
+fn mul_sub_transfer(a: AbsVal, b: AbsVal, c: AbsVal) -> AbsVal {
     if a.nonfinite || b.nonfinite || c.nonfinite {
         return AbsVal::top();
     }
-    AbsVal::from_interval(match shape {
-        Fused3::MulAdd => a.iv.mul(b.iv).add(c.iv),
-        Fused3::MulSub => a.iv.mul(b.iv).sub(c.iv),
-        Fused3::SubMul => a.iv.sub(b.iv.mul(c.iv)),
-    })
+    AbsVal::from_interval(a.iv.mul(b.iv).sub(c.iv))
 }
 
 /// The river environment when the arities match the river schema, a fully
@@ -303,9 +288,7 @@ fn sites_of(ins: &RInstr) -> &'static [Site] {
         RInstr::VarBinR { .. } | RInstr::ConstBinR { .. } => {
             &[Site::Scalar, Site::Threaded, Site::KBinCr]
         }
-        RInstr::MulAdd { .. } | RInstr::MulSub { .. } | RInstr::SubMul { .. } => {
-            &[Site::Scalar, Site::Threaded, Site::Fused3Lanes]
-        }
+        RInstr::MulSub { .. } => &[Site::Scalar, Site::Threaded, Site::Fused3Lanes],
     }
 }
 
@@ -592,23 +575,11 @@ fn analyze_program(
                     at,
                 )
             }
-            RInstr::MulAdd { a, b, c, .. } => {
-                let (av, at) = ctx.read(i, a);
-                let (bv, bt) = ctx.read(i, b);
-                let (cv, ct) = ctx.read(i, c);
-                (fused3_transfer(Fused3::MulAdd, av, bv, cv), at || bt || ct)
-            }
             RInstr::MulSub { a, b, c, .. } => {
                 let (av, at) = ctx.read(i, a);
                 let (bv, bt) = ctx.read(i, b);
                 let (cv, ct) = ctx.read(i, c);
-                (fused3_transfer(Fused3::MulSub, av, bv, cv), at || bt || ct)
-            }
-            RInstr::SubMul { a, b, c, .. } => {
-                let (av, at) = ctx.read(i, a);
-                let (bv, bt) = ctx.read(i, b);
-                let (cv, ct) = ctx.read(i, c);
-                (fused3_transfer(Fused3::SubMul, av, bv, cv), at || bt || ct)
+                (mul_sub_transfer(av, bv, cv), at || bt || ct)
             }
         };
         ctx.write(i, ins.dst(), val, tainted);

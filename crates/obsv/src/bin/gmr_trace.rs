@@ -7,10 +7,6 @@
 //! gmr-trace --validate RUN.jsonl       # same, flag spelling
 //! gmr-trace json FILE.json             # strict-parse any JSON document;
 //!                                      # exit 1 on malformed input
-//! gmr-trace opcodes RUN.jsonl...       # aggregate elite opcode-pair stats
-//!     [--out CORPUS.json]              #   into a gmr-opcodes/v1 corpus
-//!     [--from-corpus CORPUS.json]      #   (or load one) and regenerate
-//!     [--fusion-table-out fusion_gen.rs]  # the VM's fusion table from it
 //! gmr-trace stitch GATEWAY.jsonl BACKEND.jsonl... [--out TRACE.json]
 //!                                      # merge cluster journals into one
 //!                                      # cross-process Chrome trace; exit 1
@@ -23,8 +19,6 @@ use std::process::ExitCode;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: gmr-trace <summary|chrome|validate|json> FILE [--out FILE]\n\
-         \x20      gmr-trace opcodes FILE... [--out CORPUS] [--from-corpus CORPUS]\n\
-         \x20                [--fusion-table-out FILE]\n\
          \x20      gmr-trace stitch GATEWAY.jsonl BACKEND.jsonl... [--out FILE]\n\
          \n\
          summary    print spans / generations / pool utilization / lineage\n\
@@ -32,10 +26,6 @@ fn usage() -> ExitCode {
          validate   check the gmr-journal/v1 schema; exit 1 when invalid\n\
          json       strict-parse a standalone JSON document (reports the\n\
                     byte offset of the first error); exit 1 when malformed\n\
-         opcodes    aggregate the elite opcode-pair statistics of one or\n\
-                    more journals into a gmr-opcodes/v1 corpus (--out), or\n\
-                    load a committed corpus (--from-corpus), and optionally\n\
-                    regenerate the VM's fusion table (--fusion-table-out)\n\
          stitch     merge a gateway journal plus backend journals into one\n\
                     cross-process Chrome trace (flows connect each gateway\n\
                     hop to the backend access + sweep spans that served\n\
@@ -44,113 +34,6 @@ fn usage() -> ExitCode {
          `--validate` is accepted as a flag spelling of `validate`."
     );
     ExitCode::from(2)
-}
-
-/// The `opcodes` subcommand, with its own multi-journal argument shape.
-fn run_opcodes(args: &[String]) -> ExitCode {
-    let mut journals: Vec<String> = Vec::new();
-    let mut out_path = None;
-    let mut from_corpus = None;
-    let mut table_out = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut flag_path = |name: &str, slot: &mut Option<String>| match it.next() {
-            Some(p) => {
-                *slot = Some(p.clone());
-                true
-            }
-            None => {
-                eprintln!("gmr-trace: {name} needs a path");
-                false
-            }
-        };
-        match a.as_str() {
-            "--out" => {
-                if !flag_path("--out", &mut out_path) {
-                    return ExitCode::from(2);
-                }
-            }
-            "--from-corpus" => {
-                if !flag_path("--from-corpus", &mut from_corpus) {
-                    return ExitCode::from(2);
-                }
-            }
-            "--fusion-table-out" => {
-                if !flag_path("--fusion-table-out", &mut table_out) {
-                    return ExitCode::from(2);
-                }
-            }
-            _ if !a.starts_with('-') => journals.push(a.clone()),
-            _ => {
-                eprintln!("gmr-trace: unexpected argument {a:?}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let (corpus, corpus_label) = if let Some(path) = &from_corpus {
-        if !journals.is_empty() {
-            eprintln!("gmr-trace: --from-corpus does not take journal files");
-            return ExitCode::from(2);
-        }
-        let src = match read(path) {
-            Ok(s) => s,
-            Err(code) => return code,
-        };
-        match gmr_obsv::opcodes::OpcodeCorpus::parse_json(&src) {
-            Ok(c) => (c, path.clone()),
-            Err(e) => {
-                eprintln!("gmr-trace: {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        if journals.is_empty() {
-            eprintln!("gmr-trace: opcodes needs journal files or --from-corpus");
-            return ExitCode::from(2);
-        }
-        let mut texts = Vec::with_capacity(journals.len());
-        for path in &journals {
-            match read(path) {
-                Ok(s) => texts.push(s),
-                Err(code) => return code,
-            }
-        }
-        match gmr_obsv::opcodes::OpcodeCorpus::aggregate(&texts) {
-            // The generated file's header names the committed corpus path
-            // regardless of where this invocation writes it, so the same
-            // corpus always renders the same bytes.
-            Ok(c) => (c, String::from("results/OPCODE_corpus.json")),
-            Err(e) => {
-                eprintln!("gmr-trace: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    };
-    eprintln!(
-        "opcodes: {} elite snapshot(s), {} operand pair(s), {} distinct pair(s)",
-        corpus.elites,
-        corpus.total,
-        corpus.pairs.len()
-    );
-    if let Some(path) = &out_path {
-        if let Err(e) = std::fs::write(path, corpus.render_json()) {
-            eprintln!("gmr-trace: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = &table_out {
-        let text = gmr_obsv::opcodes::render_fusion_gen(&corpus, &corpus_label);
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("gmr-trace: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("wrote {path}");
-    }
-    if out_path.is_none() && table_out.is_none() {
-        print!("{}", corpus.render_json());
-    }
-    ExitCode::SUCCESS
 }
 
 /// The `stitch` subcommand: first journal is the gateway, the rest are
@@ -234,9 +117,6 @@ fn read(path: &str) -> Result<String, ExitCode> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("opcodes") {
-        return run_opcodes(&args[1..]);
-    }
     if args.first().map(String::as_str) == Some("stitch") {
         return run_stitch(&args[1..]);
     }

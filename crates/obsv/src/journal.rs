@@ -99,22 +99,6 @@ pub enum Event {
         /// `replicate`, `ls-insert`, `ls-delete`, `ls-tweak`.
         origin: &'static str,
     },
-    /// Opcode-pair statistics of a new elite's simplified system,
-    /// pre-aggregated by the engine so the journal stays expression-free.
-    /// `gmr-trace opcodes` sums these across runs into the
-    /// `gmr-opcodes/v1` corpus that drives superinstruction selection.
-    Opcodes {
-        /// Engine seed.
-        seed: u64,
-        /// Generation at which the elite was observed.
-        generation: u64,
-        /// `(parent op, child label, position, count)` — position is
-        /// `'l'`/`'r'` for binary operands, `'u'` for the unary operand;
-        /// child labels are operator names or `var`/`state`/`const`.
-        pairs: Vec<(String, String, char, u64)>,
-        /// Total operand pairs (the fusion support denominator).
-        total: u64,
-    },
     /// A tree-cache shard shed entries.
     CacheEvict {
         /// Surrogate (short-circuited) entries dropped.
@@ -239,7 +223,6 @@ impl Event {
             Event::Span { .. } => "span",
             Event::Gen { .. } => "gen",
             Event::EliteChange { .. } => "elite",
-            Event::Opcodes { .. } => "opcodes",
             Event::CacheEvict { .. } => "cache_evict",
             Event::Round { .. } => "round",
             Event::Stall { .. } => "stall",
@@ -436,29 +419,6 @@ fn write_record(out: &mut String, rec: &Record) {
             push_f64(out, *fitness);
             out.push_str(&format!(", \"size\": {size}, \"origin\": "));
             push_escaped(out, origin);
-        }
-        Event::Opcodes {
-            seed,
-            generation,
-            pairs,
-            total,
-        } => {
-            out.push_str(&format!(
-                ", \"seed\": {seed}, \"generation\": {generation}, \"total\": {total}, \"pairs\": ["
-            ));
-            for (i, (parent, child, pos, count)) in pairs.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push('[');
-                push_escaped(out, parent);
-                out.push_str(", ");
-                push_escaped(out, child);
-                out.push_str(", ");
-                push_escaped(out, &pos.to_string());
-                out.push_str(&format!(", {count}]"));
-            }
-            out.push(']');
         }
         Event::CacheEvict {
             shed_surrogate,

@@ -34,7 +34,6 @@
 pub mod journal;
 pub mod log;
 pub mod metrics;
-pub mod opcodes;
 pub mod span;
 pub mod trace;
 

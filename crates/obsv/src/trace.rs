@@ -7,11 +7,10 @@ use crate::json::{parse, Value};
 use std::collections::BTreeMap;
 
 /// Event `type` tags the validator accepts.
-pub const KNOWN_TYPES: [&str; 12] = [
+pub const KNOWN_TYPES: [&str; 11] = [
     "span",
     "gen",
     "elite",
-    "opcodes",
     "cache_evict",
     "round",
     "stall",
@@ -182,32 +181,6 @@ pub fn validate(src: &str) -> Vec<String> {
                 }
                 require_num_or_null(&obj, "fitness", lineno, &mut errs);
                 require_str(&obj, "origin", lineno, &mut errs);
-            }
-            Some("opcodes") => {
-                for key in ["seed", "generation", "total"] {
-                    require_u64(&obj, key, lineno, &mut errs);
-                }
-                match obj.get("pairs").and_then(Value::as_arr) {
-                    Some(pairs) => {
-                        for p in pairs {
-                            let ok = p.as_arr().is_some_and(|q| {
-                                q.len() == 4
-                                    && q[0].as_str().is_some()
-                                    && q[1].as_str().is_some()
-                                    && q[2].as_str().is_some_and(|s| matches!(s, "l" | "r" | "u"))
-                                    && q[3].as_u64().is_some()
-                            });
-                            if !ok {
-                                errs.push(format!(
-                                    "line {lineno}: \"pairs\" entries must be \
-                                     [parent, child, \"l\"|\"r\"|\"u\", count]"
-                                ));
-                                break;
-                            }
-                        }
-                    }
-                    None => errs.push(format!("line {lineno}: missing array field \"pairs\"")),
-                }
             }
             Some("cache_evict") => {
                 for key in ["shed_surrogate", "shed_full", "len_after"] {

@@ -271,3 +271,13 @@ fn validate_rejects_corrupt_journal() {
 
     std::fs::remove_file(&path).ok();
 }
+
+#[test]
+fn unknown_subcommand_exits_2_with_usage() {
+    for args in [&["opcodes"][..], &["opcodes", "run.jsonl"], &["bogus", "x"]] {
+        let out = Command::new(trace_bin()).args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("usage: gmr-trace"), "{args:?}: {err}");
+    }
+}
