@@ -216,6 +216,7 @@ wait "$SCN_PID" || { echo "FAIL: scenario smoke cluster did not drain cleanly on
 
 echo "==> SIMD tier tests (vector kernels live where the host has AVX2+FMA)"
 cargo test -q -p gmr-expr --features simd
+cargo test -q -p gmr-serve --features simd --lib
 
 echo "==> bench_vm smoke, simd build (relaxed fidelity + headline gates)"
 cargo run --release -q -p gmr-bench --features simd --bin bench_vm -- --quick --out BENCH_vm_simd.json

@@ -31,12 +31,14 @@
 //!   is validated against a trajectory tolerance instead of bit-equality.
 //!
 //! Two **batch rows** per model (`split_batch`, `simd_batch`) time 32
-//! lock-step trajectories through `MultiSession` — one core dispatch per
-//! step for all lanes over the SoA lane kernels, the state-independent
-//! prefix computed once and shared — in per-trajectory steps/sec. That is
-//! the unit of work of the batching server's coalesced sweeps, and where
-//! the SoA-SIMD backend pays off fully: every lane is an independent
-//! trajectory, so per-trajectory cost drops by the width of the stripe.
+//! lock-step trajectories through a shared-table `LaneSession` — one core
+//! dispatch per step for all lanes over the SoA lane kernels, the
+//! state-independent prefix computed once and shared — in per-trajectory
+//! steps/sec. That is the unit of work of the batching server's coalesced
+//! sweeps, and where the SoA-SIMD backend pays off fully: every lane is an
+//! independent trajectory, so per-trajectory cost drops by the width of
+//! the stripe. Every row, the naive one included, integrates through
+//! `gmr_bio::euler`, the loop the search and the server run.
 //!
 //! Every **bit-exact** tier must produce a `==`-identical B_Phy trajectory
 //! to the tree interpreter — checked on every run, not just in the test
@@ -51,8 +53,10 @@
 //! the headline targets: best tier at least 10x naive on the Table V
 //! model and at least 2x the split tier on every model.
 
-use gmr_bio::{manual, name_table, RiverProblem};
-use gmr_expr::{parse, CompiledExpr, CompiledSystem, EvalContext, Expr, Fidelity, Tier, LANES};
+use gmr_bio::{euler, manual, name_table, RiverProblem};
+use gmr_expr::{
+    parse, CompiledExpr, CompiledSystem, EvalContext, Expr, Fidelity, LaneForcing, Tier, LANES,
+};
 use gmr_hydro::{generate, SyntheticConfig};
 use gmr_json::{push_escaped, push_f64, Value};
 use std::hint::black_box;
@@ -70,7 +74,7 @@ const MIN_SPEEDUP_SPLIT: f64 = 1.5;
 /// Per-tier speedup-vs-naive floors, enforced on **every** pinned model.
 /// Deliberately below observed numbers: CI machines are noisy, and a
 /// regression that halves a tier still trips these. The `*_batch` rows
-/// are [`LANES`] lock-step trajectories through `MultiSession` — the
+/// are [`LANES`] lock-step trajectories through a `LaneSession` — the
 /// workload of the batching server and of lane-striped population
 /// evaluation — timed in per-trajectory steps/sec.
 const TIER_FLOORS: [(&str, f64); 7] = [
@@ -169,36 +173,32 @@ fn problem(quick: bool) -> RiverProblem {
     RiverProblem::from_dataset(&ds, ds.train)
 }
 
-#[inline(always)]
-fn sanitise(x: f64, cap: f64) -> f64 {
-    if x.is_nan() {
-        cap
-    } else {
-        x.clamp(0.0, cap)
-    }
-}
-
 /// The naive-stack tier: one independently compiled stack program per
 /// equation, evaluated per step — the pre-register-VM shape of the runtime
-/// compilation technique.
+/// compilation technique — driven by the same integrator as every tier.
 fn simulate_naive(p: &RiverProblem, compiled: &[CompiledExpr; 2], out: &mut Vec<f64>) {
     out.clear();
-    let cap = p.opts.state_cap;
-    let dt = p.opts.dt;
-    let (mut bphy, mut bzoo) = p.opts.init;
     let mut stack = Vec::new();
-    for row in &p.forcings {
-        out.push(bphy);
-        let state = [bphy, bzoo];
+    let rhs = |t: usize, state: &[f64], d: &mut [f64]| {
         let ctx = EvalContext {
-            vars: row,
-            state: &state,
+            vars: &p.forcings[t],
+            state,
         };
-        let dphy = compiled[0].eval_with(&ctx, &mut stack);
-        let dzoo = compiled[1].eval_with(&ctx, &mut stack);
-        bphy = sanitise(bphy + dt * dphy, cap);
-        bzoo = sanitise(bzoo + dt * dzoo, cap);
-    }
+        d[0] = compiled[0].eval_with(&ctx, &mut stack);
+        d[1] = compiled[1].eval_with(&ctx, &mut stack);
+    };
+    let o = &p.opts;
+    euler(
+        &[o.init],
+        p.num_cases(),
+        o.dt,
+        o.state_cap,
+        rhs,
+        |_, _, bphy, _| {
+            out.push(bphy);
+            true
+        },
+    );
 }
 
 /// All register-VM tiers run through the production path.
@@ -207,31 +207,35 @@ fn simulate_vm(p: &RiverProblem, sys: &CompiledSystem, out: &mut Vec<f64>) {
     out.extend(p.simulate_compiled(sys));
 }
 
-/// [`LANES`] identical trajectories in lock-step through `MultiSession`:
-/// one core dispatch per step for all lanes, the shared prefix computed
-/// once. `out` receives lane 0's B_Phy trajectory (every lane computes the
-/// same one, so it must match the single-trajectory reference).
+/// [`LANES`] identical trajectories in lock-step through a shared-table
+/// `LaneSession`: the prefix swept once and shared, then one core dispatch
+/// per step for all lanes. `out` receives lane 0's B_Phy trajectory (every
+/// lane computes the same one, so it must match the single-trajectory
+/// reference).
 fn simulate_multi(p: &RiverProblem, sys: &CompiledSystem, out: &mut Vec<f64>) {
-    let k = LANES;
-    let days = p.num_cases();
-    let cap = p.opts.state_cap;
-    let dt = p.opts.dt;
-    let mut ms = sys.multi_session(&p.forcings, k);
-    let mut states = vec![0.0f64; k * 2];
-    for l in 0..k {
-        states[l * 2] = p.opts.init.0;
-        states[l * 2 + 1] = p.opts.init.1;
-    }
-    let mut d = vec![0.0f64; k * 2];
     out.clear();
-    for t in 0..days {
-        out.push(states[0]);
-        ms.step(t, &states, &mut d);
-        for l in 0..k {
-            states[l * 2] = sanitise(states[l * 2] + dt * d[l * 2], cap);
-            states[l * 2 + 1] = sanitise(states[l * 2 + 1] + dt * d[l * 2 + 1], cap);
-        }
-    }
+    let prefix = sys.sweep_prefix(&p.forcings);
+    let mut session = sys.lane_session(LaneForcing::Shared {
+        rows: &p.forcings,
+        prefix: &prefix,
+        lanes: LANES,
+    });
+    let rhs = |t, s: &[f64], d: &mut [f64]| session.step(t, s, d);
+    let o = &p.opts;
+    let inits = [o.init; LANES];
+    euler(
+        &inits,
+        p.num_cases(),
+        o.dt,
+        o.state_cap,
+        rhs,
+        |l, _, bphy, _| {
+            if l == 0 {
+                out.push(bphy);
+            }
+            true
+        },
+    );
 }
 
 /// Opcode dispatches one full simulation costs at a given tier. The split

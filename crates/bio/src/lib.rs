@@ -41,4 +41,4 @@ pub use network_sim::{
     StationSeries,
 };
 pub use params::{ParamSpec, PARAMS, R_KIND, STATE_NAMES};
-pub use problem::{sanitise_state, RiverProblem, SimOptions};
+pub use problem::{euler, euler_step, RiverProblem, SimOptions};

@@ -15,6 +15,7 @@
 //! at *every* station simultaneously, or to study how a bloom propagates
 //! down the main channel.
 
+use crate::problem::euler_step;
 use gmr_expr::{CompiledSystem, Expr, OptOptions};
 use gmr_hydro::data::{RiverDataset, Split};
 use gmr_hydro::network::RiverNetwork;
@@ -56,8 +57,6 @@ impl NetworkSimResult {
         &self.bphy[station]
     }
 }
-
-use crate::problem::sanitise_state as sanitise;
 
 /// One station's input series for [`simulate_network_compiled`]: the
 /// forcing rows the equations read and the flow series the routing
@@ -189,9 +188,7 @@ pub fn simulate_network_compiled(
             let t_step = timing.then(std::time::Instant::now);
             let state = [p, z];
             sessions[s].step(day, &state, &mut deriv);
-            let (dp, dz) = (deriv[0], deriv[1]);
-            let p1 = sanitise(p + opts.dt * dp, opts.state_cap);
-            let z1 = sanitise(z + opts.dt * dz, opts.state_cap);
+            let [p1, z1] = euler_step(state, deriv, opts.dt, opts.state_cap);
             if let Some(t) = t_step {
                 station_ns[s] += t.elapsed().as_nanos() as u64;
             }

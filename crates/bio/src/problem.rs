@@ -59,14 +59,12 @@ pub struct RiverProblem {
     pub opts: SimOptions,
 }
 
-/// Post-step state repair used by every integrator in the workspace:
-/// `NaN` becomes the cap (a diverged candidate saturates rather than
-/// poisoning downstream arithmetic), anything else clamps to `[0, cap]`.
-/// Exported so out-of-crate integration loops (the network simulator, the
-/// serving stack) apply *exactly* this rule — bit-identical trajectories
-/// depend on it.
+/// Post-step state repair: `NaN` becomes the cap (a diverged candidate
+/// saturates rather than poisoning downstream arithmetic), anything else
+/// clamps to `[0, cap]`. Applied only through [`euler_step`], so every
+/// trajectory in the workspace repairs its state by exactly this rule.
 #[inline(always)]
-pub fn sanitise_state(x: f64, cap: f64) -> f64 {
+fn sanitise_state(x: f64, cap: f64) -> f64 {
     if x.is_nan() {
         cap
     } else {
@@ -74,7 +72,57 @@ pub fn sanitise_state(x: f64, cap: f64) -> f64 {
     }
 }
 
-use sanitise_state as sanitise;
+/// One forward-Euler day for one water body: advance `state`
+/// (`[B_Phy, B_Zoo]`) by derivative `d` over `dt`, then sanitise. The
+/// update [`euler`] applies to every lane; exported for loops that must
+/// compute a lane's pre-step state between steps (the network simulator
+/// merges upstream arrivals into each station's water body).
+#[inline(always)]
+pub fn euler_step(state: [f64; 2], d: [f64; 2], dt: f64, cap: f64) -> [f64; 2] {
+    [
+        sanitise_state(state[0] + dt * d[0], cap),
+        sanitise_state(state[1] + dt * d[1], cap),
+    ]
+}
+
+/// The one forward-Euler loop: `k = inits.len()` trajectories of
+/// `(B_Phy, B_Zoo)` integrated for `days` days in lock-step.
+///
+/// Per day: `visit(lane, day, bphy, bzoo)` observes each lane's
+/// *pre-step* state (recording a prediction, reducing a summary, scoring
+/// against observations — returning `false` aborts); `rhs(day, states, d)`
+/// fills the derivatives of all lanes at once, both slices lane-major
+/// (`[2l]` is lane `l`'s B_Phy, `[2l + 1]` its B_Zoo); then every lane
+/// advances by [`euler_step`]. Returns whether the loop ran to completion.
+/// Both closures are generic, so a step makes no dynamic call and no
+/// allocation.
+pub fn euler<F, V>(
+    inits: &[(f64, f64)],
+    days: usize,
+    dt: f64,
+    cap: f64,
+    mut rhs: F,
+    mut visit: V,
+) -> bool
+where
+    F: FnMut(usize, &[f64], &mut [f64]),
+    V: FnMut(usize, usize, f64, f64) -> bool,
+{
+    let mut states: Vec<[f64; 2]> = inits.iter().map(|&(p, z)| [p, z]).collect();
+    let mut d = vec![[0.0f64; 2]; states.len()];
+    for day in 0..days {
+        for (lane, s) in states.iter().enumerate() {
+            if !visit(lane, day, s[0], s[1]) {
+                return false;
+            }
+        }
+        rhs(day, states.as_flattened(), d.as_flattened_mut());
+        for (s, ds) in states.iter_mut().zip(&d) {
+            *s = euler_step(*s, *ds, dt, cap);
+        }
+    }
+    true
+}
 
 impl RiverProblem {
     /// Build the problem for a dataset split, seeding the initial biomass
@@ -98,44 +146,32 @@ impl RiverProblem {
         self.observed.len()
     }
 
-    /// The one forward-Euler loop every entry point runs through.
-    ///
-    /// Per day `i`: `visit(i, bphy)` observes the *pre-step* phytoplankton
-    /// biomass (recording a prediction, accumulating an error, consulting
-    /// the short-circuit controller — returning `false` aborts); `rhs`
-    /// produces the derivative pair at `(forcings[i], state)`; the state is
-    /// advanced and sanitised. Returns whether the loop ran to completion.
-    fn integrate<R, V>(&self, mut rhs: R, mut visit: V) -> bool
+    /// [`euler`] over this problem's days from `opts.init`, one lane.
+    fn integrate<R, V>(&self, rhs: R, mut visit: V) -> bool
     where
-        R: FnMut(usize, &[f64; 2]) -> (f64, f64),
+        R: FnMut(usize, &[f64], &mut [f64]),
         V: FnMut(usize, f64) -> bool,
     {
-        let cap = self.opts.state_cap;
-        let dt = self.opts.dt;
-        let (mut bphy, mut bzoo) = self.opts.init;
-        for i in 0..self.forcings.len() {
-            if !visit(i, bphy) {
-                return false;
-            }
-            let state = [bphy, bzoo];
-            let (dphy, dzoo) = rhs(i, &state);
-            bphy = sanitise(bphy + dt * dphy, cap);
-            bzoo = sanitise(bzoo + dt * dzoo, cap);
-        }
-        true
+        let o = &self.opts;
+        euler(
+            &[o.init],
+            self.forcings.len(),
+            o.dt,
+            o.state_cap,
+            rhs,
+            |_, i, bphy, _| visit(i, bphy),
+        )
     }
 
     /// Derivative closure backed by the tree-walking interpreter.
-    fn interp_rhs<'a>(
-        &'a self,
-        eqs: [&'a Expr; 2],
-    ) -> impl FnMut(usize, &[f64; 2]) -> (f64, f64) + 'a {
-        move |i, state| {
+    fn interp_rhs<'a>(&'a self, eqs: [&'a Expr; 2]) -> impl FnMut(usize, &[f64], &mut [f64]) + 'a {
+        move |i, state, d| {
             let ctx = EvalContext {
                 vars: &self.forcings[i],
                 state,
             };
-            (eqs[0].eval(&ctx), eqs[1].eval(&ctx))
+            d[0] = eqs[0].eval(&ctx);
+            d[1] = eqs[1].eval(&ctx);
         }
     }
 
@@ -145,14 +181,10 @@ impl RiverProblem {
     fn compiled_rhs<'a>(
         &'a self,
         sys: &'a CompiledSystem,
-    ) -> impl FnMut(usize, &[f64; 2]) -> (f64, f64) + 'a {
+    ) -> impl FnMut(usize, &[f64], &mut [f64]) + 'a {
         assert_eq!(sys.n_eqs(), 2, "the river system has two equations");
         let mut session = sys.session(&self.forcings);
-        let mut d = [0.0f64; 2];
-        move |i, state: &[f64; 2]| {
-            session.step(i, state, &mut d);
-            (d[0], d[1])
-        }
+        move |i, state, d| session.step(i, state, d)
     }
 
     /// Full simulation with the tree-walking interpreter. Returns the

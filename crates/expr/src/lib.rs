@@ -56,6 +56,6 @@ pub use hash::TreeKey;
 pub use parse::{parse, ParseError};
 pub use simplify::simplify;
 pub use vm::{
-    CompiledSystem, EnsembleSession, Exec, Fidelity, FidelityPolicy, MultiSession, OptOptions,
+    CompiledSystem, Exec, Fidelity, FidelityPolicy, LaneForcing, LaneSession, OptOptions,
     PrefixTable, RInstr, RegProgram, SystemScratch, SystemSession, Tier, LANES,
 };

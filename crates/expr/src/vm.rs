@@ -45,9 +45,10 @@
 //!    structure-of-arrays lane registers, so its dispatch cost is
 //!    amortized `LANES`-fold and the per-lane loops auto-vectorize; the
 //!    sequential Euler recurrence executes only the core, reading the
-//!    precomputed prefix values through a pinned register window. The
-//!    sweep is chunked and computed on demand, so a short-circuited
-//!    evaluation (paper Alg. 1) never pays for rows it does not visit.
+//!    precomputed prefix values through a pinned register window. A solo
+//!    [`SystemSession`] sweeps in chunks on demand, so a short-circuited
+//!    evaluation (paper Alg. 1) never pays for rows it does not visit; a
+//!    lock-step [`LaneSession`] reads a prefix materialized up front.
 //!
 //! The hard invariant, shared with the stack VM and property-tested in
 //! `tests/properties.rs`: every pipeline configuration produces values
@@ -701,37 +702,53 @@ impl RegProgram {
         }
     }
 
-    /// Run columnar over `m <= LANES` consecutive forcing rows starting at
-    /// `base`. Each register is a `[f64; LANES]` stripe in the flat `regs`
+    /// Run `m <= LANES` lanes through the program, lane `l` reading its
+    /// own forcing row `rows[l]` and its own state vector
+    /// `states[l * state_stride ..]` (lane-major). Two shapes share it:
+    /// the columnar prefix sweep, whose lanes are `m` consecutive rows of
+    /// one trajectory with no state (`state_stride == 0`; the prefix is
+    /// state-independent), and the per-lane lock-step core, whose lanes
+    /// are `m` trajectories each at the same step of its own forcing
+    /// table. Each register is a `[f64; LANES]` stripe in the flat `regs`
     /// buffer; one dispatch covers all `m` lanes and the per-lane loops are
     /// plain indexed f64 kernels with the operator matched *outside* the
-    /// loop, so the compiler can auto-vectorize them. State loads are
-    /// impossible here by construction (the prefix is state-independent).
+    /// loop, so the compiler can auto-vectorize them. Per-lane arithmetic
+    /// is the scalar protected-op sequence of [`run_scalar`]
+    /// (Self::run_scalar), so each lane is bit-identical to a solo run.
     fn run_lanes<R: AsRef<[f64]>>(
         &self,
         rows: &[R],
-        base: usize,
+        states: &[f64],
+        state_stride: usize,
         m: usize,
         regs: &mut [f64],
         fast: bool,
     ) {
         assert_eq!(regs.len(), self.n_regs as usize * LANES);
-        assert!(m <= LANES && base + m <= rows.len());
+        assert!(m <= LANES && rows.len() >= m && states.len() >= m * state_stride);
+        assert!(state_stride >= self.needs_states);
+        debug_assert!(rows[..m]
+            .iter()
+            .all(|r| r.as_ref().len() >= self.needs_vars));
         // Register stripes are `[r*LANES .. r*LANES+m)` with `r < n_regs`
         // (validated at construction) and `m <= LANES`, so every lane index
         // is `< n_regs * LANES == regs.len()` — the shared argument of the
-        // `k_*`/`l_*` kernels below. Row accesses stay bounds-checked.
+        // `k_*`/`l_*` kernels below. Row and state accesses stay
+        // bounds-checked.
         let off = |r: u16| r as usize * LANES;
         for ins in &self.code {
             match *ins {
                 RInstr::LoadVar { dst, idx } => {
                     let d = off(dst);
                     for l in 0..m {
-                        regs[d + l] = rows[base + l].as_ref()[idx as usize];
+                        regs[d + l] = rows[l].as_ref()[idx as usize];
                     }
                 }
-                RInstr::LoadState { .. } => {
-                    unreachable!("state load in a state-independent prefix")
+                RInstr::LoadState { dst, idx } => {
+                    let d = off(dst);
+                    for l in 0..m {
+                        regs[d + l] = states[l * state_stride + idx as usize];
+                    }
                 }
                 RInstr::Un { op, dst, a } => {
                     l_un(op, fast, regs, off(dst), off(a), m);
@@ -740,21 +757,21 @@ impl RegProgram {
                     l_bin(op, fast, regs, off(dst), off(a), off(b), m);
                 }
                 RInstr::VarBinL { op, dst, idx, b } => {
-                    // The variable operand differs per lane here (lanes
-                    // are consecutive rows), so no broadcast kernel
-                    // applies; gather it into a stack stripe and let the
-                    // dispatcher pick the gathered-operand vector kernel
-                    // (pow/div) or the scalar loop.
+                    // The variable operand differs per lane here, so no
+                    // broadcast kernel applies; gather it into a stack
+                    // stripe and let the dispatcher pick the
+                    // gathered-operand vector kernel (pow/div) or the
+                    // scalar loop.
                     let mut v = [0.0; LANES];
                     for (l, slot) in v[..m].iter_mut().enumerate() {
-                        *slot = rows[base + l].as_ref()[idx as usize];
+                        *slot = rows[l].as_ref()[idx as usize];
                     }
                     l_bin_vl(op, fast, regs, off(dst), &v, off(b), m);
                 }
                 RInstr::VarBinR { op, dst, a, idx } => {
                     let mut v = [0.0; LANES];
                     for (l, slot) in v[..m].iter_mut().enumerate() {
-                        *slot = rows[base + l].as_ref()[idx as usize];
+                        *slot = rows[l].as_ref()[idx as usize];
                     }
                     l_bin_vr(op, fast, regs, off(dst), off(a), &v, m);
                 }
@@ -772,15 +789,15 @@ impl RegProgram {
     }
 
     /// Run `m <= LANES` *trajectories* through one step sharing a single
-    /// forcing row. The dual of [`run_lanes`](Self::run_lanes): there the
-    /// lanes are consecutive rows of one trajectory (so state loads are
-    /// forbidden); here every lane reads the *same* `vars` row but its own
-    /// state vector (`states[l * state_stride + idx]`, lane-major), which
-    /// is what lets a batching server amortize instruction dispatch across
-    /// concurrent simulations of one model. Per-lane arithmetic is the
-    /// same scalar protected-op sequence as [`run_scalar`]
-    /// (Self::run_scalar), so each lane's outputs are bit-identical to a
-    /// solo scalar evaluation.
+    /// forcing row: [`run_lanes`](Self::run_lanes) with every lane reading
+    /// the *same* `vars` row, which is what lets a batching server amortize
+    /// instruction dispatch across concurrent simulations of one model.
+    /// The shared row makes a `VarBin` operand a broadcast constant, so it
+    /// takes the `l_bin_cl`/`l_bin_cr` kernels (vectorized for add, sub,
+    /// mul, min and max as well as div and pow) instead of the gathered
+    /// ones. Per-lane arithmetic is the same scalar protected-op sequence
+    /// as [`run_scalar`](Self::run_scalar), so each lane's outputs are
+    /// bit-identical to a solo scalar evaluation.
     pub(crate) fn run_lanes_one_row(
         &self,
         vars: &[f64],
@@ -837,87 +854,10 @@ impl RegProgram {
             }
         }
     }
-
-    /// Run `m <= LANES` *trajectories* through one step where every lane
-    /// has its own forcing row *and* its own state vector — the ensemble
-    /// shape: lane `l` reads `rows[l]` (one variant's forcing at a fixed
-    /// step) and `states[l * state_stride ..]`. Completes the trio with
-    /// [`run_lanes`](Self::run_lanes) (per-lane rows, no state) and
-    /// [`run_lanes_one_row`](Self::run_lanes_one_row) (shared row,
-    /// per-lane state). Per-lane arithmetic goes through the same lane
-    /// kernels as both, so each lane's outputs are bit-identical to a solo
-    /// scalar evaluation over that lane's forcing table.
-    pub(crate) fn run_lanes_rows(
-        &self,
-        rows: &[&[f64]],
-        states: &[f64],
-        state_stride: usize,
-        m: usize,
-        regs: &mut [f64],
-        fast: bool,
-    ) {
-        assert_eq!(regs.len(), self.n_regs as usize * LANES);
-        assert!(m <= LANES && rows.len() >= m && states.len() >= m * state_stride);
-        assert!(state_stride >= self.needs_states);
-        debug_assert!(rows.iter().take(m).all(|r| r.len() >= self.needs_vars));
-        // Same stripe-bounds argument as `run_lanes`: stripes are
-        // `[r*LANES .. r*LANES+m)` with `r < n_regs` proved by `validate()`
-        // and `m <= LANES` asserted above. `rows`/`states` accesses stay
-        // bounds-checked.
-        let off = |r: u16| r as usize * LANES;
-        for ins in &self.code {
-            match *ins {
-                RInstr::LoadVar { dst, idx } => {
-                    let d = off(dst);
-                    for l in 0..m {
-                        regs[d + l] = rows[l][idx as usize];
-                    }
-                }
-                RInstr::LoadState { dst, idx } => {
-                    let d = off(dst);
-                    for l in 0..m {
-                        regs[d + l] = states[l * state_stride + idx as usize];
-                    }
-                }
-                RInstr::Un { op, dst, a } => {
-                    l_un(op, fast, regs, off(dst), off(a), m);
-                }
-                RInstr::Bin { op, dst, a, b } => {
-                    l_bin(op, fast, regs, off(dst), off(a), off(b), m);
-                }
-                RInstr::VarBinL { op, dst, idx, b } => {
-                    // The variable operand differs per lane (each lane is
-                    // its own forcing table): gather into a stack stripe,
-                    // exactly as `run_lanes` does.
-                    let mut v = [0.0; LANES];
-                    for (l, slot) in v[..m].iter_mut().enumerate() {
-                        *slot = rows[l][idx as usize];
-                    }
-                    l_bin_vl(op, fast, regs, off(dst), &v, off(b), m);
-                }
-                RInstr::VarBinR { op, dst, a, idx } => {
-                    let mut v = [0.0; LANES];
-                    for (l, slot) in v[..m].iter_mut().enumerate() {
-                        *slot = rows[l][idx as usize];
-                    }
-                    l_bin_vr(op, fast, regs, off(dst), off(a), &v, m);
-                }
-                RInstr::ConstBinL { op, dst, c, b } => {
-                    l_bin_cl(op, fast, regs, off(dst), c, off(b), m);
-                }
-                RInstr::ConstBinR { op, dst, a, c } => {
-                    l_bin_cr(op, fast, regs, off(dst), off(a), c, m);
-                }
-                RInstr::MulSub { dst, a, b, c } => {
-                    l_fused3(regs, off(dst), off(a), off(b), off(c), m);
-                }
-            }
-        }
-    }
 }
 
-// Per-lane interpreter kernels shared by `run_lanes` (rows-as-lanes) and
-// `run_lanes_one_row` (trajectories-as-lanes). The operator closure is
+// Per-lane interpreter kernels shared by `run_lanes` (per-lane rows) and
+// `run_lanes_one_row` (one shared row). The operator closure is
 // resolved *outside* the lane loop so the loop body is a plain indexed f64
 // kernel the compiler can auto-vectorize.
 //
@@ -2146,178 +2086,110 @@ impl CompiledSystem {
     /// forcing vector of step `t`). The session owns the columnar prefix
     /// buffers; [`SystemSession::step`] sweeps prefix chunks on demand.
     pub fn session<'a, R: AsRef<[f64]>>(&'a self, rows: &'a [R]) -> SystemSession<'a, R> {
-        let n_pre = self.prefix.outputs.len();
-        let mut lane_regs = if n_pre > 0 {
-            vec![0.0; self.prefix.n_regs as usize * LANES]
-        } else {
-            Vec::new()
-        };
-        self.prefix.init_consts_lanes(&mut lane_regs);
         SystemSession {
             sys: self,
             rows,
-            prefix_buf: vec![0.0; n_pre * rows.len()],
-            filled: 0,
-            lane_regs,
+            prefix: PrefixSweep::new(self, rows.len()),
             scratch: self.scratch(),
         }
     }
 
-    /// Open a *multi-trajectory* session: up to [`LANES`] concurrent
-    /// simulations of this system over one shared forcing table, stepped
-    /// in lock-step. Each [`MultiSession::step`] dispatches the core
-    /// program once for all trajectories (lanes carry per-trajectory
-    /// state), and the state-independent prefix is computed once per row
-    /// and shared by every trajectory — the work-sharing that lets a
-    /// batching server answer K concurrent requests for one model at far
-    /// below K× the single-request cost. Per-lane results are
-    /// bit-identical to running each trajectory through its own
-    /// [`session`](Self::session).
-    pub fn multi_session<'a, R: AsRef<[f64]>>(
-        &'a self,
-        rows: &'a [R],
-        k: usize,
-    ) -> MultiSession<'a, R> {
-        assert!(
-            (1..=LANES).contains(&k),
-            "trajectory count {k} out of 1..={LANES}"
-        );
-        let n_pre = self.prefix.outputs.len();
-        let mut prefix_lane_regs = if n_pre > 0 {
-            vec![0.0; self.prefix.n_regs as usize * LANES]
-        } else {
-            Vec::new()
-        };
-        self.prefix.init_consts_lanes(&mut prefix_lane_regs);
-        let mut core_lane_regs = vec![0.0; self.core.n_regs as usize * LANES];
-        self.core.init_consts_lanes(&mut core_lane_regs);
-        MultiSession {
-            sys: self,
-            rows,
-            k,
-            prefix: PrefixRows::Owned {
-                buf: vec![0.0; n_pre * rows.len()],
-                filled: 0,
-                lane_regs: prefix_lane_regs,
-            },
-            core_lane_regs,
-        }
-    }
-
-    /// Like [`multi_session`](Self::multi_session), but reading prefix
-    /// values from a pre-materialized [`PrefixTable`] instead of sweeping
-    /// them on demand — the serving hot path, where a registry caches one
-    /// table per (model, forcing table) and repeat traffic skips the
-    /// columnar sweep entirely. The table must come from
-    /// [`sweep_prefix`](Self::sweep_prefix) on this same system over a
-    /// forcing table of which `rows` is a prefix (width is asserted;
-    /// provenance is the caller's contract).
-    pub fn multi_session_with_prefix<'a, R: AsRef<[f64]>>(
-        &'a self,
-        rows: &'a [R],
-        k: usize,
-        prefix: &'a PrefixTable,
-    ) -> MultiSession<'a, R> {
-        assert!(
-            (1..=LANES).contains(&k),
-            "trajectory count {k} out of 1..={LANES}"
-        );
-        assert_eq!(
-            prefix.n_pre,
-            self.prefix.outputs.len(),
-            "prefix table width does not match this system"
-        );
-        assert!(
-            self.prefix.outputs.is_empty() || prefix.rows() >= rows.len(),
-            "prefix table covers {} rows, session needs {}",
-            prefix.rows(),
-            rows.len()
-        );
-        let mut core_lane_regs = vec![0.0; self.core.n_regs as usize * LANES];
-        self.core.init_consts_lanes(&mut core_lane_regs);
-        MultiSession {
-            sys: self,
-            rows,
-            k,
-            prefix: PrefixRows::Shared(prefix),
-            core_lane_regs,
-        }
-    }
-
     /// Materialize the state-independent prefix columns for every row of
-    /// a forcing table, for reuse across sessions via
-    /// [`multi_session_with_prefix`](Self::multi_session_with_prefix).
-    /// Produced by the same [`LANES`]-chunked columnar sweep from row 0
-    /// that an on-demand session runs, so the values are bit-identical to
-    /// what any session over `rows` (or a prefix of it) would compute.
+    /// a forcing table, for reuse across lock-step sessions (see
+    /// [`LaneForcing::Shared`]). Produced by the same [`LANES`]-chunked
+    /// columnar sweep from row 0 that a solo session runs on demand, so the
+    /// values are bit-identical to what any session over `rows` (or a
+    /// prefix of it) would compute.
     pub fn sweep_prefix<R: AsRef<[f64]>>(&self, rows: &[R]) -> PrefixTable {
-        let n_pre = self.prefix.outputs.len();
-        let mut values = vec![0.0; n_pre * rows.len()];
-        if n_pre > 0 {
-            let mut lane_regs = vec![0.0; self.prefix.n_regs as usize * LANES];
-            self.prefix.init_consts_lanes(&mut lane_regs);
-            let mut filled = 0;
-            while filled < rows.len() {
-                let m = LANES.min(rows.len() - filled);
-                self.prefix
-                    .run_lanes(rows, filled, m, &mut lane_regs, self.relaxed());
-                for l in 0..m {
-                    let row = (filled + l) * n_pre;
-                    for (j, &r) in self.prefix.outputs.iter().enumerate() {
-                        values[row + j] = lane_regs[r as usize * LANES + l];
-                    }
-                }
-                filled += m;
-            }
+        let mut sweep = PrefixSweep::new(self, rows.len());
+        if sweep.table.n_pre > 0 && !rows.is_empty() {
+            sweep.fill_through(self, rows, rows.len() - 1);
         }
-        PrefixTable { values, n_pre }
+        sweep.table
     }
 
-    /// Open an *ensemble* session: up to [`LANES`] concurrent simulations
-    /// of this system where every lane has its **own forcing table** —
-    /// the what-if sweep shape, where variants of one scenario differ by
-    /// their forcings rather than by their initial state. All tables must
-    /// be the same length. The state-independent prefix is materialized
-    /// per table at construction (one columnar [`sweep_prefix`]
-    /// (Self::sweep_prefix) each); the core steps all lanes lock-step with
-    /// per-lane forcing rows. Per-lane results are bit-identical to
-    /// running each variant through its own [`session`](Self::session).
-    pub fn ensemble_session<'a, R: AsRef<[f64]>>(
+    /// Open a *lock-step* session: up to [`LANES`] concurrent simulations
+    /// of this system stepped together, each lane carrying its own state,
+    /// with one core dispatch per step for all of them — the work-sharing
+    /// that lets a batching server answer K concurrent requests for one
+    /// model, or a what-if sweep run K variants, at far below K× the solo
+    /// cost. [`LaneForcing`] says where the lanes read their rows: one
+    /// shared table with its materialized prefix, or one table per lane.
+    /// Per-lane results are bit-identical to running each trajectory
+    /// through its own [`session`](Self::session).
+    ///
+    /// The session owns the SIMD padding rule: with the vector kernels
+    /// live, a group at least half a stripe wide runs as a full [`LANES`]
+    /// stripe, so the core takes the `__m256d` paths instead of per-lane
+    /// scalar loops. The padded lanes replay lane 0 (its state, rows and
+    /// prefix) and their results are dropped; lanes are arithmetically
+    /// independent, so the real lanes' bits are unchanged.
+    pub fn lane_session<'a, R: AsRef<[f64]>>(
         &'a self,
-        tables: &'a [&'a [R]],
-    ) -> EnsembleSession<'a, R> {
-        let k = tables.len();
+        forcing: LaneForcing<'a, R>,
+    ) -> LaneSession<'a, R> {
+        let (k, prefixes) = match &forcing {
+            LaneForcing::Shared {
+                rows,
+                prefix,
+                lanes,
+            } => {
+                let n_pre = self.prefix.outputs.len();
+                assert_eq!(
+                    prefix.n_pre, n_pre,
+                    "prefix table width does not match this system"
+                );
+                assert!(
+                    n_pre == 0 || prefix.rows() >= rows.len(),
+                    "prefix table covers {} rows, session needs {}",
+                    prefix.rows(),
+                    rows.len()
+                );
+                (*lanes, Vec::new())
+            }
+            LaneForcing::PerLane(tables) => {
+                let n_rows = tables.first().map_or(0, |t| t.len());
+                assert!(
+                    tables.iter().all(|t| t.len() == n_rows),
+                    "per-lane tables must share one length"
+                );
+                let prefixes = tables.iter().map(|t| self.sweep_prefix(t)).collect();
+                (tables.len(), prefixes)
+            }
+        };
         assert!(
             (1..=LANES).contains(&k),
-            "ensemble width {k} out of 1..={LANES}"
+            "lane count {k} out of 1..={LANES}"
         );
-        let n_rows = tables[0].len();
-        assert!(
-            tables.iter().all(|t| t.len() == n_rows),
-            "ensemble tables must share one length"
-        );
-        let prefixes: Vec<PrefixTable> = if self.prefix.outputs.is_empty() {
-            Vec::new()
+        let width = if crate::simd::active() && (PAD_MIN..LANES).contains(&k) {
+            LANES
         } else {
-            tables.iter().map(|t| self.sweep_prefix(t)).collect()
+            k
         };
         let mut core_lane_regs = vec![0.0; self.core.n_regs as usize * LANES];
         self.core.init_consts_lanes(&mut core_lane_regs);
-        EnsembleSession {
+        LaneSession {
             sys: self,
-            tables,
-            n_rows,
+            forcing,
             prefixes,
+            k,
+            width,
+            padded: Vec::new(),
             core_lane_regs,
         }
     }
 }
 
+/// A lock-step group at least this wide runs padded to a full [`LANES`]
+/// stripe when the vector kernels are live: from half-occupancy up, one
+/// full-stripe vector dispatch beats `k` scalar per-lane loops.
+const PAD_MIN: usize = LANES / 2;
+
 /// Materialized state-independent prefix columns over a fixed forcing
 /// table (`values[t * n_pre + slot]`), produced by
-/// [`CompiledSystem::sweep_prefix`] and shared across
-/// [`MultiSession`]s — the unit a serving registry caches (and an LRU
-/// eviction destroys) per (model, forcing table).
+/// [`CompiledSystem::sweep_prefix`] and shared across [`LaneSession`]s —
+/// the unit a serving registry caches (and an LRU eviction destroys) per
+/// (model, forcing table).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PrefixTable {
     values: Vec<f64>,
@@ -2335,6 +2207,64 @@ impl PrefixTable {
     pub fn bytes(&self) -> usize {
         self.values.len() * std::mem::size_of::<f64>()
     }
+
+    /// The prefix values of row `t` (empty when the system has no prefix).
+    fn row(&self, t: usize) -> &[f64] {
+        &self.values[t * self.n_pre..(t + 1) * self.n_pre]
+    }
+}
+
+/// A columnar prefix sweep in progress over one forcing table: rows
+/// `0..filled` of `table` are materialized. The one chunk loop behind a
+/// solo session's on-demand sweep and [`CompiledSystem::sweep_prefix`].
+struct PrefixSweep {
+    table: PrefixTable,
+    filled: usize,
+    lane_regs: Vec<f64>,
+}
+
+impl PrefixSweep {
+    fn new(sys: &CompiledSystem, rows: usize) -> PrefixSweep {
+        let n_pre = sys.prefix.outputs.len();
+        let mut lane_regs = if n_pre > 0 {
+            vec![0.0; sys.prefix.n_regs as usize * LANES]
+        } else {
+            Vec::new()
+        };
+        sys.prefix.init_consts_lanes(&mut lane_regs);
+        PrefixSweep {
+            table: PrefixTable {
+                values: vec![0.0; n_pre * rows],
+                n_pre,
+            },
+            filled: 0,
+            lane_regs,
+        }
+    }
+
+    /// Sweep [`LANES`]-row chunks of `rows` (the table this sweep was
+    /// opened over) until row `t` is materialized.
+    fn fill_through<R: AsRef<[f64]>>(&mut self, sys: &CompiledSystem, rows: &[R], t: usize) {
+        let n_pre = self.table.n_pre;
+        while self.filled <= t {
+            let m = LANES.min(rows.len() - self.filled);
+            sys.prefix.run_lanes(
+                &rows[self.filled..],
+                &[],
+                0,
+                m,
+                &mut self.lane_regs,
+                sys.relaxed(),
+            );
+            for l in 0..m {
+                let row = (self.filled + l) * n_pre;
+                for (j, &r) in sys.prefix.outputs.iter().enumerate() {
+                    self.table.values[row + j] = self.lane_regs[r as usize * LANES + l];
+                }
+            }
+            self.filled += m;
+        }
+    }
 }
 
 /// Reusable register buffers for [`CompiledSystem::eval_step`].
@@ -2346,15 +2276,12 @@ pub struct SystemScratch {
 
 /// A per-candidate evaluation session over a fixed forcing table. Prefix
 /// values are computed columnar ([`LANES`] rows per dispatch) in on-demand
-/// chunks, then the sequential core consumes them row by row.
+/// chunks, so a short-circuited evaluation never sweeps rows it does not
+/// reach; then the sequential core consumes them row by row.
 pub struct SystemSession<'a, R: AsRef<[f64]>> {
     sys: &'a CompiledSystem,
     rows: &'a [R],
-    /// Row-major prefix values: `prefix_buf[t * n_pre + slot]`.
-    prefix_buf: Vec<f64>,
-    /// Rows of `prefix_buf` materialized so far.
-    filled: usize,
-    lane_regs: Vec<f64>,
+    prefix: PrefixSweep,
     scratch: SystemScratch,
 }
 
@@ -2369,27 +2296,13 @@ impl<R: AsRef<[f64]>> SystemSession<'_, R> {
         );
         assert_eq!(out.len(), self.sys.n_eqs);
         let n_pre = self.sys.prefix.outputs.len();
-        let window = self.sys.core.consts.len();
         if n_pre > 0 {
-            while self.filled <= t {
-                let m = LANES.min(self.rows.len() - self.filled);
-                self.sys.prefix.run_lanes(
-                    self.rows,
-                    self.filled,
-                    m,
-                    &mut self.lane_regs,
-                    self.sys.relaxed(),
-                );
-                for l in 0..m {
-                    let row = (self.filled + l) * n_pre;
-                    for (k, &r) in self.sys.prefix.outputs.iter().enumerate() {
-                        self.prefix_buf[row + k] = self.lane_regs[r as usize * LANES + l];
-                    }
-                }
-                self.filled += m;
+            if self.prefix.filled <= t {
+                self.prefix.fill_through(self.sys, self.rows, t);
             }
+            let window = self.sys.core.consts.len();
             self.scratch.core_regs[window..window + n_pre]
-                .copy_from_slice(&self.prefix_buf[t * n_pre..(t + 1) * n_pre]);
+                .copy_from_slice(self.prefix.table.row(t));
         }
         self.sys
             .run_core_scalar(self.rows[t].as_ref(), state, &mut self.scratch.core_regs);
@@ -2400,39 +2313,62 @@ impl<R: AsRef<[f64]>> SystemSession<'_, R> {
 
     /// Forcing rows materialized in the prefix buffer so far (tests).
     pub fn rows_swept(&self) -> usize {
-        self.filled
+        self.prefix.filled
     }
 }
 
-/// K concurrent trajectories of one system over a shared forcing table,
-/// stepped in lock-step with one core dispatch per step for all of them.
-/// See [`CompiledSystem::multi_session`].
-pub struct MultiSession<'a, R: AsRef<[f64]>> {
+/// Where the lanes of a [`LaneSession`] read their forcing rows.
+pub enum LaneForcing<'a, R> {
+    /// `lanes` trajectories over one shared table — coalesced requests
+    /// for one model. `prefix` must come from
+    /// [`CompiledSystem::sweep_prefix`] on the same system, over `rows` or
+    /// over a longer table of which `rows` is a prefix (width and length
+    /// are asserted; provenance is the caller's contract), so a registry
+    /// can cache one table per (model, forcing table) and share it across
+    /// request horizons.
+    Shared {
+        /// Forcing rows, `rows[t]` at step `t`.
+        rows: &'a [R],
+        /// Materialized prefix columns covering `rows`.
+        prefix: &'a PrefixTable,
+        /// Trajectories in lock-step.
+        lanes: usize,
+    },
+    /// One forcing table per lane, all the same length — a what-if
+    /// sweep's variants. Each table's prefix is swept when the session
+    /// opens.
+    PerLane(&'a [&'a [R]]),
+}
+
+/// Up to [`LANES`] trajectories of one system stepped in lock-step, one
+/// core dispatch per step for all of them. Opened by
+/// [`CompiledSystem::lane_session`].
+pub struct LaneSession<'a, R: AsRef<[f64]>> {
     sys: &'a CompiledSystem,
-    rows: &'a [R],
+    forcing: LaneForcing<'a, R>,
+    /// Per-lane prefix columns ([`LaneForcing::PerLane`] only).
+    prefixes: Vec<PrefixTable>,
+    /// Lanes the caller steps.
     k: usize,
-    prefix: PrefixRows<'a>,
+    /// Lanes executed: `k`, or [`LANES`] when padded.
+    width: usize,
+    /// Lane-major states at the executed width (padded sessions only).
+    padded: Vec<f64>,
     core_lane_regs: Vec<f64>,
 }
 
-/// Where a [`MultiSession`] reads its row-major prefix values from:
-/// either its own on-demand sweep buffer (`buf[t * n_pre + slot]`,
-/// shared by every trajectory — the prefix is state-independent), or a
-/// caller-cached [`PrefixTable`].
-enum PrefixRows<'a> {
-    Owned {
-        buf: Vec<f64>,
-        /// Rows of `buf` materialized so far.
-        filled: usize,
-        lane_regs: Vec<f64>,
-    },
-    Shared(&'a PrefixTable),
-}
-
-impl<R: AsRef<[f64]>> MultiSession<'_, R> {
+impl<R: AsRef<[f64]>> LaneSession<'_, R> {
     /// Number of trajectories in lock-step.
     pub fn lanes(&self) -> usize {
         self.k
+    }
+
+    /// Rows in the forcing table (every lane's, for per-lane tables).
+    pub fn rows(&self) -> usize {
+        match &self.forcing {
+            LaneForcing::Shared { rows, .. } => rows.len(),
+            LaneForcing::PerLane(tables) => tables[0].len(),
+        }
     }
 
     /// Evaluate step `t` for all `k` trajectories. `states` is lane-major
@@ -2440,147 +2376,58 @@ impl<R: AsRef<[f64]>> MultiSession<'_, R> {
     /// receives `k * n_eqs` values, trajectory-major
     /// (`out[l * n_eqs + e]`).
     pub fn step(&mut self, t: usize, states: &[f64], out: &mut [f64]) {
-        let k = self.k;
-        assert!(
-            t < self.rows.len(),
-            "step {t} out of {} rows",
-            self.rows.len()
-        );
-        assert!(
-            k > 0 && states.len().is_multiple_of(k),
-            "states not lane-major"
-        );
+        let (k, m) = (self.k, self.width);
+        let n_rows = self.rows();
+        assert!(t < n_rows, "step {t} out of {n_rows} rows");
+        assert!(states.len().is_multiple_of(k), "states not lane-major");
         let stride = states.len() / k;
         let n_eqs = self.sys.n_eqs;
         assert_eq!(out.len(), k * n_eqs);
-        let n_pre = self.sys.prefix.outputs.len();
+        let states = if m > k {
+            self.padded.clear();
+            self.padded.extend_from_slice(states);
+            for _ in k..m {
+                self.padded.extend_from_within(..stride);
+            }
+            &self.padded[..]
+        } else {
+            states
+        };
         let window = self.sys.core.consts.len();
-        if n_pre > 0 {
-            let pre_row: &[f64] = match &mut self.prefix {
-                PrefixRows::Owned {
-                    buf,
-                    filled,
-                    lane_regs,
-                } => {
-                    while *filled <= t {
-                        let m = LANES.min(self.rows.len() - *filled);
-                        self.sys.prefix.run_lanes(
-                            self.rows,
-                            *filled,
-                            m,
-                            lane_regs,
-                            self.sys.relaxed(),
-                        );
-                        for l in 0..m {
-                            let row = (*filled + l) * n_pre;
-                            for (j, &r) in self.sys.prefix.outputs.iter().enumerate() {
-                                buf[row + j] = lane_regs[r as usize * LANES + l];
-                            }
-                        }
-                        *filled += m;
+        let regs = &mut self.core_lane_regs;
+        let fast = self.sys.relaxed();
+        match &self.forcing {
+            LaneForcing::Shared { rows, prefix, .. } => {
+                // Broadcast this row's prefix values across the lanes of
+                // the core's pinned window.
+                for (j, &v) in prefix.row(t).iter().enumerate() {
+                    let d = (window + j) * LANES;
+                    regs[d..d + m].fill(v);
+                }
+                let row = rows[t].as_ref();
+                self.sys
+                    .core
+                    .run_lanes_one_row(row, states, stride, m, regs, fast);
+            }
+            LaneForcing::PerLane(tables) => {
+                // Each lane reads its own table's row and prefix row at
+                // `t`; padded lanes read lane 0's.
+                let mut rows: [&[f64]; LANES] = [&[]; LANES];
+                for (l, row) in rows[..m].iter_mut().enumerate() {
+                    let src = if l < k { l } else { 0 };
+                    *row = tables[src][t].as_ref();
+                    for (j, &v) in self.prefixes[src].row(t).iter().enumerate() {
+                        regs[(window + j) * LANES + l] = v;
                     }
-                    &buf[t * n_pre..(t + 1) * n_pre]
                 }
-                PrefixRows::Shared(table) => &table.values[t * n_pre..(t + 1) * n_pre],
-            };
-            // Broadcast this row's prefix values across the live lanes of
-            // the core's pinned window.
-            for (j, &v) in pre_row.iter().enumerate() {
-                let d = (window + j) * LANES;
-                self.core_lane_regs[d..d + k].fill(v);
+                self.sys
+                    .core
+                    .run_lanes(&rows[..m], states, stride, m, regs, fast);
             }
         }
-        self.sys.core.run_lanes_one_row(
-            self.rows[t].as_ref(),
-            states,
-            stride,
-            k,
-            &mut self.core_lane_regs,
-            self.sys.relaxed(),
-        );
         for l in 0..k {
             for (e, &r) in self.sys.core.outputs.iter().enumerate() {
-                out[l * n_eqs + e] = self.core_lane_regs[r as usize * LANES + l];
-            }
-        }
-    }
-
-    /// Forcing rows materialized in the prefix buffer so far (tests).
-    /// A shared [`PrefixTable`] arrives fully materialized.
-    pub fn rows_swept(&self) -> usize {
-        match &self.prefix {
-            PrefixRows::Owned { filled, .. } => *filled,
-            PrefixRows::Shared(table) => table.rows(),
-        }
-    }
-}
-
-/// Lock-step evaluation of up to [`LANES`] trajectories that each read
-/// their **own forcing table** — one ensemble variant per lane. Opened by
-/// [`CompiledSystem::ensemble_session`]; the dual of [`MultiSession`]
-/// (which shares one table across lanes).
-pub struct EnsembleSession<'a, R: AsRef<[f64]>> {
-    sys: &'a CompiledSystem,
-    tables: &'a [&'a [R]],
-    n_rows: usize,
-    /// Per-lane materialized prefix columns (empty when the system has no
-    /// state-independent prefix).
-    prefixes: Vec<PrefixTable>,
-    core_lane_regs: Vec<f64>,
-}
-
-impl<R: AsRef<[f64]>> EnsembleSession<'_, R> {
-    /// Number of variant trajectories in lock-step.
-    pub fn lanes(&self) -> usize {
-        self.tables.len()
-    }
-
-    /// Rows in every table.
-    pub fn rows(&self) -> usize {
-        self.n_rows
-    }
-
-    /// Evaluate step `t` for all `k` variants. `states` is lane-major
-    /// (`states[l * stride + idx]`, `stride = states.len() / k`); `out`
-    /// receives `k * n_eqs` values, trajectory-major
-    /// (`out[l * n_eqs + e]`).
-    pub fn step(&mut self, t: usize, states: &[f64], out: &mut [f64]) {
-        let k = self.tables.len();
-        assert!(t < self.n_rows, "step {t} out of {} rows", self.n_rows);
-        assert!(
-            k > 0 && states.len().is_multiple_of(k),
-            "states not lane-major"
-        );
-        let stride = states.len() / k;
-        let n_eqs = self.sys.n_eqs;
-        assert_eq!(out.len(), k * n_eqs);
-        let n_pre = self.sys.prefix.outputs.len();
-        let window = self.sys.core.consts.len();
-        if n_pre > 0 {
-            // Each lane reads its own table's prefix row at `t` into the
-            // core's pinned window.
-            for (l, pre) in self.prefixes.iter().enumerate() {
-                let row = &pre.values[t * n_pre..(t + 1) * n_pre];
-                for (j, &v) in row.iter().enumerate() {
-                    self.core_lane_regs[(window + j) * LANES + l] = v;
-                }
-            }
-        }
-        let mut rows: [&[f64]; LANES] = [&[]; LANES];
-        for (l, table) in self.tables.iter().enumerate() {
-            rows[l] = table[t].as_ref();
-        }
-        self.sys.core.run_lanes_rows(
-            &rows[..k],
-            states,
-            stride,
-            k,
-            &mut self.core_lane_regs,
-            self.sys.relaxed(),
-        );
-        for l in 0..k {
-            for (e, &r) in self.sys.core.outputs.iter().enumerate() {
-                out[l * n_eqs + e] = self.core_lane_regs[r as usize * LANES + l];
+                out[l * n_eqs + e] = regs[r as usize * LANES + l];
             }
         }
     }
@@ -2887,8 +2734,14 @@ mod tests {
                 }
             }
 
-            // Batched: all k trajectories in lock-step, lane-major states.
-            let mut multi = sys.multi_session(&rows, k);
+            // Batched: all k trajectories in lock-step over one shared
+            // table, lane-major states.
+            let prefix = sys.sweep_prefix(&rows);
+            let mut multi = sys.lane_session(LaneForcing::Shared {
+                rows: &rows,
+                prefix: &prefix,
+                lanes: k,
+            });
             let mut states: Vec<f64> = inits.iter().flatten().copied().collect();
             let mut out = vec![0.0; k * 2];
             #[allow(clippy::needless_range_loop)]
@@ -2912,19 +2765,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn multi_session_shares_one_prefix_sweep_across_lanes() {
-        let eqs = sample_system();
-        let rows: Vec<Vec<f64>> = (0..LANES * 2).map(|t| vec![t as f64, 1.0]).collect();
-        let sys = CompiledSystem::compile(&eqs, OptOptions::full());
-        assert!(sys.n_pre() > 0, "sample system must have a prefix");
-        let mut multi = sys.multi_session(&rows, 8);
-        let mut out = vec![0.0; 8 * 2];
-        multi.step(0, &[1.0; 16], &mut out);
-        // One chunk sweep covers all 8 trajectories, not 8 sweeps.
-        assert_eq!(multi.rows_swept(), LANES);
     }
 
     #[test]
@@ -2966,7 +2806,7 @@ mod tests {
 
             // Batched: all k variants in lock-step, per-lane tables.
             let refs: Vec<&[Vec<f64>]> = tables.iter().map(|t| t.as_slice()).collect();
-            let mut ens = sys.ensemble_session(&refs);
+            let mut ens = sys.lane_session(LaneForcing::PerLane(&refs));
             assert_eq!(ens.lanes(), k);
             assert_eq!(ens.rows(), n_rows);
             let mut states: Vec<f64> = (0..k).flat_map(|_| init).collect();
@@ -3001,9 +2841,16 @@ mod tests {
             .map(|t| vec![(t as f64 * 0.31).sin() * 20.0, 1.0])
             .collect();
         let sys = CompiledSystem::compile(&eqs, OptOptions::full());
+        // One lane in each layout: per-lane tables against one shared
+        // table with its materialized prefix.
         let refs = [rows.as_slice()];
-        let mut ens = sys.ensemble_session(&refs);
-        let mut multi = sys.multi_session(&rows, 1);
+        let mut ens = sys.lane_session(LaneForcing::PerLane(&refs));
+        let prefix = sys.sweep_prefix(&rows);
+        let mut multi = sys.lane_session(LaneForcing::Shared {
+            rows: &rows,
+            prefix: &prefix,
+            lanes: 1,
+        });
         let state = [5.0, 1.1];
         let mut a = [0.0, 0.0];
         let mut b = [0.0, 0.0];
@@ -3011,6 +2858,72 @@ mod tests {
             ens.step(t, &state, &mut a);
             multi.step(t, &state, &mut b);
             assert!(feq(a[0], b[0]) && feq(a[1], b[1]), "diverged at t={t}");
+        }
+    }
+
+    #[test]
+    fn lane_sessions_match_solo_sessions_at_padded_widths() {
+        // Widths from the padding threshold to one short of a full stripe.
+        // With the vector kernels live (`--features simd` on an AVX2+FMA
+        // host) these sessions run padded to LANES lanes; otherwise at
+        // their own width. Either way every real lane must match its solo
+        // session bit for bit, in both layouts.
+        let eqs = sample_system();
+        let n_rows = LANES + 9;
+        let table = |l: usize| -> Vec<Vec<f64>> {
+            (0..n_rows)
+                .map(|t| {
+                    vec![
+                        (t as f64 * 0.53 + l as f64 * 0.21).sin() * 25.0,
+                        (t as f64 * 0.19).cos() * (1.5 + l as f64 * 0.13),
+                    ]
+                })
+                .collect()
+        };
+        for k in [PAD_MIN, PAD_MIN + 1, LANES - 1] {
+            let tables: Vec<Vec<Vec<f64>>> = (0..k).map(table).collect();
+            let refs: Vec<&[Vec<f64>]> = tables.iter().map(Vec::as_slice).collect();
+            let inits: Vec<f64> = (0..k)
+                .flat_map(|l| [4.0 + l as f64 * 1.7, 0.3 + l as f64 * 0.41])
+                .collect();
+            for opts in exact_tiers() {
+                let sys = CompiledSystem::compile(&eqs, opts);
+                let prefix = sys.sweep_prefix(&tables[0]);
+                // Each layout with the tables its lanes read.
+                let layouts = [
+                    (
+                        LaneForcing::Shared {
+                            rows: &tables[0],
+                            prefix: &prefix,
+                            lanes: k,
+                        },
+                        vec![refs[0]; k],
+                    ),
+                    (LaneForcing::PerLane(&refs), refs.clone()),
+                ];
+                for (forcing, lane_rows) in layouts {
+                    let mut lanes = sys.lane_session(forcing);
+                    let mut solo: Vec<_> = lane_rows.iter().map(|r| sys.session(r)).collect();
+                    let mut states = inits.clone();
+                    let mut out = vec![0.0; k * 2];
+                    for t in 0..n_rows {
+                        lanes.step(t, &states, &mut out);
+                        for (l, session) in solo.iter_mut().enumerate() {
+                            let mut want = [0.0, 0.0];
+                            session.step(t, &states[l * 2..l * 2 + 2], &mut want);
+                            for e in 0..2 {
+                                assert!(
+                                    feq(out[l * 2 + e], want[e]),
+                                    "width {k} lane {l} eq {e} diverged at t={t} for {opts:?}"
+                                );
+                            }
+                        }
+                        for (x, d) in states.iter_mut().zip(&out) {
+                            *x = (*x + 0.1 * d).clamp(0.0, 1e6);
+                        }
+                    }
+                }
+            }
         }
     }
 

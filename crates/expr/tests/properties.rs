@@ -9,7 +9,9 @@
 //!    runtime-compilation speedup would change search trajectories).
 
 use gmr_expr::ast::{BinOp, Expr, ParamSlot, UnOp};
-use gmr_expr::{simplify, CompiledExpr, CompiledSystem, EvalContext, NameTable, OptOptions};
+use gmr_expr::{
+    simplify, CompiledExpr, CompiledSystem, EvalContext, LaneForcing, NameTable, OptOptions,
+};
 use proptest::prelude::*;
 
 /// Strategy for arbitrary expressions over 4 vars, 2 states, 3 param kinds.
@@ -316,7 +318,8 @@ proptest! {
             let n_eqs = sys.n_eqs();
             let mut want = vec![0.0; k * n_eqs];
             let mut solo: Vec<_> = (0..k).map(|_| sys.session(&rows)).collect();
-            let mut multi = sys.multi_session(&rows, k);
+            let prefix = sys.sweep_prefix(&rows);
+            let mut multi = sys.lane_session(LaneForcing::Shared { rows: &rows, prefix: &prefix, lanes: k });
             let states: Vec<f64> = inits.iter().flatten().copied().collect();
             let mut out = vec![0.0; k * n_eqs];
             for t in 0..rows.len() {
@@ -431,11 +434,12 @@ proptest! {
         take in 0.1_f64..1.0,
     ) {
         // A cached `PrefixTable` swept once over the full forcing table
-        // must reproduce the on-demand sweep bit-for-bit — including for
-        // sessions over a *prefix* of the table (the serving shape: one
-        // cached table per (model, forcing table), arbitrary per-request
-        // horizons), where the on-demand sweep ends in a ragged tail
-        // chunk the full-table sweep computed as part of a full stripe.
+        // must reproduce the on-demand sweep of solo sessions bit-for-bit
+        // — including for sessions over a *prefix* of the table (the
+        // serving shape: one cached table per (model, forcing table),
+        // arbitrary per-request horizons), where the on-demand sweep ends
+        // in a ragged tail chunk the full-table sweep computed as part of
+        // a full stripe.
         let k = inits.len();
         let days = ((rows.len() as f64 * take).ceil() as usize).clamp(1, rows.len());
         for opts in [OptOptions::full(), OptOptions::threaded(), OptOptions::simd()] {
@@ -443,12 +447,15 @@ proptest! {
             let table = sys.sweep_prefix(&rows);
             let states: Vec<f64> = inits.iter().flatten().copied().collect();
             let head = &rows[..days];
-            let mut on_demand = sys.multi_session(head, k);
-            let mut shared = sys.multi_session_with_prefix(head, k, &table);
-            let mut out_a = vec![0.0; k * sys.n_eqs()];
-            let mut out_b = vec![0.0; k * sys.n_eqs()];
+            let n_eqs = sys.n_eqs();
+            let mut on_demand: Vec<_> = (0..k).map(|_| sys.session(head)).collect();
+            let mut shared = sys.lane_session(LaneForcing::Shared { rows: head, prefix: &table, lanes: k });
+            let mut out_a = vec![0.0; k * n_eqs];
+            let mut out_b = vec![0.0; k * n_eqs];
             for t in 0..days {
-                on_demand.step(t, &states, &mut out_a);
+                for (l, session) in on_demand.iter_mut().enumerate() {
+                    session.step(t, &states[l * 2..l * 2 + 2], &mut out_a[l * n_eqs..(l + 1) * n_eqs]);
+                }
                 shared.step(t, &states, &mut out_b);
                 for (i, (&x, &y)) in out_a.iter().zip(&out_b).enumerate() {
                     prop_assert!(feq(x, y),

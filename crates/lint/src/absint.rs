@@ -271,13 +271,18 @@ const N_SITES: usize = 7;
 
 fn sites_of(ins: &RInstr) -> &'static [Site] {
     // Every instruction goes through `run_scalar` and is compiled into a
-    // threaded-tier thunk (raw-pointer access with the same indices); the
-    // lane interpreters additionally route it to one of the unchecked
+    // threaded-tier thunk (raw-pointer access with the same indices). The
+    // two lane interpreters — `run_lanes` (per-lane rows: the prefix
+    // sweep and the per-lane lock-step core) and `run_lanes_one_row` (one
+    // shared row) — additionally route it to one of the unchecked
     // dispatchers `l_un`/`l_bin`/`l_bin_cl`/`l_bin_cr`/`l_fused3`, each
     // of which forwards the same stripe offsets to either the scalar
-    // `k_*` kernels or the `simd` AVX2 kernels (VarBin uses the same
-    // `l_bin_cl`/`l_bin_cr` dispatchers in `run_lanes_one_row` and
-    // checked indexing in `run_lanes` — the stripe bound covers both).
+    // `k_*` kernels or the `simd` AVX2 kernels. VarBin takes
+    // `l_bin_cl`/`l_bin_cr` in `run_lanes_one_row` (the row operand is a
+    // broadcast constant) and `l_bin_vl`/`l_bin_vr` in `run_lanes` (the
+    // operand is a gathered stack stripe), whose AVX2 div/pow kernels read
+    // the register stripe unchecked. Its register operand sits where
+    // ConstBin's does, so the `KBinCl`/`KBinCr` bound covers both.
     match ins {
         RInstr::LoadVar { .. } | RInstr::LoadState { .. } => &[Site::Scalar, Site::Threaded],
         RInstr::Un { .. } => &[Site::Scalar, Site::Threaded, Site::KUn],

@@ -8,31 +8,27 @@
 //! the median request and widened the mean batch only from 1.01 to 1.08
 //! (DESIGN.md, "Serving subsystem"). It groups jobs that simulate the
 //! *same model over the same forcing table*; each group runs as one
-//! multi-trajectory register-VM sweep ([`gmr_expr::MultiSession`]): the
-//! state-independent prefix is computed once per forcing row and shared
-//! by every request in the group, and the sequential core dispatches each
-//! instruction once for up to [`LANES`] trajectories. On the single-core
-//! machines this project targets, that work-sharing — not thread
-//! parallelism — is where batched throughput comes from.
+//! lock-step register-VM sweep (a shared-table [`gmr_expr::LaneSession`]):
+//! the state-independent prefix is computed once per forcing row and
+//! shared by every request in the group, and the sequential core
+//! dispatches each instruction once for up to [`LANES`] trajectories. On
+//! the single-core machines this project targets, that work-sharing — not
+//! thread parallelism — is where batched throughput comes from.
 //!
 //! Batching never changes answers: per-lane arithmetic is the same scalar
 //! protected-op sequence a solo session runs (pinned by the VM's
-//! bit-equality tests), and the Euler loop here mirrors
-//! `RiverProblem::integrate` exactly (pre-step visit, then
-//! [`sanitise_state`] on the advanced state).
+//! bit-equality tests), and solo and batched runs alike integrate through
+//! [`gmr_bio::euler`], the loop `RiverProblem` runs.
 //!
 //! The batcher resolves each group's compiled system through the
 //! registry's hot tier at flush time ([`ModelRegistry::touch`]), so LRU
-//! order tracks execution order, reuses the hot record's cached
-//! [`PrefixTable`] per forcing table, and — when the AVX2 kernels are
-//! live — pads wide sweeps to full [`LANES`] stripes so the lock-step
-//! core runs the vector kernels instead of per-lane scalar loops
-//! (padded lanes replicate a real trajectory and are dropped; per-lane
-//! results are unchanged).
+//! order tracks execution order, and reuses the hot record's cached
+//! [`PrefixTable`] per forcing table. Padding a wide group to a full SIMD
+//! stripe is the lane session's business, not the batcher's.
 
 use crate::registry::{ModelRegistry, ServableModel};
-use gmr_bio::{sanitise_state, simulate_network_compiled, NetworkSimOptions, StationSeries};
-use gmr_expr::{CompiledSystem, PrefixTable, LANES};
+use gmr_bio::{euler, simulate_network_compiled, NetworkSimOptions, StationSeries};
+use gmr_expr::{CompiledSystem, LaneForcing, PrefixTable, LANES};
 use gmr_hydro::NUM_VARS;
 use gmr_json::Value;
 use std::collections::BTreeMap;
@@ -327,11 +323,11 @@ pub struct SimJob {
 /// at [`LANES`] trajectories).
 const MAX_BATCH: usize = 256;
 
-/// Single-trajectory forward Euler over `rows`, identical to
-/// `RiverProblem::integrate`: day `t` records the *pre-step* state, steps
-/// the compiled system, then sanitises. This is both the solo execution
-/// path and the bit-identity reference the batched path is tested
-/// against.
+/// Single-trajectory forward Euler over `rows` through [`euler`], the
+/// integrator `RiverProblem` runs: day `t` records the *pre-step* state,
+/// steps the compiled system in a solo session, then sanitises. This is
+/// both the solo execution path and the bit-identity reference the
+/// batched path is tested against.
 pub fn simulate_single(
     sys: &CompiledSystem,
     rows: &[[f64; NUM_VARS]],
@@ -340,41 +336,22 @@ pub fn simulate_single(
     cap: f64,
 ) -> (Vec<f64>, Vec<f64>) {
     let mut session = sys.session(rows);
-    let (mut p, mut z) = init;
     let mut bphy = Vec::with_capacity(rows.len());
     let mut bzoo = Vec::with_capacity(rows.len());
-    let mut d = [0.0f64; 2];
-    for t in 0..rows.len() {
+    let rhs = |t, s: &[f64], d: &mut [f64]| session.step(t, s, d);
+    euler(&[init], rows.len(), dt, cap, rhs, |_, _, p, z| {
         bphy.push(p);
         bzoo.push(z);
-        session.step(t, &[p, z], &mut d);
-        p = sanitise_state(p + dt * d[0], cap);
-        z = sanitise_state(z + dt * d[1], cap);
-    }
+        true
+    });
     (bphy, bzoo)
 }
 
-/// Pad a lock-step sweep to full [`LANES`] stripes once it is at least
-/// this wide (and the vector kernels are live): from half-occupancy up,
-/// one full-stripe vector dispatch beats `k` scalar per-lane loops.
-pub(crate) const PAD_MIN: usize = LANES / 2;
-
 /// `k = inits.len()` trajectories over one shared forcing table in a
-/// single lock-step sweep (`k <= LANES`). Per-trajectory results are
-/// bit-identical to [`simulate_single`].
-pub fn simulate_many(
-    sys: &CompiledSystem,
-    rows: &[[f64; NUM_VARS]],
-    inits: &[(f64, f64)],
-    dt: f64,
-    cap: f64,
-) -> Vec<(Vec<f64>, Vec<f64>)> {
-    simulate_lockstep(sys, rows, inits, dt, cap, None)
-}
-
-/// [`simulate_many`] reading prefix values from a cached [`PrefixTable`]
-/// (swept over the full hosted table; `rows` may be any prefix of it)
-/// instead of re-sweeping them. Results are bit-identical.
+/// single lock-step sweep (`k <= LANES`), reading prefix values from a
+/// cached [`PrefixTable`] (swept over the full hosted table; `rows` may be
+/// any prefix of it). Per-trajectory results are bit-identical to
+/// [`simulate_single`].
 pub fn simulate_many_with_prefix(
     sys: &CompiledSystem,
     rows: &[[f64; NUM_VARS]],
@@ -383,37 +360,11 @@ pub fn simulate_many_with_prefix(
     cap: f64,
     prefix: &PrefixTable,
 ) -> Vec<(Vec<f64>, Vec<f64>)> {
-    simulate_lockstep(sys, rows, inits, dt, cap, Some(prefix))
-}
-
-fn simulate_lockstep(
-    sys: &CompiledSystem,
-    rows: &[[f64; NUM_VARS]],
-    inits: &[(f64, f64)],
-    dt: f64,
-    cap: f64,
-    prefix: Option<&PrefixTable>,
-) -> Vec<(Vec<f64>, Vec<f64>)> {
-    let k = inits.len();
-    assert!((1..=LANES).contains(&k));
-    // With the vector kernels live, a wide-but-ragged group is padded to
-    // a full stripe with copies of the first trajectory: the lock-step
-    // core then takes the `__m256d` dispatch path instead of `k` scalar
-    // per-lane iterations. Lanes are arithmetically independent, so the
-    // real lanes' bits are unchanged; the padded ones are dropped.
-    let k_run = if gmr_expr::simd::active() && (PAD_MIN..LANES).contains(&k) {
-        LANES
-    } else {
-        k
-    };
-    let mut multi = match prefix {
-        Some(p) => sys.multi_session_with_prefix(rows, k_run, p),
-        None => sys.multi_session(rows, k_run),
-    };
-    let mut states: Vec<f64> = inits.iter().flat_map(|&(p, z)| [p, z]).collect();
-    for _ in k..k_run {
-        states.extend([inits[0].0, inits[0].1]);
-    }
+    let mut session = sys.lane_session(LaneForcing::Shared {
+        rows,
+        prefix,
+        lanes: inits.len(),
+    });
     let mut out: Vec<(Vec<f64>, Vec<f64>)> = inits
         .iter()
         .map(|_| {
@@ -423,18 +374,12 @@ fn simulate_lockstep(
             )
         })
         .collect();
-    let mut d = vec![0.0f64; k_run * 2];
-    for t in 0..rows.len() {
-        for l in 0..k {
-            out[l].0.push(states[l * 2]);
-            out[l].1.push(states[l * 2 + 1]);
-        }
-        multi.step(t, &states, &mut d);
-        for l in 0..k_run {
-            states[l * 2] = sanitise_state(states[l * 2] + dt * d[l * 2], cap);
-            states[l * 2 + 1] = sanitise_state(states[l * 2 + 1] + dt * d[l * 2 + 1], cap);
-        }
-    }
+    let rhs = |t, s: &[f64], d: &mut [f64]| session.step(t, s, d);
+    euler(inits, rows.len(), dt, cap, rhs, |l, _, p, z| {
+        out[l].0.push(p);
+        out[l].1.push(z);
+        true
+    });
     out
 }
 
@@ -761,7 +706,8 @@ mod tests {
         let sys = reg.touch("table5-manual").unwrap().system.clone();
         let table = rows(90);
         let inits = [(8.0, 1.2), (2.5, 0.4), (15.0, 3.0), (0.05, 0.01)];
-        let batched = simulate_many(&sys, &table, &inits, 1.0, 1e9);
+        let prefix = sys.sweep_prefix(&table);
+        let batched = simulate_many_with_prefix(&sys, &table, &inits, 1.0, 1e9, &prefix);
         for (l, &init) in inits.iter().enumerate() {
             let solo = simulate_single(&sys, &table, init, 1.0, 1e9);
             assert_eq!(batched[l], solo, "lane {l} diverged");
@@ -770,16 +716,18 @@ mod tests {
 
     #[test]
     fn padded_sweep_matches_single_bitwise() {
-        // 16 inits crosses PAD_MIN: with vector kernels live the sweep
-        // runs padded to a full stripe; either way every real lane must
-        // match its solo run bit-for-bit.
+        // Half a stripe of inits reaches the lane session's padding
+        // threshold: with vector kernels live the sweep runs padded to a
+        // full stripe; either way every real lane must match its solo run
+        // bit-for-bit.
         let reg = manual_registry();
         let sys = reg.touch("table5-manual").unwrap().system.clone();
         let table = rows(70);
-        let inits: Vec<(f64, f64)> = (0..PAD_MIN)
+        let inits: Vec<(f64, f64)> = (0..LANES / 2)
             .map(|i| (2.0 + i as f64 * 0.9, 0.3 + i as f64 * 0.11))
             .collect();
-        let batched = simulate_many(&sys, &table, &inits, 1.0, 1e9);
+        let prefix = sys.sweep_prefix(&table);
+        let batched = simulate_many_with_prefix(&sys, &table, &inits, 1.0, 1e9, &prefix);
         for (l, &init) in inits.iter().enumerate() {
             let solo = simulate_single(&sys, &table, init, 1.0, 1e9);
             assert_eq!(batched[l], solo, "lane {l} diverged");
@@ -790,7 +738,7 @@ mod tests {
     fn cached_prefix_sweep_matches_bitwise() {
         // The serving shape: prefix materialized over the full hosted
         // table, requests simulating a shorter horizon. Must be
-        // bit-identical to the on-demand sweep over the sliced table.
+        // bit-identical to a sweep over the sliced table alone.
         let reg = manual_registry();
         let hot = reg.touch("table5-manual").unwrap();
         let table = rows(100);
@@ -799,7 +747,8 @@ mod tests {
         for days in [1, 33, 70, 100] {
             let head = &table[..days];
             let shared = simulate_many_with_prefix(&hot.system, head, &inits, 1.0, 1e9, &prefix);
-            let on_demand = simulate_many(&hot.system, head, &inits, 1.0, 1e9);
+            let sliced = hot.system.sweep_prefix(head);
+            let on_demand = simulate_many_with_prefix(&hot.system, head, &inits, 1.0, 1e9, &sliced);
             assert_eq!(shared, on_demand, "days={days}");
         }
     }

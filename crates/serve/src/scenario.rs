@@ -12,20 +12,19 @@
 //!   tables never change underneath the registry's per-table prefix
 //!   caches or the gateway's routing.
 //! * [`run_sweep`] — fans one `/sweep` request into `variants` jittered
-//!   forcing variants and steps them through [`gmr_expr::EnsembleSession`]
-//!   lanes ([`LANES`] variants per lock-step core dispatch, padded to full
-//!   SIMD stripes exactly like the `/simulate` batcher), reducing each
-//!   trajectory online to a [`SweepSummary`].
+//!   forcing variants and steps them through per-lane
+//!   [`gmr_expr::LaneSession`]s ([`LANES`] variants per lock-step core
+//!   dispatch), reducing each trajectory online to a [`SweepSummary`].
 //!
 //! The bit-identity contract extends to sweeps: variant `i`'s summary from
 //! a batched sweep equals the summary reduced from a solo `/simulate` of
-//! `forcings_ref: "scn:<name>/<i>"` — same pre-step recording, same
-//! sanitised Euler step, same per-lane kernels (`bench_scenario
-//! --validate` gates on it through the gateway).
+//! `forcings_ref: "scn:<name>/<i>"` — both integrate through
+//! [`gmr_bio::euler`], and per-lane kernels compute each lane exactly as a
+//! solo session would (`bench_scenario --validate` gates on it through the
+//! gateway).
 
-use crate::batch::PAD_MIN;
-use gmr_bio::sanitise_state;
-use gmr_expr::{CompiledSystem, LANES};
+use gmr_bio::euler;
+use gmr_expr::{CompiledSystem, LaneForcing, LANES};
 use gmr_hydro::NUM_VARS;
 use gmr_json::{push_escaped, Value};
 use gmr_obsv::journal::Event;
@@ -290,45 +289,32 @@ pub fn run_sweep(
     sys: &CompiledSystem,
     req: &SweepRequest,
 ) -> Vec<SweepSummary> {
-    let days = scn.days;
     let mut summaries = Vec::with_capacity(req.variants as usize);
     let mut first = 0u32;
     while first < req.variants {
         let k = ((req.variants - first) as usize).min(LANES);
-        let mut tabs: Vec<Vec<[f64; NUM_VARS]>> =
+        let tabs: Vec<Vec<[f64; NUM_VARS]>> =
             (0..k).map(|j| scn.variant_rows(first + j as u32)).collect();
-        // Same padding rule as the `/simulate` batcher: with the vector
-        // kernels live, a wide-but-ragged chunk runs padded to a full
-        // stripe (padded lanes replay variant 0 and are dropped; lanes
-        // are arithmetically independent, so real lanes are unchanged).
-        let k_run = if gmr_expr::simd::active() && (PAD_MIN..LANES).contains(&k) {
-            LANES
-        } else {
-            k
-        };
-        for _ in k..k_run {
-            tabs.push(tabs[0].clone());
-        }
         let refs: Vec<&[[f64; NUM_VARS]]> = tabs.iter().map(Vec::as_slice).collect();
-        let mut session = sys.ensemble_session(&refs);
-        let mut states: Vec<f64> = (0..k_run).flat_map(|_| [req.init.0, req.init.1]).collect();
+        let mut session = sys.lane_session(LaneForcing::PerLane(&refs));
         let mut reducers: Vec<SweepReducer> = (0..k)
             .map(|j| SweepReducer::new(first + j as u32, &req.reduce))
             .collect();
-        let mut d = vec![0.0f64; k_run * 2];
-        for t in 0..days {
-            // Pre-step recording, then step, then sanitise — exactly the
-            // `simulate_single` convention the solo path uses.
-            for (l, r) in reducers.iter_mut().enumerate() {
-                r.push(states[l * 2], states[l * 2 + 1]);
-            }
-            session.step(t, &states, &mut d);
-            for l in 0..k_run {
-                states[l * 2] = sanitise_state(states[l * 2] + req.dt * d[l * 2], req.state_cap);
-                states[l * 2 + 1] =
-                    sanitise_state(states[l * 2 + 1] + req.dt * d[l * 2 + 1], req.state_cap);
-            }
-        }
+        // The same integrator, pre-step recording included, that the solo
+        // path runs.
+        let rhs = |t, s: &[f64], d: &mut [f64]| session.step(t, s, d);
+        let inits = vec![req.init; k];
+        euler(
+            &inits,
+            scn.days,
+            req.dt,
+            req.state_cap,
+            rhs,
+            |l, _, p, z| {
+                reducers[l].push(p, z);
+                true
+            },
+        );
         summaries.extend(reducers.into_iter().map(SweepReducer::finish));
         first += k as u32;
     }
@@ -416,12 +402,12 @@ mod tests {
         let mut reg = ModelRegistry::new();
         reg.insert(ModelArtifact::builtin_manual()).unwrap();
         let sys = reg.touch("table5-manual").unwrap().system.clone();
-        // An awkward width: crosses one full chunk plus a ragged tail
-        // (and the SIMD padding branch when the kernels are live).
+        // An awkward width: one full chunk plus a ragged tail past half a
+        // stripe, so the tail runs padded when the SIMD kernels are live.
         let req = SweepRequest {
             scenario: "v".into(),
             model: "table5-manual".into(),
-            variants: LANES as u32 + 3,
+            variants: (LANES + LANES / 2 + 1) as u32,
             reduce: ReduceSpec { threshold: 20.0 },
             init: (8.0, 1.2),
             dt: 1.0,
