@@ -11,6 +11,9 @@
 //! cargo run --release -p gmr-bench --bin bench_scenario -- --validate PATH
 //! ```
 //!
+//! Any other argument, a flag missing its value, or a `--backends` that is
+//! not an integer >= 2 exits 2 with a usage line.
+//!
 //! **Sweep section** (`--sweep`, or default): one in-process `gmr-serve`
 //! server admits a generated `gmr-scenario/v1` spec (braided topology,
 //! climate transforms, one dam control), then two phases run the same
@@ -43,6 +46,7 @@
 //! `--validate` re-opens an emitted file and enforces every gate above
 //! on whichever sections are present (at least one must be).
 
+use gmr_bench::cli;
 use gmr_json::Value;
 use gmr_scenario::{reduce_series, ReduceSpec, SweepSummary};
 use gmr_serve::batch::Tables;
@@ -531,13 +535,17 @@ fn default_serve_bin() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("gmr-serve"))
 }
 
+/// The arguments part of the usage line.
+const USAGE: &str =
+    "[--quick] [--sweep] [--cluster] [--backends N] [--serve-bin PATH] [--out PATH] [--validate PATH]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--validate") {
-        let path = args.get(i + 1).map(String::as_str).unwrap_or_else(|| {
-            eprintln!("--validate requires a file path");
-            std::process::exit(2);
-        });
+    let args = cli::BenchArgs::from_env(
+        USAGE,
+        &["--validate", "--backends", "--serve-bin", "--out"],
+        &["--quick", "--sweep", "--cluster"],
+    );
+    if let Some(path) = args.value("--validate") {
         let src = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("cannot read {path}: {e}");
             std::process::exit(2);
@@ -553,9 +561,9 @@ fn main() {
         std::process::exit(1);
     }
 
-    let quick = args.iter().any(|a| a == "--quick");
-    let want_sweep = args.iter().any(|a| a == "--sweep");
-    let want_cluster = args.iter().any(|a| a == "--cluster");
+    let quick = args.has("--quick");
+    let want_sweep = args.has("--sweep");
+    let want_cluster = args.has("--cluster");
     // No section flag selects both (the committed-baseline shape).
     let (want_sweep, want_cluster) = if want_sweep || want_cluster {
         (want_sweep, want_cluster)
@@ -563,23 +571,13 @@ fn main() {
         (true, true)
     };
     let backends = args
-        .iter()
-        .position(|a| a == "--backends")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2usize);
+        .count("--backends", 2, 2)
+        .unwrap_or_else(|e| cli::usage_exit(USAGE, &e));
     let serve_bin = args
-        .iter()
-        .position(|a| a == "--serve-bin")
-        .and_then(|i| args.get(i + 1))
+        .value("--serve-bin")
         .map(PathBuf::from)
         .unwrap_or_else(default_serve_bin);
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("BENCH_scenario.json");
+    let out_path = args.value("--out").unwrap_or("BENCH_scenario.json");
 
     let sweep = want_sweep.then(|| {
         eprintln!("bench_scenario sweep: {SWEEP_VARIANTS} variants, solo vs one /sweep");

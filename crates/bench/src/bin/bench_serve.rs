@@ -10,6 +10,9 @@
 //! cargo run --release -p gmr-bench --bin bench_serve -- --validate PATH
 //! ```
 //!
+//! Any other argument, a flag missing its value, or a `--backends` that is
+//! not an integer >= 2 exits 2 with a usage line.
+//!
 //! **Solo section** (`--solo`, or default): two client shapes hit one
 //! in-process `gmr-serve` server hosting the Table V model:
 //!
@@ -55,6 +58,7 @@
 //! counters — both must be populated, pinning the `/metrics` surface
 //! end to end.
 
+use gmr_bench::cli;
 use gmr_bio::{manual, name_table};
 use gmr_expr::{parse, CompiledSystem, Expr};
 use gmr_hydro::{generate, SyntheticConfig, NUM_VARS};
@@ -1119,13 +1123,17 @@ fn default_serve_bin() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("gmr-serve"))
 }
 
+/// The arguments part of the usage line.
+const USAGE: &str =
+    "[--quick] [--solo] [--cluster] [--backends N] [--serve-bin PATH] [--out PATH] [--validate PATH]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--validate") {
-        let path = args.get(i + 1).map(String::as_str).unwrap_or_else(|| {
-            eprintln!("--validate requires a file path");
-            std::process::exit(2);
-        });
+    let args = cli::BenchArgs::from_env(
+        USAGE,
+        &["--validate", "--backends", "--serve-bin", "--out"],
+        &["--quick", "--solo", "--cluster"],
+    );
+    if let Some(path) = args.value("--validate") {
         let src = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("cannot read {path}: {e}");
             std::process::exit(2);
@@ -1141,9 +1149,9 @@ fn main() {
         std::process::exit(1);
     }
 
-    let quick = args.iter().any(|a| a == "--quick");
-    let want_solo = args.iter().any(|a| a == "--solo");
-    let want_cluster = args.iter().any(|a| a == "--cluster");
+    let quick = args.has("--quick");
+    let want_solo = args.has("--solo");
+    let want_cluster = args.has("--cluster");
     // No section flag selects both (the committed-baseline shape).
     let (want_solo, want_cluster) = if want_solo || want_cluster {
         (want_solo, want_cluster)
@@ -1151,23 +1159,13 @@ fn main() {
         (true, true)
     };
     let backends = args
-        .iter()
-        .position(|a| a == "--backends")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4usize);
+        .count("--backends", 4, 2)
+        .unwrap_or_else(|e| cli::usage_exit(USAGE, &e));
     let serve_bin = args
-        .iter()
-        .position(|a| a == "--serve-bin")
-        .and_then(|i| args.get(i + 1))
+        .value("--serve-bin")
         .map(PathBuf::from)
         .unwrap_or_else(default_serve_bin);
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("BENCH_serve.json");
+    let out_path = args.value("--out").unwrap_or("BENCH_serve.json");
 
     // The probe must be the process's first journal user (`init` is
     // sticky), so it runs before either bench section.

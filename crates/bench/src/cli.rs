@@ -102,19 +102,93 @@ pub fn init(flags: Flags) -> (Obsv, Args) {
     let rest = argv.get(1..).unwrap_or_default();
     match parse(rest, flags) {
         Ok(args) => (init_obsv_from(rest), args),
-        Err(e) => {
-            let bin = argv.first().map_or("exp", |p| {
-                std::path::Path::new(p)
-                    .file_name()
-                    .and_then(|f| f.to_str())
-                    .unwrap_or(p)
-            });
-            eprintln!("{bin}: {e}");
-            eprintln!(
-                "usage: {bin} {} [--quiet | -q] [-v | --verbose] [--journal PATH]",
+        Err(e) => usage_exit(
+            &format!(
+                "{} [--quiet | -q] [-v | --verbose] [--journal PATH]",
                 flags.usage()
-            );
-            std::process::exit(2);
+            ),
+            &e,
+        ),
+    }
+}
+
+/// Print `err` and `usage` (the arguments part of the usage line) under
+/// the running binary's name, and exit with status 2.
+pub fn usage_exit(usage: &str, err: &str) -> ! {
+    let argv0 = std::env::args().next().unwrap_or_default();
+    let bin = std::path::Path::new(&argv0)
+        .file_name()
+        .and_then(|f| f.to_str())
+        .unwrap_or("exp");
+    eprintln!("{bin}: {err}");
+    eprintln!("usage: {bin} {usage}");
+    std::process::exit(2);
+}
+
+/// A `bench_*` command line, checked as strictly as an experiment's: each
+/// argument is one of the binary's switches, or one of its value flags
+/// followed by its value. Anything else is refused, so a misspelt flag in
+/// a script stops the bench instead of silently running its default.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct BenchArgs {
+    switches: Vec<String>,
+    values: Vec<(String, String)>,
+}
+
+impl BenchArgs {
+    /// Parse `args` (without the program name).
+    pub fn parse<S: AsRef<str>>(
+        args: &[S],
+        value_flags: &[&str],
+        switches: &[&str],
+    ) -> Result<BenchArgs, String> {
+        let mut out = BenchArgs::default();
+        let mut it = args.iter().map(AsRef::as_ref);
+        while let Some(a) = it.next() {
+            if value_flags.contains(&a) {
+                let v = it.next().ok_or_else(|| format!("{a} needs a value"))?;
+                out.values.push((a.to_string(), v.to_string()));
+            } else if switches.contains(&a) {
+                out.switches.push(a.to_string());
+            } else {
+                return Err(format!("unrecognised argument: {a}"));
+            }
+        }
+        Ok(out)
+    }
+
+    /// [`BenchArgs::parse`] over `std::env::args`; a bad command line
+    /// exits through [`usage_exit`].
+    pub fn from_env(usage: &str, value_flags: &[&str], switches: &[&str]) -> BenchArgs {
+        let argv: Vec<String> = std::env::args().skip(1).collect();
+        BenchArgs::parse(&argv, value_flags, switches).unwrap_or_else(|e| usage_exit(usage, &e))
+    }
+
+    /// Whether `switch` was given.
+    pub fn has(&self, switch: &str) -> bool {
+        self.switches.iter().any(|s| s == switch)
+    }
+
+    /// The value of `flag` (its last occurrence).
+    pub fn value(&self, flag: &str) -> Option<&str> {
+        self.values
+            .iter()
+            .rev()
+            .find(|(f, _)| f == flag)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// The value of `flag` as a count of at least `min`; `default` when
+    /// the flag is absent.
+    pub fn count(&self, flag: &str, default: usize, min: usize) -> Result<usize, String> {
+        match self.value(flag) {
+            None => Ok(default),
+            Some(v) => match v.parse() {
+                Ok(n) if n >= min => Ok(n),
+                _ => Err(format!(
+                    "bad value for {flag}: {v} (want an integer >= {min})"
+                )),
+            },
         }
     }
 }
@@ -234,6 +308,23 @@ mod tests {
         assert!(parse(&["--journal"], Flags::Scale).is_err());
         assert!(parse(&["--quik"], Flags::Scale).is_err());
         assert!(parse(&["extra"], Flags::Scale).is_err());
+    }
+
+    #[test]
+    fn bench_args_refuse_unknown_flags_and_bad_counts() {
+        let parse = |args: &[&str]| BenchArgs::parse(args, &["--out", "--backends"], &["--quick"]);
+        let a = parse(&["--quick", "--out", "x.json", "--backends", "3"]).unwrap();
+        assert!(a.has("--quick"));
+        assert_eq!(a.value("--out"), Some("x.json"));
+        assert_eq!(a.count("--backends", 4, 2), Ok(3));
+        assert_eq!(parse(&[]).unwrap().count("--backends", 4, 2), Ok(4));
+        assert!(parse(&["--quik"]).is_err());
+        assert!(parse(&["--out"]).is_err(), "a value flag needs its value");
+        assert!(parse(&["x.json"]).is_err());
+        for bad in ["abc", "1", "-2", ""] {
+            let a = parse(&["--backends", bad]).unwrap();
+            assert!(a.count("--backends", 4, 2).is_err(), "--backends {bad:?}");
+        }
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! backend's own drain path — it finishes in-flight requests and writes
 //! its journal) and is escalated to SIGKILL only after a drain timeout.
 
+use crate::client::Client;
 use crate::gateway::BackendSlot;
 use gmr_obsv::journal::Event;
 use std::io;
@@ -252,21 +253,12 @@ fn wait_port_file(path: &Path, child: &mut Child, timeout: Duration) -> io::Resu
     }
 }
 
-/// One HTTP health probe with bounded timeouts (never blocks the loop).
+/// One HTTP health probe, every socket step bounded by `timeout` (never
+/// blocks the loop).
 fn probe_healthz(addr: SocketAddr, timeout: Duration) -> bool {
-    let Ok(stream) = std::net::TcpStream::connect_timeout(&addr, timeout) else {
-        return false;
-    };
-    let _ = stream.set_read_timeout(Some(timeout));
-    let _ = stream.set_write_timeout(Some(timeout));
-    let mut stream = stream;
-    if crate::server::write_request(&mut stream, "GET", "/healthz", b"", true).is_err() {
-        return false;
-    }
-    matches!(
-        crate::server::read_response(&mut io::BufReader::new(stream)),
-        Ok((200, _))
-    )
+    Client::with_timeout(addr, timeout)
+        .request("GET", "/healthz", b"")
+        .is_ok_and(|r| r.status == 200)
 }
 
 fn health_loop(

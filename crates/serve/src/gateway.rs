@@ -22,21 +22,25 @@
 //!   candidate). The supervisor's health loop revives the primary, after
 //!   which the pair routes back to it. Requests drain or shed; they never
 //!   hang.
+//!
+//! The gateway is a `Service` on the same connection runtime as the
+//! backend (`runtime.rs`: acceptor, bounded queue, workers, keep-alive,
+//! drain), and talks to backends through the crate's one HTTP client,
+//! [`Client`]: each gateway worker holds one per backend slot.
 
-use crate::http::{self, HttpError, Request};
-use crate::server::{read_response_full, write_request_traced, Response};
+use crate::client::{Client, Response};
+use crate::http::Request;
+use crate::runtime::{routes, ConnMetrics, Labels, Limits, Runtime, Served, Service};
 use crate::trace::TraceCtx;
 use gmr_json::Value;
 use gmr_obsv::journal::Event;
 use gmr_obsv::metrics::{
     merge_buckets, quantile_from_buckets, snapshot_json, Counter, Histogram, Registry,
 };
-use std::collections::VecDeque;
-use std::io::{self, BufReader, ErrorKind};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::{self, JoinHandle};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Virtual nodes per backend on the hash ring. Enough that the keyspace
@@ -166,6 +170,8 @@ pub struct GatewayConfig {
     /// Per-read socket timeout on client connections.
     pub read_timeout: Duration,
     /// Idle reads tolerated before a keep-alive client is closed (`408`).
+    /// `max_idle_reads × read_timeout` is also how long one request may
+    /// take to arrive, from its first byte.
     pub max_idle_reads: u32,
     /// Socket timeout for backend exchanges. Bounds how long a proxied
     /// request can hold a gateway worker — "drain or 429, never hang".
@@ -190,18 +196,25 @@ impl Default for GatewayConfig {
     }
 }
 
+/// The gateway's names: `gw:`-prefixed route tags, `gateway.*` metrics.
+pub(crate) const LABELS: Labels = Labels {
+    routes: routes!("gw:"),
+    accept: "gw:(accept)",
+    malformed: "gw:(malformed)",
+    ns: "gateway",
+    shed_body: "gateway connection queue full",
+};
+
 /// Gateway metrics, exposed by its `/metrics` alongside the cluster
 /// rollup.
 struct GatewayMetrics {
     registry: Registry,
-    requests: Arc<Counter>,
-    shed: Arc<Counter>,
+    /// What the runtime records: `gateway.requests_total`,
+    /// `gateway.shed_total`, `gateway.latency_us` and per-route latency.
+    conn: ConnMetrics,
     proxied: Arc<Counter>,
     failovers: Arc<Counter>,
     backend_down: Arc<Counter>,
-    latency_us: Arc<Histogram>,
-    /// Per-route latency, index-aligned with [`ROUTE_TAGS`].
-    route_latency: Vec<Arc<Histogram>>,
     /// Per-backend proxied-exchange latency, index = slot.
     backend_latency: Vec<Arc<Histogram>>,
     /// Proxied `/simulate` requests answered 200 within the SLO target.
@@ -210,32 +223,14 @@ struct GatewayMetrics {
     slo_total: Arc<Counter>,
 }
 
-/// Every endpoint tag [`endpoint_tag`] can return, in one fixed order so
-/// per-route histograms are pre-registered rather than created per hit.
-const ROUTE_TAGS: [&str; 7] = [
-    "gw:/healthz",
-    "gw:/models",
-    "gw:/simulate",
-    "gw:/scenarios",
-    "gw:/sweep",
-    "gw:/metrics",
-    "gw:(other)",
-];
-
 impl GatewayMetrics {
     fn new(backends: usize) -> GatewayMetrics {
         let registry = Registry::new();
         GatewayMetrics {
-            requests: registry.counter("gateway.requests_total"),
-            shed: registry.counter("gateway.shed_total"),
+            conn: ConnMetrics::new(&registry, &LABELS),
             proxied: registry.counter("gateway.proxied_total"),
             failovers: registry.counter("gateway.failovers_total"),
             backend_down: registry.counter("gateway.backend_down_total"),
-            latency_us: registry.histogram("gateway.latency_us"),
-            route_latency: ROUTE_TAGS
-                .iter()
-                .map(|t| registry.histogram(&format!("gateway.route.{t}.latency_us")))
-                .collect(),
             backend_latency: (0..backends)
                 .map(|b| registry.histogram(&format!("gateway.backend.{b}.latency_us")))
                 .collect(),
@@ -243,28 +238,6 @@ impl GatewayMetrics {
             slo_total: registry.counter("gateway.slo_total"),
             registry,
         }
-    }
-
-    fn record_route(&self, tag: &str, dur_us: u64) {
-        if let Some(i) = ROUTE_TAGS.iter().position(|t| *t == tag) {
-            self.route_latency[i].record(dur_us);
-        }
-    }
-}
-
-struct GwShared {
-    slots: Arc<Vec<BackendSlot>>,
-    ring: Ring,
-    metrics: GatewayMetrics,
-    shutdown: AtomicBool,
-    conns: Mutex<VecDeque<TcpStream>>,
-    conns_ready: Condvar,
-    config: GatewayConfig,
-}
-
-impl GwShared {
-    fn draining(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
     }
 }
 
@@ -276,9 +249,7 @@ pub struct Gateway {
 
 /// A running gateway.
 pub struct GatewayHandle {
-    addr: SocketAddr,
-    shared: Arc<GwShared>,
-    threads: Vec<JoinHandle<()>>,
+    runtime: Runtime<Proxy>,
 }
 
 impl Gateway {
@@ -289,622 +260,264 @@ impl Gateway {
 
     /// Bind, spawn acceptor + workers, return a handle.
     pub fn start(self) -> io::Result<GatewayHandle> {
-        let listener = TcpListener::bind(&self.config.addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let workers = self.config.workers.max(1);
-        let ring = Ring::new(self.slots.len());
-        let metrics = GatewayMetrics::new(self.slots.len());
-        let shared = Arc::new(GwShared {
+        let config = self.config;
+        let backends = self.slots.len();
+        let proxy = Proxy {
+            ring: Ring::new(backends),
+            metrics: GatewayMetrics::new(backends),
             slots: self.slots,
-            ring,
-            metrics,
-            shutdown: AtomicBool::new(false),
-            conns: Mutex::new(VecDeque::new()),
-            conns_ready: Condvar::new(),
-            config: self.config,
-        });
-        let mut threads = Vec::with_capacity(workers + 1);
-        for i in 0..workers {
-            let shared = Arc::clone(&shared);
-            threads.push(
-                thread::Builder::new()
-                    .name(format!("gw-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))?,
-            );
-        }
-        {
-            let shared = Arc::clone(&shared);
-            threads.push(
-                thread::Builder::new()
-                    .name("gw-acceptor".into())
-                    .spawn(move || accept_loop(listener, &shared))?,
-            );
-        }
+            backend_timeout: config.backend_timeout,
+            slo_target_ms: config.slo_target_ms,
+        };
+        let pools = (0..config.workers.max(1))
+            .map(|_| (0..backends).map(|_| None).collect())
+            .collect();
+        let limits = Limits {
+            conn_queue: config.conn_queue,
+            read_timeout: config.read_timeout,
+            max_idle_reads: config.max_idle_reads,
+        };
+        let runtime = Runtime::start(&config.addr, limits, proxy, pools)?;
         gmr_obsv::emit(Event::Note {
             name: "gateway.listen",
-            msg: format!("gateway listening on {addr}"),
+            msg: format!("gateway listening on {}", runtime.addr()),
         });
-        Ok(GatewayHandle {
-            addr,
-            shared,
-            threads,
-        })
+        Ok(GatewayHandle { runtime })
     }
 }
 
 impl GatewayHandle {
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.runtime.addr()
     }
 
     /// Graceful drain: stop accepting, finish queued connections, join.
     pub fn shutdown(self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.conns_ready.notify_all();
-        for t in self.threads {
-            let _ = t.join();
-        }
+        self.runtime.shutdown();
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: &GwShared) {
-    loop {
-        if shared.draining() {
-            shared.conns_ready.notify_all();
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let mut q = shared.conns.lock().unwrap();
-                if q.len() >= shared.config.conn_queue {
-                    drop(q);
-                    // The gateway's own bounded-queue discipline: shed at
-                    // the door with 429 + Retry-After, like a backend.
-                    shared.metrics.shed.inc();
-                    shared.metrics.requests.inc();
-                    let ctx = TraceCtx::mint();
-                    let mut stream = stream;
-                    let _ = stream.set_nodelay(true);
-                    let _ = http::write_response_traced(
-                        &mut stream,
-                        429,
-                        "application/json",
-                        &http::error_body("gateway connection queue full"),
-                        true,
-                        None,
-                        Some(&ctx.header_value()),
-                    );
-                    gmr_obsv::emit(Event::Request {
-                        endpoint: "gw:(accept)",
-                        status: 429,
-                        dur_us: 0,
-                        batch: 0,
-                    });
-                    gmr_obsv::emit(Event::Access {
-                        trace: ctx.trace,
-                        span: ctx.span,
-                        parent: ctx.parent,
-                        method: "-".into(),
-                        path: "gw:(accept)",
-                        model: String::new(),
-                        table: String::new(),
-                        status: 429,
-                        shed: true,
-                        batched: false,
-                        queue_us: 0,
-                        sim_us: 0,
-                        dur_us: 0,
-                    });
-                } else {
-                    q.push_back(stream);
-                    drop(q);
-                    shared.conns_ready.notify_one();
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(10)),
-        }
+/// One gateway worker's backend connections: a keep-alive [`Client`] per
+/// slot, created on first use and replaced when the slot's address moves
+/// (a restarted backend). A worker owns its clients, so no socket is
+/// shared between threads.
+type Pool = Vec<Option<Client>>;
+
+/// The gateway service the runtime serves.
+struct Proxy {
+    slots: Arc<Vec<BackendSlot>>,
+    ring: Ring,
+    metrics: GatewayMetrics,
+    backend_timeout: Duration,
+    slo_target_ms: u64,
+}
+
+/// A backend's response, relayed with the slot that gave it and how long
+/// the exchange took.
+fn relayed(resp: Response, backend: usize, t0: Instant) -> Served {
+    Served {
+        status: resp.status,
+        body: resp.body,
+        retry_after: resp.retry_after,
+        sim_us: t0.elapsed().as_micros() as u64,
+        backend: Some(backend),
+        ..Served::default()
     }
 }
 
-/// One pooled keep-alive backend connection per slot, owned by a single
-/// gateway worker (no cross-thread contention on the sockets).
-struct BackendPool {
-    conns: Vec<Option<(SocketAddr, BufReader<TcpStream>)>>,
-    timeout: Duration,
-}
+impl Service for Proxy {
+    type Worker = Pool;
+    const LABELS: Labels = LABELS;
 
-impl BackendPool {
-    fn new(n: usize, timeout: Duration) -> BackendPool {
-        BackendPool {
-            conns: (0..n).map(|_| None).collect(),
-            timeout,
-        }
+    fn conn_metrics(&self) -> &ConnMetrics {
+        &self.metrics.conn
     }
 
-    /// Issue one exchange against backend slot `b` at `addr`, reusing the
-    /// pooled connection when it is still for the same address. A stale
-    /// kept-alive connection gets one retry on a fresh socket.
-    fn exchange(
-        &mut self,
-        b: usize,
-        addr: SocketAddr,
-        method: &str,
-        path: &str,
-        body: &[u8],
-        trace: Option<&str>,
-    ) -> io::Result<Response> {
-        let reused = matches!(&self.conns[b], Some((a, _)) if *a == addr);
-        if !reused {
-            self.conns[b] = Some((addr, self.connect(addr)?));
-        }
-        match self.try_exchange(b, method, path, body, trace) {
-            // A 408 surfacing on a *reused* connection is the backend's
-            // idle-close notice that raced our write, never an answer to
-            // the request we just sent — replay on a fresh socket.
-            Ok(resp) if reused && resp.status == 408 => {
-                self.conns[b] = Some((addr, self.connect(addr)?));
-                self.try_exchange(b, method, path, body, trace)
-            }
-            Ok(resp) => Ok(resp),
-            Err(e) if reused => {
-                self.conns[b] = Some((addr, self.connect(addr).map_err(|_| e)?));
-                self.try_exchange(b, method, path, body, trace)
-            }
-            Err(e) => {
-                self.conns[b] = None;
-                Err(e)
-            }
-        }
-    }
-
-    fn connect(&self, addr: SocketAddr) -> io::Result<BufReader<TcpStream>> {
-        let stream = TcpStream::connect_timeout(&addr, self.timeout)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(self.timeout))?;
-        stream.set_write_timeout(Some(self.timeout))?;
-        Ok(BufReader::new(stream))
-    }
-
-    fn try_exchange(
-        &mut self,
-        b: usize,
-        method: &str,
-        path: &str,
-        body: &[u8],
-        trace: Option<&str>,
-    ) -> io::Result<Response> {
-        let (_, conn) = self.conns[b].as_mut().expect("connection just ensured");
-        let r = write_request_traced(&mut conn.get_ref(), method, path, body, false, trace)
-            .and_then(|()| read_response_full(conn));
-        match r {
-            Ok(resp) => {
-                if resp.close {
-                    self.conns[b] = None;
-                }
-                Ok(resp)
-            }
-            Err(e) => {
-                self.conns[b] = None;
-                Err(e)
-            }
-        }
-    }
-}
-
-fn worker_loop(shared: &GwShared) {
-    let mut pool = BackendPool::new(shared.slots.len(), shared.config.backend_timeout);
-    loop {
-        let stream = {
-            let mut q = shared.conns.lock().unwrap();
-            loop {
-                if let Some(s) = q.pop_front() {
-                    break Some(s);
-                }
-                if shared.draining() {
-                    break None;
-                }
-                let (guard, _) = shared
-                    .conns_ready
-                    .wait_timeout(q, Duration::from_millis(100))
-                    .unwrap();
-                q = guard;
-            }
-        };
-        let Some(stream) = stream else { return };
-        handle_connection(stream, shared, &mut pool);
-    }
-}
-
-fn handle_connection(stream: TcpStream, shared: &GwShared, pool: &mut BackendPool) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut writer = stream;
-    let mut idle = 0u32;
-    loop {
-        match http::read_request(&mut reader) {
-            Ok(None) => return,
-            Ok(Some(req)) => {
-                idle = 0;
-                let close = req.wants_close() || shared.draining();
-                // The gateway is normally the trace root; adopting lets a
-                // caller that already has a context (tests, another tier)
-                // keep the chain intact.
-                let ctx = TraceCtx::from_header(req.header("x-gmr-trace"));
-                let tag = endpoint_tag(&req.path);
-                let t0 = Instant::now();
-                let served = dispatch(&req, shared, pool, ctx);
-                let dur_us = t0.elapsed().as_micros() as u64;
-                let status = served.status;
-                shared.metrics.requests.inc();
-                if status == 429 {
-                    shared.metrics.shed.inc();
-                }
-                shared.metrics.latency_us.record(dur_us);
-                shared.metrics.record_route(tag, dur_us);
-                if let Some(b) = served.backend {
-                    shared.metrics.backend_latency[b].record(served.upstream_us);
-                }
-                if tag == "gw:/simulate" {
-                    shared.metrics.slo_total.inc();
-                    if status == 200 && dur_us <= shared.config.slo_target_ms * 1000 {
-                        shared.metrics.slo_good.inc();
-                    }
-                }
-                gmr_obsv::emit(Event::Request {
-                    endpoint: tag,
-                    status,
-                    dur_us,
-                    batch: 0,
-                });
-                gmr_obsv::emit(Event::Access {
-                    trace: ctx.trace,
-                    span: ctx.span,
-                    parent: ctx.parent,
-                    method: req.method.clone(),
-                    path: tag,
-                    model: served.model,
-                    table: served.table,
-                    status,
-                    // A 429 here is a backend's shed relayed verbatim; the
-                    // gateway's own sheds happen in the accept loop.
-                    shed: false,
-                    batched: false,
-                    queue_us: 0,
-                    sim_us: served.upstream_us,
-                    dur_us,
-                });
-                if http::write_response_traced(
-                    &mut writer,
-                    status,
-                    "application/json",
-                    &served.body,
-                    close,
-                    served.retry_after,
-                    Some(&ctx.header_value()),
-                )
-                .is_err()
-                    || close
-                {
-                    return;
-                }
-            }
-            Err(HttpError::Io(e))
-                if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut =>
-            {
-                idle += 1;
-                if shared.draining() {
-                    return;
-                }
-                if idle >= shared.config.max_idle_reads {
-                    let _ = http::write_response(
-                        &mut writer,
-                        408,
-                        "application/json",
-                        &http::error_body("idle timeout"),
-                        true,
-                    );
-                    return;
-                }
-            }
-            Err(HttpError::Io(_)) => return,
-            Err(HttpError::Malformed(msg)) => {
-                shared.metrics.requests.inc();
-                let _ = http::write_response(
-                    &mut writer,
-                    400,
-                    "application/json",
-                    &http::error_body(msg),
-                    true,
+    fn dispatch(&self, pool: &mut Pool, req: &Request, ctx: TraceCtx, draining: bool) -> Served {
+        let path = req.path.split('?').next().unwrap_or(&req.path);
+        match (req.method.as_str(), path) {
+            ("GET", "/healthz") => {
+                let alive = self.slots.iter().filter(|s| s.is_alive()).count();
+                let body = format!(
+                    "{{\"ok\": {}, \"backends\": {}, \"alive\": {alive}, \"draining\": {draining}}}\n",
+                    alive > 0,
+                    self.slots.len(),
                 );
-                return;
+                Served::plain(200, body.into_bytes())
+            }
+            ("GET", "/models" | "/scenarios") => self.forward_any(pool, path, ctx),
+            ("GET", "/metrics") => Served::plain(200, self.rollup_metrics(pool)),
+            ("POST", "/simulate") => self.proxy_pinned(pool, req, path, ctx, |v| {
+                // Inline-forcings requests have no table name; they hash by
+                // model alone so repeats still pin to one backend's hot tier.
+                Ok(v.get("forcings_ref")
+                    .and_then(Value::as_str)
+                    .unwrap_or("(inline)")
+                    .to_string())
+            }),
+            ("POST", "/scenarios") => self.broadcast_scenarios(pool, req, ctx),
+            // Sweeps pin by (model, `scn:<scenario>`), so repeated sweeps
+            // of one scenario land on the backend whose hot tier and
+            // prefix caches already hold it.
+            ("POST", "/sweep") => self.proxy_pinned(pool, req, path, ctx, |v| {
+                let scenario = v
+                    .get("scenario")
+                    .and_then(Value::as_str)
+                    .ok_or("missing \"scenario\"")?;
+                Ok(format!("{}{scenario}", crate::scenario::SCN_REF_PREFIX))
+            }),
+            ("GET", "/simulate" | "/sweep") | ("POST", "/healthz" | "/models" | "/metrics") => {
+                Served::error(405, "method not allowed for this endpoint")
+            }
+            _ => Served::error(404, "no such endpoint"),
+        }
+    }
+
+    fn record(&self, tag: &'static str, served: &Served, dur_us: u64) {
+        if let Some(b) = served.backend {
+            self.metrics.backend_latency[b].record(served.sim_us);
+        }
+        if tag == "gw:/simulate" {
+            self.metrics.slo_total.inc();
+            if served.status == 200 && dur_us <= self.slo_target_ms * 1000 {
+                self.metrics.slo_good.inc();
             }
         }
     }
 }
 
-fn endpoint_tag(path: &str) -> &'static str {
-    let bare = path.split('?').next().unwrap_or(path);
-    match bare {
-        "/healthz" => "gw:/healthz",
-        "/models" => "gw:/models",
-        "/simulate" => "gw:/simulate",
-        "/scenarios" => "gw:/scenarios",
-        "/sweep" => "gw:/sweep",
-        "/metrics" => "gw:/metrics",
-        _ => "gw:(other)",
-    }
-}
-
-/// What one gateway dispatch produced: the response to relay plus the
-/// attribution the `access` event and per-backend metrics record.
-struct GwServed {
-    status: u16,
-    body: Vec<u8>,
-    retry_after: Option<u64>,
-    /// Model named by a `/simulate` body.
-    model: String,
-    /// Routing table name (`"(inline)"` for shipped rows).
-    table: String,
-    /// Backend slot that answered, when one did.
-    backend: Option<usize>,
-    /// Microseconds spent in the answering backend exchange.
-    upstream_us: u64,
-}
-
-impl GwServed {
-    fn plain(status: u16, body: Vec<u8>) -> GwServed {
-        GwServed {
-            status,
-            body,
-            retry_after: None,
-            model: String::new(),
-            table: String::new(),
-            backend: None,
-            upstream_us: 0,
+impl Proxy {
+    /// This worker's pooled client for backend slot `b`, now at `addr`.
+    fn client<'p>(&self, pool: &'p mut Pool, b: usize, addr: SocketAddr) -> &'p mut Client {
+        let slot = &mut pool[b];
+        if slot.as_ref().map(Client::addr) != Some(addr) {
+            *slot = Some(Client::with_timeout(addr, self.backend_timeout));
         }
+        slot.as_mut().expect("client just ensured")
     }
 
-    fn relayed(resp: Response, backend: usize, upstream_us: u64) -> GwServed {
-        GwServed {
-            status: resp.status,
-            body: resp.body,
-            retry_after: resp.retry_after,
-            model: String::new(),
-            table: String::new(),
-            backend: Some(backend),
-            upstream_us,
-        }
-    }
-}
-
-/// Route one request.
-fn dispatch(req: &Request, shared: &GwShared, pool: &mut BackendPool, ctx: TraceCtx) -> GwServed {
-    let path = req.path.split('?').next().unwrap_or(&req.path);
-    match (req.method.as_str(), path) {
-        ("GET", "/healthz") => {
-            let alive = shared.slots.iter().filter(|s| s.is_alive()).count();
-            let body = format!(
-                "{{\"ok\": {}, \"backends\": {}, \"alive\": {}, \"draining\": {}}}\n",
-                alive > 0,
-                shared.slots.len(),
-                alive,
-                shared.draining()
-            );
-            GwServed::plain(200, body.into_bytes())
-        }
-        ("GET", "/models") => forward_any(req, shared, pool, "GET", "/models", ctx),
-        ("GET", "/metrics") => GwServed::plain(200, rollup_metrics(shared, pool)),
-        ("POST", "/simulate") => proxy_simulate(req, shared, pool, ctx),
-        ("POST", "/scenarios") => broadcast_scenarios(req, shared, pool, ctx),
-        ("GET", "/scenarios") => forward_any(req, shared, pool, "GET", "/scenarios", ctx),
-        ("POST", "/sweep") => proxy_sweep(req, shared, pool, ctx),
-        ("GET", "/simulate" | "/sweep") | ("POST", "/healthz" | "/models" | "/metrics") => {
-            GwServed::plain(
-                405,
-                http::error_body("method not allowed for this endpoint"),
-            )
-        }
-        _ => GwServed::plain(404, http::error_body("no such endpoint")),
-    }
-}
-
-/// Broadcast one `POST /scenarios` admission to *every* live backend.
-/// Scenario refs are not pinned the way hosted tables are: a sweep for
-/// `(model, scn:name)` and a solo `/simulate` of `scn:name/<v>` hash to
-/// different ring keys, so any backend may be asked to resolve the
-/// scenario — all of them must host it. Admission is idempotent on the
-/// backends, so re-broadcasting after a restart is harmless. The relayed
-/// response is the worst one observed (any backend's rejection wins over
-/// the successes — the caller must not believe a partially-admitted
-/// scenario is servable).
-fn broadcast_scenarios(
-    req: &Request,
-    shared: &GwShared,
-    pool: &mut BackendPool,
-    ctx: TraceCtx,
-) -> GwServed {
-    let header = ctx.header_value();
-    let mut worst: Option<(usize, Response, u64)> = None;
-    let mut reached = 0usize;
-    for (b, slot) in shared.slots.iter().enumerate() {
-        let Some(addr) = slot.addr() else { continue };
+    /// One exchange with backend slot `b`, relayed. `None` when the slot
+    /// is down or the exchange fails, which marks it down.
+    fn relay(
+        &self,
+        pool: &mut Pool,
+        b: usize,
+        method: &str,
+        path: &str,
+        body: &[u8],
+        trace: &str,
+    ) -> Option<Served> {
+        let addr = self.slots[b].addr()?;
         let t0 = Instant::now();
-        match pool.exchange(b, addr, "POST", "/scenarios", &req.body, Some(&header)) {
-            Ok(resp) => {
-                reached += 1;
-                let strictly_worse = match &worst {
-                    None => true,
-                    Some((_, held, _)) => resp.status >= 400 && resp.status > held.status,
-                };
-                if strictly_worse {
-                    worst = Some((b, resp, t0.elapsed().as_micros() as u64));
-                }
+        match self
+            .client(pool, b, addr)
+            .request_traced(method, path, body, Some(trace))
+        {
+            Ok(resp) => Some(relayed(resp, b, t0)),
+            Err(_) => {
+                self.mark_backend_down(b);
+                None
             }
-            Err(_) => mark_backend_down(shared, b),
         }
     }
-    match worst {
-        Some((b, resp, upstream_us)) if reached > 0 => GwServed::relayed(resp, b, upstream_us),
-        _ => GwServed::plain(503, http::error_body("no live backend")),
-    }
-}
 
-/// Proxy one `/sweep` by (model, `scn:<scenario>`) consistent hashing —
-/// the same ring walk and 429-is-final discipline as [`proxy_simulate`],
-/// so repeated sweeps of one scenario land on the backend whose hot tier
-/// and prefix caches already hold it.
-fn proxy_sweep(
-    req: &Request,
-    shared: &GwShared,
-    pool: &mut BackendPool,
-    ctx: TraceCtx,
-) -> GwServed {
-    let _sp = gmr_obsv::span!("gateway.route", ctx.trace);
-    let Ok(body) = std::str::from_utf8(&req.body) else {
-        return GwServed::plain(400, http::error_body("body is not UTF-8"));
-    };
-    let value = match gmr_json::parse(body) {
-        Ok(v) => v,
-        Err(e) => return GwServed::plain(400, http::error_body(&format!("invalid JSON: {e}"))),
-    };
-    let Some(model) = value.get("model").and_then(Value::as_str) else {
-        return GwServed::plain(400, http::error_body("missing \"model\""));
-    };
-    let Some(scenario) = value.get("scenario").and_then(Value::as_str) else {
-        return GwServed::plain(400, http::error_body("missing \"scenario\""));
-    };
-    let table = format!("{}{scenario}", crate::scenario::SCN_REF_PREFIX);
-    let key = Ring::key(model, &table);
-    let header = ctx.header_value();
-    let mut tried = 0u32;
-    for b in shared.ring.preference(&key) {
-        let b = b as usize;
-        let Some(addr) = shared.slots[b].addr() else {
-            continue;
+    /// Broadcast one `POST /scenarios` admission to *every* live backend.
+    /// Scenario refs are not pinned the way hosted tables are: a sweep for
+    /// `(model, scn:name)` and a solo `/simulate` of `scn:name/<v>` hash to
+    /// different ring keys, so any backend may be asked to resolve the
+    /// scenario — all of them must host it. Admission is idempotent on the
+    /// backends, so re-broadcasting after a restart is harmless. The relayed
+    /// response is the worst one observed (any backend's rejection wins over
+    /// the successes — the caller must not believe a partially-admitted
+    /// scenario is servable).
+    fn broadcast_scenarios(&self, pool: &mut Pool, req: &Request, ctx: TraceCtx) -> Served {
+        let header = ctx.header_value();
+        let mut worst: Option<Served> = None;
+        for b in 0..self.slots.len() {
+            let Some(served) = self.relay(pool, b, "POST", "/scenarios", &req.body, &header) else {
+                continue;
+            };
+            let strictly_worse = worst
+                .as_ref()
+                .is_none_or(|held| served.status >= 400 && served.status > held.status);
+            if strictly_worse {
+                worst = Some(served);
+            }
+        }
+        worst.unwrap_or_else(|| Served::error(503, "no live backend"))
+    }
+
+    /// Forward a body-less `GET` to the first live backend (all backends
+    /// host the same replicated artifacts and broadcast scenarios, so any
+    /// will do).
+    fn forward_any(&self, pool: &mut Pool, path: &str, ctx: TraceCtx) -> Served {
+        let header = ctx.header_value();
+        (0..self.slots.len())
+            .find_map(|b| self.relay(pool, b, "GET", path, b"", &header))
+            .unwrap_or_else(|| Served::error(503, "no live backend"))
+    }
+
+    /// Proxy one request pinned by (model, table) consistent hashing,
+    /// walking the ring past dead backends. `table_of` derives the table
+    /// half of the key from the parsed body (or refuses the body with a
+    /// `400` message). A backend's `429` is final (propagated, not failed
+    /// over): under overload, spilling a pinned key onto other backends
+    /// would evict *their* hot shards and collapse the very cache locality
+    /// the ring exists to protect.
+    fn proxy_pinned(
+        &self,
+        pool: &mut Pool,
+        req: &Request,
+        path: &str,
+        ctx: TraceCtx,
+        table_of: impl FnOnce(&Value) -> Result<String, &'static str>,
+    ) -> Served {
+        let _sp = gmr_obsv::span!("gateway.route", ctx.trace);
+        let value = match req.json() {
+            Ok(v) => v,
+            Err(msg) => return Served::error(400, &msg),
         };
-        if tried > 0 {
-            shared.metrics.failovers.inc();
-        }
-        tried += 1;
-        let t0 = Instant::now();
-        match pool.exchange(b, addr, "POST", "/sweep", &req.body, Some(&header)) {
-            Ok(resp) => {
-                shared.metrics.proxied.inc();
-                let mut served = GwServed::relayed(resp, b, t0.elapsed().as_micros() as u64);
-                served.model = model.to_string();
-                served.table = table;
-                return served;
-            }
-            Err(_) => mark_backend_down(shared, b),
-        }
-    }
-    let mut served = GwServed::plain(503, http::error_body("no live backend"));
-    served.model = model.to_string();
-    served.table = table;
-    served
-}
-
-/// Forward a request to the first live backend (all backends host the
-/// same replicated artifacts, so any will do for `/models`).
-fn forward_any(
-    _req: &Request,
-    shared: &GwShared,
-    pool: &mut BackendPool,
-    method: &str,
-    path: &str,
-    ctx: TraceCtx,
-) -> GwServed {
-    let header = ctx.header_value();
-    for (b, slot) in shared.slots.iter().enumerate() {
-        let Some(addr) = slot.addr() else { continue };
-        let t0 = Instant::now();
-        match pool.exchange(b, addr, method, path, b"", Some(&header)) {
-            Ok(resp) => return GwServed::relayed(resp, b, t0.elapsed().as_micros() as u64),
-            Err(_) => mark_backend_down(shared, b),
-        }
-    }
-    GwServed::plain(503, http::error_body("no live backend"))
-}
-
-/// Proxy one `/simulate` by (model, table) consistent hashing, walking
-/// the ring past dead backends. A backend's `429` is final (propagated,
-/// not failed over): under overload, spilling a pinned key onto other
-/// backends would evict *their* hot shards and collapse the very cache
-/// locality the ring exists to protect.
-fn proxy_simulate(
-    req: &Request,
-    shared: &GwShared,
-    pool: &mut BackendPool,
-    ctx: TraceCtx,
-) -> GwServed {
-    let _sp = gmr_obsv::span!("gateway.route", ctx.trace);
-    let Ok(body) = std::str::from_utf8(&req.body) else {
-        return GwServed::plain(400, http::error_body("body is not UTF-8"));
-    };
-    let value = match gmr_json::parse(body) {
-        Ok(v) => v,
-        Err(e) => return GwServed::plain(400, http::error_body(&format!("invalid JSON: {e}"))),
-    };
-    let Some(model) = value.get("model").and_then(Value::as_str) else {
-        return GwServed::plain(400, http::error_body("missing \"model\""));
-    };
-    // Inline-forcings requests have no table name; they hash by model
-    // alone so repeats still pin to one backend's hot tier.
-    let table = value
-        .get("forcings_ref")
-        .and_then(Value::as_str)
-        .unwrap_or("(inline)");
-    let key = Ring::key(model, table);
-    let header = ctx.header_value();
-    let mut tried = 0u32;
-    for b in shared.ring.preference(&key) {
-        let b = b as usize;
-        let Some(addr) = shared.slots[b].addr() else {
-            continue;
+        let Some(model) = value.get("model").and_then(Value::as_str) else {
+            return Served::error(400, "missing \"model\"");
         };
-        if tried > 0 {
-            shared.metrics.failovers.inc();
-        }
-        tried += 1;
-        let t0 = Instant::now();
-        match pool.exchange(b, addr, "POST", "/simulate", &req.body, Some(&header)) {
-            Ok(resp) => {
-                shared.metrics.proxied.inc();
-                let mut served = GwServed::relayed(resp, b, t0.elapsed().as_micros() as u64);
-                served.model = model.to_string();
-                served.table = table.to_string();
-                return served;
+        let table = match table_of(&value) {
+            Ok(t) => t,
+            Err(msg) => return Served::error(400, msg),
+        };
+        let key = Ring::key(model, &table);
+        let header = ctx.header_value();
+        let mut tried = 0u32;
+        for b in self.ring.preference(&key) {
+            let b = b as usize;
+            if !self.slots[b].is_alive() {
+                continue;
             }
-            Err(_) => mark_backend_down(shared, b),
+            if tried > 0 {
+                self.metrics.failovers.inc();
+            }
+            tried += 1;
+            if let Some(served) = self.relay(pool, b, "POST", path, &req.body, &header) {
+                self.metrics.proxied.inc();
+                return served.tagged(model, &table);
+            }
         }
+        Served::error(503, "no live backend").tagged(model, &table)
     }
-    let mut served = GwServed::plain(503, http::error_body("no live backend"));
-    served.model = model.to_string();
-    served.table = table.to_string();
-    served
-}
 
-fn mark_backend_down(shared: &GwShared, b: usize) {
-    shared.slots[b].mark_down();
-    shared.metrics.backend_down.inc();
-    gmr_obsv::emit(Event::Backend {
-        idx: b as u32,
-        addr: shared.slots[b]
-            .addr_any()
-            .map(|a| a.to_string())
-            .unwrap_or_default(),
-        state: "down",
-        restarts: 0,
-    });
+    fn mark_backend_down(&self, b: usize) {
+        self.slots[b].mark_down();
+        self.metrics.backend_down.inc();
+        gmr_obsv::emit(Event::Backend {
+            idx: b as u32,
+            addr: self.slots[b]
+                .addr_any()
+                .map(|a| a.to_string())
+                .unwrap_or_default(),
+            state: "down",
+            restarts: 0,
+        });
+    }
 }
 
 /// The availability objective behind the `/metrics` burn rate: 99% of
@@ -937,111 +550,116 @@ fn histogram_summary(h: &Histogram) -> String {
     quantile_summary(&sparse, h.count())
 }
 
-/// The cluster `/metrics` view: the gateway's own registry under
-/// `"gateway"` (kept distinct from the fleet so its counters can't be
-/// conflated with summed backend ones), a `"rollup"` object summing every
-/// backend's numeric fields ([`gmr_json::sum_numeric`]), a `"latency"`
-/// section with per-route/per-backend quantiles plus the fleet-merged
-/// `serve.latency_us` (bucket-level merge — `sum_numeric` skips nested
-/// objects by design, so histograms are merged here explicitly), an
-/// `"slo"` section, and a `"backends"` array with each backend's liveness
-/// and verbatim snapshot.
-fn rollup_metrics(shared: &GwShared, pool: &mut BackendPool) -> Vec<u8> {
-    let mut body = String::from("{\"gateway\": ");
-    body.push_str(&snapshot_json(&shared.metrics.registry.snapshot()));
-    body.push_str(", ");
-    let mut snapshots: Vec<Option<Value>> = Vec::with_capacity(shared.slots.len());
-    for (b, slot) in shared.slots.iter().enumerate() {
-        let snap = slot.addr().and_then(|addr| {
-            let resp = pool.exchange(b, addr, "GET", "/metrics", b"", None).ok()?;
-            gmr_json::parse(std::str::from_utf8(&resp.body).ok()?).ok()
-        });
-        snapshots.push(snap);
-    }
-    let rollup = gmr_json::sum_numeric(snapshots.iter().flatten());
-    body.push_str("\"rollup\": ");
-    gmr_json::push_value(&mut body, &rollup);
+impl Proxy {
+    /// The cluster `/metrics` view: the gateway's own registry under
+    /// `"gateway"` (kept distinct from the fleet so its counters can't be
+    /// conflated with summed backend ones), a `"rollup"` object summing every
+    /// backend's numeric fields ([`gmr_json::sum_numeric`]), a `"latency"`
+    /// section with per-route/per-backend quantiles plus the fleet-merged
+    /// `serve.latency_us` (bucket-level merge — `sum_numeric` skips nested
+    /// objects by design, so histograms are merged here explicitly), an
+    /// `"slo"` section, and a `"backends"` array with each backend's liveness
+    /// and verbatim snapshot.
+    fn rollup_metrics(&self, pool: &mut Pool) -> Vec<u8> {
+        let mut body = String::from("{\"gateway\": ");
+        body.push_str(&snapshot_json(&self.metrics.registry.snapshot()));
+        body.push_str(", ");
+        let mut snapshots: Vec<Option<Value>> = Vec::with_capacity(self.slots.len());
+        for (b, slot) in self.slots.iter().enumerate() {
+            let snap = slot.addr().and_then(|addr| {
+                let resp = self
+                    .client(pool, b, addr)
+                    .request("GET", "/metrics", b"")
+                    .ok()?;
+                gmr_json::parse(std::str::from_utf8(&resp.body).ok()?).ok()
+            });
+            snapshots.push(snap);
+        }
+        let rollup = gmr_json::sum_numeric(snapshots.iter().flatten());
+        body.push_str("\"rollup\": ");
+        gmr_json::push_value(&mut body, &rollup);
 
-    body.push_str(", \"latency\": {\"routes\": {");
-    for (i, tag) in ROUTE_TAGS.iter().enumerate() {
-        if i > 0 {
-            body.push_str(", ");
+        body.push_str(", \"latency\": {\"routes\": {");
+        for (i, tag) in LABELS.routes.iter().enumerate() {
+            if i > 0 {
+                body.push_str(", ");
+            }
+            gmr_json::push_escaped(&mut body, tag);
+            body.push_str(": ");
+            body.push_str(&histogram_summary(&self.metrics.conn.route_latency[i]));
         }
-        gmr_json::push_escaped(&mut body, tag);
-        body.push_str(": ");
-        body.push_str(&histogram_summary(&shared.metrics.route_latency[i]));
-    }
-    body.push_str("}, \"backends\": {");
-    for (b, h) in shared.metrics.backend_latency.iter().enumerate() {
-        if b > 0 {
-            body.push_str(", ");
+        body.push_str("}, \"backends\": {");
+        for (b, h) in self.metrics.backend_latency.iter().enumerate() {
+            if b > 0 {
+                body.push_str(", ");
+            }
+            body.push_str(&format!("\"{b}\": "));
+            body.push_str(&histogram_summary(h));
         }
-        body.push_str(&format!("\"{b}\": "));
-        body.push_str(&histogram_summary(h));
-    }
-    // Fleet view of backend service latency: merge each backend's
-    // `serve.latency_us` buckets, then take quantiles over the merge.
-    let mut fleet: Vec<(usize, u64)> = Vec::new();
-    let mut fleet_count = 0u64;
-    for snap in snapshots.iter().flatten() {
-        let Some(h) = snap.get("serve.latency_us") else {
-            continue;
-        };
-        fleet_count += h.get("count").and_then(Value::as_u64).unwrap_or(0);
-        let pairs: Vec<(usize, u64)> = h
-            .get("buckets")
-            .and_then(Value::as_arr)
-            .map(|arr| {
-                arr.iter()
-                    .filter_map(|p| {
-                        let p = p.as_arr()?;
-                        Some((p.first()?.as_u64()? as usize, p.get(1)?.as_u64()?))
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        merge_buckets(&mut fleet, &pairs);
-    }
-    body.push_str("}, \"fleet\": ");
-    body.push_str(&quantile_summary(&fleet, fleet_count));
-    body.push('}');
-
-    let good = shared.metrics.slo_good.get();
-    let total = shared.metrics.slo_total.get();
-    let bad_frac = if total == 0 {
-        0.0
-    } else {
-        (total - good) as f64 / total as f64
-    };
-    body.push_str(&format!(
-        ", \"slo\": {{\"target_ms\": {}, \"good\": {good}, \"total\": {total}, \"burn_rate\": ",
-        shared.config.slo_target_ms
-    ));
-    gmr_json::push_f64(&mut body, bad_frac / (1.0 - SLO_OBJECTIVE));
-    body.push('}');
-
-    body.push_str(", \"backends\": [");
-    for (b, slot) in shared.slots.iter().enumerate() {
-        if b > 0 {
-            body.push_str(", ");
+        // Fleet view of backend service latency: merge each backend's
+        // `serve.latency_us` buckets, then take quantiles over the merge.
+        let mut fleet: Vec<(usize, u64)> = Vec::new();
+        let mut fleet_count = 0u64;
+        for snap in snapshots.iter().flatten() {
+            let Some(h) = snap.get("serve.latency_us") else {
+                continue;
+            };
+            fleet_count += h.get("count").and_then(Value::as_u64).unwrap_or(0);
+            let pairs: Vec<(usize, u64)> = h
+                .get("buckets")
+                .and_then(Value::as_arr)
+                .map(|arr| {
+                    arr.iter()
+                        .filter_map(|p| {
+                            let p = p.as_arr()?;
+                            Some((p.first()?.as_u64()? as usize, p.get(1)?.as_u64()?))
+                        })
+                        .collect()
+                })
+                .unwrap_or_default();
+            merge_buckets(&mut fleet, &pairs);
         }
-        body.push_str(&format!(
-            "{{\"idx\": {b}, \"alive\": {}, \"addr\": ",
-            slot.is_alive()
-        ));
-        gmr_json::push_escaped(
-            &mut body,
-            &slot.addr_any().map(|a| a.to_string()).unwrap_or_default(),
-        );
-        body.push_str(", \"metrics\": ");
-        match &snapshots[b] {
-            Some(v) => gmr_json::push_value(&mut body, v),
-            None => body.push_str("null"),
-        }
+        body.push_str("}, \"fleet\": ");
+        body.push_str(&quantile_summary(&fleet, fleet_count));
         body.push('}');
+
+        let good = self.metrics.slo_good.get();
+        let total = self.metrics.slo_total.get();
+        let bad_frac = if total == 0 {
+            0.0
+        } else {
+            (total - good) as f64 / total as f64
+        };
+        body.push_str(&format!(
+            ", \"slo\": {{\"target_ms\": {}, \"good\": {good}, \"total\": {total}, \"burn_rate\": ",
+            self.slo_target_ms
+        ));
+        gmr_json::push_f64(&mut body, bad_frac / (1.0 - SLO_OBJECTIVE));
+        body.push('}');
+
+        body.push_str(", \"backends\": [");
+        for (b, slot) in self.slots.iter().enumerate() {
+            if b > 0 {
+                body.push_str(", ");
+            }
+            body.push_str(&format!(
+                "{{\"idx\": {b}, \"alive\": {}, \"addr\": ",
+                slot.is_alive()
+            ));
+            gmr_json::push_escaped(
+                &mut body,
+                &slot.addr_any().map(|a| a.to_string()).unwrap_or_default(),
+            );
+            body.push_str(", \"metrics\": ");
+            match &snapshots[b] {
+                Some(v) => gmr_json::push_value(&mut body, v),
+                None => body.push_str("null"),
+            }
+            body.push('}');
+        }
+        body.push_str("]}");
+        body.into_bytes()
     }
-    body.push_str("]}");
-    body.into_bytes()
 }
 
 #[cfg(test)]

@@ -1,19 +1,25 @@
 //! A deliberately small HTTP/1.1 implementation on `std::io`.
 //!
-//! The build environment has no crates.io access, so the server speaks
+//! The build environment has no crates.io access, so the crate speaks
 //! the protocol subset its endpoints need and nothing more: request-line,
 //! headers and `Content-Length`-framed bodies in; status-line, headers
 //! and `Content-Length`-framed bodies out; `keep-alive` connection reuse.
 //! No chunked transfer encoding, no continuation lines, no pipelining
 //! guarantees beyond strict request/response alternation — clients that
-//! need more are out of scope for a model-inference sidecar.
+//! need more are out of scope for a model-inference sidecar. This module
+//! is the server side; the client side is [`crate::client`], which reads
+//! response heads through the same line reader.
 //!
-//! Size limits are enforced while *reading* (a client cannot balloon
-//! memory by declaring a huge `Content-Length`), and every malformed
-//! input is an [`HttpError::Malformed`] the caller maps to `400` rather
-//! than a dropped connection.
+//! Size limits are enforced while *reading*: each head line is read
+//! through [`Read::take`], so an endless line costs at most
+//! [`MAX_HEAD_BYTES`] + 1 bytes before it is refused, and a declared
+//! `Content-Length` above [`MAX_BODY_BYTES`] is refused before any body
+//! byte is read. Every malformed input — non-UTF-8 head bytes and
+//! conflicting `Content-Length` headers included — is an
+//! [`HttpError::Malformed`] the caller maps to `400` rather than a
+//! dropped connection.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Maximum accepted header block (request line + headers), bytes.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -60,6 +66,13 @@ impl Request {
             .map(|(_, v)| v.as_str())
     }
 
+    /// The body parsed as JSON; `Err` carries the message a `400`
+    /// answers with.
+    pub fn json(&self) -> Result<gmr_json::Value, String> {
+        let text = std::str::from_utf8(&self.body).map_err(|_| "body is not UTF-8")?;
+        gmr_json::parse(text).map_err(|e| format!("invalid JSON: {e}"))
+    }
+
     /// Whether the client asked to close the connection after this
     /// exchange (HTTP/1.1 defaults to keep-alive).
     pub fn wants_close(&self) -> bool {
@@ -69,26 +82,43 @@ impl Request {
     }
 }
 
+/// Read one head line, through its `\n`, into `buf` and return it with
+/// the line ending trimmed; `Ok(None)` at EOF before any byte. The line
+/// is charged to `head`, and at most the bytes left under
+/// [`MAX_HEAD_BYTES`] plus one are read, so an over-long line is refused
+/// without being buffered whole.
+pub(crate) fn read_head_line<'b>(
+    stream: &mut impl BufRead,
+    head: &mut usize,
+    buf: &'b mut Vec<u8>,
+) -> Result<Option<&'b str>, HttpError> {
+    buf.clear();
+    let room = (MAX_HEAD_BYTES + 1).saturating_sub(*head) as u64;
+    let n = Read::take(&mut *stream, room).read_until(b'\n', buf)?;
+    if n == 0 {
+        return Ok(None);
+    }
+    *head += n;
+    if *head > MAX_HEAD_BYTES {
+        return Err(HttpError::Malformed("request head too large"));
+    }
+    let line =
+        std::str::from_utf8(buf).map_err(|_| HttpError::Malformed("request head is not UTF-8"))?;
+    Ok(Some(line.trim_end_matches(['\r', '\n'])))
+}
+
 /// Read one request from a buffered stream. `Ok(None)` means the client
 /// closed the connection cleanly between requests (normal keep-alive
 /// termination).
 pub fn read_request(stream: &mut impl BufRead) -> Result<Option<Request>, HttpError> {
     let mut head = 0usize;
-    let mut line = String::new();
-    // Request line; tolerate one leading CRLF (robust clients send them).
+    let mut line = Vec::new();
+    // Request line; tolerate leading blank lines (robust clients send them).
     let request_line = loop {
-        line.clear();
-        let n = stream.read_line(&mut line)?;
-        if n == 0 {
-            return Ok(None);
-        }
-        head += n;
-        if head > MAX_HEAD_BYTES {
-            return Err(HttpError::Malformed("request head too large"));
-        }
-        let t = line.trim_end_matches(['\r', '\n']);
-        if !t.is_empty() {
-            break t.to_string();
+        match read_head_line(stream, &mut head, &mut line)? {
+            None => return Ok(None),
+            Some("") => continue,
+            Some(t) => break t.to_string(),
         }
     };
     let mut parts = request_line.split_whitespace();
@@ -103,18 +133,11 @@ pub fn read_request(stream: &mut impl BufRead) -> Result<Option<Request>, HttpEr
     let path = path.to_string();
 
     let mut headers = Vec::new();
-    let mut content_length = 0usize;
+    let mut content_length = None;
     loop {
-        line.clear();
-        let n = stream.read_line(&mut line)?;
-        if n == 0 {
+        let Some(t) = read_head_line(stream, &mut head, &mut line)? else {
             return Err(HttpError::Malformed("connection closed mid-headers"));
-        }
-        head += n;
-        if head > MAX_HEAD_BYTES {
-            return Err(HttpError::Malformed("request head too large"));
-        }
-        let t = line.trim_end_matches(['\r', '\n']);
+        };
         if t.is_empty() {
             break;
         }
@@ -124,12 +147,17 @@ pub fn read_request(stream: &mut impl BufRead) -> Result<Option<Request>, HttpEr
         let name = name.trim().to_ascii_lowercase();
         let value = value.trim().to_string();
         if name == "content-length" {
-            content_length = value
+            let n = value
                 .parse::<usize>()
                 .map_err(|_| HttpError::Malformed("bad content-length"))?;
-            if content_length > MAX_BODY_BYTES {
+            if n > MAX_BODY_BYTES {
                 return Err(HttpError::Malformed("body too large"));
             }
+            // RFC 9112 §6.3: differing lengths make the framing ambiguous.
+            if content_length.is_some_and(|c| c != n) {
+                return Err(HttpError::Malformed("conflicting content-length"));
+            }
+            content_length = Some(n);
         }
         if name == "transfer-encoding" {
             return Err(HttpError::Malformed("chunked bodies not supported"));
@@ -137,9 +165,9 @@ pub fn read_request(stream: &mut impl BufRead) -> Result<Option<Request>, HttpEr
         headers.push((name, value));
     }
 
-    let mut body = vec![0u8; content_length];
-    if content_length > 0 {
-        io::Read::read_exact(stream, &mut body)?;
+    let mut body = vec![0u8; content_length.unwrap_or(0)];
+    if !body.is_empty() {
+        stream.read_exact(&mut body)?;
     }
     Ok(Some(Request {
         method,
@@ -174,26 +202,14 @@ pub fn write_response(
     body: &[u8],
     close: bool,
 ) -> io::Result<()> {
-    write_response_retry(stream, code, content_type, body, close, None)
+    write_response_traced(stream, code, content_type, body, close, None, None)
 }
 
-/// [`write_response`] with an explicit `Retry-After` value: the gateway
-/// uses this to propagate a backend's retry hint verbatim instead of
-/// substituting its own. `None` keeps the default (1 s on any 429).
-pub fn write_response_retry(
-    stream: &mut impl Write,
-    code: u16,
-    content_type: &str,
-    body: &[u8],
-    close: bool,
-    retry_after: Option<u64>,
-) -> io::Result<()> {
-    write_response_traced(stream, code, content_type, body, close, retry_after, None)
-}
-
-/// [`write_response_retry`] with an optional `X-Gmr-Trace` echo: the
-/// server and gateway return the trace context they served under, so a
-/// client can grep the journals for its own request.
+/// [`write_response`] with an explicit `Retry-After` value (the gateway
+/// relays a backend's retry hint verbatim; `None` keeps the default, 1 s
+/// on any 429) and an optional `X-Gmr-Trace` echo: the server and gateway
+/// return the trace context they served under, so a client can grep the
+/// journals for its own request.
 pub fn write_response_traced(
     stream: &mut impl Write,
     code: u16,
@@ -272,6 +288,52 @@ mod tests {
             read_request(&mut r),
             Err(HttpError::Malformed("unsupported HTTP version"))
         ));
+    }
+
+    /// An endless request line is refused after at most
+    /// `MAX_HEAD_BYTES + 1` bytes, not buffered whole.
+    #[test]
+    fn endless_head_line_reads_at_most_the_head_limit() {
+        let line = vec![b'A'; 4 << 20];
+        let mut r = &line[..];
+        assert!(matches!(
+            read_request(&mut r),
+            Err(HttpError::Malformed("request head too large"))
+        ));
+        let consumed = line.len() - r.len();
+        assert!(
+            consumed <= MAX_HEAD_BYTES + 1,
+            "read {consumed} bytes of an endless line"
+        );
+    }
+
+    /// Non-UTF-8 head bytes are a malformed request (a `400`), not a
+    /// transport error that drops the connection without an answer.
+    #[test]
+    fn non_utf8_head_is_malformed() {
+        for raw in [
+            &b"GET /\xff HTTP/1.1\r\n\r\n"[..],
+            &b"GET / HTTP/1.1\r\nX-Bad: \xc3\x28\r\n\r\n"[..],
+        ] {
+            let mut r = raw;
+            assert!(
+                matches!(read_request(&mut r), Err(HttpError::Malformed(_))),
+                "{raw:?}"
+            );
+        }
+    }
+
+    /// Two `Content-Length` headers that disagree are refused (RFC 9112
+    /// §6.3); repeating the same value is harmless.
+    #[test]
+    fn conflicting_content_lengths_are_malformed() {
+        let mut r = &b"POST / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 5\r\n\r\nabcde"[..];
+        assert!(matches!(
+            read_request(&mut r),
+            Err(HttpError::Malformed("conflicting content-length"))
+        ));
+        let mut r = &b"POST / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nab"[..];
+        assert_eq!(read_request(&mut r).unwrap().unwrap().body, b"ab");
     }
 
     #[test]

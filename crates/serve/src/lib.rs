@@ -20,17 +20,24 @@
 //!   the compiled system behind an `Arc` exactly like `gp::Phenotype`.
 //! * [`server`] — an HTTP/1.1 server hand-rolled on `std::net` (the
 //!   build environment has no crates.io access — same constraint that
-//!   produced `compat/`): a fixed worker pool, bounded accept/simulation
-//!   queues with explicit `429` load-shedding, request batching that
-//!   coalesces concurrent simulations of one model into a single columnar
-//!   sweep (see [`batch`]), graceful drain on SIGTERM, and the
-//!   `/healthz`, `/models`, `/simulate`, `/metrics` endpoints.
+//!   produced `compat/`): bounded simulation queue with explicit `429`
+//!   load-shedding, request batching that coalesces concurrent
+//!   simulations of one model into a single columnar sweep (see
+//!   [`batch`]), and the `/healthz`, `/models`, `/simulate`, `/metrics`
+//!   endpoints.
+//!
+//! Under the server sit the HTTP pieces it shares with the gateway:
+//! [`http`] (request framing, with size limits enforced while reading),
+//! a private connection runtime (`runtime.rs`: the acceptor, the bounded
+//! connection queue with its `429` at the door, the worker pool,
+//! keep-alive with an idle and per-request time budget, graceful drain),
+//! and [`client`], the one HTTP client.
 //!
 //! Everything is `std`-only; JSON goes through the shared [`gmr_json`]
 //! crate, whose shortest-round-trip float rendering is what makes the
 //! "served responses are bit-identical to in-process evaluation" contract
 //! (pinned by `tests/server.rs`) possible over a text protocol.
-
+//!
 //! A fourth layer shards the stack horizontally:
 //!
 //! * [`cluster`] + [`gateway`] — `gmr-serve cluster` supervises N backend
@@ -38,7 +45,8 @@
 //!   consistent-hash routing gateway that keeps each (model, table) pair
 //!   pinned to one backend — so every backend's hot tier and prefix
 //!   caches only hold its shard — while preserving the bounded-queue/429
-//!   discipline end to end.
+//!   discipline end to end. The gateway is a second service on the same
+//!   connection runtime, and reaches backends through [`client`].
 //!
 //! And a fifth serves what-if studies instead of single trajectories:
 //!
@@ -52,10 +60,12 @@
 
 pub mod artifact;
 pub mod batch;
+pub mod client;
 pub mod cluster;
 pub mod gateway;
 pub mod http;
 pub mod registry;
+mod runtime;
 pub mod scenario;
 pub mod server;
 pub mod sig;
