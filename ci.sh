@@ -33,6 +33,9 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test --workspace -q
 
+echo "==> perfbench builds against the workspace crates and its tests pass"
+cargo test --release --manifest-path perfbench/Cargo.toml -q
+
 echo "==> determinism with observability compiled out"
 cargo test -q -p gmr-gp --no-default-features --test determinism --test obsv_determinism
 
@@ -63,7 +66,7 @@ cargo run --release -q -p gmr-bench --bin bench_engine -- --validate results/BEN
 cargo run --release -q -p gmr-bench --bin bench_serve -- --validate results/BENCH_serve.json
 cargo run --release -q -p gmr-bench --bin bench_scenario -- --validate results/BENCH_scenario.json
 
-echo "==> bench_vm smoke, scalar build (tier bit-identity + per-tier floors)"
+echo "==> bench_vm smoke, scalar build (bit-identity to the interpreter + speedup-vs-interpreter floors)"
 cargo run --release -q -p gmr-bench --bin bench_vm -- --quick --out BENCH_vm.json
 cargo run --release -q -p gmr-bench --bin bench_vm -- --validate BENCH_vm.json
 

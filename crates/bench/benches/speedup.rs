@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use gmr_bio::manual::manual_system;
 use gmr_bio::RiverProblem;
-use gmr_expr::{simplify, CompiledSystem, OptOptions};
+use gmr_expr::{simplify, CompiledSystem, Tier};
 use gmr_gp::cache::{CachedFitness, TreeCache};
 use gmr_hydro::{generate, SyntheticConfig};
 use std::hint::black_box;
@@ -23,7 +23,7 @@ fn problem() -> RiverProblem {
 fn bench_simulation(c: &mut Criterion) {
     let p = problem();
     let eqs = manual_system();
-    let compiled = CompiledSystem::compile(&eqs, OptOptions::full());
+    let compiled = CompiledSystem::compile(&eqs, Tier::Threaded);
 
     let mut g = c.benchmark_group("simulation");
     g.bench_function("interpreted", |b| {
@@ -33,7 +33,7 @@ fn bench_simulation(c: &mut Criterion) {
         b.iter(|| black_box(p.simulate_compiled(black_box(&compiled))))
     });
     g.bench_function("compile_cost", |b| {
-        b.iter(|| black_box(CompiledSystem::compile(black_box(&eqs), OptOptions::full())))
+        b.iter(|| black_box(CompiledSystem::compile(black_box(&eqs), Tier::Threaded)))
     });
     g.finish();
 }

@@ -4,7 +4,7 @@
 //! Usage:
 //!
 //! ```sh
-//! cargo run --release -p gmr-bench --bin bench_engine -- [--quick] [--out PATH]
+//! cargo run --release -p gmr-bench --bin bench_engine -- [--quick] [--out PATH] [--journal PATH]
 //! cargo run --release -p gmr-bench --bin bench_engine -- --validate PATH
 //! ```
 //!
@@ -38,6 +38,7 @@
 //! overhead within 2%. `--journal PATH` flushes the run journal to
 //! `gmr-journal/v1` JSONL for `gmr-trace`.
 
+use gmr_bench::cli;
 use gmr_expr::EvalContext;
 use gmr_gp::{Engine, Evaluator, GpConfig, ParamPriors, Phenotype, PoolStats};
 use gmr_tag::grammar::test_fixtures::tiny_grammar;
@@ -359,13 +360,17 @@ fn validate(src: &str) -> Vec<String> {
     errs
 }
 
+/// The arguments part of the usage line.
+const USAGE: &str =
+    "[--quick] [--out PATH] [--journal PATH] [--validate PATH] [--quiet | -q] [-v | --verbose]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--validate") {
-        let path = args.get(i + 1).map(String::as_str).unwrap_or_else(|| {
-            eprintln!("--validate requires a file path");
-            std::process::exit(2);
-        });
+    let args = cli::BenchArgs::from_env(
+        USAGE,
+        &["--validate", "--out", "--journal"],
+        &["--quick", "--quiet", "-q", "-v", "--verbose"],
+    );
+    if let Some(path) = args.value("--validate") {
         let src = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("cannot read {path}: {e}");
             std::process::exit(2);
@@ -381,23 +386,15 @@ fn main() {
         std::process::exit(1);
     }
 
-    let w = if args.iter().any(|a| a == "--quick") {
+    let w = if args.has("--quick") {
         Workload::quick()
     } else {
         Workload::default_scale()
     };
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("BENCH_engine.json");
-    let journal_path = args
-        .iter()
-        .position(|a| a == "--journal")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    gmr_obsv::log::set_level(gmr_obsv::log::level_from_args(&args));
+    let out_path = args.value("--out").unwrap_or("BENCH_engine.json");
+    let journal_path = args.value("--journal");
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    gmr_obsv::log::set_level(gmr_obsv::log::level_from_args(&argv));
 
     gmr_obsv::info!(
         "bench_engine: scale={} pop={} gen={} cases={} sleep={}us threads={THREAD_COUNTS:?}",
@@ -499,7 +496,7 @@ fn main() {
     });
     gmr_obsv::info!("wrote {out_path} (speedup_threads4 = {speedup_t4:.2}x)");
 
-    if let Some(path) = &journal_path {
+    if let Some(path) = journal_path {
         match gmr_obsv::write_jsonl(path) {
             Ok(()) => gmr_obsv::info!("wrote journal {path} ({journal_events} events)"),
             Err(e) => {

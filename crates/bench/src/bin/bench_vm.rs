@@ -11,86 +11,85 @@
 //! cargo run --release -p gmr-bench --features simd --bin bench_vm
 //! ```
 //!
-//! Six tiers of the same simulation are timed on the Table V expert model
+//! Five rows of the same simulation are timed on the Table V expert model
 //! and three hand-authored "evolved elite" revisions of it (the shapes the
 //! GP engine actually produces: an added state-independent flux, a
 //! multiplicative modulation, a coupled second equation):
 //!
-//! * `naive_stack` — one stack-bytecode program per equation, no
-//!   cross-equation sharing (the historical `CompiledExpr` path);
-//! * `register`    — whole-system register VM: constant folding, peephole
-//!   identities, cross-equation CSE, linear-scan registers;
-//! * `fused`       — plus the fixed superinstruction set (`VarBin`,
-//!   `ConstBin`, `MulSub`);
-//! * `split`       — plus the state-independent prefix hoisted out of the
-//!   sequential loop and swept columnar in 32-lane chunks;
-//! * `threaded`    — the split pipeline compiled to threaded code
-//!   (monomorphized fn-pointer thunks instead of match dispatch);
-//! * `simd`        — threaded code plus AVX2+FMA kernels; its fast
+//! * `interp`     — the tree-walking interpreter (`RiverProblem::simulate`),
+//!   the paper's no-runtime-compilation case and the baseline every
+//!   speedup is relative to; its `instrs_per_step` is the two trees' node
+//!   count;
+//! * `threaded`   — the whole-system register VM (constant folding,
+//!   peephole identities, cross-equation CSE, the fixed superinstruction
+//!   set, the state-independent prefix swept columnar in 32-lane chunks)
+//!   running its core as threaded code;
+//! * `simd`       — the same bytecode with AVX2+FMA kernels; its fast
 //!   transcendentals are *relaxed* fidelity (~1e-13 relative error), so it
 //!   is validated against a trajectory tolerance instead of bit-equality.
 //!
-//! Two **batch rows** per model (`split_batch`, `simd_batch`) time 32
-//! lock-step trajectories through a shared-table `LaneSession` — one core
-//! dispatch per step for all lanes over the SoA lane kernels, the
-//! state-independent prefix computed once and shared — in per-trajectory
-//! steps/sec. That is the unit of work of the batching server's coalesced
-//! sweeps, and where the SoA-SIMD backend pays off fully: every lane is an
-//! independent trajectory, so per-trajectory cost drops by the width of
-//! the stripe. Every row, the naive one included, integrates through
-//! `gmr_bio::euler`, the loop the search and the server run.
+//! Two **batch rows** per model (`batch`, `simd_batch`) time 32 lock-step
+//! trajectories through a shared-table `LaneSession` — one core dispatch
+//! per step for all lanes over the SoA lane kernels, the state-independent
+//! prefix computed once and shared — in per-trajectory steps/sec. That is
+//! the unit of work of the batching server's coalesced sweeps, and where
+//! the SoA-SIMD backend pays off fully: every lane is an independent
+//! trajectory, so per-trajectory cost drops by the width of the stripe.
+//! Every row integrates through `gmr_bio::euler`, the loop the search and
+//! the server run.
 //!
-//! Every **bit-exact** tier must produce a `==`-identical B_Phy trajectory
+//! Every **bit-exact** row must produce a `==`-identical B_Phy trajectory
 //! to the tree interpreter — checked on every run, not just in the test
 //! suite. A live `simd` tier (feature compiled in, AVX2+FMA detected)
 //! reports `"fidelity": "relaxed-simd"` and its observed `max_rel_err`
 //! against the interpreter trajectory, gated at [`REL_TOL`].
 //!
 //! `--validate` strict-parses an emitted JSON file with `gmr_json` and
-//! enforces the acceptance gates: schema tag, equivalence flags, per-tier
-//! speedup floors on **all** pinned models, the historical 1.5x split
-//! gate, and — when the file was produced with the vector kernels live —
-//! the headline targets: best tier at least 10x naive on the Table V
-//! model and at least 2x the split tier on every model.
+//! enforces the acceptance gates: schema tag, equivalence flags, per-row
+//! speedup floors on **all** pinned models, and — when the file was
+//! produced with the vector kernels live — the headline targets: best row
+//! at least 12.6x the interpreter on the Table V model and at least 2x the
+//! solo `threaded` tier on every model.
 
+use gmr_bench::cli;
 use gmr_bio::{euler, manual, name_table, RiverProblem};
-use gmr_expr::{
-    parse, CompiledExpr, CompiledSystem, EvalContext, Expr, Fidelity, LaneForcing, Tier, LANES,
-};
+use gmr_expr::{parse, CompiledSystem, Expr, Fidelity, LaneForcing, Tier, LANES};
 use gmr_hydro::{generate, SyntheticConfig};
 use gmr_json::{push_escaped, push_f64, Value};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-const SCHEMA: &str = "gmr-bench-vm/v2";
+const SCHEMA: &str = "gmr-bench-vm/v3";
 
 /// Trajectory tolerance for relaxed-fidelity tiers: max relative error of
 /// B_Phy vs the interpreter, pointwise over the whole simulation.
 const REL_TOL: f64 = 1e-6;
 
-/// Historical gate: the split tier on the Table V model.
-const MIN_SPEEDUP_SPLIT: f64 = 1.5;
+/// The compiled rows after the `interp` baseline: name, tier, and whether
+/// the row runs [`LANES`] lock-step trajectories through a `LaneSession`
+/// (the workload of the batching server and of lane-striped population
+/// evaluation, timed in per-trajectory steps/sec).
+const ROWS: [(&str, Tier, bool); 4] = [
+    ("threaded", Tier::Threaded, false),
+    ("simd", Tier::Simd, false),
+    ("batch", Tier::Threaded, true),
+    ("simd_batch", Tier::Simd, true),
+];
 
-/// Per-tier speedup-vs-naive floors, enforced on **every** pinned model.
-/// Deliberately below observed numbers: CI machines are noisy, and a
-/// regression that halves a tier still trips these. The `*_batch` rows
-/// are [`LANES`] lock-step trajectories through a `LaneSession` — the
-/// workload of the batching server and of lane-striped population
-/// evaluation — timed in per-trajectory steps/sec.
-const TIER_FLOORS: [(&str, f64); 7] = [
-    ("register", 0.6),
-    ("fused", 0.7),
-    ("split", 1.2),
-    ("threaded", 1.3),
-    ("simd", 1.3),
-    ("split_batch", 3.0),
-    ("simd_batch", 3.0),
+/// Per-row speedup-vs-interpreter floors, enforced on **every** pinned
+/// model. Deliberately below observed numbers: CI machines are noisy, and
+/// a regression that halves a row still trips these.
+const TIER_FLOORS: [(&str, f64); 4] = [
+    ("threaded", 1.7),
+    ("simd", 1.7),
+    ("batch", 3.8),
+    ("simd_batch", 3.8),
 ];
 
 /// Headline gates, applied only when the emitting build had the AVX2
 /// kernels live (`"simd_active": true`).
-const MIN_BEST_TABLE_V_SIMD: f64 = 10.0;
-const MIN_BEST_VS_SPLIT_SIMD: f64 = 2.0;
+const MIN_BEST_TABLE_V_SIMD: f64 = 12.6;
+const MIN_BEST_VS_THREADED_SIMD: f64 = 2.0;
 
 const MODEL_NAMES: [&str; 4] = [
     "table_v_manual",
@@ -173,35 +172,14 @@ fn problem(quick: bool) -> RiverProblem {
     RiverProblem::from_dataset(&ds, ds.train)
 }
 
-/// The naive-stack tier: one independently compiled stack program per
-/// equation, evaluated per step — the pre-register-VM shape of the runtime
-/// compilation technique — driven by the same integrator as every tier.
-fn simulate_naive(p: &RiverProblem, compiled: &[CompiledExpr; 2], out: &mut Vec<f64>) {
+/// The `interp` baseline: the tree-walking interpreter through the
+/// production integrator.
+fn simulate_interp(p: &RiverProblem, eqs: &[Expr; 2], out: &mut Vec<f64>) {
     out.clear();
-    let mut stack = Vec::new();
-    let rhs = |t: usize, state: &[f64], d: &mut [f64]| {
-        let ctx = EvalContext {
-            vars: &p.forcings[t],
-            state,
-        };
-        d[0] = compiled[0].eval_with(&ctx, &mut stack);
-        d[1] = compiled[1].eval_with(&ctx, &mut stack);
-    };
-    let o = &p.opts;
-    euler(
-        &[o.init],
-        p.num_cases(),
-        o.dt,
-        o.state_cap,
-        rhs,
-        |_, _, bphy, _| {
-            out.push(bphy);
-            true
-        },
-    );
+    out.extend(p.simulate(eqs));
 }
 
-/// All register-VM tiers run through the production path.
+/// The solo compiled rows run through the production path.
 fn simulate_vm(p: &RiverProblem, sys: &CompiledSystem, out: &mut Vec<f64>) {
     out.clear();
     out.extend(p.simulate_compiled(sys));
@@ -238,10 +216,9 @@ fn simulate_multi(p: &RiverProblem, sys: &CompiledSystem, out: &mut Vec<f64>) {
     );
 }
 
-/// Opcode dispatches one full simulation costs at a given tier. The split
-/// family dispatches each prefix instruction once per 32-lane *chunk* of
-/// the forcing table instead of once per row — that amortisation is the
-/// point.
+/// Opcode dispatches one full simulation costs for a compiled system: each
+/// prefix instruction dispatches once per 32-lane *chunk* of the forcing
+/// table instead of once per row — that amortisation is the point.
 fn dispatches(days: usize, sys: &CompiledSystem) -> u64 {
     let chunks = days.div_ceil(LANES);
     (days * sys.core_len() + chunks * sys.prefix_len()) as u64
@@ -265,12 +242,12 @@ struct TierResult {
     name: &'static str,
     fidelity: Fidelity,
     /// Straight-line instructions executed per Euler step (prefix counted
-    /// per-row, i.e. before chunk amortisation).
+    /// per-row, i.e. before chunk amortisation; tree nodes for `interp`).
     instrs_per_step: usize,
     /// Opcode dispatches per full simulation (prefix counted per-chunk).
     dispatch_per_sim: u64,
     steps_per_sec: f64,
-    speedup_vs_naive: f64,
+    speedup_vs_interp: f64,
     /// Observed max relative trajectory error vs the interpreter (exactly
     /// 0.0 for a bit-identical run).
     max_rel_err: f64,
@@ -280,9 +257,9 @@ struct ModelResult {
     name: &'static str,
     days: usize,
     tiers: Vec<TierResult>,
-    /// Every bit-exact tier reproduced the interpreter trajectory `==`.
+    /// Every bit-exact row reproduced the interpreter trajectory `==`.
     exact_identical: bool,
-    /// Every relaxed tier stayed within [`REL_TOL`].
+    /// Every relaxed row stayed within [`REL_TOL`].
     relaxed_in_tol: bool,
 }
 
@@ -305,77 +282,50 @@ fn bench_model(p: &RiverProblem, m: &Model, min_time: Duration) -> ModelResult {
     let days = p.num_cases();
     let reference = p.simulate(&m.eqs);
 
-    let naive = [
-        CompiledExpr::compile(&m.eqs[0]),
-        CompiledExpr::compile(&m.eqs[1]),
-    ];
-    let tiers_sys: Vec<CompiledSystem> = Tier::ALL
-        .iter()
-        .map(|t| CompiledSystem::compile(&m.eqs, t.options()))
-        .collect();
-
-    // Equivalence first: bit-exact tiers must match the interpreter `==`;
-    // a live relaxed tier must stay inside the trajectory tolerance.
-    let mut buf = Vec::with_capacity(days);
-    simulate_naive(p, &naive, &mut buf);
-    let mut exact_identical = buf == reference;
-    let mut relaxed_in_tol = true;
-    let mut errs = Vec::with_capacity(tiers_sys.len());
-    for sys in &tiers_sys {
-        simulate_vm(p, sys, &mut buf);
-        let err = max_rel_err(&buf, &reference);
-        match sys.fidelity() {
-            Fidelity::BitExact => exact_identical &= buf == reference,
-            Fidelity::RelaxedSimd => relaxed_in_tol &= err <= REL_TOL,
-        }
-        errs.push(err);
-    }
-
-    let naive_instrs = naive[0].len() + naive[1].len();
-    let naive_sps = time_sim(|out| simulate_naive(p, &naive, out), days, min_time);
+    let interp_instrs = m.eqs[0].size() + m.eqs[1].size();
+    let interp_sps = time_sim(|out| simulate_interp(p, &m.eqs, out), days, min_time);
     let mut tiers = vec![TierResult {
-        name: "naive_stack",
+        name: "interp",
         fidelity: Fidelity::BitExact,
-        instrs_per_step: naive_instrs,
-        dispatch_per_sim: (days * naive_instrs) as u64,
-        steps_per_sec: naive_sps,
-        speedup_vs_naive: 1.0,
+        instrs_per_step: interp_instrs,
+        dispatch_per_sim: (days * interp_instrs) as u64,
+        steps_per_sec: interp_sps,
+        speedup_vs_interp: 1.0,
         max_rel_err: 0.0,
     }];
-    for ((tier, sys), err) in Tier::ALL.iter().zip(&tiers_sys).zip(errs) {
-        let sps = time_sim(|out| simulate_vm(p, sys, out), days, min_time);
-        tiers.push(TierResult {
-            name: tier.name(),
-            fidelity: sys.fidelity(),
-            instrs_per_step: sys.core_len() + sys.prefix_len(),
-            dispatch_per_sim: dispatches(days, sys),
-            steps_per_sec: sps,
-            speedup_vs_naive: sps / naive_sps,
-            max_rel_err: err,
-        });
-    }
-
-    // Batched lane stepping: LANES lock-step trajectories, per-trajectory
-    // throughput. Lane 0 recomputes exactly the single-trajectory problem,
-    // so the same equivalence contract applies.
-    for (name, tier) in [("split_batch", Tier::Split), ("simd_batch", Tier::Simd)] {
-        let sys = CompiledSystem::compile(&m.eqs, tier.options());
-        simulate_multi(p, &sys, &mut buf);
+    let mut exact_identical = true;
+    let mut relaxed_in_tol = true;
+    for (name, tier, batch) in ROWS {
+        let sys = CompiledSystem::compile(&m.eqs, tier);
+        // A batch row's lane 0 recomputes exactly the single-trajectory
+        // problem, so one equivalence contract covers every row: bit-exact
+        // rows must match the interpreter `==`, a live relaxed row must
+        // stay inside the trajectory tolerance.
+        let sim = |out: &mut Vec<f64>| {
+            if batch {
+                simulate_multi(p, &sys, out)
+            } else {
+                simulate_vm(p, &sys, out)
+            }
+        };
+        let mut buf = Vec::with_capacity(days);
+        sim(&mut buf);
         let err = max_rel_err(&buf, &reference);
         match sys.fidelity() {
             Fidelity::BitExact => exact_identical &= buf == reference,
             Fidelity::RelaxedSimd => relaxed_in_tol &= err <= REL_TOL,
         }
-        let sps = time_sim(|out| simulate_multi(p, &sys, out), days, min_time) * LANES as f64;
+        let lanes = if batch { LANES } else { 1 };
+        let sps = time_sim(sim, days, min_time) * lanes as f64;
         tiers.push(TierResult {
             name,
             fidelity: sys.fidelity(),
             instrs_per_step: sys.core_len() + sys.prefix_len(),
-            // Dispatches are *shared* across the lanes — that sharing is
-            // the entire point of the batch rows.
+            // A batch row's dispatches are *shared* across the lanes —
+            // that sharing is the entire point of the batch rows.
             dispatch_per_sim: dispatches(days, &sys),
             steps_per_sec: sps,
-            speedup_vs_naive: sps / naive_sps,
+            speedup_vs_interp: sps / interp_sps,
             max_rel_err: err,
         });
     }
@@ -392,29 +342,35 @@ fn tier_speedup(r: &ModelResult, name: &str) -> f64 {
     r.tiers
         .iter()
         .find(|t| t.name == name)
-        .map(|t| t.speedup_vs_naive)
+        .map(|t| t.speedup_vs_interp)
         .unwrap_or(0.0)
 }
 
-/// Fastest tier's speedup-vs-naive for one model.
+/// Fastest row's speedup-vs-interpreter for one model.
 fn best_speedup(r: &ModelResult) -> f64 {
     r.tiers
         .iter()
-        .map(|t| t.speedup_vs_naive)
+        .map(|t| t.speedup_vs_interp)
         .fold(0.0, f64::max)
+}
+
+/// Worst-case headroom of the best row over the solo `threaded` tier
+/// (the same compiled program, dispatched one trajectory at a time),
+/// across all models.
+fn min_best_vs_threaded(results: &[ModelResult]) -> f64 {
+    results
+        .iter()
+        .map(|r| best_speedup(r) / tier_speedup(r, "threaded").max(1e-9))
+        .fold(f64::INFINITY, f64::min)
 }
 
 fn render_json(results: &[ModelResult], quick: bool) -> String {
     let exact_ok = results.iter().all(|r| r.exact_identical);
     let relaxed_ok = results.iter().all(|r| r.relaxed_in_tol);
-    let table_v = results.iter().find(|r| r.name == MODEL_NAMES[0]);
-    let split_table_v = table_v.map_or(0.0, |r| tier_speedup(r, "split"));
-    let best_table_v = table_v.map_or(0.0, best_speedup);
-    // Worst-case headroom of the best tier over split, across all models.
-    let min_best_vs_split = results
+    let best_table_v = results
         .iter()
-        .map(|r| best_speedup(r) / tier_speedup(r, "split").max(1e-9))
-        .fold(f64::INFINITY, f64::min);
+        .find(|r| r.name == MODEL_NAMES[0])
+        .map_or(0.0, best_speedup);
     let mut out = String::from("{\n  \"schema\": ");
     push_escaped(&mut out, SCHEMA);
     out.push_str(",\n  \"scale\": ");
@@ -445,8 +401,8 @@ fn render_json(results: &[ModelResult], quick: bool) -> String {
                 t.instrs_per_step, t.dispatch_per_sim
             ));
             push_f64(&mut out, (t.steps_per_sec * 10.0).round() / 10.0);
-            out.push_str(", \"speedup_vs_naive\": ");
-            push_f64(&mut out, (t.speedup_vs_naive * 1000.0).round() / 1000.0);
+            out.push_str(", \"speedup_vs_interp\": ");
+            push_f64(&mut out, (t.speedup_vs_interp * 1000.0).round() / 1000.0);
             out.push_str(", \"max_rel_err\": ");
             push_f64(&mut out, t.max_rel_err);
             out.push_str(if j + 1 < r.tiers.len() { "},\n" } else { "}\n" });
@@ -457,12 +413,13 @@ fn render_json(results: &[ModelResult], quick: bool) -> String {
             "    ]}\n"
         });
     }
-    out.push_str("  ],\n  \"split_speedup_table_v\": ");
-    push_f64(&mut out, (split_table_v * 1000.0).round() / 1000.0);
-    out.push_str(",\n  \"best_speedup_table_v\": ");
+    out.push_str("  ],\n  \"best_speedup_table_v\": ");
     push_f64(&mut out, (best_table_v * 1000.0).round() / 1000.0);
-    out.push_str(",\n  \"min_best_vs_split\": ");
-    push_f64(&mut out, (min_best_vs_split * 1000.0).round() / 1000.0);
+    out.push_str(",\n  \"min_best_vs_threaded\": ");
+    push_f64(
+        &mut out,
+        (min_best_vs_threaded(results) * 1000.0).round() / 1000.0,
+    );
     out.push_str("\n}\n");
     out
 }
@@ -501,27 +458,20 @@ fn validate(src: &str) -> Vec<String> {
                 errs.push(format!("{name}: no entry for tier {tier:?}"));
                 continue;
             };
-            match t.get("speedup_vs_naive").and_then(Value::as_f64) {
+            match t.get("speedup_vs_interp").and_then(Value::as_f64) {
                 Some(s) if s >= floor => {}
                 Some(s) => errs.push(format!(
                     "{name}/{tier}: speedup {s:.3} below the {floor}x floor"
                 )),
-                None => errs.push(format!("{name}/{tier}: speedup_vs_naive missing")),
+                None => errs.push(format!("{name}/{tier}: speedup_vs_interp missing")),
             }
         }
         if tiers
             .iter()
-            .all(|t| t.get("tier").and_then(Value::as_str) != Some("naive_stack"))
+            .all(|t| t.get("tier").and_then(Value::as_str) != Some("interp"))
         {
-            errs.push(format!("{name}: no entry for tier \"naive_stack\""));
+            errs.push(format!("{name}: no entry for tier \"interp\""));
         }
-    }
-    match doc.get("split_speedup_table_v").and_then(Value::as_f64) {
-        Some(s) if s >= MIN_SPEEDUP_SPLIT => {}
-        Some(s) => errs.push(format!(
-            "split_speedup_table_v {s:.3} below the {MIN_SPEEDUP_SPLIT}x gate"
-        )),
-        None => errs.push("split_speedup_table_v missing or not a number".into()),
     }
     if simd_active {
         match doc.get("best_speedup_table_v").and_then(Value::as_f64) {
@@ -531,24 +481,23 @@ fn validate(src: &str) -> Vec<String> {
             )),
             None => errs.push("best_speedup_table_v missing or not a number".into()),
         }
-        match doc.get("min_best_vs_split").and_then(Value::as_f64) {
-            Some(s) if s >= MIN_BEST_VS_SPLIT_SIMD => {}
+        match doc.get("min_best_vs_threaded").and_then(Value::as_f64) {
+            Some(s) if s >= MIN_BEST_VS_THREADED_SIMD => {}
             Some(s) => errs.push(format!(
-                "min_best_vs_split {s:.3} below the {MIN_BEST_VS_SPLIT_SIMD}x simd gate"
+                "min_best_vs_threaded {s:.3} below the {MIN_BEST_VS_THREADED_SIMD}x simd gate"
             )),
-            None => errs.push("min_best_vs_split missing or not a number".into()),
+            None => errs.push("min_best_vs_threaded missing or not a number".into()),
         }
     }
     errs
 }
 
+/// The arguments part of the usage line.
+const USAGE: &str = "[--quick] [--out PATH] [--validate PATH]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(i) = args.iter().position(|a| a == "--validate") {
-        let path = args.get(i + 1).map(String::as_str).unwrap_or_else(|| {
-            eprintln!("--validate requires a file path");
-            std::process::exit(2);
-        });
+    let args = cli::BenchArgs::from_env(USAGE, &["--validate", "--out"], &["--quick"]);
+    if let Some(path) = args.value("--validate") {
         let src = std::fs::read_to_string(path).unwrap_or_else(|e| {
             eprintln!("cannot read {path}: {e}");
             std::process::exit(2);
@@ -564,24 +513,18 @@ fn main() {
         std::process::exit(1);
     }
 
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("BENCH_vm.json");
+    let quick = args.has("--quick");
+    let out_path = args.value("--out").unwrap_or("BENCH_vm.json");
     let min_time = Duration::from_millis(if quick { 120 } else { 400 });
 
     let p = problem(quick);
     let models = models();
     eprintln!(
-        "bench_vm: {} days, {} models, tiers [naive_stack{}], simd_active={}",
+        "bench_vm: {} days, {} models, rows [interp{}], simd_active={}",
         p.num_cases(),
         models.len(),
-        Tier::ALL
-            .iter()
-            .map(|t| format!(", {}", t.name()))
+        ROWS.iter()
+            .map(|(name, ..)| format!(", {name}"))
             .collect::<String>(),
         gmr_expr::simd::active()
     );
@@ -593,7 +536,7 @@ fn main() {
     let env = gmr_lint::IntervalEnv::river();
     for m in &models {
         for tier in Tier::ALL {
-            let sys = CompiledSystem::compile_checked(&m.eqs, 10, 2, tier.options())
+            let sys = CompiledSystem::compile_checked(&m.eqs, 10, 2, tier)
                 .unwrap_or_else(|e| panic!("{}: does not compile: {e:?}", m.name));
             let analysis = gmr_lint::analyze_system(&sys, &env, m.name);
             if !analysis.report.is_clean() || !analysis.safety.proved() {
@@ -620,15 +563,15 @@ fn main() {
                     t.instrs_per_step,
                     t.dispatch_per_sim,
                     t.steps_per_sec,
-                    t.speedup_vs_naive,
+                    t.speedup_vs_interp,
                     t.max_rel_err
                 );
             }
             if !r.exact_identical {
-                eprintln!("FAIL: {} bit-exact tiers diverged from interpreter", r.name);
+                eprintln!("FAIL: {} bit-exact rows diverged from interpreter", r.name);
             }
             if !r.relaxed_in_tol {
-                eprintln!("FAIL: {} relaxed tier outside {REL_TOL:e} tolerance", r.name);
+                eprintln!("FAIL: {} relaxed row outside {REL_TOL:e} tolerance", r.name);
             }
             r
         })
@@ -640,19 +583,12 @@ fn main() {
         std::process::exit(2);
     });
     eprintln!(
-        "wrote {out_path} (split {:.2}x, best {:.2}x on table_v; best/split >= {:.2}x everywhere)",
-        results
-            .iter()
-            .find(|r| r.name == MODEL_NAMES[0])
-            .map_or(0.0, |r| tier_speedup(r, "split")),
+        "wrote {out_path} (best {:.2}x on table_v; best/threaded >= {:.2}x everywhere)",
         results
             .iter()
             .find(|r| r.name == MODEL_NAMES[0])
             .map_or(0.0, best_speedup),
-        results
-            .iter()
-            .map(|r| best_speedup(r) / tier_speedup(r, "split").max(1e-9))
-            .fold(f64::INFINITY, f64::min)
+        min_best_vs_threaded(&results)
     );
 
     let errs = validate(&json);
@@ -673,36 +609,22 @@ mod tests {
             .iter()
             .map(|name| {
                 let mut tiers = vec![TierResult {
-                    name: "naive_stack",
+                    name: "interp",
                     fidelity: Fidelity::BitExact,
                     instrs_per_step: 40,
                     dispatch_per_sim: 40_000,
                     steps_per_sec: 1.0e6,
-                    speedup_vs_naive: 1.0,
+                    speedup_vs_interp: 1.0,
                     max_rel_err: 0.0,
                 }];
-                for (i, tier) in Tier::ALL.iter().enumerate() {
+                for (i, (row, tier, _)) in ROWS.into_iter().enumerate() {
                     tiers.push(TierResult {
-                        name: tier.name(),
-                        fidelity: tier.fidelity(),
-                        instrs_per_step: 30 - i,
-                        dispatch_per_sim: 30_000,
-                        steps_per_sec: (2 + i) as f64 * 6.0e6,
-                        speedup_vs_naive: (2 + i) as f64 * 6.0,
-                        max_rel_err: 0.0,
-                    });
-                }
-                for (i, (batch, tier)) in [("split_batch", Tier::Split), ("simd_batch", Tier::Simd)]
-                    .into_iter()
-                    .enumerate()
-                {
-                    tiers.push(TierResult {
-                        name: batch,
+                        name: row,
                         fidelity: tier.fidelity(),
                         instrs_per_step: 26,
                         dispatch_per_sim: 30_000,
-                        steps_per_sec: (10 + i) as f64 * 6.0e6,
-                        speedup_vs_naive: (10 + i) as f64 * 6.0,
+                        steps_per_sec: (2 + 4 * i) as f64 * 6.0e6,
+                        speedup_vs_interp: (2 + 4 * i) as f64 * 6.0,
                         max_rel_err: 0.0,
                     });
                 }
@@ -745,7 +667,7 @@ mod tests {
         let mut results = tiny_results();
         for t in &mut results[2].tiers {
             if t.name == "threaded" {
-                t.speedup_vs_naive = 0.5;
+                t.speedup_vs_interp = 0.5;
             }
         }
         let json = render_json(&results, true);

@@ -9,6 +9,7 @@
 //! stable across scales; absolute numbers tighten as the budget grows.
 
 pub mod cli;
+pub mod fig10;
 pub mod methods;
 pub mod table;
 

@@ -1,5 +1,5 @@
-//! The experiment binaries refuse flags they do not know: a misspelt
-//! `--quick` must exit 2 with a usage line at once, not start a
+//! The experiment and bench binaries refuse flags they do not know: a
+//! misspelt `--quick` must exit 2 with a usage line at once, not start a
 //! default-scale run that takes minutes.
 
 use std::io::Read;
@@ -61,6 +61,34 @@ fn experiment_binaries_exit_2_on_unknown_flags() {
         assert!(
             err.contains(&format!("usage: {name} ")),
             "{name} {flag} printed no usage line:\n{err}"
+        );
+    }
+}
+
+#[test]
+fn bench_binaries_exit_2_on_unknown_flags_and_missing_values() {
+    let cases: [(&str, &[&str]); 8] = [
+        (env!("CARGO_BIN_EXE_bench_vm"), &["--no-such-flag"]),
+        (env!("CARGO_BIN_EXE_bench_vm"), &["--quick", "--out"]),
+        (env!("CARGO_BIN_EXE_bench_vm"), &["--validate"]),
+        (env!("CARGO_BIN_EXE_bench_engine"), &["--no-such-flag"]),
+        (env!("CARGO_BIN_EXE_bench_engine"), &["--quik"]),
+        (env!("CARGO_BIN_EXE_bench_engine"), &["--quick", "--out"]),
+        (env!("CARGO_BIN_EXE_bench_engine"), &["--validate"]),
+        (
+            env!("CARGO_BIN_EXE_bench_engine"),
+            &["--quick", "--journal"],
+        ),
+    ];
+    for (bin, args) in cases {
+        let name = Path::new(bin).file_stem().unwrap().to_string_lossy();
+        let (code, err) = run_briefly(bin, args).unwrap_or_else(|| {
+            panic!("{name} {args:?} still running after {DEADLINE:?}; it must refuse the flags")
+        });
+        assert_eq!(code, Some(2), "{name} {args:?} exit code; stderr:\n{err}");
+        assert!(
+            err.contains(&format!("usage: {name} ")),
+            "{name} {args:?} printed no usage line:\n{err}"
         );
     }
 }

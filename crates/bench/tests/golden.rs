@@ -1,23 +1,27 @@
 //! Golden check: the paper's quick-scale results, byte for byte.
 //!
-//! Three pins, each against a committed file, so a failure says what
+//! Four pins, each against a committed file, so a failure says what
 //! moved:
 //!
 //! * the generated river dataset (an FNV-1a fingerprint over every `f64`);
 //! * every Table V row at quick scale (`results/table5-quick.csv`, the
 //!   file `exp_table5 --quick` writes);
 //! * one fixed-seed, one-thread GMR search: its work counters and the
-//!   champion's train/test RMSE as exact bits.
+//!   champion's train/test RMSE as exact bits;
+//! * Figure 10's fixed workload under each of the eight technique
+//!   combinations: the fully evaluated trees and the fitness checksum
+//!   `exp_fig10` prints, as exact bits.
 //!
 //! Code that only reorganises how results are computed must leave all
-//! three unchanged. On a failure the test prints the text it produced;
+//! four unchanged. On a failure the test prints the text it produced;
 //! a deliberate change to a golden file needs a CHANGES.md line saying
 //! why.
 
+use gmr_bench::fig10::{self, Workload, COMBOS};
 use gmr_bench::methods::run_all;
 use gmr_bench::table::render_csv;
 use gmr_bench::{dataset, Scale};
-use gmr_core::Gmr;
+use gmr_core::{Gmr, RiverEvaluator};
 use gmr_hydro::RiverDataset;
 use std::path::{Path, PathBuf};
 
@@ -121,4 +125,25 @@ fn one_thread_search_counters_are_golden() {
         rmse(result.test_rmse),
     );
     assert_golden("crates/bench/tests/golden/search-quick.txt", &actual);
+}
+
+#[test]
+fn quick_fig10_combos_are_golden() {
+    let scale = Scale::quick();
+    let ds = dataset(&scale);
+    let gmr = Gmr::new(&ds);
+    let evaluator = RiverEvaluator::new(gmr.train.clone());
+    let workload = Workload::new(&gmr, &scale);
+    let mut actual = format!("evaluations = {}\n", workload.evaluations());
+    for combo in &COMBOS {
+        let run = fig10::run(&gmr, &evaluator, &workload, combo);
+        actual.push_str(&format!(
+            "{} full = {} checksum = {:#018x} ({})\n",
+            combo.label,
+            run.full,
+            run.checksum.to_bits(),
+            run.checksum
+        ));
+    }
+    assert_golden("crates/bench/tests/golden/fig10-quick.txt", &actual);
 }

@@ -16,7 +16,7 @@
 //! down the main channel.
 
 use crate::problem::euler_step;
-use gmr_expr::{CompiledSystem, Expr, OptOptions};
+use gmr_expr::{CompiledSystem, Expr, Tier};
 use gmr_hydro::data::{RiverDataset, Split};
 use gmr_hydro::network::RiverNetwork;
 use gmr_hydro::NUM_VARS;
@@ -88,7 +88,7 @@ pub fn simulate_network(
     // error here, not a silent zero mid-simulation).
     let sys = {
         let _sp = gmr_obsv::span_fine!("vm.compile", 2);
-        CompiledSystem::compile_checked(eqs, NUM_VARS, 2, OptOptions::full())
+        CompiledSystem::compile_checked(eqs, NUM_VARS, 2, Tier::Threaded)
             .expect("network equations reference indices outside the name table")
     };
     let series: Vec<StationSeries<'_>> = ds
@@ -315,7 +315,7 @@ mod tests {
         let eqs = manual_system();
         let opts = NetworkSimOptions::default();
         let want = simulate_network(&ds, ds.test, &eqs, opts);
-        let sys = CompiledSystem::compile_checked(&eqs, NUM_VARS, 2, OptOptions::full()).unwrap();
+        let sys = CompiledSystem::compile_checked(&eqs, NUM_VARS, 2, Tier::Threaded).unwrap();
         let series: Vec<StationSeries<'_>> = ds
             .stations
             .iter()
@@ -406,7 +406,7 @@ mod tests {
             Expr::bin(BinOp::Mul, Expr::Num(0.05), Expr::State(0)),
             Expr::Num(0.0),
         ];
-        let sys = CompiledSystem::compile_checked(&grow, NUM_VARS, 2, OptOptions::full()).unwrap();
+        let sys = CompiledSystem::compile_checked(&grow, NUM_VARS, 2, Tier::Threaded).unwrap();
         let opts = NetworkSimOptions::default();
         let res = simulate_network_compiled(&net, &series, 0, days, &sys, opts);
         // MID's merged pre-step state is its lagged parent (retention share

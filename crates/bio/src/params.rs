@@ -220,6 +220,13 @@ pub fn spec(kind: u16) -> &'static ParamSpec {
     &PARAMS[kind as usize]
 }
 
+/// The prior mean of `kind`, or `None` for a kind past the river priors
+/// (a name table read from a file can list more parameters than there
+/// are priors).
+pub fn prior_mean(kind: u16) -> Option<f64> {
+    PARAMS.get(kind as usize).map(|p| p.mean)
+}
+
 /// Look up a kind by name.
 pub fn kind_of(name: &str) -> Option<u16> {
     PARAMS.iter().position(|p| p.name == name).map(|i| i as u16)

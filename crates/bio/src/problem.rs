@@ -19,7 +19,7 @@
 //! row showing a 2.79e+9 training RMSE rather than a crash), and a NaN state
 //! is snapped to the cap.
 
-use gmr_expr::{CompiledSystem, EvalContext, Expr, OptOptions};
+use gmr_expr::{CompiledSystem, EvalContext, Expr, Tier};
 use gmr_hydro::data::{RiverDataset, Split};
 use gmr_hydro::{mae, rmse, NUM_VARS};
 
@@ -234,7 +234,7 @@ impl RiverProblem {
         compiled: bool,
         ctl: &mut dyn FnMut(f64, usize) -> bool,
     ) -> (f64, bool) {
-        let sys = compiled.then(|| CompiledSystem::compile(&eqs[..], OptOptions::full()));
+        let sys = compiled.then(|| CompiledSystem::compile(&eqs[..], Tier::Threaded));
         self.evaluate_precompiled([&eqs[0], &eqs[1]], sys.as_ref(), ctl)
     }
 
@@ -322,22 +322,16 @@ mod tests {
         let p = tiny_problem();
         let eqs = manual_system();
         let interp = p.simulate(&eqs);
-        let mut tiers = vec![
-            OptOptions::register(),
-            OptOptions::fused(),
-            OptOptions::full(),
-            OptOptions::threaded(),
-        ];
         // The simd tier is bit-exact exactly when its vector kernels are
         // dormant; with them live its fidelity class is relaxed-simd and
         // the bench's tolerance validation covers it instead.
-        if !gmr_expr::simd::active() {
-            tiers.push(OptOptions::simd());
-        }
-        for opts in tiers {
-            let sys = CompiledSystem::compile(&eqs, opts);
+        for tier in Tier::ALL {
+            if tier.fidelity() != gmr_expr::Fidelity::BitExact {
+                continue;
+            }
+            let sys = CompiledSystem::compile(&eqs, tier);
             let compiled = p.simulate_compiled(&sys);
-            assert_eq!(interp, compiled, "tier {opts:?} diverged");
+            assert_eq!(interp, compiled, "tier {tier:?} diverged");
         }
     }
 

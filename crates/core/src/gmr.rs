@@ -159,7 +159,7 @@ impl Gmr {
                     eqs,
                     n_vars,
                     n_states,
-                    gmr_expr::OptOptions::full(),
+                    gmr_expr::Tier::Threaded,
                 )
                 .unwrap_or_else(|e| panic!("generation {gen}: elite does not compile: {e:?}"));
                 let analysis = gmr_lint::analyze_system(&sys, &linter.intervals, "elite");

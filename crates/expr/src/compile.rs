@@ -1,32 +1,14 @@
-//! Bytecode compilation — the Rust stand-in for the paper's G++ runtime
-//! compilation (§III-D, "Runtime Compilation").
-//!
-//! The original system converts each evolved tree into C++ source, shells out
-//! to G++ and `dlopen`s the result. The property that matters for the
-//! speedup experiment (Fig. 10) is the *shape* of the optimisation: a
-//! once-per-tree lowering cost buys a much cheaper per-time-step evaluation,
-//! which pays off because a river simulation evaluates the same tree for
-//! thousands of daily steps. We reproduce that shape with a flat stack-VM:
-//!
-//! * postorder lowering into a contiguous `Vec<Instr>` — no pointer chasing,
-//!   no recursion, branch-predictable dispatch;
-//! * the VM runs on a caller-provided scratch stack, so the inner loop of a
-//!   13-year simulation performs **zero** allocations;
-//! * `max_stack` is computed at compile time, letting callers pre-size the
-//!   scratch buffer once.
-//!
-//! The VM uses the same protected operators as the interpreter, so
-//! `compiled.eval(...) == tree.eval(...)` bit-for-bit (property-tested).
+//! The arity check every compilation path shares: a `Var`/`State` index
+//! must exist under the name-table arities a system is compiled against.
 
-use crate::ast::{BinOp, Expr, UnOp};
-use crate::eval::{apply_bin, apply_un, EvalContext};
+use crate::ast::Expr;
 use std::fmt;
 
 /// A variable or state index that cannot exist under the name-table
 /// arities the expression was compiled against. Historically the VMs
 /// papered over this with a silent `0.0` read; it is now a compile-time
-/// error (and a `debug_assert` at eval time), because a miscompiled index
-/// always indicates a mis-assembled grammar or context.
+/// error, because a miscompiled index always indicates a mis-assembled
+/// grammar or context.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompileError {
     /// `Var(index)` with only `arity` temporal variables available.
@@ -55,8 +37,8 @@ impl fmt::Display for CompileError {
 impl std::error::Error for CompileError {}
 
 /// Walk `expr` and verify every `Var`/`State` index against the name-table
-/// arities. Shared by [`CompiledExpr::compile_checked`], the register VM's
-/// `CompiledSystem::compile_checked`, and the `gmr-lint` arity lint.
+/// arities. Shared by the register VM's `CompiledSystem::compile_checked`
+/// and the `gmr-lint` arity lint.
 pub fn check_arity(expr: &Expr, n_vars: usize, n_states: usize) -> Result<(), CompileError> {
     match expr {
         Expr::Num(_) | Expr::Param(_) => Ok(()),
@@ -88,209 +70,17 @@ pub fn check_arity(expr: &Expr, n_vars: usize, n_states: usize) -> Result<(), Co
     }
 }
 
-/// One VM instruction. Operands are inlined so execution is a single linear
-/// scan.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Instr {
-    /// Push a literal (numeric literals *and* parameter values are frozen at
-    /// compile time — recompile after Gaussian mutation, which is exactly the
-    /// cost profile of the original's recompilation).
-    Push(f64),
-    /// Push the temporal variable at this index.
-    LoadVar(u8),
-    /// Push the state variable at this index.
-    LoadState(u8),
-    /// Apply a unary operator to the top of stack.
-    Un(UnOp),
-    /// Apply a binary operator to the top two stack slots.
-    Bin(BinOp),
-}
-
-/// A compiled expression: flat code plus the exact stack high-water mark.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CompiledExpr {
-    code: Vec<Instr>,
-    max_stack: usize,
-    /// Minimum `vars` slice length any `LoadVar` reads.
-    needs_vars: usize,
-    /// Minimum `state` slice length any `LoadState` reads.
-    needs_states: usize,
-}
-
-impl CompiledExpr {
-    /// Lower `expr` to bytecode.
-    ///
-    /// ```
-    /// use gmr_expr::{parse, CompiledExpr, EvalContext, NameTable};
-    ///
-    /// let names = NameTable::new(&["x"], &[], &[]);
-    /// let e = parse("x * x + 1", &names, |_| 0.0).unwrap();
-    /// let compiled = CompiledExpr::compile(&e);
-    /// let mut scratch = Vec::with_capacity(compiled.max_stack());
-    /// let ctx = EvalContext { vars: &[3.0], state: &[] };
-    /// assert_eq!(compiled.eval_with(&ctx, &mut scratch), 10.0);
-    /// ```
-    pub fn compile(expr: &Expr) -> CompiledExpr {
-        let mut code = Vec::with_capacity(expr.size());
-        let mut depth = 0usize;
-        let mut max_stack = 0usize;
-        fn go(e: &Expr, code: &mut Vec<Instr>, depth: &mut usize, max: &mut usize) {
-            match e {
-                Expr::Num(v) => {
-                    code.push(Instr::Push(*v));
-                    *depth += 1;
-                }
-                Expr::Param(p) => {
-                    code.push(Instr::Push(p.value));
-                    *depth += 1;
-                }
-                Expr::Var(i) => {
-                    code.push(Instr::LoadVar(*i));
-                    *depth += 1;
-                }
-                Expr::State(i) => {
-                    code.push(Instr::LoadState(*i));
-                    *depth += 1;
-                }
-                Expr::Unary(op, a) => {
-                    go(a, code, depth, max);
-                    code.push(Instr::Un(*op));
-                }
-                Expr::Binary(op, a, b) => {
-                    go(a, code, depth, max);
-                    go(b, code, depth, max);
-                    code.push(Instr::Bin(*op));
-                    *depth -= 1;
-                }
-            }
-            *max = (*max).max(*depth);
-        }
-        go(expr, &mut code, &mut depth, &mut max_stack);
-        debug_assert_eq!(
-            depth, 1,
-            "a well-formed expression leaves exactly one value"
-        );
-        let mut needs_vars = 0usize;
-        let mut needs_states = 0usize;
-        for instr in &code {
-            match *instr {
-                Instr::LoadVar(i) => needs_vars = needs_vars.max(i as usize + 1),
-                Instr::LoadState(i) => needs_states = needs_states.max(i as usize + 1),
-                _ => {}
-            }
-        }
-        CompiledExpr {
-            code,
-            max_stack,
-            needs_vars,
-            needs_states,
-        }
-    }
-
-    /// [`compile`](Self::compile) with an up-front bounds check of every
-    /// `Var`/`State` index against the name-table arities, so a
-    /// miscompiled index surfaces as an error instead of a silent zero.
-    pub fn compile_checked(
-        expr: &Expr,
-        n_vars: usize,
-        n_states: usize,
-    ) -> Result<CompiledExpr, CompileError> {
-        check_arity(expr, n_vars, n_states)?;
-        Ok(CompiledExpr::compile(expr))
-    }
-
-    /// Minimum `ctx.vars` length [`eval_with`](Self::eval_with) requires.
-    pub fn needs_vars(&self) -> usize {
-        self.needs_vars
-    }
-
-    /// Minimum `ctx.state` length [`eval_with`](Self::eval_with) requires.
-    pub fn needs_states(&self) -> usize {
-        self.needs_states
-    }
-
-    /// Number of instructions.
-    pub fn len(&self) -> usize {
-        self.code.len()
-    }
-
-    /// True when the program is empty (cannot happen for compiled `Expr`s,
-    /// provided for API completeness).
-    pub fn is_empty(&self) -> bool {
-        self.code.is_empty()
-    }
-
-    /// Exact stack high-water mark; callers can size their scratch buffer
-    /// with `Vec::with_capacity(compiled.max_stack())` once per simulation.
-    pub fn max_stack(&self) -> usize {
-        self.max_stack
-    }
-
-    /// Raw instruction stream (for tests and debugging).
-    pub fn instructions(&self) -> &[Instr] {
-        &self.code
-    }
-
-    /// Execute on a caller-provided scratch stack. The stack is cleared on
-    /// entry; no allocation occurs if `stack.capacity() >= self.max_stack()`.
-    #[inline]
-    pub fn eval_with(&self, ctx: &EvalContext<'_>, stack: &mut Vec<f64>) -> f64 {
-        debug_assert!(
-            ctx.vars.len() >= self.needs_vars,
-            "context provides {} vars, program reads {}",
-            ctx.vars.len(),
-            self.needs_vars
-        );
-        debug_assert!(
-            ctx.state.len() >= self.needs_states,
-            "context provides {} states, program reads {}",
-            ctx.state.len(),
-            self.needs_states
-        );
-        stack.clear();
-        stack.reserve(self.max_stack);
-        for instr in &self.code {
-            match *instr {
-                Instr::Push(v) => stack.push(v),
-                // Direct indexing: an out-of-range index panics instead of
-                // silently reading zero. `compile_checked` (and the
-                // `gmr-lint` arity lint) reject such programs up front.
-                Instr::LoadVar(i) => stack.push(ctx.vars[i as usize]),
-                Instr::LoadState(i) => stack.push(ctx.state[i as usize]),
-                Instr::Un(op) => {
-                    let a = stack.last_mut().expect("unary on empty stack");
-                    *a = apply_un(op, *a);
-                }
-                Instr::Bin(op) => {
-                    let b = stack.pop().expect("binary needs two operands");
-                    let a = stack.last_mut().expect("binary needs two operands");
-                    *a = apply_bin(op, *a, b);
-                }
-            }
-        }
-        debug_assert_eq!(stack.len(), 1);
-        stack.pop().unwrap_or(0.0)
-    }
-
-    /// Convenience entry point that allocates its own scratch stack.
-    pub fn eval(&self, ctx: &EvalContext<'_>) -> f64 {
-        let mut stack = Vec::with_capacity(self.max_stack);
-        self.eval_with(ctx, &mut stack)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::ParamSlot;
+    use crate::ast::{BinOp, ParamSlot};
+    use crate::eval::EvalContext;
+    use crate::vm::{CompiledSystem, Tier};
 
-    const CTX: EvalContext<'static> = EvalContext {
-        vars: &[10.0, 20.0, 30.0],
-        state: &[2.0, 4.0],
-    };
-
-    fn sample() -> Expr {
-        Expr::bin(
+    #[test]
+    fn compile_checked_enforces_arity() {
+        // Reads Var(0), Var(1) and State(0).
+        let e = Expr::bin(
             BinOp::Mul,
             Expr::State(0),
             Expr::bin(
@@ -301,92 +91,28 @@ mod tests {
                 }),
                 Expr::bin(BinOp::Div, Expr::Var(1), Expr::Var(0)),
             ),
-        )
-    }
-
-    #[test]
-    fn compiled_matches_interpreter() {
-        let e = sample();
-        let c = CompiledExpr::compile(&e);
-        assert_eq!(c.eval(&CTX), e.eval(&CTX));
-    }
-
-    #[test]
-    fn instruction_count_equals_tree_size() {
-        let e = sample();
-        let c = CompiledExpr::compile(&e);
-        assert_eq!(c.len(), e.size());
-    }
-
-    #[test]
-    fn max_stack_is_tight() {
-        // A left-leaning tree needs stack 2; a balanced binary tree of
-        // depth d needs d+1 in the worst postorder.
-        let leaf = || Expr::Num(1.0);
-        let left = Expr::bin(BinOp::Add, Expr::bin(BinOp::Add, leaf(), leaf()), leaf());
-        assert_eq!(CompiledExpr::compile(&left).max_stack(), 2);
-        let right = Expr::bin(BinOp::Add, leaf(), Expr::bin(BinOp::Add, leaf(), leaf()));
-        assert_eq!(CompiledExpr::compile(&right).max_stack(), 3);
-    }
-
-    #[test]
-    fn eval_with_reuses_buffer_without_alloc() {
-        let e = sample();
-        let c = CompiledExpr::compile(&e);
-        let mut stack = Vec::with_capacity(c.max_stack());
-        let cap = stack.capacity();
-        for _ in 0..100 {
-            let _ = c.eval_with(&CTX, &mut stack);
-        }
-        assert_eq!(stack.capacity(), cap);
-    }
-
-    #[test]
-    fn params_are_frozen_at_compile_time() {
-        let mut e = sample();
-        let c = CompiledExpr::compile(&e);
-        let before = c.eval(&CTX);
-        for s in e.param_slots_mut() {
-            s.value = 100.0;
-        }
-        // The compiled artifact does not see the mutation...
-        assert_eq!(c.eval(&CTX), before);
-        // ...until recompiled.
-        let c2 = CompiledExpr::compile(&e);
-        assert_ne!(c2.eval(&CTX), before);
-        assert_eq!(c2.eval(&CTX), e.eval(&CTX));
-    }
-
-    #[test]
-    fn compile_checked_enforces_arity() {
-        let e = sample(); // reads Var(0), Var(1), State(0)
-        assert!(CompiledExpr::compile_checked(&e, 2, 1).is_ok());
+        );
+        assert_eq!(check_arity(&e, 2, 1), Ok(()));
         assert_eq!(
-            CompiledExpr::compile_checked(&e, 1, 1),
+            check_arity(&e, 1, 1),
             Err(CompileError::VarOutOfRange { index: 1, arity: 1 })
         );
         assert_eq!(
-            CompiledExpr::compile_checked(&e, 2, 0),
+            check_arity(&e, 2, 0),
             Err(CompileError::StateOutOfRange { index: 0, arity: 0 })
         );
-        let c = CompiledExpr::compile(&e);
-        assert_eq!(c.needs_vars(), 2);
-        assert_eq!(c.needs_states(), 1);
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "forcing vector too short")]
     fn out_of_range_load_panics_instead_of_reading_zero() {
-        let e = Expr::Var(7);
-        let c = CompiledExpr::compile(&e);
-        let _ = c.eval(&CTX); // CTX has only 3 vars
-    }
-
-    #[test]
-    fn protected_semantics_in_vm() {
-        let div0 = Expr::bin(BinOp::Div, Expr::Num(5.0), Expr::Num(0.0));
-        assert_eq!(CompiledExpr::compile(&div0).eval(&CTX), 0.0);
-        let logneg = Expr::un(UnOp::Log, Expr::Num(-3.0));
-        assert_eq!(CompiledExpr::compile(&logneg).eval(&CTX), 3.0_f64.ln());
+        // Compiled without the arity check, a system reading `Var(7)` must
+        // refuse a 3-variable context rather than read a silent zero.
+        let sys = CompiledSystem::compile(&[Expr::Var(7)], Tier::Threaded);
+        let ctx = EvalContext {
+            vars: &[10.0, 20.0, 30.0],
+            state: &[],
+        };
+        sys.eval_step(&ctx, &mut sys.scratch(), &mut [0.0]);
     }
 }

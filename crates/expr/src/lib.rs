@@ -24,13 +24,14 @@
 //! * [`simplify()`](simplify::simplify) — algebraic simplification and canonical ordering of
 //!   commutative operators, which both shrinks evolved trees and raises the
 //!   hit rate of the fitness cache (§III-D of the paper);
-//! * [`mod@compile`] — lowering to a flat stack-VM bytecode, the Rust substitute
-//!   for the paper's G++ runtime compilation (same shape: pay once per tree,
-//!   then evaluate thousands of time steps cheaply);
-//! * [`mod@vm`] — the optimizing register VM that compiles a whole system
-//!   once (cross-equation CSE, a fixed set of fused superinstructions, a
-//!   columnar state-independent prefix) into the [`Tier`]s the engine and
-//!   the server run;
+//! * [`mod@vm`] — the optimizing register VM, the Rust substitute for the
+//!   paper's G++ runtime compilation (pay once per system, then evaluate
+//!   thousands of time steps cheaply): it compiles a whole system once
+//!   (cross-equation CSE, a fixed set of fused superinstructions, a
+//!   columnar state-independent prefix) into threaded code, at the bit-exact
+//!   [`Tier::Threaded`] or the relaxed [`Tier::Simd`];
+//! * [`check_arity`] — the `Var`/`State` index check every compilation
+//!   path shares;
 //! * a canonical structural [`hash`](Expr::structural_hash) used as the
 //!   fitness-cache key;
 //! * a [`parser`](parse::parse()) and pretty [`printer`](display) for human
@@ -49,13 +50,13 @@ mod threaded;
 pub mod vm;
 
 pub use ast::{BinOp, Expr, ParamSlot, UnOp};
-pub use compile::{check_arity, CompileError, CompiledExpr, Instr};
+pub use compile::{check_arity, CompileError};
 pub use display::NameTable;
 pub use eval::{protected_div, protected_exp, protected_log, EvalContext};
 pub use hash::TreeKey;
-pub use parse::{parse, ParseError};
+pub use parse::{parse, parse_with_defaults, ParseError};
 pub use simplify::simplify;
 pub use vm::{
-    CompiledSystem, Exec, Fidelity, FidelityPolicy, LaneForcing, LaneSession, OptOptions,
-    PrefixTable, RInstr, RegProgram, SystemScratch, SystemSession, Tier, LANES,
+    CompiledSystem, Fidelity, FidelityPolicy, LaneForcing, LaneSession, PrefixTable, RInstr,
+    RegProgram, SystemScratch, SystemSession, Tier, LANES,
 };

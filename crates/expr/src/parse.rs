@@ -51,7 +51,7 @@ struct Parser<'a> {
     pos: usize,
     depth: usize,
     names: &'a NameTable,
-    param_default: &'a dyn Fn(u16) -> f64,
+    param_default: &'a dyn Fn(u16) -> Option<f64>,
 }
 
 impl<'a> Parser<'a> {
@@ -242,7 +242,13 @@ impl<'a> Parser<'a> {
                 self.expect(b']')?;
                 v
             } else {
-                (self.param_default)(kind)
+                match (self.param_default)(kind) {
+                    Some(v) => v,
+                    None => {
+                        return self
+                            .err(format!("parameter '{name}' has no [value] and no default"))
+                    }
+                }
             };
             return Ok(Expr::Param(ParamSlot { kind, value }));
         }
@@ -257,6 +263,18 @@ pub fn parse(
     src: &str,
     names: &NameTable,
     param_default: impl Fn(u16) -> f64,
+) -> Result<Expr, ParseError> {
+    parse_with_defaults(src, names, |kind| Some(param_default(kind)))
+}
+
+/// [`parse`] for a name table that may name parameters without a default
+/// (one read from a file can list more parameters than the domain has
+/// priors): a parameter written without `[value]` whose `param_default` is
+/// `None` is a [`ParseError`].
+pub fn parse_with_defaults(
+    src: &str,
+    names: &NameTable,
+    param_default: impl Fn(u16) -> Option<f64>,
 ) -> Result<Expr, ParseError> {
     let mut p = Parser {
         src: src.as_bytes(),
@@ -372,6 +390,18 @@ mod tests {
         assert!(parse("(1", &names(), |_| 0.0).is_err());
         assert!(parse("1 2", &names(), |_| 0.0).is_err());
         assert!(parse("min(1)", &names(), |_| 0.0).is_err());
+    }
+
+    #[test]
+    fn bare_parameter_without_default_is_an_error() {
+        let n = names();
+        let no_default = |_| None;
+        let err = parse_with_defaults("BPhy * CUA", &n, no_default).unwrap_err();
+        assert!(err.msg.contains("'CUA'"), "{err}");
+        assert_eq!(
+            parse_with_defaults("BPhy * CUA[2]", &n, no_default),
+            parse("BPhy * CUA[2]", &n, |_| 0.0)
+        );
     }
 
     #[test]

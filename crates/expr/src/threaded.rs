@@ -1,14 +1,15 @@
-//! Threaded-code execution tier: an [`RInstr`] sequence compiled into a
-//! flat array of monomorphized thunks.
+//! Threaded code: an [`RInstr`] sequence compiled into a flat array of
+//! monomorphized thunks — how every scalar core and prefix of a
+//! [`CompiledSystem`](crate::vm::CompiledSystem) runs.
 //!
-//! The register interpreter in [`crate::vm`] pays *two* dispatches per
-//! arithmetic instruction in its sequential core: the `match` over
-//! `RInstr` and, inside `apply_bin`/`apply_un`, a second `match` over
-//! the operator. For the ~4700-step Euler recurrence those branches —
-//! not the arithmetic — dominate. This module removes both: at compile
-//! time every instruction is resolved to one concrete function pointer
-//! (`t_bin_mul`, `t_vbl_add`, …) over a small argument pack, and the
-//! steady-state inner loop is nothing but
+//! Interpreting the register code would pay *two* dispatches per
+//! arithmetic instruction in the sequential core: a `match` over `RInstr`
+//! and, inside `apply_bin`/`apply_un`, a second `match` over the
+//! operator. For the ~4700-step Euler recurrence those branches — not the
+//! arithmetic — dominate. This module removes both: at compile time every
+//! instruction is resolved to one concrete function pointer (`t_bin_mul`,
+//! `t_vbl_add`, …) over a small argument pack, and the steady-state inner
+//! loop is nothing but
 //!
 //! ```text
 //! for t in &thunks { (t.f)(&t.args, regs, vars, state) }
@@ -42,7 +43,7 @@
 //! The `fast` flag selects [`crate::fastmath`] transcendentals instead
 //! of the protected libm ones — the relaxed half of the SIMD tier; with
 //! `fast = false` thunk arithmetic is the *identical* protected-operator
-//! sequence of the match interpreter, which is what makes the threaded
+//! sequence of the tree interpreter, which is what makes the threaded
 //! tier bit-exact (property-tested in `tests/properties.rs`).
 
 use crate::ast::{BinOp, UnOp};
@@ -334,7 +335,7 @@ fn un_fn(op: UnOp, fast: bool) -> TFn {
 impl ThreadedProgram {
     /// Compile a *validated* register program to threaded code. `fast`
     /// selects the relaxed transcendentals (SIMD tier); with it off,
-    /// thunk arithmetic is exactly the match interpreter's. Panics if
+    /// thunk arithmetic is exactly the tree interpreter's. Panics if
     /// the program fails [`RegProgram::check`] — a threaded program for
     /// unvalidated code must never exist.
     pub(crate) fn build(prog: &RegProgram, fast: bool) -> ThreadedProgram {
@@ -412,9 +413,10 @@ impl ThreadedProgram {
         }
     }
 
-    /// Execute the thunk array over scalar registers. Same contract as
-    /// `RegProgram::run_scalar`: `regs` exactly `n_regs` long with
-    /// constants pinned (and the prefix window filled, if any).
+    /// Execute the thunk array over scalar registers. `regs` must be
+    /// exactly `n_regs` long with the constants pinned by
+    /// `RegProgram::init_consts` and the prefix window (if any) holding
+    /// the current row's prefix values.
     #[inline]
     pub(crate) fn run(&self, vars: &[f64], state: &[f64], regs: &mut [f64]) {
         assert_eq!(regs.len(), self.n_regs);

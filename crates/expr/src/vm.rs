@@ -1,20 +1,22 @@
-//! Optimizing register-VM pipeline — the per-candidate successor to the
-//! naive stack VM in [`crate::compile`].
+//! Optimizing register-VM pipeline — the Rust stand-in for the paper's
+//! G++ runtime compilation (§III-D, "Runtime Compilation"): a
+//! once-per-candidate compile cost buys a per-step evaluation much cheaper
+//! than walking the tree, which pays off because a river simulation
+//! evaluates the same system for thousands of daily steps.
 //!
-//! The stack VM removes pointer chasing, but every one of a river
-//! simulation's ~4700 daily steps still pays one dispatch per tree node,
-//! bounds-checked `Vec` push/pop traffic, and — because the two equations
-//! of a system share growth/limitation terms by construction of the
-//! revision grammar — the same subexpressions evaluated twice per step.
-//! This module compiles a *system* of equations through a small optimizing
-//! pipeline instead:
+//! The tree interpreter pays a recursive dispatch per node at every one of
+//! a simulation's ~4700 daily steps and — because the two equations of a
+//! system share growth/limitation terms by construction of the revision
+//! grammar — evaluates the same subexpressions twice per step. This module
+//! compiles a *system* of equations through a small optimizing pipeline
+//! instead:
 //!
 //! 1. **Lowering passes.** The equations are hash-consed into one DAG
 //!    shared across *all* equations, which performs common-subexpression
 //!    elimination for free (structurally identical subtrees intern to the
 //!    same node, across equation boundaries). During interning,
 //!    fully-constant subtrees fold (parameter values are frozen at compile
-//!    time, exactly like the stack VM), and a peephole rewrites the
+//!    time; a mutated tree is recompiled), and a peephole rewrites the
 //!    identities that are sound under protected semantics: `x*1 → x`,
 //!    `x+0 → x`, `x-0 → x`, `0-x → -x`, `x/1 → x`, `--x → x`,
 //!    `min(x,x) → x`, `max(x,x) → x`, and `pow(x,1) → exp(log(x))`. The
@@ -50,14 +52,22 @@
 //!    evaluation (paper Alg. 1) never pays for rows it does not visit; a
 //!    lock-step [`LaneSession`] reads a prefix materialized up front.
 //!
-//! The hard invariant, shared with the stack VM and property-tested in
-//! `tests/properties.rs`: every pipeline configuration produces values
-//! `==`-equal (NaN tolerated as equal) to the tree-walking interpreter on
-//! every input. All rewrites are chosen to be exact under the *protected*
-//! operator semantics of [`crate::eval`]; the only tolerated differences
-//! are the sign of a zero (`0-x → -x` on `x = +0`) and NaN payloads,
-//! neither of which is observable through `==`, through any protected
-//! operator, or through the squared-error fitness pipeline.
+//! 4. **Threaded execution.** Both programs are built into threaded code
+//!    ([`crate::threaded`]): every instruction pre-resolved to a
+//!    monomorphized thunk, so the scalar core's inner loop is one indirect
+//!    call per instruction. The [`Tier`] picks the arithmetic behind the
+//!    thunks and the lane kernels: bit-exact protected operators
+//!    ([`Tier::Threaded`]), or relaxed fast transcendentals with AVX2
+//!    kernels where they are live ([`Tier::Simd`]).
+//!
+//! The hard invariant, property-tested in `tests/properties.rs`: a
+//! bit-exact system produces values `==`-equal (NaN tolerated as equal) to
+//! the tree-walking interpreter on every input. All rewrites are chosen to
+//! be exact under the *protected* operator semantics of [`crate::eval`];
+//! the only tolerated differences are the sign of a zero (`0-x → -x` on
+//! `x = +0`) and NaN payloads, neither of which is observable through
+//! `==`, through any protected operator, or through the squared-error
+//! fitness pipeline.
 
 use crate::ast::{BinOp, Expr, UnOp};
 use crate::compile::{check_arity, CompileError};
@@ -75,11 +85,11 @@ use std::collections::HashMap;
 /// aborted candidate sweeps no further than its last fitness checkpoint.
 pub const LANES: usize = 32;
 
-/// How the sequential programs of a compiled system execute.
+/// The two ways to run a compiled system. Both compile the same bytecode
+/// through the whole pipeline and run the scalar core and prefix as
+/// threaded code; they differ only in the arithmetic behind it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Exec {
-    /// Match-per-instruction interpreter loop (`run_scalar`).
-    Match,
+pub enum Tier {
     /// Threaded code: each instruction pre-resolved at compile time into a
     /// monomorphized thunk, so the steady-state inner loop is one indirect
     /// call per instruction with no operator dispatch. Bit-exact.
@@ -87,135 +97,21 @@ pub enum Exec {
     /// Threaded code with relaxed-fidelity fast transcendentals
     /// ([`crate::fastmath`]) plus vectorized lane kernels
     /// ([`crate::simd`]) where the hardware supports them. Degrades to
-    /// exactly [`Exec::Threaded`] semantics when the `simd` cargo feature
+    /// exactly [`Tier::Threaded`] semantics when the `simd` cargo feature
     /// is off or the CPU lacks AVX2+FMA.
     Simd,
 }
 
-/// Which optimization stages to run. The lowering passes (folding, the
-/// algebraic peephole, cross-equation CSE) are always on; the knobs select
-/// the VM tiers that `bench_vm` compares.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OptOptions {
-    /// Emit the fused superinstructions (`VarBin`, `ConstBin`, `MulSub`).
-    pub fuse: bool,
-    /// Split out the state-independent prefix for the columnar sweep.
-    pub split: bool,
-    /// Execution backend for the sequential core (and scalar prefix).
-    pub exec: Exec,
-}
-
-impl OptOptions {
-    /// Plain register VM: lowering passes only, one op per instruction.
-    pub fn register() -> OptOptions {
-        OptOptions {
-            fuse: false,
-            split: false,
-            exec: Exec::Match,
-        }
-    }
-
-    /// Register VM plus fused superinstructions.
-    pub fn fused() -> OptOptions {
-        OptOptions {
-            fuse: true,
-            split: false,
-            exec: Exec::Match,
-        }
-    }
-
-    /// The full match-dispatch pipeline: fusion and the state-independent
-    /// split (the `split` tier).
-    pub fn full() -> OptOptions {
-        OptOptions {
-            fuse: true,
-            split: true,
-            exec: Exec::Match,
-        }
-    }
-
-    /// The full pipeline compiled to threaded code (bit-exact).
-    pub fn threaded() -> OptOptions {
-        OptOptions {
-            exec: Exec::Threaded,
-            ..OptOptions::full()
-        }
-    }
-
-    /// The full pipeline with relaxed-fidelity SIMD kernels where
-    /// available (see [`Exec::Simd`] for the fallback behaviour).
-    pub fn simd() -> OptOptions {
-        OptOptions {
-            exec: Exec::Simd,
-            ..OptOptions::full()
-        }
-    }
-}
-
-impl Default for OptOptions {
-    fn default() -> Self {
-        OptOptions::full()
-    }
-}
-
-/// The named VM tiers compared by `bench_vm` and selectable with the
-/// `--tier` flags across the workspace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Tier {
-    /// Lowering passes only, one op per instruction.
-    Register,
-    /// Register VM plus fused superinstructions.
-    Fused,
-    /// Fusion plus the state-independent split (historically `full`).
-    Split,
-    /// Split pipeline compiled to threaded code. Bit-exact.
-    Threaded,
-    /// Threaded code plus relaxed-fidelity SIMD kernels where available.
-    Simd,
-}
-
 impl Tier {
-    /// Every tier, slowest first — the order bench tables print in.
-    pub const ALL: [Tier; 5] = [
-        Tier::Register,
-        Tier::Fused,
-        Tier::Split,
-        Tier::Threaded,
-        Tier::Simd,
-    ];
+    /// Every tier, the bit-exact one first — the order bench tables print
+    /// in.
+    pub const ALL: [Tier; 2] = [Tier::Threaded, Tier::Simd];
 
-    /// Canonical name (accepted by [`parse`](Self::parse)).
+    /// Stable name used in `/models` JSON and bench reports.
     pub fn name(self) -> &'static str {
         match self {
-            Tier::Register => "register",
-            Tier::Fused => "fused",
-            Tier::Split => "split",
             Tier::Threaded => "threaded",
             Tier::Simd => "simd",
-        }
-    }
-
-    /// Parse a tier name; `"full"` is accepted as the historical alias of
-    /// the split tier.
-    pub fn parse(s: &str) -> Option<Tier> {
-        match s {
-            "register" => Some(Tier::Register),
-            "fused" => Some(Tier::Fused),
-            "split" | "full" => Some(Tier::Split),
-            "threaded" => Some(Tier::Threaded),
-            "simd" => Some(Tier::Simd),
-            _ => None,
-        }
-    }
-
-    /// The pipeline options that compile this tier.
-    pub fn options(self) -> OptOptions {
-        match self {
-            Tier::Register => OptOptions::register(),
-            Tier::Fused => OptOptions::fused(),
-            Tier::Split => OptOptions::full(),
-            Tier::Threaded => OptOptions::threaded(),
-            Tier::Simd => OptOptions::simd(),
         }
     }
 
@@ -233,14 +129,6 @@ impl Tier {
 
     /// The fastest tier whose fidelity `policy` admits: `simd` where its
     /// kernels are live and relaxed fidelity is allowed, else `threaded`.
-    ///
-    /// `threaded` is the bit-exact choice because it wins on the search's
-    /// own workload, not on `bench_vm`'s four fixed models (which favour
-    /// `split`). On a 2-vCPU x86-64 host, making `split` the default in
-    /// perfbench's `gmr_search` raised `vm.ns_per_step` by 5.0% and 7.9%
-    /// on two identical traced searches, and median `p50_ms` by 9.6% over
-    /// 8 alternating untraced pairs. No bench gate compares the two tiers;
-    /// re-measure on `gmr_search` before changing this.
     pub fn fastest(policy: FidelityPolicy) -> Tier {
         match policy {
             FidelityPolicy::AllowRelaxed if crate::simd::active() => Tier::Simd,
@@ -480,8 +368,8 @@ impl RegProgram {
     }
 
     /// Width of the pinned prefix-row window (`[consts.len() ..
-    /// consts.len() + n_pre)`); non-zero only for core programs of a
-    /// split-tier system.
+    /// consts.len() + n_pre)`); non-zero only for the core program of a
+    /// system with state-independent work.
     pub fn n_pre(&self) -> usize {
         self.n_pre as usize
     }
@@ -502,11 +390,12 @@ impl RegProgram {
     }
 
     /// Check every register operand against the file size — the machine
-    /// argument behind the unchecked register accesses in the interpreters
-    /// below: once this passes, every access is in bounds for any scratch
-    /// buffer of `n_regs` (or `n_regs * LANES`) length. Returns the first
-    /// violation as an error string; [`validate`](Self::validate) panics on
-    /// it at construction time, and `lint::absint` re-proves the same facts
+    /// argument behind the unchecked register accesses of the threaded
+    /// thunks and the lane kernels below: once this passes, every access
+    /// is in bounds for any scratch buffer of `n_regs` (or
+    /// `n_regs * LANES`) length. Returns the first violation as an error
+    /// string; [`validate`](Self::validate) panics on it at construction
+    /// time, and `lint::absint` re-proves the same facts
     /// independently over the public accessors.
     pub fn check(&self) -> Result<(), String> {
         let n = self.n_regs;
@@ -607,8 +496,8 @@ impl RegProgram {
     /// [`check`](Self::check). Exists so static-analysis tests can build
     /// deliberately corrupted programs (out-of-bounds registers, state
     /// loads in a prefix) and prove the analyzer refuses them. Running a
-    /// program that fails `check()` through the interpreters is undefined
-    /// behaviour — never run one, only analyze it.
+    /// program that fails `check()` through the thunks or the lane kernels
+    /// is undefined behaviour — never run one, only analyze it.
     #[doc(hidden)]
     pub fn from_raw_unchecked(
         code: Vec<RInstr>,
@@ -642,66 +531,6 @@ impl RegProgram {
         }
     }
 
-    /// Run over scalar registers. `regs` must be exactly `n_regs` long
-    /// with constants pinned by [`init_consts`](Self::init_consts) and the
-    /// prefix window (if any) holding the current row's prefix values.
-    #[inline]
-    fn run_scalar(&self, vars: &[f64], state: &[f64], regs: &mut [f64]) {
-        assert_eq!(regs.len(), self.n_regs as usize);
-        debug_assert!(vars.len() >= self.needs_vars);
-        debug_assert!(state.len() >= self.needs_states);
-        // SAFETY for every register `get_unchecked` below: `validate()`
-        // proved each register operand < n_regs at construction time, and
-        // the assert above pins `regs.len() == n_regs`. The `vars`/`state`
-        // accesses stay bounds-checked (they are caller data, and tiny).
-        for ins in &self.code {
-            unsafe {
-                match *ins {
-                    RInstr::LoadVar { dst, idx } => {
-                        *regs.get_unchecked_mut(dst as usize) = vars[idx as usize];
-                    }
-                    RInstr::LoadState { dst, idx } => {
-                        *regs.get_unchecked_mut(dst as usize) = state[idx as usize];
-                    }
-                    RInstr::Un { op, dst, a } => {
-                        let av = *regs.get_unchecked(a as usize);
-                        *regs.get_unchecked_mut(dst as usize) = apply_un(op, av);
-                    }
-                    RInstr::Bin { op, dst, a, b } => {
-                        let av = *regs.get_unchecked(a as usize);
-                        let bv = *regs.get_unchecked(b as usize);
-                        *regs.get_unchecked_mut(dst as usize) = apply_bin(op, av, bv);
-                    }
-                    RInstr::VarBinL { op, dst, idx, b } => {
-                        let bv = *regs.get_unchecked(b as usize);
-                        *regs.get_unchecked_mut(dst as usize) =
-                            apply_bin(op, vars[idx as usize], bv);
-                    }
-                    RInstr::VarBinR { op, dst, a, idx } => {
-                        let av = *regs.get_unchecked(a as usize);
-                        *regs.get_unchecked_mut(dst as usize) =
-                            apply_bin(op, av, vars[idx as usize]);
-                    }
-                    RInstr::ConstBinL { op, dst, c, b } => {
-                        let bv = *regs.get_unchecked(b as usize);
-                        *regs.get_unchecked_mut(dst as usize) = apply_bin(op, c, bv);
-                    }
-                    RInstr::ConstBinR { op, dst, a, c } => {
-                        let av = *regs.get_unchecked(a as usize);
-                        *regs.get_unchecked_mut(dst as usize) = apply_bin(op, av, c);
-                    }
-                    RInstr::MulSub { dst, a, b, c } => {
-                        let av = *regs.get_unchecked(a as usize);
-                        let bv = *regs.get_unchecked(b as usize);
-                        let cv = *regs.get_unchecked(c as usize);
-                        // Two roundings on purpose; see `RInstr::MulSub`.
-                        *regs.get_unchecked_mut(dst as usize) = av * bv - cv;
-                    }
-                }
-            }
-        }
-    }
-
     /// Run `m <= LANES` lanes through the program, lane `l` reading its
     /// own forcing row `rows[l]` and its own state vector
     /// `states[l * state_stride ..]` (lane-major). Two shapes share it:
@@ -713,8 +542,8 @@ impl RegProgram {
     /// buffer; one dispatch covers all `m` lanes and the per-lane loops are
     /// plain indexed f64 kernels with the operator matched *outside* the
     /// loop, so the compiler can auto-vectorize them. Per-lane arithmetic
-    /// is the scalar protected-op sequence of [`run_scalar`]
-    /// (Self::run_scalar), so each lane is bit-identical to a solo run.
+    /// is the scalar protected-op sequence of the threaded thunks, so each
+    /// lane is bit-identical to a solo run.
     fn run_lanes<R: AsRef<[f64]>>(
         &self,
         rows: &[R],
@@ -796,8 +625,8 @@ impl RegProgram {
     /// takes the `l_bin_cl`/`l_bin_cr` kernels (vectorized for add, sub,
     /// mul, min and max as well as div and pow) instead of the gathered
     /// ones. Per-lane arithmetic is the same scalar protected-op sequence
-    /// as [`run_scalar`](Self::run_scalar), so each lane's outputs are
-    /// bit-identical to a solo scalar evaluation.
+    /// as the threaded thunks, so each lane's outputs are bit-identical to
+    /// a solo scalar evaluation.
     pub(crate) fn run_lanes_one_row(
         &self,
         vars: &[f64],
@@ -1288,7 +1117,7 @@ impl Dag {
         match e {
             Expr::Num(v) => self.intern(Node::Const(*v)),
             // Parameter values are frozen at compile time; recompile after
-            // Gaussian mutation (same cost profile as the stack VM).
+            // Gaussian mutation.
             Expr::Param(p) => self.intern(Node::Const(p.value)),
             Expr::Var(i) => self.intern(Node::Var(*i)),
             Expr::State(i) => self.intern(Node::State(*i)),
@@ -1539,7 +1368,7 @@ fn fuse(code: &mut Vec<VIns>, outputs: &[VR], dag: &Dag) {
 /// free list as their live ranges end. An operand register whose live
 /// range ends at an instruction is freed *before* the destination is
 /// assigned, so `r3 = f(r3, r2)`-style in-place reuse falls out naturally
-/// (both interpreters read operands into locals before writing `dst`).
+/// (the thunks and the lane kernels read operands before writing `dst`).
 fn allocate(code: &[VIns], outputs: &[VR], dag: &Dag, n_pre: u16) -> RegProgram {
     // Constant pool: DAG constants referenced as `VR::Const` by surviving
     // code or outputs, in first-reference order.
@@ -1723,40 +1552,47 @@ fn allocate(code: &[VIns], outputs: &[VR], dag: &Dag, n_pre: u16) -> RegProgram 
 // ---------------------------------------------------------------------------
 
 /// A system of equations compiled through the optimizing pipeline: one
-/// shared DAG, an optional state-independent prefix program, and a core
-/// program producing one output per equation.
+/// shared DAG, a state-independent prefix program, and a core program
+/// producing one output per equation.
 #[derive(Debug, Clone)]
 pub struct CompiledSystem {
-    /// Columnar-swept prefix; empty when `opts.split` is off or nothing is
-    /// state-independent. Its outputs fill the core's pinned window.
+    /// Columnar-swept prefix; empty when nothing is state-independent. Its
+    /// outputs fill the core's pinned window.
     prefix: RegProgram,
-    /// Sequential per-step program; reads the prefix window when split.
+    /// Sequential per-step program; reads the prefix window.
     core: RegProgram,
     n_eqs: usize,
-    opts: OptOptions,
-    /// Threaded-code images of `prefix`/`core`, built by
-    /// [`compile`](Self::compile) when `opts.exec` is not [`Exec::Match`].
-    /// Systems assembled by [`from_raw_parts`](Self::from_raw_parts) never
-    /// carry thunks (they may be deliberately corrupt and must only ever
-    /// be analyzed); scalar execution then falls back to `run_scalar`.
-    prefix_thunks: Option<ThreadedProgram>,
-    core_thunks: Option<ThreadedProgram>,
+    tier: Tier,
+    /// Threaded-code images of `prefix`/`core`. Systems assembled by
+    /// [`from_raw_parts`](Self::from_raw_parts) carry none: they may be
+    /// deliberately corrupt and must only ever be analyzed, so running one
+    /// panics.
+    thunks: Option<Thunks>,
+}
+
+/// The threaded-code images the scalar paths of a system run.
+#[derive(Debug, Clone)]
+struct Thunks {
+    prefix: ThreadedProgram,
+    core: ThreadedProgram,
 }
 
 impl PartialEq for CompiledSystem {
     /// Thunk arrays are derived data (a pure function of the programs and
-    /// options), so equality compares the programs themselves.
+    /// the tier), so equality compares the programs themselves.
     fn eq(&self, other: &Self) -> bool {
         self.prefix == other.prefix
             && self.core == other.core
             && self.n_eqs == other.n_eqs
-            && self.opts == other.opts
+            && self.tier == other.tier
     }
 }
 
 impl CompiledSystem {
-    /// Compile `eqs` as one system. Panics on an empty slice.
-    pub fn compile(eqs: &[Expr], opts: OptOptions) -> CompiledSystem {
+    /// Compile `eqs` as one system for `tier`: the lowering passes, the
+    /// fixed superinstruction set and the prefix/core split, with both
+    /// programs built into threaded code. Panics on an empty slice.
+    pub fn compile(eqs: &[Expr], tier: Tier) -> CompiledSystem {
         assert!(!eqs.is_empty(), "cannot compile an empty system");
         let mut dag = Dag::new();
         let roots: Vec<u32> = eqs.iter().map(|e| dag.lower(e)).collect();
@@ -1782,40 +1618,38 @@ impl CompiledSystem {
         // Prefix slots: maximal state-independent op nodes, i.e. those
         // consumed by a state-dependent parent or serving as an equation
         // root. Slot order follows ascending node id — deterministic.
+        let is_candidate = |id: u32| {
+            reachable[id as usize]
+                && !dag.state_dep[id as usize]
+                && matches!(dag.node(id), Node::Un(..) | Node::Bin(..))
+        };
+        let mut wanted = vec![false; n];
+        for &r in &roots {
+            if is_candidate(r) {
+                wanted[r as usize] = true;
+            }
+        }
+        for id in 0..n as u32 {
+            if !reachable[id as usize] || !dag.state_dep[id as usize] {
+                continue;
+            }
+            let (a, b) = match dag.node(id) {
+                Node::Un(_, a) => (Some(a), None),
+                Node::Bin(_, a, b) => (Some(a), Some(b)),
+                _ => (None, None),
+            };
+            for operand in [a, b].into_iter().flatten() {
+                if is_candidate(operand) {
+                    wanted[operand as usize] = true;
+                }
+            }
+        }
         let mut pre_slot: Vec<Option<u16>> = vec![None; n];
         let mut n_pre = 0u16;
-        if opts.split {
-            let is_candidate = |id: u32| {
-                reachable[id as usize]
-                    && !dag.state_dep[id as usize]
-                    && matches!(dag.node(id), Node::Un(..) | Node::Bin(..))
-            };
-            let mut wanted = vec![false; n];
-            for &r in &roots {
-                if is_candidate(r) {
-                    wanted[r as usize] = true;
-                }
-            }
-            for id in 0..n as u32 {
-                if !reachable[id as usize] || !dag.state_dep[id as usize] {
-                    continue;
-                }
-                let (a, b) = match dag.node(id) {
-                    Node::Un(_, a) => (Some(a), None),
-                    Node::Bin(_, a, b) => (Some(a), Some(b)),
-                    _ => (None, None),
-                };
-                for operand in [a, b].into_iter().flatten() {
-                    if is_candidate(operand) {
-                        wanted[operand as usize] = true;
-                    }
-                }
-            }
-            for (id, w) in wanted.iter().enumerate() {
-                if *w {
-                    pre_slot[id] = Some(n_pre);
-                    n_pre = n_pre.checked_add(1).expect("prefix window exceeds u16");
-                }
+        for (id, w) in wanted.iter().enumerate() {
+            if *w {
+                pre_slot[id] = Some(n_pre);
+                n_pre = n_pre.checked_add(1).expect("prefix window exceeds u16");
             }
         }
 
@@ -1827,9 +1661,7 @@ impl CompiledSystem {
                 .map(|id| em.value(id as u32))
                 .collect();
             let mut code = em.code;
-            if opts.fuse {
-                fuse(&mut code, &outs, &dag);
-            }
+            fuse(&mut code, &outs, &dag);
             allocate(&code, &outs, &dag, 0)
         } else {
             RegProgram::empty()
@@ -1838,9 +1670,7 @@ impl CompiledSystem {
         let mut em = Emitter::new(&dag, &pre_slot, false);
         let outs: Vec<VR> = roots.iter().map(|&r| em.value(r)).collect();
         let mut code = em.code;
-        if opts.fuse {
-            fuse(&mut code, &outs, &dag);
-        }
+        fuse(&mut code, &outs, &dag);
         let core = allocate(&code, &outs, &dag, n_pre);
         debug_assert_eq!(prefix.outputs.len(), n_pre as usize);
 
@@ -1848,23 +1678,18 @@ impl CompiledSystem {
         // monomorphized thunk. `fast` (relaxed transcendentals) only when
         // the simd tier's kernels are actually live, so the scalar and
         // columnar paths of one system always agree per lane.
-        let fast = opts.exec == Exec::Simd && crate::simd::active();
-        let (prefix_thunks, core_thunks) = if opts.exec == Exec::Match {
-            (None, None)
-        } else {
-            (
-                (!prefix.is_empty()).then(|| ThreadedProgram::build(&prefix, fast)),
-                Some(ThreadedProgram::build(&core, fast)),
-            )
+        let fast = tier.fidelity() == Fidelity::RelaxedSimd;
+        let thunks = Thunks {
+            prefix: ThreadedProgram::build(&prefix, fast),
+            core: ThreadedProgram::build(&core, fast),
         };
 
         CompiledSystem {
             prefix,
             core,
             n_eqs: eqs.len(),
-            opts,
-            prefix_thunks,
-            core_thunks,
+            tier,
+            thunks: Some(thunks),
         }
     }
 
@@ -1876,12 +1701,12 @@ impl CompiledSystem {
         eqs: &[Expr],
         n_vars: usize,
         n_states: usize,
-        opts: OptOptions,
+        tier: Tier,
     ) -> Result<CompiledSystem, CompileError> {
         for eq in eqs {
             check_arity(eq, n_vars, n_states)?;
         }
-        let sys = CompiledSystem::compile(eqs, opts);
+        let sys = CompiledSystem::compile(eqs, tier);
         #[cfg(debug_assertions)]
         if let Err(e) = sys.self_check() {
             panic!("compile_checked: structural self-check failed: {e}");
@@ -1940,21 +1765,21 @@ impl CompiledSystem {
     /// every pipeline check. For static-analysis tests that need a
     /// deliberately corrupted [`CompiledSystem`] (see
     /// [`RegProgram::from_raw_unchecked`]); such a system must only ever
-    /// be analyzed, never evaluated.
+    /// be analyzed. It carries no threaded code, so every attempt to run
+    /// it panics.
     #[doc(hidden)]
     pub fn from_raw_parts(
         prefix: RegProgram,
         core: RegProgram,
         n_eqs: usize,
-        opts: OptOptions,
+        tier: Tier,
     ) -> CompiledSystem {
         CompiledSystem {
             prefix,
             core,
             n_eqs,
-            opts,
-            prefix_thunks: None,
-            core_thunks: None,
+            tier,
+            thunks: None,
         }
     }
 
@@ -1963,58 +1788,32 @@ impl CompiledSystem {
         self.n_eqs
     }
 
-    /// The options this system was compiled with.
-    pub fn options(&self) -> OptOptions {
-        self.opts
-    }
-
-    /// The named tier these options compile to.
+    /// The tier this system was compiled for.
     pub fn tier(&self) -> Tier {
-        match (self.opts.exec, self.opts.split, self.opts.fuse) {
-            (Exec::Simd, ..) => Tier::Simd,
-            (Exec::Threaded, ..) => Tier::Threaded,
-            (Exec::Match, true, _) => Tier::Split,
-            (Exec::Match, false, true) => Tier::Fused,
-            (Exec::Match, false, false) => Tier::Register,
-        }
+        self.tier
     }
 
     /// True when this system executes with relaxed fidelity **on this
-    /// machine right now**: simd exec with the vector kernels live. A
+    /// machine right now**: the simd tier with the vector kernels live. A
     /// simd-tier system on a machine without AVX2+FMA (or with the `simd`
     /// feature off) is bit-exact threaded code.
     pub fn relaxed(&self) -> bool {
-        self.opts.exec == Exec::Simd && crate::simd::active()
+        self.fidelity() == Fidelity::RelaxedSimd
     }
 
     /// The fidelity this system's execution delivers (see
-    /// [`relaxed`](Self::relaxed)).
+    /// [`Tier::fidelity`]).
     pub fn fidelity(&self) -> Fidelity {
-        if self.relaxed() {
-            Fidelity::RelaxedSimd
-        } else {
-            Fidelity::BitExact
-        }
+        self.tier.fidelity()
     }
 
-    /// Run the core for one row: threaded thunks when built, otherwise the
-    /// match interpreter.
-    #[inline]
-    fn run_core_scalar(&self, vars: &[f64], state: &[f64], regs: &mut [f64]) {
-        match &self.core_thunks {
-            Some(t) => t.run(vars, state, regs),
-            None => self.core.run_scalar(vars, state, regs),
-        }
-    }
-
-    /// Run the prefix scalar for one row (see
-    /// [`run_core_scalar`](Self::run_core_scalar)).
-    #[inline]
-    fn run_prefix_scalar(&self, vars: &[f64], regs: &mut [f64]) {
-        match &self.prefix_thunks {
-            Some(t) => t.run(vars, &[], regs),
-            None => self.prefix.run_scalar(vars, &[], regs),
-        }
+    /// The threaded code every run goes through. Panics on an
+    /// analysis-only system from [`from_raw_parts`](Self::from_raw_parts),
+    /// whose bytecode was never validated.
+    fn thunks(&self) -> &Thunks {
+        self.thunks
+            .as_ref()
+            .expect("a system assembled by from_raw_parts is analysis-only and cannot run")
     }
 
     /// Instructions in the sequential core program.
@@ -2070,13 +1869,14 @@ impl CompiledSystem {
     pub fn eval_step(&self, ctx: &EvalContext<'_>, scratch: &mut SystemScratch, out: &mut [f64]) {
         assert_eq!(out.len(), self.n_eqs);
         let window = self.core.consts.len();
+        let thunks = self.thunks();
         if !self.prefix.outputs.is_empty() {
-            self.run_prefix_scalar(ctx.vars, &mut scratch.prefix_regs);
+            thunks.prefix.run(ctx.vars, &[], &mut scratch.prefix_regs);
             for (k, &r) in self.prefix.outputs.iter().enumerate() {
                 scratch.core_regs[window + k] = scratch.prefix_regs[r as usize];
             }
         }
-        self.run_core_scalar(ctx.vars, ctx.state, &mut scratch.core_regs);
+        thunks.core.run(ctx.vars, ctx.state, &mut scratch.core_regs);
         for (e, &r) in self.core.outputs.iter().enumerate() {
             out[e] = scratch.core_regs[r as usize];
         }
@@ -2128,6 +1928,9 @@ impl CompiledSystem {
         &'a self,
         forcing: LaneForcing<'a, R>,
     ) -> LaneSession<'a, R> {
+        // The lane kernels read registers unchecked: refuse an
+        // analysis-only system before they ever see its bytecode.
+        self.thunks();
         let (k, prefixes) = match &forcing {
             LaneForcing::Shared {
                 rows,
@@ -2225,6 +2028,8 @@ struct PrefixSweep {
 
 impl PrefixSweep {
     fn new(sys: &CompiledSystem, rows: usize) -> PrefixSweep {
+        // Same refusal as `lane_session`: the sweep runs the lane kernels.
+        sys.thunks();
         let n_pre = sys.prefix.outputs.len();
         let mut lane_regs = if n_pre > 0 {
             vec![0.0; sys.prefix.n_regs as usize * LANES]
@@ -2305,7 +2110,9 @@ impl<R: AsRef<[f64]>> SystemSession<'_, R> {
                 .copy_from_slice(self.prefix.table.row(t));
         }
         self.sys
-            .run_core_scalar(self.rows[t].as_ref(), state, &mut self.scratch.core_regs);
+            .thunks()
+            .core
+            .run(self.rows[t].as_ref(), state, &mut self.scratch.core_regs);
         for (e, &r) in self.sys.core.outputs.iter().enumerate() {
             out[e] = self.scratch.core_regs[r as usize];
         }
@@ -2474,8 +2281,8 @@ mod tests {
         [eq0, eq1]
     }
 
-    fn check_equivalence(eqs: &[Expr], vars: &[f64], state: &[f64], opts: OptOptions) {
-        let sys = CompiledSystem::compile(eqs, opts);
+    fn check_equivalence(eqs: &[Expr], vars: &[f64], state: &[f64], tier: Tier) {
+        let sys = CompiledSystem::compile(eqs, tier);
         let mut scratch = sys.scratch();
         let ctx = EvalContext { vars, state };
         let mut got = vec![0.0; eqs.len()];
@@ -2484,7 +2291,7 @@ mod tests {
             let want = eq.eval(&ctx);
             assert!(
                 feq(got[e], want),
-                "{opts:?} eq{e}: got {} want {}",
+                "{tier:?} eq{e}: got {} want {}",
                 got[e],
                 want
             );
@@ -2494,46 +2301,34 @@ mod tests {
     /// Every tier whose execution is bit-exact on this machine. The simd
     /// tier joins only where its vector kernels are *not* live (feature
     /// off or no AVX2+FMA), i.e. exactly when it degrades to threaded.
-    fn exact_tiers() -> Vec<OptOptions> {
-        let mut tiers = vec![
-            OptOptions::register(),
-            OptOptions::fused(),
-            OptOptions::full(),
-            OptOptions::threaded(),
-        ];
-        if !crate::simd::active() {
-            tiers.push(OptOptions::simd());
-        }
-        tiers
+    fn exact_tiers() -> Vec<Tier> {
+        Tier::ALL
+            .into_iter()
+            .filter(|t| t.fidelity() == Fidelity::BitExact)
+            .collect()
     }
 
     /// Every tier, the simd tier possibly relaxed — for tests comparing
     /// the VM's own execution paths against each other, which must agree
     /// bitwise regardless of fidelity.
-    fn all_tiers() -> Vec<OptOptions> {
-        vec![
-            OptOptions::register(),
-            OptOptions::fused(),
-            OptOptions::full(),
-            OptOptions::threaded(),
-            OptOptions::simd(),
-        ]
+    fn all_tiers() -> [Tier; 2] {
+        Tier::ALL
     }
 
     #[test]
     fn all_tiers_match_interpreter_on_sample() {
         let eqs = sample_system();
-        for opts in exact_tiers() {
-            check_equivalence(&eqs, &[20.0, 1.4], &[8.0, 1.2], opts);
-            check_equivalence(&eqs, &[0.0, 0.0], &[0.0, 0.0], opts);
-            check_equivalence(&eqs, &[-3.0, 1e9], &[1e9, -1e9], opts);
+        for tier in exact_tiers() {
+            check_equivalence(&eqs, &[20.0, 1.4], &[8.0, 1.2], tier);
+            check_equivalence(&eqs, &[0.0, 0.0], &[0.0, 0.0], tier);
+            check_equivalence(&eqs, &[-3.0, 1e9], &[1e9, -1e9], tier);
         }
     }
 
     #[test]
     fn cse_shares_subexpressions_across_equations() {
         let eqs = sample_system();
-        let sys = CompiledSystem::compile(&eqs, OptOptions::register());
+        let sys = CompiledSystem::compile(&eqs, Tier::Threaded);
         let separate: usize = eqs.iter().map(|e| e.size()).sum();
         // The shared growth term and forcing factor must be emitted once.
         assert!(
@@ -2567,8 +2362,8 @@ mod tests {
             (vec![1e12, 0.0], vec![-1e12]),
         ] {
             for (i, eq) in cases.iter().enumerate() {
-                for opts in exact_tiers() {
-                    let sys = CompiledSystem::compile(std::slice::from_ref(eq), opts);
+                for tier in exact_tiers() {
+                    let sys = CompiledSystem::compile(std::slice::from_ref(eq), tier);
                     let ctx = EvalContext {
                         vars: &vars,
                         state: &state,
@@ -2577,7 +2372,7 @@ mod tests {
                     sys.eval_step(&ctx, &mut sys.scratch(), &mut out);
                     assert!(
                         feq(out[0], eq.eval(&ctx)),
-                        "case {i} tier {opts:?} diverged"
+                        "case {i} tier {tier:?} diverged"
                     );
                 }
             }
@@ -2594,7 +2389,7 @@ mod tests {
                 vars: &[v],
                 state: &[],
             };
-            let sys = CompiledSystem::compile(std::slice::from_ref(&eq), OptOptions::full());
+            let sys = CompiledSystem::compile(std::slice::from_ref(&eq), Tier::Threaded);
             let mut out = [0.0];
             sys.eval_step(&ctx, &mut sys.scratch(), &mut out);
             assert!(feq(out[0], eq.eval(&ctx)), "pow(x,1) diverged at x={v}");
@@ -2608,7 +2403,7 @@ mod tests {
             Expr::Num(2.0),
             Expr::bin(BinOp::Mul, Expr::Num(3.0), p(0, 4.0)),
         );
-        let sys = CompiledSystem::compile(std::slice::from_ref(&eq), OptOptions::full());
+        let sys = CompiledSystem::compile(std::slice::from_ref(&eq), Tier::Threaded);
         assert_eq!(sys.core_len(), 0, "constant equation should emit no code");
         let mut out = [0.0];
         sys.eval_step(
@@ -2623,28 +2418,10 @@ mod tests {
     }
 
     #[test]
-    fn fusion_reduces_dispatch_count() {
-        let eqs = sample_system();
-        let plain = CompiledSystem::compile(&eqs, OptOptions::register());
-        let fused = CompiledSystem::compile(&eqs, OptOptions::fused());
-        assert!(
-            fused.core_len() < plain.core_len(),
-            "fusion did not shrink the program: {} !< {}",
-            fused.core_len(),
-            plain.core_len()
-        );
-    }
-
-    #[test]
     fn split_moves_state_independent_work_to_prefix() {
         let eqs = sample_system();
-        let full = CompiledSystem::compile(&eqs, OptOptions::full());
-        assert!(full.n_pre() > 0, "sample system has a forcing-only factor");
-        let fused = CompiledSystem::compile(&eqs, OptOptions::fused());
-        assert!(
-            full.core_len() < fused.core_len(),
-            "split did not shrink the sequential core"
-        );
+        let sys = CompiledSystem::compile(&eqs, Tier::Threaded);
+        assert!(sys.n_pre() > 0, "sample system has a forcing-only factor");
     }
 
     #[test]
@@ -2660,8 +2437,8 @@ mod tests {
                 ]
             })
             .collect();
-        for opts in all_tiers() {
-            let sys = CompiledSystem::compile(&eqs, opts);
+        for tier in all_tiers() {
+            let sys = CompiledSystem::compile(&eqs, tier);
             let mut session = sys.session(&rows);
             let mut scratch = sys.scratch();
             let mut state = [8.0, 1.2];
@@ -2676,7 +2453,7 @@ mod tests {
                 session.step(t, &state, &mut got);
                 assert!(
                     feq(got[0], want[0]) && feq(got[1], want[1]),
-                    "session diverged at t={t} for {opts:?}"
+                    "session diverged at t={t} for {tier:?}"
                 );
                 // Drive a state recurrence so core really is sequential.
                 state[0] = (state[0] + 0.1 * got[0]).clamp(0.0, 1e6);
@@ -2689,7 +2466,7 @@ mod tests {
     fn session_sweeps_prefix_lazily() {
         let eqs = sample_system();
         let rows: Vec<Vec<f64>> = (0..LANES * 4).map(|t| vec![t as f64, 1.0]).collect();
-        let sys = CompiledSystem::compile(&eqs, OptOptions::full());
+        let sys = CompiledSystem::compile(&eqs, Tier::Threaded);
         let mut session = sys.session(&rows);
         let mut out = [0.0, 0.0];
         session.step(0, &[1.0, 1.0], &mut out);
@@ -2716,8 +2493,8 @@ mod tests {
         let inits: Vec<[f64; 2]> = (0..k)
             .map(|l| [4.0 + l as f64 * 1.7, 0.3 + l as f64 * 0.41])
             .collect();
-        for opts in all_tiers() {
-            let sys = CompiledSystem::compile(&eqs, opts);
+        for tier in all_tiers() {
+            let sys = CompiledSystem::compile(&eqs, tier);
 
             // Reference: each trajectory through its own solo session.
             let mut want = vec![vec![[0.0f64; 2]; n_rows]; k];
@@ -2751,7 +2528,7 @@ mod tests {
                     for e in 0..2 {
                         assert!(
                             feq(out[l * 2 + e], want[l][t][e]),
-                            "lane {l} eq {e} diverged at t={t} for {opts:?}: {} vs {}",
+                            "lane {l} eq {e} diverged at t={t} for {tier:?}: {} vs {}",
                             out[l * 2 + e],
                             want[l][t][e],
                         );
@@ -2786,8 +2563,8 @@ mod tests {
             })
             .collect();
         let init = [6.0, 0.9];
-        for opts in all_tiers() {
-            let sys = CompiledSystem::compile(&eqs, opts);
+        for tier in all_tiers() {
+            let sys = CompiledSystem::compile(&eqs, tier);
 
             // Reference: each variant through its own solo session.
             let mut want = vec![vec![[0.0f64; 2]; n_rows]; k];
@@ -2818,7 +2595,7 @@ mod tests {
                     for e in 0..2 {
                         assert!(
                             feq(out[l * 2 + e], want[l][t][e]),
-                            "lane {l} eq {e} diverged at t={t} for {opts:?}: {} vs {}",
+                            "lane {l} eq {e} diverged at t={t} for {tier:?}: {} vs {}",
                             out[l * 2 + e],
                             want[l][t][e],
                         );
@@ -2840,7 +2617,7 @@ mod tests {
         let rows: Vec<Vec<f64>> = (0..LANES * 2)
             .map(|t| vec![(t as f64 * 0.31).sin() * 20.0, 1.0])
             .collect();
-        let sys = CompiledSystem::compile(&eqs, OptOptions::full());
+        let sys = CompiledSystem::compile(&eqs, Tier::Threaded);
         // One lane in each layout: per-lane tables against one shared
         // table with its materialized prefix.
         let refs = [rows.as_slice()];
@@ -2886,8 +2663,8 @@ mod tests {
             let inits: Vec<f64> = (0..k)
                 .flat_map(|l| [4.0 + l as f64 * 1.7, 0.3 + l as f64 * 0.41])
                 .collect();
-            for opts in exact_tiers() {
-                let sys = CompiledSystem::compile(&eqs, opts);
+            for tier in exact_tiers() {
+                let sys = CompiledSystem::compile(&eqs, tier);
                 let prefix = sys.sweep_prefix(&tables[0]);
                 // Each layout with the tables its lanes read.
                 let layouts = [
@@ -2914,7 +2691,7 @@ mod tests {
                             for e in 0..2 {
                                 assert!(
                                     feq(out[l * 2 + e], want[e]),
-                                    "width {k} lane {l} eq {e} diverged at t={t} for {opts:?}"
+                                    "width {k} lane {l} eq {e} diverged at t={t} for {tier:?}"
                                 );
                             }
                         }
@@ -2934,7 +2711,7 @@ mod tests {
             vars: &[],
             state: &[4.0],
         };
-        let sys = CompiledSystem::compile(std::slice::from_ref(&eq), OptOptions::full());
+        let sys = CompiledSystem::compile(std::slice::from_ref(&eq), Tier::Threaded);
         let mut out = [0.0];
         sys.eval_step(&ctx, &mut sys.scratch(), &mut out);
         assert_eq!(out[0], 2.0);
@@ -2943,7 +2720,7 @@ mod tests {
         }
         sys.eval_step(&ctx, &mut sys.scratch(), &mut out);
         assert_eq!(out[0], 2.0, "compiled artifact must not see the mutation");
-        let sys2 = CompiledSystem::compile(std::slice::from_ref(&eq), OptOptions::full());
+        let sys2 = CompiledSystem::compile(std::slice::from_ref(&eq), Tier::Threaded);
         sys2.eval_step(&ctx, &mut sys2.scratch(), &mut out);
         assert_eq!(out[0], 8.0);
     }
@@ -2951,40 +2728,30 @@ mod tests {
     #[test]
     fn compile_checked_rejects_out_of_range_indices() {
         let bad_var = Expr::bin(BinOp::Add, Expr::Var(3), Expr::State(0));
-        let err = CompiledSystem::compile_checked(
-            std::slice::from_ref(&bad_var),
-            2,
-            1,
-            OptOptions::full(),
-        )
-        .unwrap_err();
+        let err =
+            CompiledSystem::compile_checked(std::slice::from_ref(&bad_var), 2, 1, Tier::Threaded)
+                .unwrap_err();
         assert!(matches!(
             err,
             CompileError::VarOutOfRange { index: 3, arity: 2 }
         ));
         let bad_state = Expr::State(1);
-        let err = CompiledSystem::compile_checked(
-            std::slice::from_ref(&bad_state),
-            2,
-            1,
-            OptOptions::full(),
-        )
-        .unwrap_err();
+        let err =
+            CompiledSystem::compile_checked(std::slice::from_ref(&bad_state), 2, 1, Tier::Threaded)
+                .unwrap_err();
         assert!(matches!(
             err,
             CompileError::StateOutOfRange { index: 1, arity: 1 }
         ));
-        assert!(
-            CompiledSystem::compile_checked(&sample_system(), 2, 2, OptOptions::full()).is_ok()
-        );
+        assert!(CompiledSystem::compile_checked(&sample_system(), 2, 2, Tier::Threaded).is_ok());
     }
 
     #[test]
     fn compiled_systems_pass_self_check_with_no_dead_code() {
         let eqs = sample_system();
-        for opts in all_tiers() {
-            let sys = CompiledSystem::compile(&eqs, opts);
-            sys.self_check().unwrap_or_else(|e| panic!("{opts:?}: {e}"));
+        for tier in all_tiers() {
+            let sys = CompiledSystem::compile(&eqs, tier);
+            sys.self_check().unwrap_or_else(|e| panic!("{tier:?}: {e}"));
             assert!(sys.core().dead_instructions().is_empty());
             assert!(sys.prefix().dead_instructions().is_empty());
         }
@@ -3044,7 +2811,7 @@ mod tests {
     #[test]
     fn self_check_catches_state_load_in_prefix() {
         let eqs = sample_system();
-        let sys = CompiledSystem::compile(&eqs, OptOptions::full());
+        let sys = CompiledSystem::compile(&eqs, Tier::Threaded);
         assert!(sys.n_pre() > 0);
         // Graft a LoadState into the (state-independent) prefix program.
         let mut code = sys.prefix().instructions().to_vec();
@@ -3063,7 +2830,7 @@ mod tests {
             corrupt_prefix,
             sys.core().clone(),
             sys.n_eqs(),
-            sys.options(),
+            sys.tier(),
         );
         let err = corrupt.self_check().unwrap_err();
         assert!(err.contains("state"), "{err}");
@@ -3072,7 +2839,7 @@ mod tests {
     #[test]
     fn register_file_stays_compact() {
         let eqs = sample_system();
-        let sys = CompiledSystem::compile(&eqs, OptOptions::full());
+        let sys = CompiledSystem::compile(&eqs, Tier::Threaded);
         // Linear scan with a free list should need far fewer registers
         // than SSA temporaries; the sample system fits comfortably in 16.
         assert!(
@@ -3091,7 +2858,7 @@ mod tests {
             Expr::bin(BinOp::Mul, Expr::State(0), Expr::State(1)),
             Expr::State(0),
         );
-        let sys = CompiledSystem::compile(std::slice::from_ref(&eq), OptOptions::fused());
+        let sys = CompiledSystem::compile(std::slice::from_ref(&eq), Tier::Threaded);
         let fused_shapes = sys
             .core()
             .instructions()
@@ -3112,13 +2879,33 @@ mod tests {
 
     #[test]
     fn tier_names_round_trip_and_map_to_options() {
+        // Both tiers compile the same bytecode; only the arithmetic behind
+        // the thunks and lane kernels differs.
+        let threaded = CompiledSystem::compile(&sample_system(), Tier::Threaded);
         for tier in Tier::ALL {
-            assert_eq!(Tier::parse(tier.name()), Some(tier));
-            let sys = CompiledSystem::compile(&sample_system(), tier.options());
-            assert_eq!(sys.tier(), tier, "options round-trip for {tier:?}");
+            let sys = CompiledSystem::compile(&sample_system(), tier);
+            assert_eq!(sys.tier(), tier, "tier round-trip for {tier:?}");
+            assert_eq!(sys.core(), threaded.core(), "{tier:?} core");
+            assert_eq!(sys.prefix(), threaded.prefix(), "{tier:?} prefix");
         }
-        assert_eq!(Tier::parse("full"), Some(Tier::Split), "historical alias");
-        assert_eq!(Tier::parse("bogus"), None);
+        assert_ne!(Tier::Threaded.name(), Tier::Simd.name());
+    }
+
+    #[test]
+    #[should_panic(expected = "analysis-only")]
+    fn raw_parts_systems_refuse_to_run() {
+        let sys = CompiledSystem::compile(&sample_system(), Tier::Threaded);
+        let raw = CompiledSystem::from_raw_parts(
+            sys.prefix().clone(),
+            sys.core().clone(),
+            sys.n_eqs(),
+            sys.tier(),
+        );
+        let ctx = EvalContext {
+            vars: &[20.0, 1.4],
+            state: &[8.0, 1.2],
+        };
+        raw.eval_step(&ctx, &mut raw.scratch(), &mut [0.0, 0.0]);
     }
 
     #[test]
@@ -3128,10 +2915,8 @@ mod tests {
         assert!(FidelityPolicy::AllowRelaxed.allows(fast.fidelity()));
         assert!(FidelityPolicy::BitExact.allows(Fidelity::BitExact));
         assert!(!FidelityPolicy::BitExact.allows(Fidelity::RelaxedSimd));
-        for tier in [Tier::Register, Tier::Fused, Tier::Split, Tier::Threaded] {
-            assert_eq!(tier.fidelity(), Fidelity::BitExact);
-        }
-        let sys = CompiledSystem::compile(&sample_system(), OptOptions::simd());
+        assert_eq!(Tier::Threaded.fidelity(), Fidelity::BitExact);
+        let sys = CompiledSystem::compile(&sample_system(), Tier::Simd);
         assert_eq!(sys.relaxed(), crate::simd::active());
         assert_eq!(sys.fidelity(), Tier::Simd.fidelity());
     }
@@ -3164,7 +2949,7 @@ mod tests {
                 Expr::Num(1.7),
             ),
         );
-        let sys = CompiledSystem::compile(std::slice::from_ref(&eq), OptOptions::simd());
+        let sys = CompiledSystem::compile(std::slice::from_ref(&eq), Tier::Simd);
         assert!(sys.relaxed());
         let rows: Vec<Vec<f64>> = (0..LANES + 5)
             .map(|t| vec![(t as f64 * 0.7).sin() * 25.0, t as f64 * 0.3 + 0.1])

@@ -5,13 +5,12 @@
 //! 1. `simplify` never changes the value of a tree on any input (otherwise
 //!    the fitness cache would silently return fitnesses of *different*
 //!    models);
-//! 2. the bytecode VM agrees with the interpreter bit-for-bit (otherwise the
-//!    runtime-compilation speedup would change search trajectories).
+//! 2. the bit-exact register VM agrees with the interpreter bit-for-bit
+//!    (otherwise the runtime-compilation speedup would change search
+//!    trajectories).
 
 use gmr_expr::ast::{BinOp, Expr, ParamSlot, UnOp};
-use gmr_expr::{
-    simplify, CompiledExpr, CompiledSystem, EvalContext, LaneForcing, NameTable, OptOptions,
-};
+use gmr_expr::{simplify, CompiledSystem, EvalContext, Fidelity, LaneForcing, NameTable, Tier};
 use proptest::prelude::*;
 
 /// Strategy for arbitrary expressions over 4 vars, 2 states, 3 param kinds.
@@ -136,17 +135,11 @@ fn feq(a: f64, b: f64) -> bool {
 /// threaded tier is always bit-exact; the simd tier is bit-exact exactly
 /// when its vector kernels are dormant (feature off, or no AVX2+FMA at
 /// runtime) and it falls back to the threaded thunks.
-fn exact_tiers() -> Vec<OptOptions> {
-    let mut tiers = vec![
-        OptOptions::register(),
-        OptOptions::fused(),
-        OptOptions::full(),
-        OptOptions::threaded(),
-    ];
-    if !gmr_expr::simd::active() {
-        tiers.push(OptOptions::simd());
-    }
-    tiers
+fn exact_tiers() -> Vec<Tier> {
+    Tier::ALL
+        .into_iter()
+        .filter(|t| t.fidelity() == Fidelity::BitExact)
+        .collect()
 }
 
 /// Relative closeness for the relaxed-simd fidelity class: the vector
@@ -182,18 +175,13 @@ proptest! {
     }
 
     #[test]
-    fn compiled_matches_interpreter(e in arb_expr(), (vars, state) in arb_ctx()) {
-        let ctx = EvalContext { vars: &vars, state: &state };
-        let c = CompiledExpr::compile(&e);
-        prop_assert!(feq(c.eval(&ctx), e.eval(&ctx)));
-    }
-
-    #[test]
     fn compiled_simplified_matches_too(e in arb_expr(), (vars, state) in arb_ctx()) {
         // The production path: simplify, then compile, then evaluate.
         let ctx = EvalContext { vars: &vars, state: &state };
-        let c = CompiledExpr::compile(&simplify(&e));
-        prop_assert!(feq(c.eval(&ctx), e.eval(&ctx)));
+        let sys = CompiledSystem::compile(&[simplify(&e)], Tier::Threaded);
+        let mut out = [0.0];
+        sys.eval_step(&ctx, &mut sys.scratch(), &mut out);
+        prop_assert!(feq(out[0], e.eval(&ctx)));
     }
 
     #[test]
@@ -234,14 +222,14 @@ proptest! {
         // kernels are dormant and it runs the scalar fallback).
         let ctx = EvalContext { vars: &vars, state: &state };
         let expect: Vec<f64> = eqs.iter().map(|e| e.eval(&ctx)).collect();
-        for opts in exact_tiers() {
-            let sys = CompiledSystem::compile(&eqs, opts);
+        for tier in exact_tiers() {
+            let sys = CompiledSystem::compile(&eqs, tier);
             let mut scratch = sys.scratch();
             let mut out = vec![0.0; sys.n_eqs()];
             sys.eval_step(&ctx, &mut scratch, &mut out);
             for (i, (&want, &got)) in expect.iter().zip(&out).enumerate() {
                 prop_assert!(feq(want, got),
-                    "tier {opts:?} eq {i}: interpreter {want} vs VM {got}");
+                    "tier {tier:?} eq {i}: interpreter {want} vs VM {got}");
             }
         }
     }
@@ -255,14 +243,14 @@ proptest! {
         // assume finiteness anywhere (this is why x*0 → 0 is NOT a rewrite).
         let ctx = EvalContext { vars: &vars, state: &state };
         let expect: Vec<f64> = eqs.iter().map(|e| e.eval(&ctx)).collect();
-        for opts in exact_tiers() {
-            let sys = CompiledSystem::compile(&eqs, opts);
+        for tier in exact_tiers() {
+            let sys = CompiledSystem::compile(&eqs, tier);
             let mut scratch = sys.scratch();
             let mut out = vec![0.0; sys.n_eqs()];
             sys.eval_step(&ctx, &mut scratch, &mut out);
             for (i, (&want, &got)) in expect.iter().zip(&out).enumerate() {
                 prop_assert!(feq(want, got),
-                    "tier {opts:?} eq {i}: interpreter {want} vs VM {got}");
+                    "tier {tier:?} eq {i}: interpreter {want} vs VM {got}");
             }
         }
     }
@@ -276,15 +264,9 @@ proptest! {
         // The columnar prefix sweep: a session over up to 80 rows (crossing
         // the 32-lane chunk boundary twice) must agree with per-row
         // interpretation at every (row, state) pair, including revisits of
-        // the same row with a different state. Holds for every tier with a
-        // split prefix: interpreted split, threaded thunks, and the simd
-        // tier on its scalar fallback.
-        let mut tiers = vec![OptOptions::full(), OptOptions::threaded()];
-        if !gmr_expr::simd::active() {
-            tiers.push(OptOptions::simd());
-        }
-        for opts in tiers {
-            let sys = CompiledSystem::compile(&eqs, opts);
+        // the same row with a different state, for every bit-exact tier.
+        for tier in exact_tiers() {
+            let sys = CompiledSystem::compile(&eqs, tier);
             let mut session = sys.session(&rows);
             let mut out = vec![0.0; sys.n_eqs()];
             for (t, row) in rows.iter().enumerate() {
@@ -294,7 +276,7 @@ proptest! {
                     for (i, (eq, &got)) in eqs.iter().zip(&out).enumerate() {
                         let want = eq.eval(&ctx);
                         prop_assert!(feq(want, got),
-                            "tier {opts:?} row {t} eq {i}: interpreter {want} vs session {got}");
+                            "tier {tier:?} row {t} eq {i}: interpreter {want} vs session {got}");
                     }
                 }
             }
@@ -313,8 +295,8 @@ proptest! {
         // including an *active* simd tier, where both sides take the same
         // vector paths. Rows cross the 32-lane chunk boundary twice.
         let k = inits.len();
-        for opts in [OptOptions::full(), OptOptions::threaded(), OptOptions::simd()] {
-            let sys = CompiledSystem::compile(&eqs, opts);
+        for tier in Tier::ALL {
+            let sys = CompiledSystem::compile(&eqs, tier);
             let n_eqs = sys.n_eqs();
             let mut want = vec![0.0; k * n_eqs];
             let mut solo: Vec<_> = (0..k).map(|_| sys.session(&rows)).collect();
@@ -330,7 +312,7 @@ proptest! {
                 for l in 0..k {
                     for e in 0..n_eqs {
                         prop_assert!(feq(out[l * n_eqs + e], want[l * n_eqs + e]),
-                            "tier {opts:?} lane {l} eq {e} at t={t}: solo {} vs multi {}",
+                            "tier {tier:?} lane {l} eq {e} at t={t}: solo {} vs multi {}",
                             want[l * n_eqs + e], out[l * n_eqs + e]);
                     }
                 }
@@ -349,7 +331,7 @@ proptest! {
         // relaxed-simd: outputs may differ from libm in the last ulps of
         // the vector transcendentals but must stay relatively close, and
         // finite inputs must never produce NaN the interpreter doesn't.
-        let sys = CompiledSystem::compile(&eqs, OptOptions::simd());
+        let sys = CompiledSystem::compile(&eqs, Tier::Simd);
         let mut session = sys.session(&rows);
         let mut out = vec![0.0; sys.n_eqs()];
         for (t, row) in rows.iter().enumerate() {
@@ -389,8 +371,8 @@ proptest! {
             Expr::bin(BinOp::Mul, Expr::bin(BinOp::Div, Expr::Var(0), inner.clone()), Expr::State(0)),
             Expr::bin(BinOp::Add, Expr::bin(BinOp::Div, inner, Expr::Var(1)), Expr::State(1)),
         ];
-        for opts in exact_tiers() {
-            let sys = CompiledSystem::compile(&eqs, opts);
+        for tier in exact_tiers() {
+            let sys = CompiledSystem::compile(&eqs, tier);
             let mut session = sys.session(&rows);
             let mut out = vec![0.0; sys.n_eqs()];
             for (t, row) in rows.iter().enumerate() {
@@ -400,14 +382,14 @@ proptest! {
                     for (i, (eq, &got)) in eqs.iter().zip(&out).enumerate() {
                         let want = eq.eval(&ctx);
                         prop_assert!(feq(want, got),
-                            "tier {opts:?} row {t} eq {i}: interpreter {want} vs session {got}");
+                            "tier {tier:?} row {t} eq {i}: interpreter {want} vs session {got}");
                     }
                 }
             }
         }
         #[cfg(feature = "simd")]
         if gmr_expr::simd::active() {
-            let sys = CompiledSystem::compile(&eqs, OptOptions::simd());
+            let sys = CompiledSystem::compile(&eqs, Tier::Simd);
             let mut session = sys.session(&rows);
             let mut out = vec![0.0; sys.n_eqs()];
             for (t, row) in rows.iter().enumerate() {
@@ -442,8 +424,8 @@ proptest! {
         // a full stripe.
         let k = inits.len();
         let days = ((rows.len() as f64 * take).ceil() as usize).clamp(1, rows.len());
-        for opts in [OptOptions::full(), OptOptions::threaded(), OptOptions::simd()] {
-            let sys = CompiledSystem::compile(&eqs, opts);
+        for tier in Tier::ALL {
+            let sys = CompiledSystem::compile(&eqs, tier);
             let table = sys.sweep_prefix(&rows);
             let states: Vec<f64> = inits.iter().flatten().copied().collect();
             let head = &rows[..days];
@@ -459,7 +441,7 @@ proptest! {
                 shared.step(t, &states, &mut out_b);
                 for (i, (&x, &y)) in out_a.iter().zip(&out_b).enumerate() {
                     prop_assert!(feq(x, y),
-                        "tier {opts:?} t={t} slot {i}: on-demand {x} vs shared {y}");
+                        "tier {tier:?} t={t} slot {i}: on-demand {x} vs shared {y}");
                 }
             }
         }
@@ -477,7 +459,7 @@ proptest! {
         // is the only legal way to observe a mutation).
         let mutated: Vec<Expr> = eqs.iter().map(|e| shift_params(e, delta)).collect();
         let ctx = EvalContext { vars: &vars, state: &state };
-        let sys = CompiledSystem::compile(&mutated, OptOptions::full());
+        let sys = CompiledSystem::compile(&mutated, Tier::Threaded);
         let mut scratch = sys.scratch();
         let mut out = vec![0.0; sys.n_eqs()];
         sys.eval_step(&ctx, &mut scratch, &mut out);

@@ -36,7 +36,7 @@ impl Phenotype {
             let _sp = gmr_obsv::span_fine!("vm.compile", eqs.len() as u64);
             // Fastest tier whose results are bit-identical to the
             // interpreter: fitness must not depend on the execution tier.
-            CompiledSystem::compile(&eqs, Tier::fastest(FidelityPolicy::BitExact).options())
+            CompiledSystem::compile(&eqs, Tier::fastest(FidelityPolicy::BitExact))
         });
         Phenotype { eqs, compiled, key }
     }

@@ -21,7 +21,7 @@
 //!    ⊤. An equation output at ⊤ under a finite input environment is a
 //!    `nonfinite-range` warning.
 //! 2. **State-dependence taint.** `LoadState` introduces taint; every
-//!    consumer propagates it. The split tier's contract is that the prefix
+//!    consumer propagates it. The pipeline's contract is that the prefix
 //!    program is state-*independent* (its values are computed once per
 //!    candidate and shared across every step and trajectory), so any taint
 //!    source inside a prefix — a `LoadState` instruction, or a declared
@@ -33,18 +33,17 @@
 //!    this module re-derives it independently from the public instruction
 //!    stream, so a surviving dead instruction — impossible for pipeline
 //!    output, possible for a corrupted artifact — is reported.
-//! 4. **Bounds proof.** The VM's unchecked register accesses — the scalar
-//!    interpreter, the threaded tier's raw-pointer thunks, and the five
-//!    lane dispatchers (each forwarding identical stripe offsets to the
-//!    scalar `k_*` kernels or the AVX2 `simd` kernels) — are each
-//!    discharged by a machine-checked max-index argument: the analysis
-//!    computes the maximum register index any instruction or output
-//!    touches, per program, and proves it below the register-file bound
-//!    the interpreter asserts (`n_regs` for scalar and threaded access,
-//!    `n_regs · LANES` for lane stripes). The obligations are
-//!    emitted as a [`SafetyReport`] (JSON schema `gmr-safety/v1`) that CI
-//!    diffs against a committed baseline; an unproved obligation is an
-//!    Error finding.
+//! 4. **Bounds proof.** The VM's unchecked register accesses — the
+//!    threaded code's raw-pointer thunks and the five lane dispatchers
+//!    (each forwarding identical stripe offsets to the scalar `k_*` kernels
+//!    or the AVX2 `simd` kernels) — are each discharged by a
+//!    machine-checked max-index argument: the analysis computes the
+//!    maximum register index any instruction or output touches, per
+//!    program, and proves it below the register-file bound the VM asserts
+//!    (`n_regs` for threaded access, `n_regs · LANES` for lane stripes).
+//!    The obligations are emitted as a [`SafetyReport`] (JSON schema
+//!    `gmr-safety/v1`) that CI diffs against a committed baseline; an
+//!    unproved obligation is an Error finding.
 //!
 //! **Soundness argument** (property-tested in `tests/absint_props.rs`):
 //! every transfer function's concrete image is contained in its abstract
@@ -170,7 +169,7 @@ fn env_is_finite(env: &IntervalEnv) -> bool {
 /// One discharged (or failed) proof obligation for an `unsafe` site.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SafetyObligation {
-    /// The `unsafe` site in `expr/src/vm.rs` this obligation discharges.
+    /// The `unsafe` site in `gmr-expr` this obligation discharges.
     pub site: &'static str,
     /// Which program of the system (`"core"` / `"prefix"`).
     pub program: &'static str,
@@ -258,7 +257,6 @@ struct Cell {
 /// Which accesses feed a given lane-kernel `unsafe` site.
 #[derive(Clone, Copy, PartialEq)]
 enum Site {
-    Scalar,
     Threaded,
     Fused3Lanes,
     KUn,
@@ -267,11 +265,11 @@ enum Site {
     KBinCr,
 }
 
-const N_SITES: usize = 7;
+const N_SITES: usize = 6;
 
 fn sites_of(ins: &RInstr) -> &'static [Site] {
-    // Every instruction goes through `run_scalar` and is compiled into a
-    // threaded-tier thunk (raw-pointer access with the same indices). The
+    // Every instruction is compiled into a threaded-code thunk
+    // (raw-pointer access with the instruction's register indices). The
     // two lane interpreters — `run_lanes` (per-lane rows: the prefix
     // sweep and the per-lane lock-step core) and `run_lanes_one_row` (one
     // shared row) — additionally route it to one of the unchecked
@@ -284,16 +282,12 @@ fn sites_of(ins: &RInstr) -> &'static [Site] {
     // the register stripe unchecked. Its register operand sits where
     // ConstBin's does, so the `KBinCl`/`KBinCr` bound covers both.
     match ins {
-        RInstr::LoadVar { .. } | RInstr::LoadState { .. } => &[Site::Scalar, Site::Threaded],
-        RInstr::Un { .. } => &[Site::Scalar, Site::Threaded, Site::KUn],
-        RInstr::Bin { .. } => &[Site::Scalar, Site::Threaded, Site::KBin],
-        RInstr::VarBinL { .. } | RInstr::ConstBinL { .. } => {
-            &[Site::Scalar, Site::Threaded, Site::KBinCl]
-        }
-        RInstr::VarBinR { .. } | RInstr::ConstBinR { .. } => {
-            &[Site::Scalar, Site::Threaded, Site::KBinCr]
-        }
-        RInstr::MulSub { .. } => &[Site::Scalar, Site::Threaded, Site::Fused3Lanes],
+        RInstr::LoadVar { .. } | RInstr::LoadState { .. } => &[Site::Threaded],
+        RInstr::Un { .. } => &[Site::Threaded, Site::KUn],
+        RInstr::Bin { .. } => &[Site::Threaded, Site::KBin],
+        RInstr::VarBinL { .. } | RInstr::ConstBinL { .. } => &[Site::Threaded, Site::KBinCl],
+        RInstr::VarBinR { .. } | RInstr::ConstBinR { .. } => &[Site::Threaded, Site::KBinCr],
+        RInstr::MulSub { .. } => &[Site::Threaded, Site::Fused3Lanes],
     }
 }
 
@@ -593,7 +587,6 @@ fn analyze_program(
     // Outputs: bounds, initialization, and (for a prefix) state purity.
     let mut outs = Vec::with_capacity(prog.outputs().len());
     for (k, &o) in prog.outputs().iter().enumerate() {
-        ctx.bounds.note(Site::Scalar, o);
         ctx.bounds.note(Site::Threaded, o);
         if o as usize >= prog.n_regs() {
             ctx.diag(
@@ -653,21 +646,6 @@ fn obligations_for(
     n_regs: usize,
     out: &mut Vec<SafetyObligation>,
 ) {
-    let scalar_sites: [(Site, &'static str, &'static str); 2] = [
-        (
-            Site::Scalar,
-            "vm.rs run_scalar",
-            "every register operand and output index is < n_regs, so \
-             `get_unchecked` into a scalar file of n_regs is in bounds",
-        ),
-        (
-            Site::Threaded,
-            "threaded.rs ThreadedProgram::run",
-            "every thunk argument index is < n_regs and run() asserts the \
-             register file length, so the raw-pointer thunk access is in \
-             bounds",
-        ),
-    ];
     let kernel_sites: [(Site, &'static str); 5] = [
         (Site::KUn, "vm.rs l_un (k_un / simd kern1)"),
         (Site::KBin, "vm.rs l_bin (k_bin / simd kern2)"),
@@ -675,19 +653,19 @@ fn obligations_for(
         (Site::KBinCr, "vm.rs l_bin_cr (k_bin_cr / simd kern2)"),
         (Site::Fused3Lanes, "vm.rs l_fused3 (scalar / simd kern3)"),
     ];
-    for (site, site_name, claim) in scalar_sites {
-        let accesses = bounds.get(site).map_or(0, |_| 1);
-        let max_index = bounds.get(site).unwrap_or(0) as usize;
-        out.push(SafetyObligation {
-            site: site_name,
-            program: name,
-            claim,
-            accesses,
-            max_index,
-            bound: n_regs,
-            proved: accesses == 0 || max_index < n_regs,
-        });
-    }
+    let accesses = bounds.get(Site::Threaded).map_or(0, |_| 1);
+    let max_index = bounds.get(Site::Threaded).unwrap_or(0) as usize;
+    out.push(SafetyObligation {
+        site: "threaded.rs ThreadedProgram::run",
+        program: name,
+        claim: "every thunk argument index is < n_regs and run() asserts the \
+                register file length, so the raw-pointer thunk access is in \
+                bounds",
+        accesses,
+        max_index,
+        bound: n_regs,
+        proved: accesses == 0 || max_index < n_regs,
+    });
     for (site, site_name) in kernel_sites {
         let accesses = bounds.get(site).map_or(0, |_| 1);
         let max_index = bounds
@@ -824,28 +802,22 @@ pub fn analyze_system(sys: &CompiledSystem, env: &IntervalEnv, model: &str) -> S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gmr_expr::{Expr, OptOptions};
+    use gmr_expr::{Expr, Tier};
 
-    fn compile_manual(opts: OptOptions) -> CompiledSystem {
+    fn compile_manual(tier: Tier) -> CompiledSystem {
         let eqs: Vec<Expr> = gmr_bio::manual_system().to_vec();
-        CompiledSystem::compile_checked(&eqs, 10, 2, opts).expect("manual system compiles")
+        CompiledSystem::compile_checked(&eqs, 10, 2, tier).expect("manual system compiles")
     }
 
     #[test]
     fn manual_system_is_clean_at_every_tier() {
         let env = IntervalEnv::river();
-        for opts in [
-            OptOptions::register(),
-            OptOptions::fused(),
-            OptOptions::full(),
-            OptOptions::threaded(),
-            OptOptions::simd(),
-        ] {
-            let sys = compile_manual(opts);
+        for tier in Tier::ALL {
+            let sys = compile_manual(tier);
             let analysis = analyze_system(&sys, &env, "table5-manual");
             assert!(
                 analysis.report.diagnostics.is_empty(),
-                "{opts:?}:\n{}",
+                "{tier:?}:\n{}",
                 analysis.report.render_human()
             );
             assert!(analysis.safety.proved());
@@ -858,7 +830,7 @@ mod tests {
 
     #[test]
     fn safety_report_json_parses_and_is_stable() {
-        let sys = compile_manual(OptOptions::full());
+        let sys = compile_manual(Tier::Threaded);
         let analysis = analyze_system(&sys, &IntervalEnv::river(), "table5-manual");
         let json = analysis.safety.render_json();
         let v = gmr_json::parse(&json).expect("safety JSON parses strictly");
@@ -871,7 +843,7 @@ mod tests {
             v.get("obligations")
                 .and_then(|o| o.as_arr())
                 .map(|a| a.len()),
-            Some(14)
+            Some(12)
         );
         // Deterministic: a second analysis renders byte-identically.
         let again = analyze_system(&sys, &IntervalEnv::river(), "table5-manual");
@@ -881,7 +853,7 @@ mod tests {
     #[test]
     fn corrupted_prefix_state_load_is_an_error() {
         use gmr_expr::{RInstr, RegProgram};
-        let sys = compile_manual(OptOptions::full());
+        let sys = compile_manual(Tier::Threaded);
         assert!(sys.n_pre() > 0, "manual system hoists a prefix");
         let mut code = sys.prefix().instructions().to_vec();
         let dst = code.last().expect("prefix nonempty").dst();
@@ -899,7 +871,7 @@ mod tests {
             corrupt_prefix,
             sys.core().clone(),
             sys.n_eqs(),
-            sys.options(),
+            sys.tier(),
         );
         let analysis = analyze_system(&corrupt, &IntervalEnv::river(), "corrupt");
         assert!(!analysis.report.is_clean());
@@ -913,7 +885,7 @@ mod tests {
     #[test]
     fn oob_register_fails_the_bounds_proof() {
         use gmr_expr::{RInstr, RegProgram};
-        let sys = compile_manual(OptOptions::full());
+        let sys = compile_manual(Tier::Threaded);
         let mut code = sys.core().instructions().to_vec();
         // Point the first instruction's destination far outside the file.
         let oob = sys.core().n_regs() as u16 + 100;
@@ -933,7 +905,7 @@ mod tests {
             sys.prefix().clone(),
             corrupt_core,
             sys.n_eqs(),
-            sys.options(),
+            sys.tier(),
         );
         let analysis = analyze_system(&corrupt, &IntervalEnv::river(), "corrupt");
         assert!(!analysis.report.is_clean());
@@ -958,8 +930,7 @@ mod tests {
             Expr::Var(2),
             Expr::bin(gmr_expr::BinOp::Add, Expr::State(0), Expr::Num(1.0)),
         );
-        let sys =
-            CompiledSystem::compile_checked(&[eq], 3, 1, OptOptions::full()).expect("compiles");
+        let sys = CompiledSystem::compile_checked(&[eq], 3, 1, Tier::Threaded).expect("compiles");
         let env = env_for_arity(3, 1);
         let analysis = analyze_system(&sys, &env, "tiny");
         assert!(

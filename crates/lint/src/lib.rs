@@ -21,7 +21,7 @@
 //! * [`absint`] — **bytecode verification**: abstract interpretation over
 //!   the compiled register programs of a
 //!   [`CompiledSystem`](gmr_expr::CompiledSystem) — interval + non-finite
-//!   taint, a state-independence proof for the split tier's prefix,
+//!   taint, a state-independence proof for the hoisted prefix,
 //!   independent dead-code detection, and machine-checked bounds proofs for
 //!   the VM's `unsafe` register accesses (emitted as a
 //!   [`SafetyReport`](absint::SafetyReport)).

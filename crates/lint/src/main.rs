@@ -10,16 +10,16 @@
 //! dimensional findings under the evolved-model policy (default strict),
 //! `--bytecode` to additionally compile each input system through the
 //! register-VM pipeline and run the abstract interpreter over the compiled
-//! programs (`--tier` picks the pipeline tier, `--safety-out` writes the
-//! unsafe-access [`SafetyReport`](gmr_lint::SafetyReport) as JSON), and
-//! `--quiet` to suppress output and only set the exit code.
+//! programs (`--safety-out` writes the unsafe-access
+//! [`SafetyReport`](gmr_lint::SafetyReport) as JSON), and `--quiet` to
+//! suppress output and only set the exit code.
 //!
 //! Exit status — identical for every input mode: 0 when no `Error`-level
 //! diagnostics (warnings and notes alone never fail), 1 when at least one
 //! finding is an `Error`, 2 when the invocation itself is unusable (bad
 //! flags, unreadable or unparseable input).
 
-use gmr_expr::{CompiledSystem, Expr, NameTable, OptOptions};
+use gmr_expr::{CompiledSystem, Expr, NameTable, Tier};
 use gmr_lint::{
     analyze_system, env_for_arity, lint_builtin, lint_grammar, EquationLinter, IntervalEnv, Policy,
     Report, SafetyReport,
@@ -45,8 +45,6 @@ OPTIONS:
     --bytecode       Also compile each input system through the register-VM
                      pipeline and verify the compiled bytecode (intervals,
                      prefix state-independence, dead code, unsafe bounds)
-    --tier <T>       Pipeline tier for --bytecode: register, fused, full
-                     (alias of split), threaded or simd (default full)
     --safety-out <F> Write the --bytecode SafetyReport ('gmr-safety/v1'
                      JSON; an array when several systems are analyzed)
     --json           Emit the report as JSON instead of human-readable text
@@ -61,7 +59,6 @@ struct Opts {
     exprs: Vec<String>,
     artifacts: Vec<String>,
     bytecode: bool,
-    tier: OptOptions,
     safety_out: Option<String>,
     json: bool,
     policy: Policy,
@@ -74,7 +71,6 @@ fn parse_args(args: &[String]) -> Result<Option<Opts>, String> {
         exprs: Vec::new(),
         artifacts: Vec::new(),
         bytecode: false,
-        tier: OptOptions::full(),
         safety_out: None,
         json: false,
         policy: Policy::Strict,
@@ -93,15 +89,6 @@ fn parse_args(args: &[String]) -> Result<Option<Opts>, String> {
                 None => return Err("--artifact needs a file argument".into()),
             },
             "--bytecode" => opts.bytecode = true,
-            "--tier" => match it.next().map(String::as_str) {
-                Some(name) => match gmr_expr::Tier::parse(name) {
-                    Some(tier) => opts.tier = tier.options(),
-                    None => return Err(format!("unknown tier '{name}'")),
-                },
-                None => {
-                    return Err("--tier needs register|fused|full|threaded|simd".into());
-                }
-            },
             "--safety-out" => match it.next() {
                 Some(path) => opts.safety_out = Some(path.clone()),
                 None => return Err("--safety-out needs a file argument".into()),
@@ -182,7 +169,7 @@ fn load_artifact(path: &str) -> Result<InputSystem, String> {
         .iter()
         .enumerate()
         .map(|(i, src)| {
-            gmr_expr::parse(src, &names, |k| gmr_bio::params::spec(k).mean)
+            gmr_expr::parse_with_defaults(src, &names, gmr_bio::params::prior_mean)
                 .map_err(|e| format!("'{path}': equation {i} does not parse: {e}"))
         })
         .collect::<Result<Vec<_>, _>>()?;
@@ -246,8 +233,10 @@ fn run(opts: &Opts) -> Result<(Report, Vec<SafetyReport>), String> {
     let mut safety = Vec::new();
     if opts.bytecode {
         for sys in &systems {
+            // Both tiers compile the same bytecode; the threaded tier is
+            // the one whose arithmetic the interval analysis models.
             let compiled =
-                CompiledSystem::compile_checked(&sys.eqs, sys.n_vars, sys.n_states, opts.tier)
+                CompiledSystem::compile_checked(&sys.eqs, sys.n_vars, sys.n_states, Tier::Threaded)
                     .map_err(|e| format!("'{}' does not compile: {e}", sys.label))?;
             let env = env_for_arity(sys.n_vars, sys.n_states);
             let analysis = analyze_system(&compiled, &env, &sys.label);

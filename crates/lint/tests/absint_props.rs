@@ -1,11 +1,11 @@
 //! Properties of the bytecode abstract interpreter (`gmr_lint::absint`).
 //!
-//! 1. **Soundness** — for random river systems compiled at every pipeline
-//!    tier, every value the VM actually produces over random in-envelope
-//!    forcing tables and states is contained in the analyzer's static
-//!    output enclosure (finite values inside the interval, non-finite ones
-//!    only when the ⊤ flag is set), and the analyzer never raises a false
-//!    `Error` on pipeline-compiled code.
+//! 1. **Soundness** — for random compiled river systems, every value the
+//!    VM actually produces over random in-envelope forcing tables and
+//!    states is contained in the analyzer's static output enclosure
+//!    (finite values inside the interval, non-finite ones only when the ⊤
+//!    flag is set), and the analyzer never raises a false `Error` on
+//!    pipeline-compiled code.
 //! 2. **Prefix-taint agreement** — on the Table V expert model and the
 //!    three elite revisions the benchmarks pin down, the analyzer's
 //!    state-dependence proof agrees with what the compiler hoisted: the
@@ -13,7 +13,7 @@
 //!    state load grafted into it is refused.
 
 use gmr_expr::{
-    BinOp, CompiledSystem, EvalContext, Expr, OptOptions, ParamSlot, RInstr, RegProgram, UnOp,
+    BinOp, CompiledSystem, EvalContext, Expr, ParamSlot, RInstr, RegProgram, Tier, UnOp,
 };
 use gmr_lint::interval::IntervalEnv;
 use gmr_lint::{analyze_system, Severity};
@@ -91,32 +91,29 @@ proptest! {
         let env = IntervalEnv::river();
         let rows = lerp_rows(&env.vars, &vf);
         let states = lerp_rows(&env.states, &sf);
-        for opts in [OptOptions::register(), OptOptions::fused(), OptOptions::full()] {
-            let sys = CompiledSystem::compile_checked(&eqs, 10, 2, opts)
-                .expect("river-arity system compiles");
-            let analysis = analyze_system(&sys, &env, "prop");
-            // Pipeline output must never be refused.
-            prop_assert_eq!(
-                analysis.report.count(Severity::Error), 0,
-                "false Error at tier {:?}:\n{}",
-                opts, analysis.report.render_human()
-            );
-            prop_assert!(analysis.safety.proved());
-            let mut scratch = sys.scratch();
-            let mut out = vec![0.0; sys.n_eqs()];
-            for vars in &rows {
-                for state in &states {
-                    let ctx = EvalContext { vars, state };
-                    sys.eval_step(&ctx, &mut scratch, &mut out);
-                    for (k, &v) in out.iter().enumerate() {
-                        let abs = &analysis.outputs[k];
-                        prop_assert!(
-                            abs.contains(v),
-                            "tier {:?} eq {}: runtime value {} escapes static \
-                             enclosure {} (nonfinite={})",
-                            opts, k, v, abs.iv, abs.nonfinite
-                        );
-                    }
+        let sys = CompiledSystem::compile_checked(&eqs, 10, 2, Tier::Threaded)
+            .expect("river-arity system compiles");
+        let analysis = analyze_system(&sys, &env, "prop");
+        // Pipeline output must never be refused.
+        prop_assert_eq!(
+            analysis.report.count(Severity::Error), 0,
+            "false Error:\n{}",
+            analysis.report.render_human()
+        );
+        prop_assert!(analysis.safety.proved());
+        let mut scratch = sys.scratch();
+        let mut out = vec![0.0; sys.n_eqs()];
+        for vars in &rows {
+            for state in &states {
+                let ctx = EvalContext { vars, state };
+                sys.eval_step(&ctx, &mut scratch, &mut out);
+                for (k, &v) in out.iter().enumerate() {
+                    let abs = &analysis.outputs[k];
+                    prop_assert!(
+                        abs.contains(v),
+                        "eq {}: runtime value {} escapes static enclosure {} (nonfinite={})",
+                        k, v, abs.iv, abs.nonfinite
+                    );
                 }
             }
         }
@@ -169,7 +166,7 @@ fn pinned_models() -> Vec<(&'static str, Vec<Expr>)> {
 fn pinned_models_prefixes_prove_state_independent() {
     let env = IntervalEnv::river();
     for (name, eqs) in pinned_models() {
-        let sys = CompiledSystem::compile_checked(&eqs, 10, 2, OptOptions::full())
+        let sys = CompiledSystem::compile_checked(&eqs, 10, 2, Tier::Threaded)
             .unwrap_or_else(|e| panic!("{name} does not compile: {e}"));
         // The compiler found real state-independent work to hoist in every
         // pinned model — the taint proof must not be vacuous.
@@ -199,7 +196,7 @@ fn pinned_models_prefixes_prove_state_independent() {
             ),
             sys.core().clone(),
             sys.n_eqs(),
-            sys.options(),
+            sys.tier(),
         );
         let refused = analyze_system(&corrupt, &env, name);
         assert!(
@@ -229,7 +226,7 @@ fn pinned_models_static_intervals_contain_simulated_trajectory() {
     let problem = gmr_bio::RiverProblem::from_dataset(&ds, ds.train);
     let env = IntervalEnv::river();
     for (name, eqs) in pinned_models() {
-        let sys = CompiledSystem::compile_checked(&eqs, 10, 2, OptOptions::full())
+        let sys = CompiledSystem::compile_checked(&eqs, 10, 2, Tier::Threaded)
             .unwrap_or_else(|e| panic!("{name} does not compile: {e}"));
         let analysis = analyze_system(&sys, &env, name);
         let mut scratch = sys.scratch();

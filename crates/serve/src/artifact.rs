@@ -14,7 +14,7 @@
 //! retention ratios, edges with travel delays) so a server can route
 //! water bodies between stations without access to the training dataset.
 
-use gmr_expr::{parse, Expr, NameTable, ParseError};
+use gmr_expr::{parse_with_defaults, Expr, NameTable, ParseError};
 use gmr_hydro::network::{Edge, RiverNetwork, Station, StationId, StationKind};
 use gmr_json::{parse as parse_json, push_escaped, push_f64, Value};
 use std::fmt;
@@ -180,14 +180,15 @@ impl ModelArtifact {
     /// Re-parse the equation text into expression trees. Bare parameter
     /// names (no embedded `[value]`) fall back to the river prior means;
     /// the artifact writer always embeds values, so that path only fires
-    /// on hand-edited files.
+    /// on hand-edited files. A bare name past the river priors is an
+    /// [`ArtifactError::Equation`].
     pub fn parse_equations(&self) -> Result<Vec<Expr>, ArtifactError> {
         let names = self.name_table();
         self.equations
             .iter()
             .enumerate()
             .map(|(index, text)| {
-                parse(text, &names, |k| gmr_bio::params::spec(k).mean)
+                parse_with_defaults(text, &names, gmr_bio::params::prior_mean)
                     .map_err(|err| ArtifactError::Equation { index, err })
             })
             .collect()
@@ -262,10 +263,11 @@ impl ModelArtifact {
         let p = &self.provenance;
         o.push_str("  \"provenance\": {\"source\": ");
         push_escaped(&mut o, &p.source);
-        o.push_str(&format!(
-            ", \"seed\": {}, \"generation\": {}, \"fitness\": ",
-            p.seed, p.generation
-        ));
+        o.push_str(", \"seed\": ");
+        push_u64(&mut o, p.seed);
+        o.push_str(", \"generation\": ");
+        push_u64(&mut o, p.generation);
+        o.push_str(", \"fitness\": ");
         push_f64(&mut o, p.fitness);
         if let Some(v) = p.train_rmse {
             o.push_str(", \"train_rmse\": ");
@@ -337,8 +339,8 @@ impl ModelArtifact {
                 .and_then(Value::as_str)
                 .unwrap_or("unknown")
                 .to_string(),
-            seed: p.get("seed").and_then(Value::as_u64).unwrap_or(0),
-            generation: p.get("generation").and_then(Value::as_u64).unwrap_or(0),
+            seed: p.get("seed").and_then(read_u64).unwrap_or(0),
+            generation: p.get("generation").and_then(read_u64).unwrap_or(0),
             fitness: p.get("fitness").and_then(Value::as_f64).unwrap_or(f64::NAN),
             train_rmse: p.get("train_rmse").and_then(Value::as_f64),
             test_rmse: p.get("test_rmse").and_then(Value::as_f64),
@@ -369,6 +371,26 @@ impl ModelArtifact {
         let text = std::fs::read_to_string(path)?;
         Self::from_json(&text)
     }
+}
+
+/// Every `u64` up to this bound survives a JSON number exactly (`gmr_json`
+/// holds numbers as `f64`).
+const MAX_EXACT_NUM: u64 = 1 << 53;
+
+/// Write a `u64` exactly: as a JSON number while an `f64` holds it, as a
+/// decimal string above that (a search seed can be any `u64`).
+fn push_u64(o: &mut String, v: u64) {
+    if v <= MAX_EXACT_NUM {
+        o.push_str(&v.to_string());
+    } else {
+        push_escaped(o, &v.to_string());
+    }
+}
+
+/// Read what [`push_u64`] wrote.
+fn read_u64(v: &Value) -> Option<u64> {
+    v.as_u64()
+        .or_else(|| v.as_str().and_then(|s| s.parse().ok()))
 }
 
 fn parse_topology(t: &Value) -> Result<RiverNetwork, ArtifactError> {
@@ -476,6 +498,30 @@ mod tests {
             parsed.parse_equations(),
             Err(ArtifactError::Equation { index: 0, .. })
         ));
+    }
+
+    /// A hand-edited artifact listing a parameter past the 17 river priors
+    /// and naming it without an embedded `[value]`.
+    fn extra_bare_param_artifact() -> ModelArtifact {
+        let mut a = ModelArtifact::builtin_manual();
+        a.params.push("CXTRA".into());
+        a.equations[0] = format!("{} + CXTRA", a.equations[0]);
+        a
+    }
+
+    #[test]
+    fn bare_parameter_past_the_priors_is_an_error_not_a_panic() {
+        let a = ModelArtifact::from_json(&extra_bare_param_artifact().to_json()).unwrap();
+        match a.parse_equations() {
+            Err(ArtifactError::Equation { index: 0, err }) => {
+                assert!(err.msg.contains("'CXTRA'"), "{err}")
+            }
+            other => panic!("expected an equation error, got {other:?}"),
+        }
+        // With its value embedded the same parameter is fine.
+        let mut ok = extra_bare_param_artifact();
+        ok.equations[0] = ok.equations[0].replace("CXTRA", "CXTRA[0.5]");
+        assert!(ok.parse_equations().is_ok());
     }
 
     #[test]

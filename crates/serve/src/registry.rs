@@ -27,7 +27,7 @@
 //! models across backends so each backend's working set fits its cap.
 
 use crate::artifact::{ArtifactError, ModelArtifact};
-use gmr_expr::{CompiledSystem, FidelityPolicy, OptOptions, PrefixTable, Tier};
+use gmr_expr::{CompiledSystem, FidelityPolicy, PrefixTable, Tier};
 use gmr_lint::{analyze_system, env_for_arity, EquationLinter, Policy, Severity};
 use gmr_obsv::Event;
 use std::collections::BTreeMap;
@@ -46,12 +46,9 @@ pub struct ServableModel {
     /// Warning-severity findings from bytecode verification (the compiled
     /// system was still admitted; Error findings refuse admission).
     pub bytecode_warnings: usize,
-    /// Compile options admission used (a hot-tier miss replays them).
-    opts: OptOptions,
-    /// Served tier name, recorded at admission for `/models`.
-    tier: &'static str,
-    /// Served fidelity name, recorded at admission for `/models`.
-    fidelity: &'static str,
+    /// The tier admission compiled for: a hot-tier miss recompiles at it,
+    /// and `/models` reports it with its fidelity.
+    tier: Tier,
 }
 
 /// A model resident in the hot tier: the shared compilation plus the
@@ -281,7 +278,7 @@ impl ModelRegistry {
             &eqs,
             artifact.vars.len(),
             artifact.states.len(),
-            Tier::fastest(self.policy).options(),
+            Tier::fastest(self.policy),
         )
         .map_err(|e| RegistryError::Compile(format!("{e:?}")))?;
         self.admit(artifact, system, lint_warnings)
@@ -353,9 +350,7 @@ impl ModelRegistry {
                 artifact,
                 lint_warnings,
                 bytecode_warnings,
-                opts: system.options(),
-                tier: system.tier().name(),
-                fidelity: system.fidelity().name(),
+                tier: system.tier(),
             }),
         );
         // Admission's compilation seeds the hot tier (it counts as the
@@ -402,11 +397,11 @@ impl ModelRegistry {
             &eqs,
             cold.artifact.vars.len(),
             cold.artifact.states.len(),
-            cold.opts,
+            cold.tier,
         )
         .expect("admitted artifact recompiles");
         // Deterministic replay of the admission-time proof: the same
-        // artifact and options produce the same bytecode, so this can
+        // artifact and tier produce the same bytecode, so this can
         // only fail if admission would have refused the model.
         let env = env_for_arity(cold.artifact.vars.len(), cold.artifact.states.len());
         let analysis = analyze_system(&system, &env, name);
@@ -500,9 +495,9 @@ impl ModelRegistry {
                 m.bytecode_warnings
             ));
             o.push_str(", \"tier\": ");
-            push_escaped(&mut o, m.tier);
+            push_escaped(&mut o, m.tier.name());
             o.push_str(", \"fidelity\": ");
-            push_escaped(&mut o, m.fidelity);
+            push_escaped(&mut o, m.tier.fidelity().name());
             o.push('}');
         }
         o.push_str("\n]}\n");
@@ -593,7 +588,7 @@ mod tests {
 
     #[test]
     fn corrupted_bytecode_is_refused_and_journaled() {
-        use gmr_expr::{OptOptions, RInstr, RegProgram};
+        use gmr_expr::{RInstr, RegProgram};
         gmr_obsv::init(gmr_obsv::DEFAULT_CAPACITY);
         let good = ModelArtifact::builtin_manual();
         let eqs = good.parse_equations().unwrap();
@@ -601,7 +596,7 @@ mod tests {
             &eqs,
             good.vars.len(),
             good.states.len(),
-            OptOptions::full(),
+            Tier::Threaded,
         )
         .unwrap();
         let mut reg = ModelRegistry::new();
@@ -623,7 +618,7 @@ mod tests {
             ),
             sys.core().clone(),
             sys.n_eqs(),
-            sys.options(),
+            sys.tier(),
         );
         let mut art = good.clone();
         art.name = "corrupt-prefix".into();
@@ -650,7 +645,7 @@ mod tests {
                 sys.core().needs_states(),
             ),
             sys.n_eqs(),
-            sys.options(),
+            sys.tier(),
         );
         let mut art = good.clone();
         art.name = "corrupt-oob".into();
@@ -693,7 +688,6 @@ mod tests {
 
     #[test]
     fn fidelity_policy_gates_admission_and_is_reported() {
-        use gmr_expr::OptOptions;
         // Default registry: bit-exact; the served tier is the fastest
         // bit-exact tier and /models says so.
         let mut reg = ModelRegistry::new();
@@ -710,13 +704,9 @@ mod tests {
         // simd tier *is* bit-exact and admission is correct.
         let good = ModelArtifact::builtin_manual();
         let eqs = good.parse_equations().unwrap();
-        let simd_sys = CompiledSystem::compile_checked(
-            &eqs,
-            good.vars.len(),
-            good.states.len(),
-            OptOptions::simd(),
-        )
-        .unwrap();
+        let simd_sys =
+            CompiledSystem::compile_checked(&eqs, good.vars.len(), good.states.len(), Tier::Simd)
+                .unwrap();
         let mut reg = ModelRegistry::new();
         let relaxed = simd_sys.fidelity() == gmr_expr::Fidelity::RelaxedSimd;
         let res = reg.insert_prepared(good, simd_sys);
@@ -735,6 +725,24 @@ mod tests {
         reg.insert(ModelArtifact::builtin_manual()).unwrap();
         let m = reg.touch("table5-manual").unwrap();
         assert_eq!(m.system.tier(), Tier::fastest(FidelityPolicy::AllowRelaxed));
+    }
+
+    #[test]
+    fn bare_parameter_past_the_priors_is_refused_not_a_panic() {
+        // A parameter past the 17 river priors, named without `[value]`.
+        let mut a = ModelArtifact::builtin_manual();
+        a.params.push("CXTRA".into());
+        a.equations[0] = format!("{} + CXTRA", a.equations[0]);
+        let mut reg = ModelRegistry::new();
+        let err = reg.insert(a);
+        assert!(
+            matches!(
+                err,
+                Err(RegistryError::Artifact(ArtifactError::Equation { .. }))
+            ),
+            "{err:?}"
+        );
+        assert!(reg.is_empty());
     }
 
     #[test]

@@ -67,3 +67,34 @@ fn unknown_flags_exit_2_with_usage_before_binding() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A hand-edited artifact that lists a parameter past the 17 river priors
+/// and names it without `[value]` is refused like any malformed artifact:
+/// `artifact load failed` and exit 1, not a panic.
+#[test]
+fn artifact_with_an_unknown_bare_parameter_fails_to_load_without_panicking() {
+    let dir = std::env::temp_dir().join(format!("gmr-serve-cli-art-{}", std::process::id()));
+    let artifacts = dir.join("artifacts");
+    std::fs::create_dir_all(&artifacts).unwrap();
+    let mut a = gmr_serve::ModelArtifact::builtin_manual();
+    a.params.push("CXTRA".into());
+    a.equations[0] = format!("{} + CXTRA", a.equations[0]);
+    a.save(artifacts.join("bad.json")).unwrap();
+    let port_file = dir.join("port");
+    let (code, stderr) = run_expecting_exit(
+        &[
+            "serve",
+            "--no-builtin",
+            "--artifacts",
+            artifacts.to_str().unwrap(),
+            "--port-file",
+            port_file.to_str().unwrap(),
+        ],
+        Duration::from_secs(10),
+    );
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("artifact load failed"), "{stderr}");
+    assert!(stderr.contains("'CXTRA'"), "{stderr}");
+    assert!(!port_file.exists(), "a refused load bound a port");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -9,7 +9,7 @@
 
 use gmr_bio::{RiverProblem, SimOptions};
 use gmr_core::Gmr;
-use gmr_expr::{CompiledSystem, OptOptions};
+use gmr_expr::{CompiledSystem, Tier};
 use gmr_gp::GpConfig;
 use gmr_hydro::{generate, SyntheticConfig, NUM_VARS};
 use gmr_json::{push_f64, Value};
@@ -359,8 +359,7 @@ fn champion_export_round_trip_is_bit_identical() {
     registry.insert(reloaded).unwrap();
     let served = registry.touch("champion").unwrap();
     let inproc =
-        CompiledSystem::compile_checked(&result.equations, NUM_VARS, 2, OptOptions::full())
-            .unwrap();
+        CompiledSystem::compile_checked(&result.equations, NUM_VARS, 2, Tier::Threaded).unwrap();
     let want = gmr.train.simulate_compiled(&inproc);
     let got = gmr.train.simulate_compiled(&served.system);
     assert_eq!(

@@ -5,7 +5,7 @@
 
 use gmr_suite::bio::river_grammar;
 use gmr_suite::core::river_priors;
-use gmr_suite::expr::EvalContext;
+use gmr_suite::expr::{CompiledSystem, EvalContext, Tier};
 use gmr_suite::gp::{crossover, deletion, gaussian_mutation, insertion, subtree_mutation};
 use gmr_suite::tag::lower::lower_system;
 use rand::rngs::StdRng;
@@ -150,13 +150,15 @@ fn compiled_river_phenotypes_match_interpreter() {
     for _ in 0..100 {
         let t = rg.grammar.random_tree(&mut rng, 2, 40);
         let eqs = lower_system(&t.derived(&rg.grammar), 2).expect("lowers");
-        for eq in &eqs {
-            let c = gmr_suite::expr::CompiledExpr::compile(eq);
-            let ctx = EvalContext {
-                vars: &row,
-                state: &[12.0, 3.0],
-            };
-            assert_eq!(c.eval(&ctx), eq.eval(&ctx));
+        let sys = CompiledSystem::compile(&eqs, Tier::Threaded);
+        let ctx = EvalContext {
+            vars: &row,
+            state: &[12.0, 3.0],
+        };
+        let mut out = vec![0.0; eqs.len()];
+        sys.eval_step(&ctx, &mut sys.scratch(), &mut out);
+        for (eq, got) in eqs.iter().zip(&out) {
+            assert_eq!(*got, eq.eval(&ctx));
         }
     }
 }
