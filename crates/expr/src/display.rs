@@ -56,19 +56,23 @@ impl NameTable {
             .unwrap_or_else(|| format!("C#{k}"))
     }
 
-    /// Find a variable index by name.
+    /// Find a variable index by name. A name past position 255 has no
+    /// `u8` index, so it is not found.
     pub fn var_index(&self, name: &str) -> Option<u8> {
-        self.vars.iter().position(|v| v == name).map(|i| i as u8)
+        let i = self.vars.iter().position(|v| v == name)?;
+        u8::try_from(i).ok()
     }
 
-    /// Find a state index by name.
+    /// Find a state index by name (`None` past position 255).
     pub fn state_index(&self, name: &str) -> Option<u8> {
-        self.states.iter().position(|v| v == name).map(|i| i as u8)
+        let i = self.states.iter().position(|v| v == name)?;
+        u8::try_from(i).ok()
     }
 
-    /// Find a parameter kind by name.
+    /// Find a parameter kind by name (`None` past position 65535).
     pub fn param_kind(&self, name: &str) -> Option<u16> {
-        self.params.iter().position(|v| v == name).map(|i| i as u16)
+        let i = self.params.iter().position(|v| v == name)?;
+        u16::try_from(i).ok()
     }
 }
 

@@ -332,6 +332,19 @@ mod tests {
     }
 
     #[test]
+    fn names_past_the_index_width_are_unknown() {
+        // `V270` used to wrap to `Var(14)` (270 as u8), which an arity
+        // check against 300 variables then accepted.
+        let vars: Vec<String> = (0..300).map(|i| format!("V{i}")).collect();
+        let vars: Vec<&str> = vars.iter().map(String::as_str).collect();
+        let table = NameTable::new(&vars, &["BPhy"], &["CUA"]);
+        assert_eq!(parse("V255", &table, |_| 0.0).unwrap(), Expr::Var(255));
+        let err = parse("V270", &table, |_| 0.0).unwrap_err();
+        assert!(err.msg.contains("unknown identifier 'V270'"), "{err}");
+        assert_eq!(table.var_index("V256"), None);
+    }
+
+    #[test]
     fn precedence() {
         let e = p("BPhy + Vlgt * Vtmp");
         assert_eq!(

@@ -531,6 +531,31 @@ impl RegProgram {
         }
     }
 
+    /// The distinct forcing columns this program reads, ascending.
+    fn vars_read(&self) -> Vec<u8> {
+        let mut cols: Vec<u8> = self.code.iter().filter_map(RInstr::var_index).collect();
+        cols.sort_unstable();
+        cols.dedup();
+        cols
+    }
+
+    /// The forcing columns each instruction's value depends on, one
+    /// [`col_bit`] mask per instruction: one walk over the code carries
+    /// every register's mask from the instruction that writes it to the
+    /// ones that read it (pinned constants carry none).
+    fn var_deps(&self) -> Vec<u64> {
+        let mut reg = vec![0u64; self.n_regs as usize];
+        self.code
+            .iter()
+            .map(|ins| {
+                let mut dep = ins.var_index().map_or(0, col_bit);
+                ins.reads(|r| dep |= reg[r as usize]);
+                reg[ins.dst() as usize] = dep;
+                dep
+            })
+            .collect()
+    }
+
     /// Run `m <= LANES` lanes through the program, lane `l` reading its
     /// own forcing row `rows[l]` and its own state vector
     /// `states[l * state_stride ..]` (lane-major). Two shapes share it:
@@ -564,56 +589,8 @@ impl RegProgram {
         // is `< n_regs * LANES == regs.len()` — the shared argument of the
         // `k_*`/`l_*` kernels below. Row and state accesses stay
         // bounds-checked.
-        let off = |r: u16| r as usize * LANES;
         for ins in &self.code {
-            match *ins {
-                RInstr::LoadVar { dst, idx } => {
-                    let d = off(dst);
-                    for l in 0..m {
-                        regs[d + l] = rows[l].as_ref()[idx as usize];
-                    }
-                }
-                RInstr::LoadState { dst, idx } => {
-                    let d = off(dst);
-                    for l in 0..m {
-                        regs[d + l] = states[l * state_stride + idx as usize];
-                    }
-                }
-                RInstr::Un { op, dst, a } => {
-                    l_un(op, fast, regs, off(dst), off(a), m);
-                }
-                RInstr::Bin { op, dst, a, b } => {
-                    l_bin(op, fast, regs, off(dst), off(a), off(b), m);
-                }
-                RInstr::VarBinL { op, dst, idx, b } => {
-                    // The variable operand differs per lane here, so no
-                    // broadcast kernel applies; gather it into a stack
-                    // stripe and let the dispatcher pick the
-                    // gathered-operand vector kernel (pow/div) or the
-                    // scalar loop.
-                    let mut v = [0.0; LANES];
-                    for (l, slot) in v[..m].iter_mut().enumerate() {
-                        *slot = rows[l].as_ref()[idx as usize];
-                    }
-                    l_bin_vl(op, fast, regs, off(dst), &v, off(b), m);
-                }
-                RInstr::VarBinR { op, dst, a, idx } => {
-                    let mut v = [0.0; LANES];
-                    for (l, slot) in v[..m].iter_mut().enumerate() {
-                        *slot = rows[l].as_ref()[idx as usize];
-                    }
-                    l_bin_vr(op, fast, regs, off(dst), off(a), &v, m);
-                }
-                RInstr::ConstBinL { op, dst, c, b } => {
-                    l_bin_cl(op, fast, regs, off(dst), c, off(b), m);
-                }
-                RInstr::ConstBinR { op, dst, a, c } => {
-                    l_bin_cr(op, fast, regs, off(dst), off(a), c, m);
-                }
-                RInstr::MulSub { dst, a, b, c } => {
-                    l_fused3(regs, off(dst), off(a), off(b), off(c), m);
-                }
-            }
+            lane_instr(ins, rows, states, state_stride, m, regs, fast);
         }
     }
 
@@ -681,6 +658,78 @@ impl RegProgram {
                     l_fused3(regs, off(dst), off(a), off(b), off(c), m);
                 }
             }
+        }
+    }
+}
+
+/// The mask bit of forcing column `v` in [`RegProgram::var_deps`]:
+/// columns from 63 up share the top bit, so a difference in any of them
+/// counts as a difference in all.
+fn col_bit(v: u8) -> u64 {
+    1 << v.min(63)
+}
+
+/// One instruction over `m <= LANES` lanes, lane `l` reading forcing row
+/// `rows[l]` and state `states[l * state_stride ..]`: the one copy of the
+/// per-lane instruction body behind [`RegProgram::run_lanes`] and the
+/// per-lane prefix sweep. Callers uphold `run_lanes`' contract: `ins`
+/// belongs to a validated program whose `n_regs * LANES` is `regs.len()`.
+#[inline(always)]
+fn lane_instr<R: AsRef<[f64]>>(
+    ins: &RInstr,
+    rows: &[R],
+    states: &[f64],
+    state_stride: usize,
+    m: usize,
+    regs: &mut [f64],
+    fast: bool,
+) {
+    let off = |r: u16| r as usize * LANES;
+    match *ins {
+        RInstr::LoadVar { dst, idx } => {
+            let d = off(dst);
+            for l in 0..m {
+                regs[d + l] = rows[l].as_ref()[idx as usize];
+            }
+        }
+        RInstr::LoadState { dst, idx } => {
+            let d = off(dst);
+            for l in 0..m {
+                regs[d + l] = states[l * state_stride + idx as usize];
+            }
+        }
+        RInstr::Un { op, dst, a } => {
+            l_un(op, fast, regs, off(dst), off(a), m);
+        }
+        RInstr::Bin { op, dst, a, b } => {
+            l_bin(op, fast, regs, off(dst), off(a), off(b), m);
+        }
+        RInstr::VarBinL { op, dst, idx, b } => {
+            // The variable operand differs per lane here, so no broadcast
+            // kernel applies; gather it into a stack stripe and let the
+            // dispatcher pick the gathered-operand vector kernel (pow/div)
+            // or the scalar loop.
+            let mut v = [0.0; LANES];
+            for (l, slot) in v[..m].iter_mut().enumerate() {
+                *slot = rows[l].as_ref()[idx as usize];
+            }
+            l_bin_vl(op, fast, regs, off(dst), &v, off(b), m);
+        }
+        RInstr::VarBinR { op, dst, a, idx } => {
+            let mut v = [0.0; LANES];
+            for (l, slot) in v[..m].iter_mut().enumerate() {
+                *slot = rows[l].as_ref()[idx as usize];
+            }
+            l_bin_vr(op, fast, regs, off(dst), off(a), &v, m);
+        }
+        RInstr::ConstBinL { op, dst, c, b } => {
+            l_bin_cl(op, fast, regs, off(dst), c, off(b), m);
+        }
+        RInstr::ConstBinR { op, dst, a, c } => {
+            l_bin_cr(op, fast, regs, off(dst), off(a), c, m);
+        }
+        RInstr::MulSub { dst, a, b, c } => {
+            l_fused3(regs, off(dst), off(a), off(b), off(c), m);
         }
     }
 }
@@ -1914,9 +1963,11 @@ impl CompiledSystem {
     /// that lets a batching server answer K concurrent requests for one
     /// model, or a what-if sweep run K variants, at far below K× the solo
     /// cost. [`LaneForcing`] says where the lanes read their rows: one
-    /// shared table with its materialized prefix, or one table per lane.
-    /// Per-lane results are bit-identical to running each trajectory
-    /// through its own [`session`](Self::session).
+    /// shared table with its materialized prefix, or one table per lane,
+    /// whose prefixes are swept at open with lane 0's work reused where
+    /// another lane's forcing inputs equal lane 0's. Per-lane results are
+    /// bit-identical to running each trajectory through its own
+    /// [`session`](Self::session).
     ///
     /// The session owns the SIMD padding rule: with the vector kernels
     /// live, a group at least half a stripe wide runs as a full [`LANES`]
@@ -1956,8 +2007,7 @@ impl CompiledSystem {
                     tables.iter().all(|t| t.len() == n_rows),
                     "per-lane tables must share one length"
                 );
-                let prefixes = tables.iter().map(|t| self.sweep_prefix(t)).collect();
-                (tables.len(), prefixes)
+                (tables.len(), self.sweep_lane_prefixes(tables).0)
             }
         };
         assert!(
@@ -1981,6 +2031,109 @@ impl CompiledSystem {
             core_lane_regs,
         }
     }
+
+    /// The prefix tables of a sweep's per-lane forcing tables, each equal
+    /// bit for bit to [`sweep_prefix`](Self::sweep_prefix) over its table,
+    /// plus how many instruction stripes ran (tests). The tables are swept
+    /// together, [`LANES`] rows at a time: lane 0 runs every prefix
+    /// instruction and keeps its output stripe; every other lane copies
+    /// lane 0's stripe for each instruction whose forcing columns (see
+    /// [`RegProgram::var_deps`]) hold the same bits as lane 0's over the
+    /// chunk, and runs the kernel for the rest. A copy is exact: lanes are
+    /// arithmetically independent, every lane's chunks start at row 0, and
+    /// the same kernel at the same width and `fast` flag turns equal input
+    /// bits into equal output bits. `-0.0` against `+0.0`, or two NaN
+    /// payloads, count as different and only cost a recompute.
+    pub(crate) fn sweep_lane_prefixes<R: AsRef<[f64]>>(
+        &self,
+        tables: &[&[R]],
+    ) -> (Vec<PrefixTable>, usize) {
+        // Same refusal as `lane_session`: the sweep runs the lane kernels.
+        self.thunks();
+        let prog = &self.prefix;
+        let n_rows = tables.first().map_or(0, |t| t.len());
+        let mut out: Vec<PrefixTable> = tables
+            .iter()
+            .map(|_| PrefixTable::new(prog.outputs.len(), n_rows))
+            .collect();
+        if prog.outputs.is_empty() {
+            return (out, 0);
+        }
+        debug_assert!(tables
+            .iter()
+            .all(|t| t.iter().all(|r| r.as_ref().len() >= prog.needs_vars)));
+        let deps = prog.var_deps();
+        let cols = prog.vars_read();
+        // One register file serves every lane in turn: each register a
+        // lane reads was written earlier in the same lane's pass over the
+        // chunk, or is a pinned constant. `lane_instr`'s contract holds as
+        // in `run_lanes`: a validated program (checked above), `regs`
+        // exactly `n_regs * LANES` long, and `m <= LANES`.
+        let mut regs = vec![0.0; prog.n_regs as usize * LANES];
+        prog.init_consts_lanes(&mut regs);
+        // Lane 0's output stripe of every instruction in the current chunk.
+        let mut lane0 = vec![0.0; prog.code.len() * LANES];
+        let fast = self.relaxed();
+        let mut ran = 0;
+        for first in (0..n_rows).step_by(LANES) {
+            let m = LANES.min(n_rows - first);
+            let base = &tables[0][first..first + m];
+            for (l, (table, prefix)) in tables.iter().zip(&mut out).enumerate() {
+                let rows = &table[first..first + m];
+                // Lane 0 has no lane to copy from: it differs in every
+                // column, and even an instruction reading none runs there.
+                let diff = if l == 0 {
+                    u64::MAX
+                } else {
+                    differing_columns(&cols, base, rows)
+                };
+                for ((ins, &dep), saved) in prog
+                    .code
+                    .iter()
+                    .zip(&deps)
+                    .zip(lane0.chunks_exact_mut(LANES))
+                {
+                    let d = ins.dst() as usize * LANES;
+                    if l > 0 && dep & diff == 0 {
+                        regs[d..d + m].copy_from_slice(&saved[..m]);
+                    } else {
+                        lane_instr(ins, rows, &[], 0, m, &mut regs, fast);
+                        ran += 1;
+                        if l == 0 {
+                            saved[..m].copy_from_slice(&regs[d..d + m]);
+                        }
+                    }
+                }
+                prefix.store_chunk(first, m, &regs, &prog.outputs);
+            }
+        }
+        (out, ran)
+    }
+
+    /// The forcing columns this system reads, ascending and without
+    /// repeats. No other column of a forcing row reaches an output, so a
+    /// caller building tables for this system may leave the rest as they
+    /// are.
+    pub fn vars_read(&self) -> Vec<u8> {
+        let mut cols = self.prefix.vars_read();
+        cols.extend(self.core.vars_read());
+        cols.sort_unstable();
+        cols.dedup();
+        cols
+    }
+}
+
+/// The [`col_bit`] mask of the columns `cols` whose bits differ between
+/// two equally long row slices anywhere.
+fn differing_columns<R: AsRef<[f64]>>(cols: &[u8], a: &[R], b: &[R]) -> u64 {
+    let mut diff = 0;
+    for &c in cols {
+        let c_at = |r: &R| r.as_ref()[c as usize].to_bits();
+        if a.iter().zip(b).any(|(x, y)| c_at(x) != c_at(y)) {
+            diff |= col_bit(c);
+        }
+    }
+    diff
 }
 
 /// A lock-step group at least this wide runs padded to a full [`LANES`]
@@ -2011,9 +2164,29 @@ impl PrefixTable {
         self.values.len() * std::mem::size_of::<f64>()
     }
 
+    /// A zeroed table of `rows` rows, `n_pre` values each.
+    fn new(n_pre: usize, rows: usize) -> PrefixTable {
+        PrefixTable {
+            values: vec![0.0; n_pre * rows],
+            n_pre,
+        }
+    }
+
     /// The prefix values of row `t` (empty when the system has no prefix).
     fn row(&self, t: usize) -> &[f64] {
         &self.values[t * self.n_pre..(t + 1) * self.n_pre]
+    }
+
+    /// Store rows `first..first + m` from a swept chunk: lane `l` of
+    /// output register `outputs[j]` in `regs` is slot `j` of row
+    /// `first + l`.
+    fn store_chunk(&mut self, first: usize, m: usize, regs: &[f64], outputs: &[u16]) {
+        for l in 0..m {
+            let row = (first + l) * self.n_pre;
+            for (j, &r) in outputs.iter().enumerate() {
+                self.values[row + j] = regs[r as usize * LANES + l];
+            }
+        }
     }
 }
 
@@ -2038,10 +2211,7 @@ impl PrefixSweep {
         };
         sys.prefix.init_consts_lanes(&mut lane_regs);
         PrefixSweep {
-            table: PrefixTable {
-                values: vec![0.0; n_pre * rows],
-                n_pre,
-            },
+            table: PrefixTable::new(n_pre, rows),
             filled: 0,
             lane_regs,
         }
@@ -2050,7 +2220,6 @@ impl PrefixSweep {
     /// Sweep [`LANES`]-row chunks of `rows` (the table this sweep was
     /// opened over) until row `t` is materialized.
     fn fill_through<R: AsRef<[f64]>>(&mut self, sys: &CompiledSystem, rows: &[R], t: usize) {
-        let n_pre = self.table.n_pre;
         while self.filled <= t {
             let m = LANES.min(rows.len() - self.filled);
             sys.prefix.run_lanes(
@@ -2061,12 +2230,8 @@ impl PrefixSweep {
                 &mut self.lane_regs,
                 sys.relaxed(),
             );
-            for l in 0..m {
-                let row = (self.filled + l) * n_pre;
-                for (j, &r) in sys.prefix.outputs.iter().enumerate() {
-                    self.table.values[row + j] = self.lane_regs[r as usize * LANES + l];
-                }
-            }
+            self.table
+                .store_chunk(self.filled, m, &self.lane_regs, &sys.prefix.outputs);
             self.filled += m;
         }
     }
@@ -2142,8 +2307,10 @@ pub enum LaneForcing<'a, R> {
         lanes: usize,
     },
     /// One forcing table per lane, all the same length — a what-if
-    /// sweep's variants. Each table's prefix is swept when the session
-    /// opens.
+    /// sweep's variants. The prefixes are swept when the session opens,
+    /// chunk by chunk: lane 0 in full, and every other lane recomputes
+    /// only the prefix instructions whose forcing columns differ from
+    /// lane 0's in that chunk, copying lane 0's values for the rest.
     PerLane(&'a [&'a [R]]),
 }
 
@@ -2701,6 +2868,57 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn per_lane_prefix_sweep_reuses_lane_zero_where_inputs_match() {
+        // sample_system's prefix reads v0 and v1; column 2 is never read.
+        let eqs = sample_system();
+        let n_rows = LANES + 9;
+        let mut base: Vec<Vec<f64>> = (0..n_rows)
+            .map(|t| {
+                let t = t as f64;
+                vec![(t * 0.53).sin() * 25.0, (t * 0.19).cos() * 1.5, 7.0]
+            })
+            .collect();
+        base[3][0] = 0.0;
+        let with = |f: &dyn Fn(usize, &mut Vec<f64>)| -> Vec<Vec<f64>> {
+            let mut table = base.clone();
+            for (t, row) in table.iter_mut().enumerate() {
+                f(t, row);
+            }
+            table
+        };
+        // Only the unread column differs: nothing to recompute.
+        let unread = with(&|_, r| r[2] = -3.0);
+        // v1 differs in the second chunk only.
+        let late = with(&|t, r| {
+            if t >= LANES {
+                r[1] += 1.0
+            }
+        });
+        // -0.0 against lane 0's +0.0 is a difference (and a visible one:
+        // v0 / 40 keeps the sign).
+        let signed = with(&|t, r| {
+            if t == 3 {
+                r[0] = -0.0
+            }
+        });
+        for tier in all_tiers() {
+            let sys = CompiledSystem::compile(&eqs, tier);
+            let deps = sys.prefix.var_deps();
+            let reading = |v: u8| deps.iter().filter(|&&d| d & col_bit(v) != 0).count();
+            assert!(0 < reading(1) && reading(1) < deps.len());
+            let lane0 = 2 * sys.prefix_len();
+            for (other, recomputed) in [(&unread, 0), (&late, reading(1)), (&signed, reading(0))] {
+                let (tables, ran) = sys.sweep_lane_prefixes(&[&base[..], &other[..]]);
+                assert_eq!(ran - lane0, recomputed, "{tier:?}");
+                assert_eq!(tables[0], sys.sweep_prefix(&base));
+                assert_eq!(tables[1], sys.sweep_prefix(other));
+            }
+            let (tables, _) = sys.sweep_lane_prefixes(&[&base[..], &signed[..]]);
+            assert_ne!(tables[0].row(3)[0].to_bits(), tables[1].row(3)[0].to_bits());
         }
     }
 

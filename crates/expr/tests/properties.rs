@@ -485,3 +485,111 @@ proptest! {
         prop_assert_eq!(parsed, e);
     }
 }
+
+/// A second quiet-NaN payload next to `f64::NAN`'s.
+const OTHER_NAN: u64 = 0x7ff8_0000_0000_0001;
+
+/// A forcing value for the per-lane reuse property: mostly finite, with
+/// both zeros, both infinities and two NaN payloads mixed in.
+fn arb_forcing_value() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        3 => -1e3_f64..1e3,
+        1 => prop_oneof![
+            Just(0.0),
+            Just(-0.0),
+            Just(f64::NAN),
+            Just(f64::from_bits(OTHER_NAN)),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+        ],
+    ]
+}
+
+/// `x` with other bits where `==` cannot tell: the other zero, the other
+/// NaN payload; any other value unchanged.
+fn twin(x: f64) -> f64 {
+    if x == 0.0 {
+        -x
+    } else if x.is_nan() && x.to_bits() != OTHER_NAN {
+        f64::from_bits(OTHER_NAN)
+    } else if x.is_nan() {
+        f64::NAN
+    } else {
+        x
+    }
+}
+
+/// Bitwise equality, except that any NaN equals any NaN: the scalar core
+/// and the lane kernels need not agree on a NaN's payload.
+fn beq(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn per_lane_tables_sharing_columns_match_solo_sessions(
+        mut eqs in prop::collection::vec(arb_wild_expr(), 1..3),
+        shown in 0u8..4,
+        base in prop::collection::vec(prop::collection::vec(arb_forcing_value(), 4), 1..100)
+            .prop_filter("row count off the chunk boundary", |rows| rows.len() % 32 != 0),
+        perturb in prop::collection::vec(
+            prop::collection::vec(
+                (
+                    1u8..16,
+                    0usize..100,
+                    1usize..40,
+                    prop_oneof![arb_forcing_value().prop_map(Some), Just(None)],
+                ),
+                0..4,
+            ),
+            0..32,
+        ),
+    ) {
+        // A sweep's variants: every table copies table 0, then rewrites
+        // some columns over some row ranges, with a value or with each
+        // cell's `twin`. Per-lane prefix sweeps reuse lane 0's work
+        // wherever a lane's forcing inputs hold the same bits over a chunk;
+        // each lane must still match its own solo session. `-v` as an
+        // equation carries a forcing zero's sign through to the output.
+        eqs.push(Expr::un(UnOp::Neg, Expr::Var(shown)));
+        let n_rows = base.len();
+        let mut tables = vec![base.clone()];
+        for edits in &perturb {
+            let mut table = base.clone();
+            for &(cols, start, len, value) in edits {
+                for row in table.iter_mut().skip(start).take(len) {
+                    for (c, x) in row.iter_mut().enumerate() {
+                        if cols & (1 << c) != 0 {
+                            *x = value.unwrap_or_else(|| twin(*x));
+                        }
+                    }
+                }
+            }
+            tables.push(table);
+        }
+        let k = tables.len();
+        let refs: Vec<&[Vec<f64>]> = tables.iter().map(Vec::as_slice).collect();
+        let states: Vec<f64> = (0..k).flat_map(|l| [1.0 + l as f64, 0.5]).collect();
+        for tier in Tier::ALL {
+            let sys = CompiledSystem::compile(&eqs, tier);
+            let n_eqs = sys.n_eqs();
+            let mut lanes = sys.lane_session(LaneForcing::PerLane(&refs));
+            let mut solo: Vec<_> = tables.iter().map(|t| sys.session(t)).collect();
+            let mut out = vec![0.0; k * n_eqs];
+            let mut want = vec![0.0; n_eqs];
+            for t in 0..n_rows {
+                lanes.step(t, &states, &mut out);
+                for (l, session) in solo.iter_mut().enumerate() {
+                    session.step(t, &states[l * 2..l * 2 + 2], &mut want);
+                    for e in 0..n_eqs {
+                        prop_assert!(beq(out[l * n_eqs + e], want[e]),
+                            "tier {tier:?} lane {l} eq {e} at t={t}: solo {} vs lanes {}",
+                            want[e], out[l * n_eqs + e]);
+                    }
+                }
+            }
+        }
+    }
+}

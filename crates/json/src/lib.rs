@@ -56,10 +56,13 @@ impl Value {
         }
     }
 
-    /// This value as a non-negative integer.
+    /// This value as a non-negative integer. Numbers are `f64`s, so a
+    /// large one may name a different integer than its text did; a field
+    /// that can hold any `u64` uses [`push_u64`] and [`read_u64`].
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            // `u64::MAX as f64` is 2^64, itself past the range.
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -371,6 +374,32 @@ pub fn push_f64(out: &mut String, v: f64) {
     }
 }
 
+/// Integers below this bound are the only ones a JSON number carries
+/// exactly: every one of them is an `f64` that no other integer's text
+/// rounds to (the text `9007199254740993`, 2^53 + 1, parses to 2^53).
+pub const EXACT_INT_BOUND: u64 = 1 << 53;
+
+/// Append a `u64` so that [`read_u64`] reads back the same value: a JSON
+/// number below [`EXACT_INT_BOUND`], a decimal string from there up.
+pub fn push_u64(out: &mut String, v: u64) {
+    if v < EXACT_INT_BOUND {
+        out.push_str(&v.to_string());
+    } else {
+        push_escaped(out, &v.to_string());
+    }
+}
+
+/// Read a `u64` written by [`push_u64`]: a number below
+/// [`EXACT_INT_BOUND`] or a decimal string. A number from the bound up is
+/// `None`, because the text may have named another integer that rounded
+/// to it.
+pub fn read_u64(v: &Value) -> Option<u64> {
+    match v {
+        Value::Str(s) => s.parse().ok(),
+        _ => v.as_u64().filter(|&n| n < EXACT_INT_BOUND),
+    }
+}
+
 /// Serialize a [`Value`] back to JSON text. Objects render in key order
 /// (their storage order), so output is deterministic; non-finite numbers
 /// become `null`, mirroring [`push_f64`].
@@ -526,6 +555,44 @@ mod tests {
         assert_eq!(parse("7").unwrap().as_u64(), Some(7));
         assert_eq!(parse("-1").unwrap().as_u64(), None);
         assert_eq!(parse("1.5").unwrap().as_u64(), None);
+        // 2^64 is not a u64 (it used to saturate to u64::MAX).
+        assert_eq!(parse("18446744073709551616").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn u64_fields_round_trip_exactly_or_refuse() {
+        for v in [
+            0,
+            7,
+            EXACT_INT_BOUND - 1,
+            EXACT_INT_BOUND,
+            EXACT_INT_BOUND + 1,
+            u64::MAX,
+        ] {
+            let mut o = String::new();
+            push_u64(&mut o, v);
+            assert_eq!(read_u64(&parse(&o).unwrap()), Some(v), "{o}");
+        }
+        let mut o = String::new();
+        push_u64(&mut o, EXACT_INT_BOUND);
+        assert_eq!(o, "\"9007199254740992\"");
+        // Bare numbers from 2^53 up may have been rounded: refused.
+        for text in [
+            "9007199254740992",
+            "9007199254740993",
+            "18446744073709551616",
+        ] {
+            assert_eq!(read_u64(&parse(text).unwrap()), None, "{text}");
+        }
+        for text in [
+            "\"-1\"",
+            "\"18446744073709551616\"",
+            "\"1e3\"",
+            "1.5",
+            "true",
+        ] {
+            assert_eq!(read_u64(&parse(text).unwrap()), None, "{text}");
+        }
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! transform chains — never by re-generating — so variant tables are
 //! bit-deterministic too.
 
-use crate::forcing::{apply_transforms, variant_transforms, DamSite, ForcingCtx, Transform};
+use crate::forcing::{
+    apply_transforms, variant_transforms, DamSite, ForcingCtx, Transform, ALL_COLUMNS,
+};
 use crate::spec::{ScenarioSpec, SpecError};
 use crate::topology::build_topology;
 use gmr_hydro::data::days_in_year;
@@ -42,6 +44,16 @@ impl CompiledScenario {
     /// The forcing table of sweep variant `variant`: the base table with
     /// that variant's (jittered) transform chain applied.
     pub fn variant_rows(&self, variant: u32) -> Vec<[f64; NUM_VARS]> {
+        self.variant_rows_for(variant, &ALL_COLUMNS)
+    }
+
+    /// Variant `variant`'s table as a model reading only the columns
+    /// `cols` sees it: those columns equal [`variant_rows`]'s bit for bit,
+    /// the others keep their base values, and the transform work only
+    /// they would need is skipped.
+    ///
+    /// [`variant_rows`]: Self::variant_rows
+    pub fn variant_rows_for(&self, variant: u32, cols: &[bool; NUM_VARS]) -> Vec<[f64; NUM_VARS]> {
         let chain = variant_transforms(
             &self.spec.transforms,
             self.spec.seed,
@@ -49,7 +61,7 @@ impl CompiledScenario {
             variant,
         );
         let mut rows = self.base.clone();
-        apply_transforms(&mut rows, &chain, &self.ctx);
+        apply_transforms(&mut rows, &chain, &self.ctx, cols);
         rows
     }
 }
@@ -201,6 +213,45 @@ mod tests {
         assert_ne!(v0a, v1);
         assert_ne!(v1, v2);
         assert_eq!(v1, scn.variant_rows(1), "independent of call order");
+    }
+
+    #[test]
+    fn column_sets_match_variant_rows_on_requested_columns() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let src = spec_src(5).replace(
+            r#"[{"kind": "drought", "scale": 0.8}]"#,
+            r#"[{"kind": "monsoon_shift", "days": 12},
+                {"kind": "heatwave", "start_day": 150, "length": 30, "amp": 4},
+                {"kind": "drought", "scale": 0.8}]"#,
+        );
+        let scn = compile(&parse_spec(&src).unwrap()).unwrap();
+        assert_eq!(scn.spec.transforms.len(), 4, "every transform kind");
+        let bits = |rows: &[[f64; NUM_VARS]]| -> Vec<u64> {
+            rows.iter().flatten().map(|x| x.to_bits()).collect()
+        };
+        let mut rng = StdRng::seed_from_u64(3);
+        for variant in [0, 1, 9] {
+            let full = scn.variant_rows(variant);
+            assert_eq!(
+                bits(&scn.variant_rows_for(variant, &ALL_COLUMNS)),
+                bits(&full)
+            );
+            for _ in 0..8 {
+                let mask: u16 = rng.gen_range(0..1 << NUM_VARS);
+                let cols: [bool; NUM_VARS] = std::array::from_fn(|v| mask & (1 << v) != 0);
+                let part = scn.variant_rows_for(variant, &cols);
+                for (t, row) in part.iter().enumerate() {
+                    for (v, x) in row.iter().enumerate() {
+                        let want = if cols[v] { full[t][v] } else { scn.base[t][v] };
+                        assert_eq!(
+                            x.to_bits(),
+                            want.to_bits(),
+                            "variant {variant} row {t} col {v}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -81,31 +81,53 @@ pub struct ForcingCtx {
 /// timing): nutrients and transparency.
 const WASHIN_COLS: [u8; 4] = [VN, VP, VSI, VSD];
 
-/// Apply a transform chain in order. `ctx.dams[i]` pairs with the i-th
-/// `Transform::Dam` of the chain.
-pub fn apply_transforms(rows: &mut [[f64; NUM_VARS]], transforms: &[Transform], ctx: &ForcingCtx) {
+/// Columns a drought or a dam rescales.
+const DILUTED_COLS: [u8; 5] = [VN, VP, VSI, VCD, VSD];
+
+/// Every forcing column: the `cols` argument of [`apply_transforms`] that
+/// writes whole tables.
+pub const ALL_COLUMNS: [bool; NUM_VARS] = [true; NUM_VARS];
+
+/// Apply a transform chain in order, writing only the columns `v` with
+/// `cols[v]` set; the others keep their values, and a transform that
+/// would write none of the requested columns does no work. Every column
+/// written gets exactly the value a whole-table application
+/// ([`ALL_COLUMNS`]) gives it: no transform reads a column it does not
+/// also write. `ctx.dams[i]` pairs with the i-th `Transform::Dam` of the
+/// chain.
+pub fn apply_transforms(
+    rows: &mut [[f64; NUM_VARS]],
+    transforms: &[Transform],
+    ctx: &ForcingCtx,
+    cols: &[bool; NUM_VARS],
+) {
     let mut dam_idx = 0usize;
     for t in transforms {
         match t {
-            Transform::MonsoonShift { days } => monsoon_shift(rows, &ctx.doy, *days),
+            Transform::MonsoonShift { days } => monsoon_shift(rows, &ctx.doy, *days, cols),
             Transform::Heatwave {
                 start_day,
                 length,
                 amp,
-            } => heatwave(rows, &ctx.doy, *start_day, *length, *amp),
-            Transform::Drought { scale } => drought(rows, *scale),
+            } => heatwave(rows, &ctx.doy, *start_day, *length, *amp, cols),
+            Transform::Drought { scale } => drought(rows, *scale, cols),
             Transform::Dam(spec) => {
-                dam(rows, spec, &ctx.dams[dam_idx], &ctx.month);
+                dam(rows, spec, &ctx.dams[dam_idx], &ctx.month, cols);
                 dam_idx += 1;
             }
         }
     }
 }
 
+/// Whether `cols` requests any column of `set`.
+fn any_of(set: &[u8], cols: &[bool; NUM_VARS]) -> bool {
+    set.iter().any(|&v| cols[v as usize])
+}
+
 /// Rotate the wash-in columns cyclically within each calendar year.
-fn monsoon_shift(rows: &mut [[f64; NUM_VARS]], doy: &[f64], days: f64) {
+fn monsoon_shift(rows: &mut [[f64; NUM_VARS]], doy: &[f64], days: f64, cols: &[bool; NUM_VARS]) {
     let shift = days.round() as i64;
-    if shift == 0 {
+    if shift == 0 || !any_of(&WASHIN_COLS, cols) {
         return;
     }
     // Year segments: a new year starts where day-of-year resets to 0.
@@ -121,8 +143,10 @@ fn monsoon_shift(rows: &mut [[f64; NUM_VARS]], doy: &[f64], days: f64) {
             // The pattern at day d now looks like the unshifted pattern
             // at day d - shift (monsoon arriving `shift` days later).
             let src = (off as i64 - shift).rem_euclid(len) as usize;
-            for v in WASHIN_COLS {
-                row[v as usize] = seg[src][v as usize];
+            for v in WASHIN_COLS.map(usize::from) {
+                if cols[v] {
+                    row[v] = seg[src][v];
+                }
             }
         }
         start = t;
@@ -132,13 +156,28 @@ fn monsoon_shift(rows: &mut [[f64; NUM_VARS]], doy: &[f64], days: f64) {
 
 /// Additive smooth temperature bump each year; dissolved oxygen drops
 /// with solubility (the generator's own −0.33 °C⁻¹ slope).
-fn heatwave(rows: &mut [[f64; NUM_VARS]], doy: &[f64], start_day: f64, length: f64, amp: f64) {
+fn heatwave(
+    rows: &mut [[f64; NUM_VARS]],
+    doy: &[f64],
+    start_day: f64,
+    length: f64,
+    amp: f64,
+    cols: &[bool; NUM_VARS],
+) {
+    let (tmp, dox) = (cols[VTMP as usize], cols[VDO as usize]);
+    if !tmp && !dox {
+        return;
+    }
     for (t, row) in rows.iter_mut().enumerate() {
         let d = doy[t] - start_day;
         if (0.0..length).contains(&d) {
             let bump = amp * (std::f64::consts::PI * d / length).sin();
-            row[VTMP as usize] = (row[VTMP as usize] + bump).min(38.0);
-            row[VDO as usize] = (row[VDO as usize] - 0.33 * bump).max(0.5);
+            if tmp {
+                row[VTMP as usize] = (row[VTMP as usize] + bump).min(38.0);
+            }
+            if dox {
+                row[VDO as usize] = (row[VDO as usize] - 0.33 * bump).max(0.5);
+            }
         }
     }
 }
@@ -146,25 +185,58 @@ fn heatwave(rows: &mut [[f64; NUM_VARS]], doy: &[f64], start_day: f64, length: f
 /// Water-supply scaling. The generated base couples concentrations to
 /// dilution (`80 / flow`), so a drier river concentrates nutrients and
 /// salts and runs clearer (less sediment wash-in).
-fn drought(rows: &mut [[f64; NUM_VARS]], scale: f64) {
+fn drought(rows: &mut [[f64; NUM_VARS]], scale: f64, cols: &[bool; NUM_VARS]) {
     let conc = scale.powf(-0.5);
     let cond = scale.powf(-0.25);
     let clarity = scale.powf(-0.15);
+    if !any_of(&DILUTED_COLS, cols) {
+        return;
+    }
     for row in rows.iter_mut() {
+        dilute(row, cols, conc, || cond, || clarity);
+    }
+}
+
+/// Rescale the diluted columns `cols` requests in one row: nutrients by
+/// `conc`, conductivity by `cond()` and transparency by `clarity()`, each
+/// held to its physical range. A closure runs only when its column is
+/// requested.
+fn dilute(
+    row: &mut [f64; NUM_VARS],
+    cols: &[bool; NUM_VARS],
+    conc: f64,
+    cond: impl FnOnce() -> f64,
+    clarity: impl FnOnce() -> f64,
+) {
+    if cols[VN as usize] {
         row[VN as usize] = (row[VN as usize] * conc).max(0.02);
+    }
+    if cols[VP as usize] {
         row[VP as usize] = (row[VP as usize] * conc).max(0.001);
+    }
+    if cols[VSI as usize] {
         row[VSI as usize] = (row[VSI as usize] * conc).max(0.02);
-        row[VCD as usize] = (row[VCD as usize] * cond).max(80.0);
-        row[VSD as usize] = (row[VSD as usize] * clarity).clamp(0.1, 8.0);
+    }
+    if cols[VCD as usize] {
+        row[VCD as usize] = (row[VCD as usize] * cond()).max(80.0);
+    }
+    if cols[VSD as usize] {
+        row[VSD as usize] = (row[VSD as usize] * clarity()).clamp(0.1, 8.0);
     }
 }
 
 /// Run the storage / release-schedule / overflow recurrence over the
 /// dam's natural inflow, then scale dilution-sensitive columns by the
 /// concentration ratio the regulated flow implies at the target.
-fn dam(rows: &mut [[f64; NUM_VARS]], spec: &DamSpec, site: &DamSite, month: &[usize]) {
+fn dam(
+    rows: &mut [[f64; NUM_VARS]],
+    spec: &DamSpec,
+    site: &DamSite,
+    month: &[usize],
+    cols: &[bool; NUM_VARS],
+) {
     let days = rows.len().min(site.q_nat.len());
-    if days == 0 {
+    if days == 0 || !any_of(&DILUTED_COLS, cols) {
         return;
     }
     let mean_q = site.q_nat[..days].iter().sum::<f64>() / days as f64;
@@ -193,11 +265,7 @@ fn dam(rows: &mut [[f64; NUM_VARS]], spec: &DamSpec, site: &DamSite, month: &[us
         let nat = site.q_nat[lagged].max(1e-6);
         let ratio = (q_reg[lagged] / nat).clamp(0.2, 5.0);
         let m = (1.0 / (1.0 + site.share * (ratio - 1.0))).clamp(0.25, 4.0);
-        row[VN as usize] = (row[VN as usize] * m).max(0.02);
-        row[VP as usize] = (row[VP as usize] * m).max(0.001);
-        row[VSI as usize] = (row[VSI as usize] * m).max(0.02);
-        row[VCD as usize] = (row[VCD as usize] * m.sqrt()).max(80.0);
-        row[VSD as usize] = (row[VSD as usize] * m.powf(-0.25)).clamp(0.1, 8.0);
+        dilute(row, cols, m, || m.sqrt(), || m.powf(-0.25));
     }
 }
 
@@ -316,6 +384,7 @@ mod tests {
                 amp: 4.0,
             }],
             &c,
+            &ALL_COLUMNS,
         );
         assert_eq!(rows[99][VTMP as usize], 20.0);
         assert!(rows[105][VTMP as usize] > 23.0);
@@ -328,7 +397,12 @@ mod tests {
         let mut rows = flat_rows(730);
         let base = rows.clone();
         let c = ctx(730);
-        apply_transforms(&mut rows, &[Transform::MonsoonShift { days: 20.0 }], &c);
+        apply_transforms(
+            &mut rows,
+            &[Transform::MonsoonShift { days: 20.0 }],
+            &c,
+            &ALL_COLUMNS,
+        );
         // Wash-in columns rotated: day 30 now carries day 10's value.
         assert_eq!(rows[30][VN as usize], base[10][VN as usize]);
         // Second year rotates within itself.
@@ -342,7 +416,12 @@ mod tests {
         let mut rows = flat_rows(10);
         let base = rows.clone();
         let c = ctx(10);
-        apply_transforms(&mut rows, &[Transform::Drought { scale: 0.5 }], &c);
+        apply_transforms(
+            &mut rows,
+            &[Transform::Drought { scale: 0.5 }],
+            &c,
+            &ALL_COLUMNS,
+        );
         assert!(rows[3][VN as usize] > base[3][VN as usize]);
         assert!(rows[3][VCD as usize] > base[3][VCD as usize]);
         assert!(rows[3][VSD as usize] > base[3][VSD as usize]);
@@ -369,7 +448,7 @@ mod tests {
             release: vec![0.5; 12],
             overflow: 0.75,
         };
-        apply_transforms(&mut rows, &[Transform::Dam(spec)], &c);
+        apply_transforms(&mut rows, &[Transform::Dam(spec)], &c, &ALL_COLUMNS);
         // Regulated low release concentrates nutrients on high-flow days
         // and the table actually changed.
         assert_ne!(rows, base);
@@ -391,10 +470,10 @@ mod tests {
             },
         ];
         let mut ab = flat_rows(365);
-        apply_transforms(&mut ab, &chain, &c);
+        apply_transforms(&mut ab, &chain, &c, &ALL_COLUMNS);
         let mut step = flat_rows(365);
-        apply_transforms(&mut step, &chain[..1], &c);
-        apply_transforms(&mut step, &chain[1..], &c);
+        apply_transforms(&mut step, &chain[..1], &c, &ALL_COLUMNS);
+        apply_transforms(&mut step, &chain[1..], &c, &ALL_COLUMNS);
         assert_eq!(ab, step, "chain equals sequential application");
     }
 
@@ -414,6 +493,60 @@ mod tests {
         for t in &a {
             if let Transform::Drought { scale } = t {
                 assert!((0.2..=2.0).contains(scale));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn column_sets_write_exactly_the_requested_columns(
+            mask in 0u16..1 << NUM_VARS,
+            rotate in 0usize..4,
+            days in -60.0f64..60.0,
+            (start_day, length, amp) in (0.0f64..365.0, 1.0f64..120.0, 0.0f64..10.0),
+            scale in 0.2f64..2.0,
+            (capacity, release, overflow) in (100.0f64..1e5, 0.05f64..2.0, 0.0f64..1.0),
+        ) {
+            // Every transform kind in a rotated order; a column the set
+            // requests must come out exactly as a whole-table application
+            // writes it, and any other column must keep its base value.
+            let n = 400;
+            let base = flat_rows(n);
+            let mut c = ctx(n);
+            c.dams.push(DamSite {
+                q_nat: (0..n).map(|t| 60.0 + 50.0 * (t as f64 / 30.0).sin()).collect(),
+                lag: 3,
+                share: 0.7,
+            });
+            let mut chain = vec![
+                Transform::MonsoonShift { days },
+                Transform::Heatwave { start_day, length, amp },
+                Transform::Drought { scale },
+                Transform::Dam(DamSpec {
+                    station: "n01".into(),
+                    capacity,
+                    release: vec![release; 12],
+                    overflow,
+                }),
+            ];
+            chain.rotate_left(rotate);
+            let cols: [bool; NUM_VARS] = std::array::from_fn(|v| mask & (1 << v) != 0);
+            let mut full = base.clone();
+            apply_transforms(&mut full, &chain, &c, &ALL_COLUMNS);
+            let mut part = base.clone();
+            apply_transforms(&mut part, &chain, &c, &cols);
+            for t in 0..n {
+                for v in 0..NUM_VARS {
+                    let want = if cols[v] { full[t][v] } else { base[t][v] };
+                    proptest::prop_assert!(
+                        part[t][v].to_bits() == want.to_bits(),
+                        "row {t} column {v} (requested: {}): {} vs {want}",
+                        cols[v],
+                        part[t][v]
+                    );
+                }
             }
         }
     }

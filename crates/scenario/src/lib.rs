@@ -33,7 +33,9 @@ pub mod sweep;
 pub mod topology;
 
 pub use compile::{compile, CompiledScenario, START_YEAR};
-pub use forcing::{apply_transforms, variant_transforms, DamSite, DamSpec, ForcingCtx, Transform};
+pub use forcing::{
+    apply_transforms, variant_transforms, DamSite, DamSpec, ForcingCtx, Transform, ALL_COLUMNS,
+};
 pub use spec::{parse_spec, render_spec, ScenarioSpec, SpecError, TopologyKind, SCHEMA};
 pub use sweep::{reduce_series, ReduceSpec, SweepReducer, SweepSummary};
 

@@ -9,7 +9,7 @@
 //! same posture the serving registry takes for model artifacts.
 
 use crate::forcing::{DamSpec, Transform};
-use gmr_json::{push_escaped, push_f64, Value};
+use gmr_json::{push_escaped, push_f64, push_u64, read_u64, Value};
 
 /// Schema tag every spec must carry.
 pub const SCHEMA: &str = "gmr-scenario/v1";
@@ -43,7 +43,8 @@ pub struct ScenarioSpec {
     /// Scenario name: the admission key and the sweep routing key.
     pub name: String,
     /// Seed for every draw: topology shape, station environments, the
-    /// synthetic generator, and per-variant transform jitter.
+    /// synthetic generator, and per-variant transform jitter. Written as
+    /// a JSON number below 2^53 and as a decimal string from there up.
     pub seed: u64,
     /// Topology family.
     pub kind: TopologyKind,
@@ -131,7 +132,10 @@ pub fn spec_from_value(v: &Value) -> Result<ScenarioSpec, SpecError> {
             "`name` must be 1..=64 chars of [A-Za-z0-9_-] (it keys routing)",
         ));
     }
-    let seed = uint(req(v, "seed")?, "seed")?;
+    // Any `u64`: a number below 2^53, a decimal string from there up
+    // (a larger number may be another integer's text rounded).
+    let seed = read_u64(req(v, "seed")?)
+        .ok_or_else(|| err("`seed` must be an integer below 2^53 or a decimal string of a u64"))?;
     let topo = req(v, "topology")?;
     known_keys(topo, &["kind", "stations"], "topology")?;
     let kind = match req(topo, "kind")?.as_str() {
@@ -285,7 +289,8 @@ pub fn render_spec(spec: &ScenarioSpec) -> String {
     push_escaped(&mut out, SCHEMA);
     out.push_str(", \"name\": ");
     push_escaped(&mut out, &spec.name);
-    out.push_str(&format!(", \"seed\": {}", spec.seed));
+    out.push_str(", \"seed\": ");
+    push_u64(&mut out, spec.seed);
     out.push_str(&format!(
         ", \"topology\": {{\"kind\": \"{}\", \"stations\": {}}}",
         spec.kind.tag(),
@@ -430,6 +435,35 @@ mod tests {
     }
 
     #[test]
+    fn seeds_past_2_pow_53_are_strings_or_refused() {
+        let with_seed =
+            |seed: &str| demo_src().replace("\"seed\": 7", &format!("\"seed\": {seed}"));
+        // A bare number that an f64 cannot hold exactly is refused, not
+        // rounded to a neighbour's seed (2^53 + 1 used to parse as 2^53).
+        for bare in [
+            "9007199254740992",
+            "9007199254740993",
+            "18446744073709551616",
+        ] {
+            assert!(parse_spec(&with_seed(bare)).is_err(), "accepted {bare}");
+        }
+        assert_eq!(
+            parse_spec(&with_seed("9007199254740991")).unwrap().seed,
+            (1 << 53) - 1
+        );
+        // Any u64 as a decimal string, and back through the renderer.
+        for seed in [1u64 << 53, (1 << 53) + 1, u64::MAX] {
+            let spec = parse_spec(&with_seed(&format!("\"{seed}\""))).unwrap();
+            assert_eq!(spec.seed, seed);
+            let text = render_spec(&spec);
+            assert!(text.contains(&format!("\"seed\": \"{seed}\"")), "{text}");
+            assert_eq!(parse_spec(&text).unwrap(), spec);
+        }
+        assert!(parse_spec(&with_seed("\"18446744073709551616\"")).is_err());
+        assert!(parse_spec(&with_seed("\"-1\"")).is_err());
+    }
+
+    #[test]
     fn monthly_release_schedule_accepted() {
         let src = demo_src().replace(
             "\"release\": 0.6",
@@ -446,5 +480,75 @@ mod tests {
             .unwrap();
         assert_eq!(dam.release.len(), 12);
         assert_eq!(dam.release[6], 1.0);
+    }
+
+    /// The benchmark's spec shape: braided topology, every climate kind,
+    /// and a dam on the last physical station that is not the outlet.
+    fn braided_dam_src() -> String {
+        let mut spec = parse_spec(
+            r#"{"schema": "gmr-scenario/v1", "name": "bench", "seed": 42,
+                "topology": {"kind": "braided", "stations": 16}, "years": 1,
+                "climate": [{"kind": "monsoon_shift", "days": 10},
+                            {"kind": "heatwave", "start_day": 185, "length": 15, "amp": 3},
+                            {"kind": "drought", "scale": 0.85}],
+                "spread": 0.25}"#,
+        )
+        .unwrap();
+        let (net, _) = crate::topology::build_topology(&spec);
+        let station = net
+            .stations()
+            .filter(|(sid, st)| *sid != net.outlet() && st.kind != gmr_hydro::StationKind::Virtual)
+            .map(|(_, st)| st.name.clone())
+            .last()
+            .unwrap();
+        spec.transforms.push(Transform::Dam(DamSpec {
+            station,
+            capacity: 200_000.0,
+            release: vec![0.6; 12],
+            overflow: 0.75,
+        }));
+        render_spec(&spec)
+    }
+
+    /// `src` mangled at fraction `at` of its length: cut short there
+    /// (`how == 0`), that byte XOR-ed with `x` (`1`), or the first digit
+    /// from there on replaced by `x % 10` (`2`, which mostly keeps the
+    /// text a valid spec).
+    fn mangle(src: &str, how: u8, at: f64, x: u8) -> String {
+        let mut bytes = src.as_bytes().to_vec();
+        let at = ((bytes.len() as f64 * at) as usize).min(bytes.len() - 1);
+        match how {
+            0 => bytes.truncate(at),
+            1 => bytes[at] ^= x,
+            _ => {
+                if let Some(d) = bytes[at..].iter_mut().find(|b| b.is_ascii_digit()) {
+                    *d = b'0' + x % 10;
+                }
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn mangled_specs_parse_or_refuse_and_render_canonically(
+            bench in proptest::prelude::any::<bool>(),
+            how in 0u8..3,
+            at in 0.0f64..1.0,
+            x in 1u8..=255,
+        ) {
+            // Parsing never panics; whatever it accepts renders to
+            // canonical text that parses back to the same spec and
+            // renders to itself.
+            let src = if bench { braided_dam_src() } else { demo_src() };
+            if let Ok(spec) = parse_spec(&mangle(&src, how, at, x)) {
+                let canonical = render_spec(&spec);
+                let back = parse_spec(&canonical);
+                proptest::prop_assert_eq!(back.as_ref(), Ok(&spec), "{}", canonical);
+                proptest::prop_assert_eq!(render_spec(&spec), canonical);
+            }
+        }
     }
 }

@@ -16,7 +16,7 @@
 
 use gmr_expr::{parse_with_defaults, Expr, NameTable, ParseError};
 use gmr_hydro::network::{Edge, RiverNetwork, Station, StationId, StationKind};
-use gmr_json::{parse as parse_json, push_escaped, push_f64, Value};
+use gmr_json::{parse as parse_json, push_escaped, push_f64, push_u64, read_u64, Value};
 use std::fmt;
 use std::path::Path;
 
@@ -371,26 +371,6 @@ impl ModelArtifact {
         let text = std::fs::read_to_string(path)?;
         Self::from_json(&text)
     }
-}
-
-/// Every `u64` up to this bound survives a JSON number exactly (`gmr_json`
-/// holds numbers as `f64`).
-const MAX_EXACT_NUM: u64 = 1 << 53;
-
-/// Write a `u64` exactly: as a JSON number while an `f64` holds it, as a
-/// decimal string above that (a search seed can be any `u64`).
-fn push_u64(o: &mut String, v: u64) {
-    if v <= MAX_EXACT_NUM {
-        o.push_str(&v.to_string());
-    } else {
-        push_escaped(o, &v.to_string());
-    }
-}
-
-/// Read what [`push_u64`] wrote.
-fn read_u64(v: &Value) -> Option<u64> {
-    v.as_u64()
-        .or_else(|| v.as_str().and_then(|s| s.parse().ok()))
 }
 
 fn parse_topology(t: &Value) -> Result<RiverNetwork, ArtifactError> {

@@ -390,9 +390,12 @@ fn cmd_scenario_spec(args: &[String]) -> ExitCode {
         }
     };
     // Validate the damless skeleton through the real parser — every range
-    // check the server's admission gate would apply runs here first.
+    // check the server's admission gate would apply runs here first. A
+    // seed from 2^53 up is written as a string, as `render_spec` does.
+    let mut seed_json = String::new();
+    gmr_json::push_u64(&mut seed_json, seed);
     let skeleton = format!(
-        r#"{{"schema": "{}", "name": "{name}", "seed": {seed},
+        r#"{{"schema": "{}", "name": "{name}", "seed": {seed_json},
   "topology": {{"kind": "{kind}", "stations": {stations}}},
   "years": {years},
   "climate": [{{"kind": "monsoon_shift", "days": 10}},

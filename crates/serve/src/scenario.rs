@@ -284,17 +284,31 @@ pub fn parse_sweep_request(v: &Value) -> Result<SweepRequest, String> {
 /// chunks, each trajectory reduced online in day order. Per-variant
 /// results are bit-identical to a solo [`crate::batch::simulate_single`]
 /// over that variant's table (pinned by tests and `bench_scenario`).
+///
+/// The variant tables transform only the forcing columns `sys` reads
+/// ([`CompiledScenario::variant_rows_for`]): no instruction loads the
+/// others, so their base values never reach a summary. Within each
+/// chunk the lane session reuses lane 0's prefix work wherever a
+/// variant's read columns equal lane 0's (see [`LaneForcing::PerLane`]).
 pub fn run_sweep(
     scn: &CompiledScenario,
     sys: &CompiledSystem,
     req: &SweepRequest,
 ) -> Vec<SweepSummary> {
+    let mut cols = [false; NUM_VARS];
+    for v in sys.vars_read() {
+        // A column past the table's width has nothing to transform.
+        if let Some(c) = cols.get_mut(v as usize) {
+            *c = true;
+        }
+    }
     let mut summaries = Vec::with_capacity(req.variants as usize);
     let mut first = 0u32;
     while first < req.variants {
         let k = ((req.variants - first) as usize).min(LANES);
-        let tabs: Vec<Vec<[f64; NUM_VARS]>> =
-            (0..k).map(|j| scn.variant_rows(first + j as u32)).collect();
+        let tabs: Vec<Vec<[f64; NUM_VARS]>> = (0..k)
+            .map(|j| scn.variant_rows_for(first + j as u32, &cols))
+            .collect();
         let refs: Vec<&[[f64; NUM_VARS]]> = tabs.iter().map(Vec::as_slice).collect();
         let mut session = sys.lane_session(LaneForcing::PerLane(&refs));
         let mut reducers: Vec<SweepReducer> = (0..k)
@@ -348,7 +362,8 @@ mod tests {
     use super::*;
     use crate::batch::simulate_single;
     use crate::registry::ModelRegistry;
-    use crate::ModelArtifact;
+    use crate::{ModelArtifact, Provenance};
+    use gmr_expr::ast::{BinOp, Expr};
     use gmr_scenario::reduce_series;
 
     fn demo_spec(name: &str) -> String {
@@ -381,6 +396,31 @@ mod tests {
     }
 
     #[test]
+    fn seeds_past_2_pow_53_admit_as_distinct_worlds() {
+        // 2^53 + 1 used to round to 2^53 and re-admit as the same spec
+        // (`fresh: false`). Now a bare number that large is a 400, and as
+        // a string it is a different spec under a taken name: 409.
+        let store = ScenarioStore::new();
+        let with_seed =
+            |seed: &str| demo_spec("big").replace("\"seed\": 11", &format!("\"seed\": {seed}"));
+        let (scn, fresh) = store.admit(&with_seed("\"9007199254740992\"")).unwrap();
+        assert!(fresh);
+        assert_eq!(scn.spec.seed, 1 << 53);
+        for bare in ["9007199254740992", "9007199254740993"] {
+            assert_eq!(store.admit(&with_seed(bare)).unwrap_err().0, 400, "{bare}");
+        }
+        assert_eq!(
+            store
+                .admit(&with_seed("\"9007199254740993\""))
+                .unwrap_err()
+                .0,
+            409
+        );
+        let (_, fresh) = store.admit(&with_seed("\"9007199254740992\"")).unwrap();
+        assert!(!fresh);
+    }
+
+    #[test]
     fn scn_refs_resolve_to_variant_tables() {
         let store = ScenarioStore::new();
         store.admit(&demo_spec("w")).unwrap();
@@ -394,30 +434,27 @@ mod tests {
         assert!(store.resolve_ref("scn:w/x").is_none());
     }
 
-    #[test]
-    fn sweep_summaries_match_solo_trajectories_bitwise() {
-        let store = ScenarioStore::new();
-        store.admit(&demo_spec("v")).unwrap();
-        let scn = store.get("v").unwrap();
-        let mut reg = ModelRegistry::new();
-        reg.insert(ModelArtifact::builtin_manual()).unwrap();
-        let sys = reg.touch("table5-manual").unwrap().system.clone();
-        // An awkward width: one full chunk plus a ragged tail past half a
-        // stripe, so the tail runs padded when the SIMD kernels are live.
+    /// Sweep scenario `name` (admitted in `store`) through `sys` at an
+    /// awkward width — one full chunk plus a ragged tail past half a
+    /// stripe, so the tail runs padded when the SIMD kernels are live —
+    /// and check every variant's summary against a solo run over that
+    /// variant's whole table.
+    fn assert_sweep_matches_solo(store: &ScenarioStore, name: &str, sys: &CompiledSystem) {
+        let scn = store.get(name).unwrap();
         let req = SweepRequest {
-            scenario: "v".into(),
-            model: "table5-manual".into(),
+            scenario: name.into(),
+            model: "m".into(),
             variants: (LANES + LANES / 2 + 1) as u32,
             reduce: ReduceSpec { threshold: 20.0 },
             init: (8.0, 1.2),
             dt: 1.0,
             state_cap: 1e9,
         };
-        let summaries = run_sweep(&scn, &sys, &req);
+        let summaries = run_sweep(&scn, sys, &req);
         assert_eq!(summaries.len(), req.variants as usize);
         for (i, got) in summaries.iter().enumerate() {
             let rows = scn.variant_rows(i as u32);
-            let (bphy, bzoo) = simulate_single(&sys, &rows, req.init, req.dt, req.state_cap);
+            let (bphy, bzoo) = simulate_single(sys, &rows, req.init, req.dt, req.state_cap);
             let want = reduce_series(i as u32, &req.reduce, &bphy, &bzoo);
             assert_eq!(got, &want, "variant {i} summary diverged from solo run");
         }
@@ -428,6 +465,56 @@ mod tests {
             summaries.windows(2).any(|w| w[0] != w[1]),
             "all variants identical — jitter is broken"
         );
+    }
+
+    fn registered(art: ModelArtifact) -> Arc<CompiledSystem> {
+        let mut reg = ModelRegistry::new();
+        let name = art.name.clone();
+        reg.insert(art).unwrap();
+        reg.touch(&name).unwrap().system.clone()
+    }
+
+    #[test]
+    fn sweep_summaries_match_solo_trajectories_bitwise() {
+        let store = ScenarioStore::new();
+        store.admit(&demo_spec("v")).unwrap();
+        let sys = registered(ModelArtifact::builtin_manual());
+        assert!(sys.vars_read().len() < NUM_VARS, "MANUAL skips columns");
+        assert_sweep_matches_solo(&store, "v", &sys);
+    }
+
+    #[test]
+    fn sweep_of_a_model_reading_every_column_matches_solo() {
+        // MANUAL plus a small term in every forcing column, so no
+        // column's transforms are skipped, over a scenario with every
+        // transform kind.
+        let [dbphy, dbzoo] = gmr_bio::manual_system();
+        let every = (0..NUM_VARS as u8)
+            .map(Expr::Var)
+            .reduce(|a, b| Expr::bin(BinOp::Add, a, b))
+            .unwrap();
+        let dbphy = Expr::bin(
+            BinOp::Add,
+            dbphy,
+            Expr::bin(BinOp::Mul, Expr::Num(1e-6), every),
+        );
+        let art =
+            ModelArtifact::from_equations("reads-all", &[dbphy, dbzoo], Provenance::default());
+        let sys = registered(art);
+        assert_eq!(sys.vars_read(), (0..NUM_VARS as u8).collect::<Vec<_>>());
+        let spec = demo_spec("all").replace(
+            r#""spread": 0.3"#,
+            r#""dams": [{"station": "n05", "capacity": 200000, "release": 0.6, "overflow": 0.75}],
+               "spread": 0.3"#,
+        );
+        let spec = spec.replace(
+            r#""climate": ["#,
+            r#""climate": [{"kind": "monsoon_shift", "days": 15},"#,
+        );
+        let store = ScenarioStore::new();
+        let (scn, _) = store.admit(&spec).unwrap();
+        assert_eq!(scn.spec.transforms.len(), 4, "every transform kind");
+        assert_sweep_matches_solo(&store, "all", &sys);
     }
 
     #[test]
@@ -453,6 +540,34 @@ mod tests {
         ] {
             let v = gmr_json::parse(bad).unwrap();
             assert!(parse_sweep_request(&v).is_err(), "accepted {bad}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn admit_answers_mangled_specs_with_400(
+            at in 0.0f64..1.0,
+            flip in 1u8..=255,
+            noise in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..64),
+        ) {
+            // A truncated spec, a byte-flipped one and random bytes are
+            // refused with a 400, never a panic. A flip the parser still
+            // accepts (a digit for a digit) admits; only those compile.
+            let src = demo_spec("g");
+            let at = ((src.len() as f64 * at) as usize).min(src.len() - 1);
+            let mut flipped = src.clone().into_bytes();
+            flipped[at] ^= flip;
+            for text in [
+                src[..at].to_string(),
+                String::from_utf8_lossy(&flipped).into_owned(),
+                String::from_utf8_lossy(&noise).into_owned(),
+            ] {
+                if let Err((status, msg)) = ScenarioStore::new().admit(&text) {
+                    proptest::prop_assert_eq!(status, 400, "{}", msg);
+                }
+            }
         }
     }
 }
