@@ -64,7 +64,7 @@ fn bench_cache(c: &mut Criterion) {
         })
     });
     g.bench_function("hit", |b| {
-        let cache = TreeCache::new(1024);
+        let mut cache = TreeCache::new(1024);
         let key = TreeCache::system_key(&keys);
         cache.insert(
             key,
@@ -76,7 +76,7 @@ fn bench_cache(c: &mut Criterion) {
         b.iter(|| black_box(cache.get(black_box(key))))
     });
     g.bench_function("miss_and_insert", |b| {
-        let cache = TreeCache::new(1 << 16);
+        let mut cache = TreeCache::new(1 << 16);
         let mut i = 0u64;
         b.iter_batched(
             || {
@@ -92,6 +92,7 @@ fn bench_cache(c: &mut Criterion) {
                         full: true,
                     },
                 );
+                cache.evict_to_budget();
             },
             BatchSize::SmallInput,
         )

@@ -1,5 +1,5 @@
-//! Engine throughput benchmark: persistent evaluation pool + phenotype
-//! memo, measured end to end and emitted as machine-readable JSON.
+//! Engine throughput benchmark: evaluation pool + phenotype memo, measured
+//! end to end and emitted as machine-readable JSON.
 //!
 //! Usage:
 //!
@@ -22,8 +22,10 @@
 //!
 //! Every thread count runs the identical seeded workload, and the run
 //! aborts unless the per-generation best-fitness trajectories are
-//! bit-identical across thread counts — the pool's determinism contract,
-//! checked on every benchmark run, not just in the test suite.
+//! bit-identical and every work counter (evaluations, evaluated steps,
+//! cache hits and misses, phenotype builds) is equal across thread counts
+//! — the engine's determinism contract, checked on every benchmark run,
+//! not just in the test suite. The check is exact, so it cannot flake.
 //!
 //! The benchmark doubles as the observability overhead gate: the
 //! threads=1 workload runs first with the journal *uninstalled* (every
@@ -33,10 +35,10 @@
 //! instrumentation reads clocks, never the search state.
 //!
 //! `--validate` re-opens an emitted JSON file and enforces the acceptance
-//! gate: schema tag present, determinism flag true, threads=4 achieving
-//! at least 2× the threads=1 candidate throughput, and journal-on
-//! overhead within 2%. `--journal PATH` flushes the run journal to
-//! `gmr-journal/v1` JSONL for `gmr-trace`.
+//! gate: schema tag present, determinism flag true, every run's counters
+//! equal, threads=4 achieving at least 2× the threads=1 candidate
+//! throughput, and journal-on overhead within 2%. `--journal PATH` flushes
+//! the run journal to `gmr-journal/v1` JSONL for `gmr-trace`.
 
 use gmr_bench::cli;
 use gmr_expr::EvalContext;
@@ -149,6 +151,18 @@ impl Workload {
             seed: 11,
         }
     }
+    /// Individuals scored per run — the unit of `candidates_per_sec`:
+    /// generation zero's population, then each generation's offspring once
+    /// in its evaluation round and once in its local-search round. Pool
+    /// work items are not this unit: every such round also derives its
+    /// phenotypes in a pool round of its own.
+    fn candidates(&self) -> u64 {
+        let c = self.cfg(1);
+        let offspring = c.pop_size - c.elite;
+        let per_gen = offspring * (1 + usize::from(c.local_search_steps > 0));
+        (c.pop_size + c.max_gen * per_gen) as u64
+    }
+
     fn cfg(&self, threads: usize) -> GpConfig {
         GpConfig {
             pop_size: self.pop_size,
@@ -170,6 +184,7 @@ struct RunResult {
     wall: Duration,
     candidates: u64,
     evaluations: u64,
+    evaluated_steps: u64,
     short_circuited: u64,
     cache_hits: u64,
     cache_misses: u64,
@@ -180,9 +195,35 @@ struct RunResult {
     trajectory: Vec<u64>,
 }
 
+/// The work counters every run of one workload must reproduce exactly.
+const COUNTERS: [&str; 8] = [
+    "evaluations",
+    "evaluated_steps",
+    "short_circuited",
+    "cache_hits",
+    "cache_misses",
+    "pheno_builds",
+    "pheno_reuses",
+    "compiles",
+];
+
 impl RunResult {
     fn candidates_per_sec(&self) -> f64 {
         self.candidates as f64 / self.wall.as_secs_f64().max(1e-9)
+    }
+
+    /// Values of [`COUNTERS`], in order.
+    fn counters(&self) -> [u64; 8] {
+        [
+            self.evaluations,
+            self.evaluated_steps,
+            self.short_circuited,
+            self.cache_hits,
+            self.cache_misses,
+            self.pheno_builds,
+            self.pheno_reuses,
+            self.compiles,
+        ]
     }
 }
 
@@ -197,8 +238,9 @@ fn run_once(w: &Workload, threads: usize) -> RunResult {
     RunResult {
         threads,
         wall,
-        candidates: report.pool.total_candidates(),
+        candidates: w.candidates(),
         evaluations: report.evaluations,
+        evaluated_steps: report.evaluated_steps,
         short_circuited: report.short_circuited,
         cache_hits: report.cache_hits,
         cache_misses: report.cache_misses,
@@ -247,7 +289,7 @@ fn render_json(
         out.push_str(&format!(
             "    {{\"threads\": {}, \"wall_ms\": {:.3}, \"candidates\": {}, \
              \"candidates_per_sec\": {:.3}, \"speedup_vs_1\": {:.3}, \
-             \"evaluations\": {}, \"short_circuited\": {}, \
+             \"evaluations\": {}, \"evaluated_steps\": {}, \"short_circuited\": {}, \
              \"cache_hits\": {}, \"cache_misses\": {}, \
              \"pheno_builds\": {}, \"pheno_reuses\": {}, \"compiles\": {},\n",
             r.threads,
@@ -256,6 +298,7 @@ fn render_json(
             cps,
             cps / base_cps,
             r.evaluations,
+            r.evaluated_steps,
             r.short_circuited,
             r.cache_hits,
             r.cache_misses,
@@ -314,9 +357,10 @@ fn json_number(src: &str, key: &str) -> Option<f64> {
 /// accidentally missing a `contains` probe.
 fn validate(src: &str) -> Vec<String> {
     let mut errs = Vec::new();
-    if let Err(e) = gmr_json::parse(src) {
-        return vec![format!("not strict JSON: {e}")];
-    }
+    let doc = match gmr_json::parse(src) {
+        Ok(doc) => doc,
+        Err(e) => return vec![format!("not strict JSON: {e}")],
+    };
     if !src.contains(&format!("\"schema\": \"{SCHEMA}\"")) {
         errs.push(format!("missing schema tag {SCHEMA:?}"));
     }
@@ -357,7 +401,28 @@ fn validate(src: &str) -> Vec<String> {
             errs.push(format!("no run entry for threads={t}"));
         }
     }
+    errs.extend(counter_mismatches(&doc));
     errs
+}
+
+/// Every run of the workload must report the same [`COUNTERS`]; one
+/// failure per counter that is missing or differs from the first run's.
+fn counter_mismatches(doc: &gmr_json::Value) -> Vec<String> {
+    let runs = doc
+        .get("runs")
+        .and_then(gmr_json::Value::as_arr)
+        .unwrap_or(&[]);
+    COUNTERS
+        .iter()
+        .filter_map(|key| {
+            let vals: Vec<Option<u64>> = runs
+                .iter()
+                .map(|r| r.get(key).and_then(gmr_json::Value::as_u64))
+                .collect();
+            let same = vals.iter().all(|v| v.is_some() && *v == vals[0]);
+            (!same).then(|| format!("runs disagree on {key:?} (or lack it): {vals:?}"))
+        })
+        .collect()
 }
 
 /// The arguments part of the usage line.
@@ -447,12 +512,13 @@ fn main() {
     }
 
     // The determinism contract covers the obsv switch too: journal-off and
-    // journal-on runs at every thread count must agree bit for bit.
+    // journal-on runs at every thread count must agree bit for bit, and do
+    // exactly the same work.
     let deterministic = runs
         .iter()
         .chain(&disabled)
         .chain(&enabled_t1)
-        .all(|r| r.trajectory == runs[0].trajectory);
+        .all(|r| r.trajectory == runs[0].trajectory && r.counters() == runs[0].counters());
     let base = runs[0].candidates_per_sec();
     let speedup_t4 = runs
         .iter()
@@ -476,7 +542,9 @@ fn main() {
         "  obsv overhead at threads=1: {overhead_pct:+.2}% ({disabled_cps:.1}/s off, {enabled_cps:.1}/s on)"
     );
     if !deterministic {
-        gmr_obsv::warn!("FAIL: fitness trajectories diverged across thread counts / obsv");
+        gmr_obsv::warn!(
+            "FAIL: fitness trajectories or work counters diverged across thread counts / obsv"
+        );
     }
 
     let (journal_events, journal_dropped) = gmr_obsv::global()
@@ -523,8 +591,9 @@ mod tests {
         RunResult {
             threads,
             wall: Duration::from_millis(100),
-            candidates: 960 * threads as u64,
+            candidates: 288,
             evaluations: 800,
+            evaluated_steps: 40_000,
             short_circuited: 120,
             cache_hits: 40,
             cache_misses: 760,
@@ -563,5 +632,29 @@ mod tests {
         assert!(validate("{\"schema\": ")
             .iter()
             .any(|e| e.contains("not strict JSON")));
+    }
+
+    #[test]
+    fn validate_requires_equal_counters_across_runs() {
+        let mut runs: Vec<RunResult> = THREAD_COUNTS.iter().map(|&t| tiny_run(t)).collect();
+        runs[2].evaluations += 1;
+        runs[1].cache_hits -= 1;
+        let obsv = ObsvSection {
+            overhead_pct: 0.4,
+            disabled_cps: 9600.0,
+            enabled_cps: 9560.0,
+            journal_events: 512,
+            journal_dropped: 0,
+        };
+        let errs = validate(&render_json(&Workload::quick(), &runs, true, 3.2, &obsv));
+        assert_eq!(errs.len(), 2, "{errs:?}");
+        assert!(errs[0].contains("\"evaluations\""), "{errs:?}");
+        assert!(errs[1].contains("\"cache_hits\""), "{errs:?}");
+    }
+
+    #[test]
+    fn candidates_count_individuals_per_round() {
+        assert_eq!(Workload::quick().candidates(), 288);
+        assert_eq!(Workload::default_scale().candidates(), 952);
     }
 }

@@ -7,20 +7,20 @@
 //! semantically identical revisions (`x + 0`, commuted operands, folded
 //! numerics) share one entry.
 //!
-//! The map is sharded behind `parking_lot` mutexes for cheap concurrent
-//! access from the parallel evaluation pool and uses the identity hash
-//! (keys are already 128-bit mixes). When a shard exceeds its budget it
-//! evicts incrementally — short-circuited (surrogate) entries first, then
-//! half the remainder — rather than clearing wholesale, so an eviction wave
-//! does not discard the hot fully-evaluated entries that elitism and
-//! replication keep hitting. Fitness caching tolerates loss, never
-//! staleness (keys are pure functions of the phenotype).
+//! The map is one `HashMap` with the identity hash (keys are already
+//! 128-bit mixes), owned by the engine's coordinating thread: an evaluation
+//! round looks every key up before the pool runs and records every result
+//! after it, so no worker ever touches the cache and its contents never
+//! depend on the thread count. At those round boundaries the map is cut
+//! back to its budget incrementally — short-circuited (surrogate) entries
+//! first, then half the remainder — rather than cleared wholesale, so an
+//! eviction wave does not discard the hot fully-evaluated entries that
+//! elitism and replication keep hitting. Fitness caching tolerates loss,
+//! never staleness (keys are pure functions of the phenotype).
 
 use gmr_expr::TreeKey;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identity hasher for pre-mixed 128-bit keys.
 #[derive(Default)]
@@ -41,8 +41,6 @@ impl Hasher for IdentityHasher {
     }
 }
 
-const SHARDS: usize = 16;
-
 /// A cached evaluation: fitness and whether it came from a full evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CachedFitness {
@@ -52,50 +50,29 @@ pub struct CachedFitness {
     pub full: bool,
 }
 
-/// Hit/miss counters (monotonic, lock-free).
-#[derive(Debug, Default)]
-pub struct CacheStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl CacheStats {
-    /// Number of hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-    /// Number of misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-    /// Hit rate in `[0, 1]` (0 when empty).
-    pub fn hit_rate(&self) -> f64 {
-        let h = self.hits() as f64;
-        let m = self.misses() as f64;
-        if h + m == 0.0 {
-            0.0
-        } else {
-            h / (h + m)
-        }
+/// Hit rate in `[0, 1]` of `hits` among `hits + misses` lookups (0 when
+/// there were none).
+pub(crate) fn hit_rate(hits: u64, misses: u64) -> f64 {
+    let (h, m) = (hits as f64, misses as f64);
+    if h + m == 0.0 {
+        0.0
+    } else {
+        h / (h + m)
     }
 }
 
-type Shard = HashMap<(u64, u64), CachedFitness, BuildHasherDefault<IdentityHasher>>;
-
-/// Sharded fitness cache.
+/// The fitness cache.
 pub struct TreeCache {
-    shards: Vec<Mutex<Shard>>,
-    per_shard_cap: usize,
-    stats: CacheStats,
+    map: HashMap<(u64, u64), CachedFitness, BuildHasherDefault<IdentityHasher>>,
+    capacity: usize,
 }
 
 impl TreeCache {
-    /// Create with a total entry budget (split across shards).
+    /// Create with a total entry budget.
     pub fn new(capacity: usize) -> Self {
         TreeCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            per_shard_cap: (capacity / SHARDS).max(16),
-            stats: CacheStats::default(),
+            map: HashMap::default(),
+            capacity: capacity.max(1),
         }
     }
 
@@ -110,47 +87,32 @@ impl TreeCache {
         (a, b)
     }
 
-    fn shard(&self, key: (u64, u64)) -> &Mutex<Shard> {
-        &self.shards[(key.0 as usize) % SHARDS]
-    }
-
-    /// Look up a fitness, recording hit/miss.
+    /// Look up a fitness.
     pub fn get(&self, key: (u64, u64)) -> Option<CachedFitness> {
-        let found = self.shard(key).lock().get(&key).copied();
-        if found.is_some() {
-            self.stats.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        found
+        self.map.get(&key).copied()
     }
 
-    /// Insert (upgrading a short-circuited entry to a full one, never the
-    /// reverse).
-    pub fn insert(&self, key: (u64, u64), value: CachedFitness) {
-        let mut shard = self.shard(key).lock();
-        if shard.len() >= self.per_shard_cap {
-            Self::evict(&mut shard, self.per_shard_cap);
-        }
-        match shard.get(&key) {
-            Some(existing) if existing.full && !value.full => {}
-            _ => {
-                shard.insert(key, value);
-            }
-        }
+    /// Record a fitness. May leave the map over budget until the next
+    /// [`Self::evict_to_budget`].
+    pub fn insert(&mut self, key: (u64, u64), value: CachedFitness) {
+        self.map.insert(key, value);
     }
 
-    /// Shed load from an over-budget shard without discarding its hot set:
-    /// drop short-circuited (surrogate) entries first — they are cheap to
-    /// recompute and their fitness is approximate anyway — and only if that
-    /// leaves the shard still at budget thin the survivors to half.
-    fn evict(shard: &mut Shard, cap: usize) {
-        let before = shard.len();
-        shard.retain(|_, v| v.full);
-        let after_surrogates = shard.len();
-        if shard.len() >= cap {
+    /// Cut an over-budget map back to its budget without discarding its hot
+    /// set: drop short-circuited (surrogate) entries first — they are cheap
+    /// to recompute and their fitness is approximate anyway — and only if
+    /// that leaves the map still over budget thin the survivors by half,
+    /// as often as it takes.
+    pub fn evict_to_budget(&mut self) {
+        if self.map.len() <= self.capacity {
+            return;
+        }
+        let before = self.map.len();
+        self.map.retain(|_, v| v.full);
+        let after_surrogates = self.map.len();
+        while self.map.len() > self.capacity {
             let mut i = 0usize;
-            shard.retain(|_, _| {
+            self.map.retain(|_, _| {
                 i += 1;
                 i.is_multiple_of(2)
             });
@@ -158,25 +120,20 @@ impl TreeCache {
         if gmr_obsv::enabled() {
             gmr_obsv::emit(gmr_obsv::Event::CacheEvict {
                 shed_surrogate: (before - after_surrogates) as u64,
-                shed_full: (after_surrogates - shard.len()) as u64,
-                len_after: shard.len() as u64,
+                shed_full: (after_surrogates - self.map.len()) as u64,
+                len_after: self.map.len() as u64,
             });
         }
     }
 
     /// Total entries.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.map.len()
     }
 
     /// True when no entries are cached.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Counters.
-    pub fn stats(&self) -> &CacheStats {
-        &self.stats
+        self.map.is_empty()
     }
 }
 
@@ -189,133 +146,80 @@ mod tests {
         TreeCache::system_key(&[e.structural_hash()])
     }
 
+    /// A key whose identity hash is `i` (real keys are 128-bit mixes; a
+    /// pair `(i, i)` would hash to 0 for every `i`).
+    fn k(i: u64) -> (u64, u64) {
+        (i, 0)
+    }
+
+    fn full(fitness: f64) -> CachedFitness {
+        CachedFitness {
+            fitness,
+            full: true,
+        }
+    }
+
     #[test]
     fn round_trip() {
-        let cache = TreeCache::new(1024);
+        let mut cache = TreeCache::new(1024);
         let e = Expr::bin(BinOp::Add, Expr::Var(0), Expr::Num(1.0));
-        let k = key_of(&e);
-        assert!(cache.get(k).is_none());
-        cache.insert(
-            k,
-            CachedFitness {
-                fitness: 3.5,
-                full: true,
-            },
-        );
-        assert_eq!(
-            cache.get(k),
-            Some(CachedFitness {
-                fitness: 3.5,
-                full: true
-            })
-        );
-        assert_eq!(cache.stats().hits(), 1);
-        assert_eq!(cache.stats().misses(), 1);
+        let key = key_of(&e);
+        assert!(cache.get(key).is_none());
+        cache.insert(key, full(3.5));
+        assert_eq!(cache.get(key), Some(full(3.5)));
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn different_trees_different_entries() {
-        let cache = TreeCache::new(1024);
+        let mut cache = TreeCache::new(1024);
         let a = Expr::Var(0);
         let b = Expr::Var(1);
-        cache.insert(
-            key_of(&a),
-            CachedFitness {
-                fitness: 1.0,
-                full: true,
-            },
-        );
-        cache.insert(
-            key_of(&b),
-            CachedFitness {
-                fitness: 2.0,
-                full: true,
-            },
-        );
+        cache.insert(key_of(&a), full(1.0));
+        cache.insert(key_of(&b), full(2.0));
         assert_eq!(cache.get(key_of(&a)).unwrap().fitness, 1.0);
         assert_eq!(cache.get(key_of(&b)).unwrap().fitness, 2.0);
     }
 
     #[test]
-    fn full_entries_not_downgraded() {
-        let cache = TreeCache::new(1024);
-        let k = (1, 2);
-        cache.insert(
-            k,
-            CachedFitness {
-                fitness: 1.0,
-                full: true,
-            },
-        );
-        cache.insert(
-            k,
-            CachedFitness {
-                fitness: 9.0,
-                full: false,
-            },
-        );
-        assert_eq!(
-            cache.get(k).unwrap(),
-            CachedFitness {
-                fitness: 1.0,
-                full: true
-            }
-        );
-        // But full overwrites short-circuited.
-        cache.insert(
-            k,
-            CachedFitness {
-                fitness: 0.5,
-                full: true,
-            },
-        );
-        assert_eq!(cache.get(k).unwrap().fitness, 0.5);
-    }
-
-    #[test]
     fn eviction_keeps_cache_bounded() {
-        let cache = TreeCache::new(SHARDS * 16);
+        let mut cache = TreeCache::new(256);
         for i in 0..10_000u64 {
-            cache.insert(
-                (i, i),
-                CachedFitness {
-                    fitness: i as f64,
-                    full: true,
-                },
-            );
+            cache.insert(k(i), full(i as f64));
+            if i % 97 == 0 {
+                cache.evict_to_budget();
+                assert!(cache.len() <= 256, "len {}", cache.len());
+            }
         }
-        assert!(cache.len() <= SHARDS * 16 + SHARDS, "len {}", cache.len());
+        cache.evict_to_budget();
+        assert!(cache.len() <= 256, "len {}", cache.len());
     }
 
     #[test]
     fn eviction_sheds_surrogates_before_full_entries() {
-        // One shard's worth of entries: fill with full entries to just
-        // under the cap, pad with short-circuited surrogates, then
-        // overflow. The surrogates must go first; every full entry stays.
-        let per_shard = 16; // capacity SHARDS*16 → 16 per shard
-        let cache = TreeCache::new(SHARDS * per_shard);
-        let full_keys: Vec<(u64, u64)> = (0..10).map(|i| (i * SHARDS as u64, i)).collect();
-        for (n, &k) in full_keys.iter().enumerate() {
-            cache.insert(
-                k,
-                CachedFitness {
-                    fitness: n as f64,
-                    full: true,
-                },
-            );
+        // Fill with full entries to just under the budget, pad with
+        // short-circuited surrogates past it: the surrogates must go
+        // first; every full entry stays.
+        let cap = 16;
+        let mut cache = TreeCache::new(cap);
+        let full_keys: Vec<(u64, u64)> = (0..10).map(k).collect();
+        for (n, &key) in full_keys.iter().enumerate() {
+            cache.insert(key, full(n as f64));
         }
-        for i in 10..per_shard as u64 + 1 {
+        for i in 10..cap as u64 + 1 {
             cache.insert(
-                (i * SHARDS as u64, i),
+                k(i),
                 CachedFitness {
                     fitness: 999.0,
                     full: false,
                 },
             );
         }
-        for (n, &k) in full_keys.iter().enumerate() {
+        cache.evict_to_budget();
+        assert_eq!(cache.len(), full_keys.len());
+        for (n, &key) in full_keys.iter().enumerate() {
             assert_eq!(
-                cache.get(k).map(|v| v.fitness),
+                cache.get(key).map(|v| v.fitness),
                 Some(n as f64),
                 "full entry {n} must survive the eviction wave"
             );
@@ -324,37 +228,29 @@ mod tests {
 
     #[test]
     fn eviction_wave_keeps_roughly_half_the_hot_set() {
-        // All-full entries overflowing a single shard repeatedly: the old
-        // clear-the-shard policy left ~0 survivors after each wave; the
-        // halving policy must keep the shard at least half-populated.
-        let per_shard = 64;
-        let cache = TreeCache::new(SHARDS * per_shard);
-        for i in 0..(per_shard as u64 * 3) {
-            cache.insert(
-                (i * SHARDS as u64, i),
-                CachedFitness {
-                    fitness: i as f64,
-                    full: true,
-                },
-            );
+        // All-full entries overflowing the budget: a clear-everything
+        // policy would leave ~0 survivors after each wave; the halving
+        // policy must keep the map at least half-populated.
+        let cap = 64;
+        let mut cache = TreeCache::new(cap);
+        for i in 0..(cap as u64 * 3) {
+            cache.insert(k(i), full(i as f64));
+            cache.evict_to_budget();
         }
         let survivors = cache.len();
         assert!(
-            survivors >= per_shard / 2,
+            survivors >= cap / 2,
             "eviction should halve, not clear: {survivors} left"
         );
-        // Hit rate over the most recent cap-worth of keys survives the
-        // wave (the clear-the-shard policy this replaces dropped the whole
-        // working set at once, zeroing the post-wave hit rate).
-        let mut hits = 0;
-        for i in (per_shard as u64 * 2)..(per_shard as u64 * 3) {
-            if cache.get((i * SHARDS as u64, i)).is_some() {
-                hits += 1;
-            }
-        }
+        // Hit rate over the most recent budget-worth of keys survives the
+        // wave (clearing would drop the whole working set at once, zeroing
+        // the post-wave hit rate).
+        let hits = (cap as u64 * 2..cap as u64 * 3)
+            .filter(|&i| cache.get(k(i)).is_some())
+            .count();
         assert!(
-            hits >= per_shard / 4,
-            "recent keys should largely survive: {hits}/{per_shard}"
+            hits >= cap / 4,
+            "recent keys should largely survive: {hits}/{cap}"
         );
     }
 
@@ -370,45 +266,9 @@ mod tests {
 
     #[test]
     fn hit_rate_accounting() {
-        let cache = TreeCache::new(64);
-        let k = (7, 7);
-        let _ = cache.get(k); // miss
-        cache.insert(
-            k,
-            CachedFitness {
-                fitness: 1.0,
-                full: true,
-            },
-        );
-        let _ = cache.get(k); // hit
-        let _ = cache.get(k); // hit
-        assert!((cache.stats().hit_rate() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn concurrent_access_is_safe() {
-        use std::sync::Arc;
-        let cache = Arc::new(TreeCache::new(4096));
-        let mut handles = Vec::new();
-        for t in 0..4u64 {
-            let c = Arc::clone(&cache);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..1000u64 {
-                    let k = (i % 64, t);
-                    c.insert(
-                        k,
-                        CachedFitness {
-                            fitness: i as f64,
-                            full: true,
-                        },
-                    );
-                    let _ = c.get(k);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert!(cache.stats().hits() > 0);
+        assert_eq!(hit_rate(0, 0), 0.0);
+        assert!((hit_rate(2, 1) - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(hit_rate(0, 5), 0.0);
+        assert_eq!(hit_rate(5, 0), 1.0);
     }
 }

@@ -8,15 +8,19 @@
 //! and runtime compilation — are independent switches in [`GpConfig`], which
 //! is exactly what the Fig. 10 experiment toggles.
 //!
-//! Determinism: a run's fitness trajectory is a pure function of the seed
-//! for **any** `threads` value. Per-individual RNG streams are derived from
-//! the global candidate index, evaluation rounds snapshot the
-//! short-circuiting baseline (`bestPrevFull`) at round boundaries, and the
-//! only cross-thread write — `fetch_min` on that baseline — is commutative,
-//! so thread interleaving can change *which worker* runs a candidate but
-//! never what the candidate computes. See DESIGN.md, "Evaluation pool".
+//! Determinism: a run — its fitness trajectory and every counter — is a
+//! pure function of the seed for **any** `threads` value. Per-individual
+//! RNG streams are derived from the candidate index, and the coordinating
+//! thread alone owns the search state candidates share: the tree cache and
+//! the short-circuiting baseline (`bestPrevFull`). An evaluation round
+//! looks every cache key up in candidate order, the pool evaluates each
+//! distinct miss once as a pure job against the round's baseline snapshot,
+//! and the coordinator records every result in candidate order. Thread
+//! interleaving can change *which worker* runs a job, never what a job
+//! computes or what the search records. See DESIGN.md, "Evaluation pool &
+//! determinism contract".
 
-use crate::cache::{CachedFitness, TreeCache};
+use crate::cache::{hit_rate, CachedFitness, IdentityHasher, TreeCache};
 use crate::individual::Individual;
 use crate::operators::{
     crossover, deletion, gaussian_mutation_partial, insertion, param_tweak, subtree_mutation,
@@ -25,7 +29,7 @@ use crate::operators::{
 use crate::phenotype::Phenotype;
 use crate::pool::{with_pool, EvalPool, PoolStats};
 use crate::priors::ParamPriors;
-use crate::short_circuit::{AtomicF64, EsController, EsOutcome, Extrapolate};
+use crate::short_circuit::{EsController, EsOutcome, Extrapolate};
 use gmr_expr::{simplify, Expr};
 use gmr_obsv::metrics::{Counter, Registry, Sample};
 use gmr_obsv::Event;
@@ -33,7 +37,9 @@ use gmr_tag::lower::{lower, lower_system};
 use gmr_tag::{DerivTree, Grammar};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// A fitness problem. Implementations integrate the lowered equation system
@@ -318,9 +324,9 @@ pub struct Engine<'a, E: Evaluator> {
     evaluator: &'a E,
     priors: ParamPriors,
     cfg: GpConfig,
-    cache: TreeCache,
+    /// Taken only by the coordinating thread, between pool rounds.
+    state: Mutex<SearchState>,
     invariant_hook: Option<InvariantHook<'a>>,
-    best_prev_full: AtomicF64,
     /// The engine's metric sheet. The counters below are registered in it
     /// under `engine.*` names, so one snapshot carries everything the
     /// scalar `RunReport` fields report (plus anything registered later).
@@ -329,9 +335,45 @@ pub struct Engine<'a, E: Evaluator> {
     steps: Arc<Counter>,
     fulls: Arc<Counter>,
     shorts: Arc<Counter>,
+    cache_hits: Arc<Counter>,
+    cache_misses: Arc<Counter>,
     pheno_builds: Arc<Counter>,
     pheno_reuses: Arc<Counter>,
     compiles: Arc<Counter>,
+}
+
+/// The search state candidates share: the fitness cache and the
+/// short-circuiting baseline `bestPrevFull` (the best fitness any full
+/// evaluation produced). Only the coordinating thread reads or writes it,
+/// before and after each pool round, so it never depends on the thread
+/// count.
+struct SearchState {
+    cache: TreeCache,
+    best_prev_full: f64,
+}
+
+/// Where one candidate's result in an evaluation round comes from.
+#[derive(Clone, Copy)]
+enum Slot {
+    /// A cache hit: `(fitness, fully_evaluated)`.
+    Cached(f64, bool),
+    /// `jobs[i]` of the round — a miss, or a duplicate of one pending.
+    Job(usize),
+}
+
+/// One distinct phenotype an evaluation round simulates.
+struct Job<'p> {
+    ph: &'p Phenotype,
+    /// `(fitness, fully_evaluated)` once the pool has run the job.
+    result: (f64, bool),
+}
+
+/// One local-search move awaiting its score.
+struct Proposal {
+    idx: usize,
+    tree: DerivTree,
+    origin: &'static str,
+    ph: Option<Phenotype>,
 }
 
 /// Cumulative counter values at a generation boundary; consecutive
@@ -358,12 +400,17 @@ fn mix_seed(master: u64, gen: u64, idx: u64) -> u64 {
 impl<'a, E: Evaluator> Engine<'a, E> {
     /// Assemble an engine.
     pub fn new(grammar: &'a Grammar, evaluator: &'a E, priors: ParamPriors, cfg: GpConfig) -> Self {
-        let cache = TreeCache::new(cfg.cache_capacity);
+        let state = Mutex::new(SearchState {
+            cache: TreeCache::new(cfg.cache_capacity),
+            best_prev_full: f64::INFINITY,
+        });
         let metrics = Registry::new();
         let evals = metrics.counter("engine.evals");
         let steps = metrics.counter("engine.steps");
         let fulls = metrics.counter("engine.full_evals");
         let shorts = metrics.counter("engine.short_circuits");
+        let cache_hits = metrics.counter("engine.cache_hits");
+        let cache_misses = metrics.counter("engine.cache_misses");
         let pheno_builds = metrics.counter("engine.pheno_builds");
         let pheno_reuses = metrics.counter("engine.pheno_reuses");
         let compiles = metrics.counter("engine.compiles");
@@ -372,14 +419,15 @@ impl<'a, E: Evaluator> Engine<'a, E> {
             evaluator,
             priors,
             cfg,
-            cache,
+            state,
             invariant_hook: None,
-            best_prev_full: AtomicF64::new(f64::INFINITY),
             metrics,
             evals,
             steps,
             fulls,
             shorts,
+            cache_hits,
+            cache_misses,
             pheno_builds,
             pheno_reuses,
             compiles,
@@ -456,24 +504,52 @@ impl<'a, E: Evaluator> Engine<'a, E> {
         Some(ph)
     }
 
-    /// Evaluate a derived phenotype against a short-circuiting baseline
-    /// snapshot, with whichever §III-D techniques are enabled. Returns
+    fn state(&self) -> MutexGuard<'_, SearchState> {
+        // Held only for a lookup or a record, never while a task runs.
+        self.state
+            .lock()
+            .expect("no engine code panics holding the search state")
+    }
+
+    /// Round step 1, on the coordinator: sort each candidate, in order,
+    /// into a cache hit, a duplicate of a job already pending in this round
+    /// (also a hit, sharing that job), or a miss that becomes a new job.
+    /// With caching off every candidate is a job of its own.
+    fn lookup<'p>(&self, phenos: &[&'p Phenotype]) -> (Vec<Slot>, Vec<Job<'p>>) {
+        let mut jobs = Vec::new();
+        let mut new_job = |ph| {
+            jobs.push(Job {
+                ph,
+                result: (f64::NAN, false),
+            });
+            Slot::Job(jobs.len() - 1)
+        };
+        if !self.cfg.use_cache {
+            let slots = phenos.iter().map(|&ph| new_job(ph)).collect();
+            return (slots, jobs);
+        }
+        let state = self.state();
+        let mut pending: HashMap<_, _, BuildHasherDefault<IdentityHasher>> = HashMap::default();
+        let slots = phenos
+            .iter()
+            .map(|&ph| match state.cache.get(ph.key()) {
+                Some(hit) => Slot::Cached(hit.fitness, hit.full),
+                None => *pending.entry(ph.key()).or_insert_with(|| new_job(ph)),
+            })
+            .collect::<Vec<_>>();
+        self.cache_misses.add(jobs.len() as u64);
+        self.cache_hits.add((slots.len() - jobs.len()) as u64);
+        (slots, jobs)
+    }
+
+    /// Round step 2, one pool job: simulate a derived phenotype under the
+    /// short-circuiting controller against `baseline`. Returns
     /// `(fitness, fully_evaluated)`.
     ///
-    /// The result is a pure function of `(phenotype, baseline)` — that
-    /// purity is what makes round-snapshotted baselines yield bit-identical
-    /// fitness for any thread count.
-    fn evaluate_phenotype(&self, ph: &Phenotype, baseline: f64) -> (f64, bool) {
-        let key = if self.cfg.use_cache {
-            let key = ph.key();
-            if let Some(hit) = self.cache.get(key) {
-                return (hit.fitness, hit.full);
-            }
-            Some(key)
-        } else {
-            None
-        };
-
+    /// The result is a pure function of `(phenotype, baseline)` — the only
+    /// writes are the atomic work counters — which is what lets the pool
+    /// run jobs on any worker in any order.
+    fn simulate(&self, ph: &Phenotype, baseline: f64) -> (f64, bool) {
         let es = match self.cfg.es_threshold {
             Some(th) => EsController {
                 threshold: th,
@@ -500,23 +576,61 @@ impl<'a, E: Evaluator> Engine<'a, E> {
         if full {
             self.steps.add(total as u64);
             self.fulls.inc();
-            // A NaN from a misbehaving evaluator must not poison the ES
-            // baseline (NaN wins every fetch_min comparison from then on).
-            if !fitness.is_nan() {
-                self.best_prev_full.fetch_min(fitness);
-            }
         } else {
             self.steps.add(last_done as u64);
             self.shorts.inc();
         }
-        if let Some(key) = key {
-            self.cache.insert(key, CachedFitness { fitness, full });
-        }
         (fitness, full)
     }
 
-    /// Evaluate one genotype with whichever §III-D techniques are enabled,
-    /// against the live short-circuiting baseline. Returns
+    /// Round step 3, on the coordinator: record every job's result in
+    /// candidate order — the cache insert, and the baseline update for full
+    /// results — cut the cache back to budget, and return each candidate's
+    /// `(fitness, fully_evaluated)`.
+    fn record(&self, slots: &[Slot], jobs: &[Job]) -> Vec<(f64, bool)> {
+        let mut state = self.state();
+        for job in jobs {
+            let (fitness, full) = job.result;
+            // `<` is false for a NaN from a misbehaving evaluator, which
+            // therefore cannot poison the baseline.
+            if full && fitness < state.best_prev_full {
+                state.best_prev_full = fitness;
+            }
+            if self.cfg.use_cache {
+                state
+                    .cache
+                    .insert(job.ph.key(), CachedFitness { fitness, full });
+            }
+        }
+        state.cache.evict_to_budget();
+        slots
+            .iter()
+            .map(|&slot| match slot {
+                Slot::Cached(fitness, full) => (fitness, full),
+                Slot::Job(j) => jobs[j].result,
+            })
+            .collect()
+    }
+
+    /// Score derived phenotypes, given in candidate order, against one
+    /// baseline snapshot: look up on the coordinator, evaluate each
+    /// distinct miss once on the pool, record on the coordinator.
+    fn evaluate_round(
+        &self,
+        pool: &EvalPool,
+        phenos: &[&Phenotype],
+        baseline: f64,
+    ) -> Vec<(f64, bool)> {
+        let (slots, mut jobs) = self.lookup(phenos);
+        pool.for_each_mut(&mut jobs, |_, job| {
+            job.result = self.simulate(job.ph, baseline);
+        });
+        self.record(&slots, &jobs)
+    }
+
+    /// Evaluate one genotype with whichever §III-D techniques are enabled —
+    /// Fig. 10's sequential path: a one-candidate round, run inline against
+    /// the live short-circuiting baseline. Returns
     /// `(fitness, fully_evaluated)`.
     pub fn evaluate_tree(&self, tree: &DerivTree) -> (f64, bool) {
         let Ok(ph) = self.build_phenotype(tree) else {
@@ -524,7 +638,8 @@ impl<'a, E: Evaluator> Engine<'a, E> {
             // corrupted genotype — lethal fitness, never a crash.
             return (f64::INFINITY, true);
         };
-        self.evaluate_phenotype(&ph, self.best_prev_full.load())
+        let baseline = self.state().best_prev_full;
+        with_pool(1, |pool| self.evaluate_round(pool, &[&ph], baseline)).0[0]
     }
 
     fn counter_snap(&self) -> CounterSnap {
@@ -532,8 +647,8 @@ impl<'a, E: Evaluator> Engine<'a, E> {
             evals: self.evals.get(),
             fulls: self.fulls.get(),
             shorts: self.shorts.get(),
-            hits: self.cache.stats().hits(),
-            misses: self.cache.stats().misses(),
+            hits: self.cache_hits.get(),
+            misses: self.cache_misses.get(),
         }
     }
 
@@ -599,27 +714,29 @@ impl<'a, E: Evaluator> Engine<'a, E> {
         });
     }
 
+    /// Derive the unevaluated individuals' phenotypes in one pool round,
+    /// then score them in one evaluation round.
     fn evaluate_population(&self, pool: &EvalPool, pop: &mut [Individual]) {
-        // Snapshot the ES baseline at the round boundary: every candidate
-        // in the round sees the same value regardless of which worker runs
-        // it or in what order — the determinism contract.
-        let baseline = self.best_prev_full.load();
-        pool.for_each_mut(pop, |_, ind| {
-            if !ind.fitness.is_infinite() {
-                return;
-            }
-            match self.ensure_phenotype(ind) {
-                Some(ph) => {
-                    let (f, full) = self.evaluate_phenotype(&ph, baseline);
-                    ind.fitness = f;
-                    ind.fully_evaluated = full;
-                }
-                None => {
-                    ind.fitness = f64::INFINITY;
-                    ind.fully_evaluated = true;
-                }
-            }
+        // Every candidate in the round sees the same baseline snapshot,
+        // whichever worker runs it — the determinism contract.
+        let baseline = self.state().best_prev_full;
+        let mut todo: Vec<&mut Individual> =
+            pop.iter_mut().filter(|i| i.fitness.is_infinite()).collect();
+        pool.for_each_mut(&mut todo, |_, ind| {
+            self.ensure_phenotype(ind);
         });
+        let scores = {
+            let phenos: Vec<&Phenotype> = todo.iter().filter_map(|i| i.pheno.as_deref()).collect();
+            self.evaluate_round(pool, &phenos, baseline)
+        };
+        let mut scores = scores.into_iter();
+        for ind in todo {
+            // A genotype that failed to lower is corrupted: lethal fitness.
+            (ind.fitness, ind.fully_evaluated) = match ind.pheno {
+                Some(_) => scores.next().expect("one score per phenotype"),
+                None => (f64::INFINITY, true),
+            };
+        }
     }
 
     fn tournament<'p, R: Rng>(&self, pop: &'p [Individual], rng: &mut R) -> &'p Individual {
@@ -714,47 +831,66 @@ impl<'a, E: Evaluator> Engine<'a, E> {
     /// Stochastic hill-climbing local search (§III-D): propose insertion,
     /// deletion — and, when enabled, a fine parameter tweak — with equal
     /// probability; adopt on strict improvement.
+    ///
+    /// Steps run in lock-step across the population: each step proposes
+    /// one move per individual on the coordinator (from the individual's
+    /// own RNG stream), derives the proposals in one pool round and scores
+    /// them in one evaluation round.
     fn local_search(&self, pool: &EvalPool, pop: &mut [Individual], gen: usize) {
         if self.cfg.local_search_steps == 0 {
             return;
         }
         let master = self.cfg.seed;
         let sigma = self.sigma_scale(gen.saturating_sub(1));
-        // Same round-boundary baseline snapshot as `evaluate_population`.
-        let baseline = self.best_prev_full.load();
-        pool.for_each_mut(pop, |idx, ind| {
-            let mut rng = StdRng::seed_from_u64(mix_seed(master, gen as u64 ^ 0xA5, idx as u64));
-            for _ in 0..self.cfg.local_search_steps {
-                let mut cand = ind.tree.clone();
-                let moves = if self.cfg.ls_param_tweak { 3 } else { 2 };
+        let moves = if self.cfg.ls_param_tweak { 3 } else { 2 };
+        // One baseline snapshot for the whole phase, taken at its start.
+        let baseline = self.state().best_prev_full;
+        let mut rngs: Vec<StdRng> = (0..pop.len())
+            .map(|idx| StdRng::seed_from_u64(mix_seed(master, gen as u64 ^ 0xA5, idx as u64)))
+            .collect();
+        for _ in 0..self.cfg.local_search_steps {
+            let mut proposals = Vec::new();
+            for (idx, (ind, rng)) in pop.iter().zip(&mut rngs).enumerate() {
+                let mut tree = ind.tree.clone();
                 let mv = rng.gen_range(0..moves);
                 let changed = match mv {
-                    0 => insertion(&mut cand, self.grammar, &mut rng, self.cfg.max_size),
-                    1 => deletion(&mut cand, self.grammar, &mut rng, self.cfg.min_size),
-                    _ => param_tweak(&mut cand, self.grammar, &self.priors, sigma, &mut rng),
+                    0 => insertion(&mut tree, self.grammar, rng, self.cfg.max_size),
+                    1 => deletion(&mut tree, self.grammar, rng, self.cfg.min_size),
+                    _ => param_tweak(&mut tree, self.grammar, &self.priors, sigma, rng),
                 };
-                if !changed {
-                    continue;
-                }
-                let Ok(ph) = self.build_phenotype(&cand) else {
-                    continue;
-                };
-                let (f, full) = self.evaluate_phenotype(&ph, baseline);
-                if f < ind.fitness {
-                    ind.tree = cand;
-                    ind.fitness = f;
-                    ind.fully_evaluated = full;
-                    ind.origin = match mv {
-                        0 => "ls-insert",
-                        1 => "ls-delete",
-                        _ => "ls-tweak",
-                    };
-                    // The adopted candidate's phenotype is already derived —
-                    // memoise it so later generations skip the rebuild.
-                    ind.pheno = Some(Arc::new(ph));
+                if changed {
+                    let origin = ["ls-insert", "ls-delete", "ls-tweak"][mv];
+                    let ph = None;
+                    proposals.push(Proposal {
+                        idx,
+                        tree,
+                        origin,
+                        ph,
+                    });
                 }
             }
-        });
+            pool.for_each_mut(&mut proposals, |_, p| {
+                p.ph = self.build_phenotype(&p.tree).ok();
+            });
+            proposals.retain(|p| p.ph.is_some());
+            let scores = {
+                let phenos: Vec<&Phenotype> =
+                    proposals.iter().filter_map(|p| p.ph.as_ref()).collect();
+                self.evaluate_round(pool, &phenos, baseline)
+            };
+            for (p, (f, full)) in proposals.into_iter().zip(scores) {
+                let ind = &mut pop[p.idx];
+                if f < ind.fitness {
+                    ind.tree = p.tree;
+                    ind.fitness = f;
+                    ind.fully_evaluated = full;
+                    ind.origin = p.origin;
+                    // The adopted candidate's phenotype is already derived —
+                    // memoise it so later generations skip the rebuild.
+                    ind.pheno = p.ph.map(Arc::new);
+                }
+            }
+        }
     }
 
     /// Run the evolutionary loop to completion.
@@ -766,10 +902,9 @@ impl<'a, E: Evaluator> Engine<'a, E> {
     /// long searches. The callback receives each generation's stats right
     /// after it is recorded.
     pub fn run_with_observer(&self, observer: impl FnMut(&GenStats)) -> RunReport {
-        // One persistent pool for the whole run: workers are spawned here,
-        // parked between rounds, and joined when the run ends — never
-        // re-created per generation. Worker count is clamped to the most
-        // work a round can hold.
+        // One pool for the whole run; each round spawns and joins its own
+        // scoped workers. Worker count is clamped to the most work a round
+        // can hold.
         let threads = self.cfg.threads.clamp(1, self.cfg.pop_size.max(1));
         let (mut report, pool_stats) = with_pool(threads, |pool| self.run_inner(pool, observer));
         report.pool = pool_stats;
@@ -913,9 +1048,9 @@ impl<'a, E: Evaluator> Engine<'a, E> {
             evaluated_steps: self.steps.get(),
             full_evaluations: self.fulls.get(),
             short_circuited: self.shorts.get(),
-            cache_hit_rate: self.cache.stats().hit_rate(),
-            cache_hits: self.cache.stats().hits(),
-            cache_misses: self.cache.stats().misses(),
+            cache_hit_rate: hit_rate(self.cache_hits.get(), self.cache_misses.get()),
+            cache_hits: self.cache_hits.get(),
+            cache_misses: self.cache_misses.get(),
             pheno_builds: self.pheno_builds.get(),
             pheno_reuses: self.pheno_reuses.get(),
             compiles: self.compiles.get(),
@@ -1098,12 +1233,13 @@ mod tests {
         cfg.threads = 4;
         let report = Engine::new(&g, &problem, priors(), cfg).run();
         assert!(report.best.fitness < report.history[0].best);
-        // The persistent pool saw both rounds of every generation.
+        // The pool saw every round, and accounts them to one record per
+        // worker.
         assert!(report.pool.rounds > 0);
         assert_eq!(
             report.pool.workers.len(),
             4,
-            "persistent workers: {:?}",
+            "one record per worker: {:?}",
             report.pool.workers
         );
     }

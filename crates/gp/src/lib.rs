@@ -13,18 +13,19 @@
 //!   subtree mutation, Gaussian mutation, and the local-search moves
 //!   (insertion, deletion) of Fig. 6;
 //! * [`cache`] — tree caching keyed by the canonical (simplified) structural
-//!   hash of the lowered system;
+//!   hash of the lowered system, owned by the engine's coordinating thread;
 //! * [`short_circuit`] — evaluation short-circuiting (Algorithm 1) with a
 //!   tunable eagerness threshold;
 //! * [`phenotype`] — the memoised lowered + simplified + bytecode-compiled
 //!   system, cached per individual and invalidated only when an operator
 //!   touches the genotype;
-//! * [`pool`] — the persistent evaluation pool: workers spawned once per
-//!   run, candidates claimed dynamically in chunks over a shared index;
+//! * [`pool`] — the evaluation pool: each round runs on scoped threads that
+//!   claim chunks of items dynamically from one shared iterator;
 //! * [`engine`] — the generational loop: tournament selection, elitism,
-//!   offspring production, stochastic hill-climbing local search, parallel
-//!   fitness evaluation through the pool with a thread-count-invariant
-//!   determinism contract.
+//!   offspring production, stochastic hill-climbing local search, and
+//!   evaluation rounds in which the coordinating thread looks up and
+//!   records results while the pool evaluates each distinct miss once —
+//!   so the search and every counter are the same at any thread count.
 
 pub mod cache;
 pub mod engine;
@@ -35,7 +36,7 @@ pub mod pool;
 pub mod priors;
 pub mod short_circuit;
 
-pub use cache::{CacheStats, TreeCache};
+pub use cache::TreeCache;
 pub use engine::{Engine, Evaluator, GenStats, GpConfig, InvariantHook, RunReport};
 pub use individual::Individual;
 pub use operators::{

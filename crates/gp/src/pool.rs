@@ -1,37 +1,29 @@
-//! The persistent evaluation pool.
+//! The evaluation pool: one round of independent jobs at a time, run on
+//! scoped threads.
 //!
-//! Per-candidate fitness cost spans orders of magnitude — a cache hit is
-//! ~free, a short-circuited evaluation aborts after a few simulated days, a
-//! full evaluation integrates the whole training horizon — so static
-//! chunking leaves most workers idle behind the unluckiest chunk, and
-//! re-spawning threads twice per generation adds latency on top. This pool
-//! fixes both:
+//! Per-item cost spans orders of magnitude — deriving a phenotype is cheap
+//! next to simulating it, a short-circuited evaluation aborts after a few
+//! simulated days, a full one integrates the whole training horizon — so
+//! static chunking would leave most workers idle behind the unluckiest
+//! chunk. Work is therefore **claimed dynamically**: a round hands out
+//! chunks of `K` items from one shared, mutex-guarded iterator, and a
+//! worker that drains its chunk simply claims another ("steals" work a
+//! static split would have assigned elsewhere).
 //!
-//! * **Workers are created once per [`crate::Engine::run`]** (scoped over
-//!   the whole evolutionary loop) and parked on a condvar between rounds.
-//! * **Work is claimed dynamically**: each round exposes a shared index and
-//!   workers claim chunks of `K` candidates with a single atomic update —
-//!   work stealing over a shared index rather than fixed partitions. A fast
-//!   worker that drains its first chunk simply claims another ("steals"
-//!   work a static split would have assigned elsewhere).
+//! Each round spawns its workers as scoped threads — up to `threads − 1`,
+//! never more than there are chunks; the coordinating thread claims chunks
+//! too — and joins them before it returns, so a round borrows its items
+//! and its task like any other call. A one-worker pool, or a one-item
+//! round, runs inline on the coordinator.
 //!
-//! Determinism: the pool only decides *which worker* runs a candidate,
-//! never *what* the candidate computation sees — tasks receive the global
-//! candidate index, so index-derived RNG streams (and therefore fitness)
-//! are identical for any worker count. See DESIGN.md, "Evaluation pool".
-//!
-//! The claim word is epoch-tagged (epoch in the high 32 bits, next index in
-//! the low 32) so a worker that wakes late — or lingers around a round
-//! boundary — can never claim indices from a round it did not observe: its
-//! compare-exchange fails on the epoch and it goes back to sleep. That is
-//! what makes the borrowed round closure sound: a task pointer is only ever
-//! dereferenced for a successful claim of the matching epoch, and the
-//! coordinator does not return (dropping the borrow) until every index of
-//! that epoch is completed.
+//! Determinism: the pool only decides *which worker* runs an item, never
+//! *what* it computes — tasks receive the global item index, and the
+//! engine hands the pool pure jobs that share nothing mutable. See
+//! DESIGN.md, "Evaluation pool & determinism contract".
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::cell::RefCell;
+use std::panic::resume_unwind;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// What one worker did over the pool's lifetime.
@@ -39,16 +31,18 @@ use std::time::{Duration, Instant};
 pub struct WorkerStats {
     /// Worker index (0 is the coordinating thread).
     pub worker: usize,
-    /// Candidates processed.
+    /// Items processed.
     pub candidates: u64,
     /// Chunk claims made.
     pub claims: u64,
     /// Claims beyond the first within a round — work a static split would
     /// have parked behind a slower worker.
     pub steals: u64,
-    /// Time spent running candidate evaluations.
+    /// Time spent running items.
     pub busy: Duration,
-    /// Time spent parked between rounds or waiting for work.
+    /// Time within rounds spent not running items: starting up, waiting
+    /// for the round's last chunk, or sitting out a round too small to
+    /// need this worker.
     pub idle: Duration,
 }
 
@@ -57,36 +51,8 @@ pub struct WorkerStats {
 pub struct PoolStats {
     /// Per-worker records, sorted by worker index.
     pub workers: Vec<WorkerStats>,
-    /// Rounds dispatched (two per generation: evaluation + local search).
+    /// Rounds dispatched.
     pub rounds: u64,
-}
-
-/// Live per-worker accounting: plain atomics every worker updates as it
-/// goes, so the coordinator can snapshot pool state at any round boundary —
-/// not only at shutdown. Candidate/claim counts are flushed before the
-/// round's completion notification (they are exact at every boundary);
-/// busy/idle time is flushed as each worker re-parks (bounded by one round
-/// of skew).
-#[derive(Default)]
-struct LiveStats {
-    candidates: AtomicU64,
-    claims: AtomicU64,
-    steals: AtomicU64,
-    busy_ns: AtomicU64,
-    idle_ns: AtomicU64,
-}
-
-impl LiveStats {
-    fn to_worker_stats(&self, worker: usize) -> WorkerStats {
-        WorkerStats {
-            worker,
-            candidates: self.candidates.load(Ordering::Relaxed),
-            claims: self.claims.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            busy: Duration::from_nanos(self.busy_ns.load(Ordering::Relaxed)),
-            idle: Duration::from_nanos(self.idle_ns.load(Ordering::Relaxed)),
-        }
-    }
 }
 
 impl PoolStats {
@@ -111,413 +77,144 @@ impl PoolStats {
     }
 }
 
-/// Type-erased task pointer published to the workers. Sound to share
-/// because (a) claims are epoch-checked, so the pointer is only used while
-/// the owning round is in flight, and (b) the coordinator keeps the
-/// borrowed closure alive until the round completes.
-#[derive(Clone, Copy)]
-struct TaskPtr(*const (dyn Fn(usize) + Sync));
-
-// SAFETY: the raw pointer is only a capability token — workers never use it
-// without first winning an epoch-checked claim (`claim_chunk`), and
-// `run_round` borrows the closure for the whole round, so every dereference
-// happens while the pointee is alive; the pointee itself is `Sync`, so
-// concurrent `&`-calls from several workers are sound.
-unsafe impl Send for TaskPtr {}
-// SAFETY: as above — shared access is `&dyn Fn(usize) + Sync`.
-unsafe impl Sync for TaskPtr {}
-
-/// Round descriptor, updated under [`Shared::slot`]'s lock.
-struct JobSlot {
-    /// Monotone round counter; workers wake when it advances.
-    epoch: u32,
-    /// The current round's task (None between rounds).
-    task: Option<TaskPtr>,
-    /// Number of candidates in the current round.
-    len: usize,
-    /// Claim granularity for the current round.
-    chunk: usize,
-    /// Set once at the end of the run; workers exit.
-    shutdown: bool,
-}
-
-struct Shared {
-    slot: Mutex<JobSlot>,
-    /// Workers park here between rounds.
-    work_cv: Condvar,
-    /// The coordinator parks here until `completed == len`.
-    done_cv: Condvar,
-    /// Epoch-tagged claim word: `(epoch << 32) | next_index`.
-    claim: AtomicU64,
-    /// Candidates completed in the current round.
-    completed: AtomicUsize,
-    /// A task panicked; payload parked in `panic_payload`.
-    panicked: AtomicBool,
-    /// First panic payload, re-raised by the coordinator.
-    panic_payload: Mutex<Option<Box<dyn std::any::Any + Send + 'static>>>,
-    /// Live per-worker accounting, index = worker (0 is the coordinator).
-    live: Vec<LiveStats>,
-}
-
-impl Shared {
-    fn lock_slot(&self) -> MutexGuard<'_, JobSlot> {
-        self.slot.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Claim the next chunk for `epoch`; `None` when the round is drained
-    /// or the epoch has moved on.
-    fn claim_chunk(&self, epoch: u32, len: usize, chunk: usize) -> Option<(usize, usize)> {
-        let mut cur = self.claim.load(Ordering::Acquire);
-        loop {
-            if (cur >> 32) as u32 != epoch {
-                return None;
-            }
-            let next = (cur & 0xffff_ffff) as usize;
-            if next >= len {
-                return None;
-            }
-            let end = (next + chunk).min(len);
-            let new = (u64::from(epoch) << 32) | end as u64;
-            match self
-                .claim
-                .compare_exchange_weak(cur, new, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => return Some((next, end)),
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    /// Run the claim loop for one round as `worker`, flushing candidate,
-    /// claim and steal counts into the worker's live accounting *before*
-    /// signalling completion — a round-boundary snapshot therefore sees
-    /// exact counts for every round it follows.
-    fn drain_round(&self, epoch: u32, len: usize, chunk: usize, task: TaskPtr, worker: usize) {
-        let _sp = gmr_obsv::span_fine!("pool.drain", u64::from(epoch));
-        let live = &self.live[worker];
-        let mut claims_this_round = 0u64;
-        while let Some((start, end)) = self.claim_chunk(epoch, len, chunk) {
-            claims_this_round += 1;
-            // SAFETY: a successful `claim_chunk` for `epoch` proves this
-            // round is still in flight, and the coordinator keeps the
-            // borrowed closure behind `task` alive until `completed == len`
-            // — which cannot happen before this chunk is accounted for.
-            let f = unsafe { &*task.0 };
-            let ran = catch_unwind(AssertUnwindSafe(|| {
-                for i in start..end {
-                    f(i);
-                }
-            }));
-            if let Err(payload) = ran {
-                // Record the first payload; the round still drains (every
-                // index must be accounted for or the coordinator would wait
-                // forever) and the coordinator re-raises before any result
-                // is used.
-                if !self.panicked.swap(true, Ordering::AcqRel) {
-                    let mut slot = self.panic_payload.lock().unwrap_or_else(|e| e.into_inner());
-                    *slot = Some(payload);
-                }
-            }
-            live.candidates
-                .fetch_add((end - start) as u64, Ordering::Relaxed);
-            live.claims.fetch_add(1, Ordering::Relaxed);
-            if claims_this_round > 1 {
-                live.steals.fetch_add(1, Ordering::Relaxed);
-            }
-            let done = self.completed.fetch_add(end - start, Ordering::AcqRel) + (end - start);
-            if done >= len {
-                // Pair the notification with the slot lock so the
-                // coordinator cannot miss it between its check and wait.
-                drop(self.lock_slot());
-                self.done_cv.notify_all();
-            }
-        }
-    }
-}
-
-fn worker_loop(shared: &Shared, worker: usize) {
-    let live = &shared.live[worker];
-    let mut my_epoch = 0u32;
-    loop {
-        let parked = Instant::now();
-        let (epoch, len, chunk, task) = {
-            let mut slot = shared.lock_slot();
-            loop {
-                if slot.shutdown {
-                    live.idle_ns
-                        .fetch_add(parked.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    return;
-                }
-                if slot.epoch != my_epoch {
-                    if let Some(task) = slot.task {
-                        break (slot.epoch, slot.len, slot.chunk, task);
-                    }
-                    // Round already torn down; skip to its epoch so the
-                    // next wait is for genuinely new work.
-                    my_epoch = slot.epoch;
-                }
-                slot = shared.work_cv.wait(slot).unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        live.idle_ns
-            .fetch_add(parked.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        my_epoch = epoch;
-        let t0 = Instant::now();
-        shared.drain_round(epoch, len, chunk, task, worker);
-        live.busy_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    }
-}
-
-/// Handle the engine's coordinator thread uses to dispatch rounds. Created
-/// by [`EvalPool::with`]; not `Sync` — only the coordinating thread drives
-/// it.
-pub struct EvalPool<'s> {
-    shared: &'s Shared,
-    /// Spawned workers (the coordinator participates as worker 0 on top).
-    extra_workers: usize,
-    rounds: std::cell::Cell<u64>,
+/// Handle the engine's coordinating thread dispatches rounds through.
+/// Created by [`with_pool`]; not `Sync` — only the coordinator drives it.
+pub struct EvalPool {
+    threads: usize,
+    stats: RefCell<PoolStats>,
 }
 
 /// A round must at least outlast this before an idle worker counts as
-/// stalled — fast rounds legitimately finish before parked workers wake.
+/// stalled — fast rounds legitimately finish before a spawned worker starts.
 const STALL_MIN_ROUND: Duration = Duration::from_millis(20);
 
-impl<'s> EvalPool<'s> {
-    /// Total worker count, counting the coordinating thread.
-    pub fn workers(&self) -> usize {
-        self.extra_workers + 1
-    }
-
+impl EvalPool {
     /// Rounds dispatched so far.
     pub fn rounds(&self) -> u64 {
-        self.rounds.get()
+        self.stats.borrow().rounds
     }
 
-    /// Snapshot the pool's cumulative statistics *now*, mid-run — the
-    /// numbers previously only available after shutdown. Candidate/claim/
-    /// steal counts are exact at round boundaries; busy/idle lag by at most
-    /// the round in flight (each worker flushes them as it re-parks).
+    /// The pool's cumulative statistics so far. Exact: every round's
+    /// per-worker accounting is added up before the round returns.
     pub fn snapshot(&self) -> PoolStats {
-        PoolStats {
-            workers: self
-                .shared
-                .live
-                .iter()
-                .enumerate()
-                .map(|(w, live)| live.to_worker_stats(w))
-                .collect(),
-            rounds: self.rounds.get(),
-        }
+        self.stats.borrow().clone()
     }
 
-    /// Chunk size for a round: small enough to balance heterogeneous
-    /// candidate costs, large enough to amortise the atomic claim.
+    /// Chunk size for a round: all of it for a lone worker; otherwise small
+    /// enough to balance heterogeneous item costs, large enough to amortise
+    /// the claim.
     fn chunk_for(&self, len: usize) -> usize {
-        (len / (self.workers() * 8)).clamp(1, 16)
+        if self.threads == 1 {
+            len
+        } else {
+            (len / (self.threads * 8)).clamp(1, 16)
+        }
     }
 
     /// Run `f(index, item)` over `items`, one call per item, distributed
     /// over the pool by dynamic chunk claiming. Blocks until every item is
-    /// processed; panics from worker tasks are re-raised here.
+    /// processed; a panic in a task is re-raised here with its own payload.
     pub fn for_each_mut<T: Send>(&self, items: &mut [T], f: impl Fn(usize, &mut T) + Sync) {
-        let base = items.as_mut_ptr() as usize;
-        let task = move |i: usize| {
-            // SAFETY: `i < items.len()` (claim indices come from the round's
-            // `len`, which is `items.len()`), and each index is claimed
-            // exactly once per round, so this `&mut` aliases neither another
-            // task's element nor the caller's slice borrow, which
-            // `run_round` holds inactive until the round completes. `base`
-            // travels as usize only to keep the closure `Sync`.
-            let item = unsafe { &mut *(base as *mut T).add(i) };
-            f(i, item);
-        };
-        self.run_round(items.len(), &task);
-    }
-
-    /// Dispatch one round of `len` independent index-addressed tasks.
-    pub fn run_round(&self, len: usize, task: &(dyn Fn(usize) + Sync)) {
+        let len = items.len();
         if len == 0 {
             return;
         }
-        self.rounds.set(self.rounds.get() + 1);
-        // Workers are clamped to pending work: rounds too small to split
-        // (or a pool with no spawned workers) run inline on the
-        // coordinator, and surplus workers claim nothing either way.
-        if self.extra_workers == 0 || len == 1 {
-            let own = &self.shared.live[0];
-            let t0 = Instant::now();
-            for i in 0..len {
-                task(i);
-            }
-            own.busy_ns
-                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            own.candidates.fetch_add(len as u64, Ordering::Relaxed);
-            own.claims.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-
-        // Per-worker candidate counts before dispatch — a worker whose
-        // count does not move across a long, well-stocked round stalled.
-        let watch_stalls = gmr_obsv::enabled() && len >= 2 * self.workers();
-        let before: Vec<u64> = if watch_stalls {
-            self.shared
-                .live
-                .iter()
-                .map(|l| l.candidates.load(Ordering::Relaxed))
-                .collect()
-        } else {
-            Vec::new()
+        let round = {
+            let mut stats = self.stats.borrow_mut();
+            stats.rounds += 1;
+            stats.rounds
         };
-        let round_t0 = Instant::now();
-
+        let t0 = Instant::now();
         let chunk = self.chunk_for(len);
-        // SAFETY: lifetime erasure only — the fat pointer is bit-identical
-        // to the borrow it came from. The borrow of `task` outlives every
-        // use: this function publishes the pointer, then blocks in
-        // `drain_round`/`done_cv` until all `len` indices complete, and the
-        // next round's epoch bump invalidates any late claim before a stale
-        // dereference could occur.
-        let ptr = TaskPtr(unsafe {
-            std::mem::transmute::<&(dyn Fn(usize) + Sync), *const (dyn Fn(usize) + Sync)>(task)
-        });
-        let epoch = {
-            let mut slot = self.shared.lock_slot();
-            let epoch = slot.epoch.wrapping_add(1);
-            slot.epoch = epoch;
-            slot.task = Some(ptr);
-            slot.len = len;
-            slot.chunk = chunk;
-            self.shared.completed.store(0, Ordering::Release);
-            self.shared
-                .claim
-                .store(u64::from(epoch) << 32, Ordering::Release);
-            self.shared.work_cv.notify_all();
-            epoch
-        };
-
-        // The coordinator claims chunks like any worker.
-        {
-            let t0 = Instant::now();
-            self.shared.drain_round(epoch, len, chunk, ptr, 0);
-            self.shared.live[0]
-                .busy_ns
-                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
-
-        // Wait for stragglers still finishing claimed chunks.
-        let parked = Instant::now();
-        {
-            let mut slot = self.shared.lock_slot();
-            while self.shared.completed.load(Ordering::Acquire) < len {
-                slot = self
-                    .shared
-                    .done_cv
-                    .wait(slot)
-                    .unwrap_or_else(|e| e.into_inner());
+        let spawned = self.threads.min(len.div_ceil(chunk)) - 1;
+        let queue = Mutex::new(items.chunks_mut(chunk).enumerate());
+        let drain = || {
+            let _sp = gmr_obsv::span_fine!("pool.drain", round);
+            let start = Instant::now();
+            let mut me = WorkerStats::default();
+            loop {
+                let next = queue
+                    .lock()
+                    .expect("tasks run outside the claim lock")
+                    .next();
+                let Some((c, part)) = next else { break };
+                for (j, item) in part.iter_mut().enumerate() {
+                    f(c * chunk + j, item);
+                }
+                me.candidates += part.len() as u64;
+                me.claims += 1;
             }
-            slot.task = None;
-        }
-        self.shared.live[0]
-            .idle_ns
-            .fetch_add(parked.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            me.steals = me.claims.saturating_sub(1);
+            me.busy = start.elapsed();
+            me
+        };
+        let done = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..spawned).map(|_| s.spawn(drain)).collect();
+            // The coordinator is worker 0 and claims chunks like any other.
+            // A panic — its own, or a worker's re-raised from the join —
+            // leaves the scope with its payload once every worker is joined.
+            let mut done = vec![drain()];
+            done.extend(
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|p| resume_unwind(p))),
+            );
+            done
+        });
+        self.finish_round(round, len, t0.elapsed(), &done);
+    }
 
-        if watch_stalls {
-            let round_us = round_t0.elapsed().as_micros() as u64;
-            if round_t0.elapsed() >= STALL_MIN_ROUND {
-                // Worker 0 is the coordinator and always participates;
-                // check only the spawned workers.
-                for (w, b) in before.iter().enumerate().skip(1) {
-                    if self.shared.live[w].candidates.load(Ordering::Relaxed) == *b {
-                        gmr_obsv::emit(gmr_obsv::Event::Stall {
-                            round: self.rounds.get(),
-                            worker: w as u32,
-                            round_us,
-                        });
-                    }
+    /// Add one round's per-worker accounting (index = worker) to the
+    /// cumulative records and journal any spawned worker that claimed
+    /// nothing in a long, well-stocked round.
+    fn finish_round(&self, round: u64, len: usize, wall: Duration, done: &[WorkerStats]) {
+        let mut stats = self.stats.borrow_mut();
+        for (w, total) in stats.workers.iter_mut().enumerate() {
+            let me = done.get(w).cloned().unwrap_or_default();
+            total.candidates += me.candidates;
+            total.claims += me.claims;
+            total.steals += me.steals;
+            total.busy += me.busy;
+            total.idle += wall.saturating_sub(me.busy);
+        }
+        if gmr_obsv::enabled() && len >= 2 * self.threads && wall >= STALL_MIN_ROUND {
+            for (w, me) in done.iter().enumerate().skip(1) {
+                if me.candidates == 0 {
+                    gmr_obsv::emit(gmr_obsv::Event::Stall {
+                        round,
+                        worker: w as u32,
+                        round_us: wall.as_micros() as u64,
+                    });
                 }
             }
-        }
-
-        if self.shared.panicked.load(Ordering::Acquire) {
-            let payload = self
-                .shared
-                .panic_payload
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .take();
-            if let Some(payload) = payload {
-                std::panic::resume_unwind(payload);
-            }
-            panic!("evaluation worker panicked");
         }
     }
 }
 
-/// Spawn a pool of `threads` workers (counting the calling thread), run
-/// `f` with it, shut the workers down, and return `f`'s result plus the
-/// collected [`PoolStats`].
+/// Make a pool of `threads` workers (counting the calling thread), run `f`
+/// with it, and return `f`'s result plus the collected [`PoolStats`].
 pub fn with_pool<R>(threads: usize, f: impl FnOnce(&EvalPool) -> R) -> (R, PoolStats) {
-    let extra = threads.max(1) - 1;
-    let shared = Shared {
-        slot: Mutex::new(JobSlot {
-            epoch: 0,
-            task: None,
-            len: 0,
-            chunk: 1,
-            shutdown: false,
+    let threads = threads.max(1);
+    let pool = EvalPool {
+        threads,
+        stats: RefCell::new(PoolStats {
+            workers: (0..threads)
+                .map(|worker| WorkerStats {
+                    worker,
+                    ..WorkerStats::default()
+                })
+                .collect(),
+            rounds: 0,
         }),
-        work_cv: Condvar::new(),
-        done_cv: Condvar::new(),
-        claim: AtomicU64::new(0),
-        completed: AtomicUsize::new(0),
-        panicked: AtomicBool::new(false),
-        panic_payload: Mutex::new(None),
-        live: (0..=extra).map(|_| LiveStats::default()).collect(),
     };
-
-    /// Flags shutdown on drop, so workers are released even when `f` (or a
-    /// re-raised task panic) unwinds — otherwise the scope's implicit join
-    /// would deadlock on parked workers.
-    struct ShutdownGuard<'a>(&'a Shared);
-    impl Drop for ShutdownGuard<'_> {
-        fn drop(&mut self) {
-            let mut slot = self.0.lock_slot();
-            slot.shutdown = true;
-            self.0.work_cv.notify_all();
-        }
-    }
-
-    let (result, rounds) = crossbeam::thread::scope(|s| {
-        let _guard = ShutdownGuard(&shared);
-        for w in 1..=extra {
-            let shared = &shared;
-            s.spawn(move |_| worker_loop(shared, w));
-        }
-        let pool = EvalPool {
-            shared: &shared,
-            extra_workers: extra,
-            rounds: std::cell::Cell::new(0),
-        };
-        let result = f(&pool);
-        (result, pool.rounds.get())
-    })
-    .expect("evaluation worker panicked");
-
-    // Workers are joined (scope ended), so the live accounting is final.
-    let workers = shared
-        .live
-        .iter()
-        .enumerate()
-        .map(|(w, live)| live.to_worker_stats(w))
-        .collect();
-    (result, PoolStats { workers, rounds })
+    let result = f(&pool);
+    (result, pool.stats.into_inner())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     fn visit_counts(threads: usize, n: usize) -> Vec<u32> {
         let counts: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
@@ -560,23 +257,35 @@ mod tests {
 
     #[test]
     fn rounds_reuse_the_same_workers() {
+        // Every round runs on freshly spawned scoped threads, but its work
+        // is accounted to the same `threads` worker records: ten rounds of
+        // 64 items plus one inline single-item round fold into four records
+        // whose round, candidate and claim counts add up exactly.
         let (sum, stats) = with_pool(4, |pool| {
             let mut total = 0u64;
             for round in 0..10u64 {
                 let mut items = vec![0u64; 64];
                 pool.for_each_mut(&mut items, |i, it| *it = round * 1000 + i as u64);
                 total += items.iter().sum::<u64>();
+                assert_eq!(pool.rounds(), round + 1);
             }
+            let before = pool.snapshot().workers[0].candidates;
+            pool.for_each_mut(&mut [0u8], |_, _| {});
+            assert_eq!(pool.snapshot().workers[0].candidates, before + 1);
             total
         });
         let expected: u64 = (0..10u64)
             .map(|r| (0..64u64).map(|i| r * 1000 + i).sum::<u64>())
             .sum();
         assert_eq!(sum, expected);
-        assert_eq!(stats.rounds, 10);
-        assert_eq!(stats.total_candidates(), 640);
-        // Workers persist: at most `threads` records, not one per round.
-        assert!(stats.workers.len() <= 4, "{:?}", stats.workers);
+        assert_eq!(stats.rounds, 11);
+        assert_eq!(stats.total_candidates(), 641);
+        assert_eq!(stats.workers.len(), 4, "{:?}", stats.workers);
+        for (i, w) in stats.workers.iter().enumerate() {
+            assert_eq!(w.worker, i);
+        }
+        let claims: u64 = stats.workers.iter().map(|w| w.claims).sum();
+        assert!(claims >= 11, "every round claims at least once: {claims}");
     }
 
     #[test]

@@ -17,52 +17,6 @@
 //! [`Extrapolate::Optimistic`] scales it by `sqrt(done / total)`, assuming
 //! zero error on the unseen suffix — a strictly more conservative stopper.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// An `f64` min-register usable across the evaluation thread pool.
-#[derive(Debug)]
-pub struct AtomicF64 {
-    bits: AtomicU64,
-}
-
-impl AtomicF64 {
-    /// Create with an initial value.
-    pub fn new(v: f64) -> Self {
-        AtomicF64 {
-            bits: AtomicU64::new(v.to_bits()),
-        }
-    }
-
-    /// Current value.
-    pub fn load(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Acquire))
-    }
-
-    /// Store a value.
-    pub fn store(&self, v: f64) {
-        self.bits.store(v.to_bits(), Ordering::Release);
-    }
-
-    /// Atomically lower the register to `min(current, v)`.
-    pub fn fetch_min(&self, v: f64) {
-        let mut cur = self.bits.load(Ordering::Acquire);
-        loop {
-            if f64::from_bits(cur) <= v {
-                return;
-            }
-            match self.bits.compare_exchange_weak(
-                cur,
-                v.to_bits(),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-}
-
 /// How the intermediate fitness is projected to a final fitness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Extrapolate {
@@ -206,37 +160,5 @@ mod tests {
             extrapolate: Extrapolate::RunningRmse,
         };
         assert_eq!(c.check(1e9, 1, 100), EsOutcome::Continue);
-    }
-
-    #[test]
-    fn atomic_f64_min_semantics() {
-        let a = AtomicF64::new(f64::INFINITY);
-        a.fetch_min(5.0);
-        assert_eq!(a.load(), 5.0);
-        a.fetch_min(7.0);
-        assert_eq!(a.load(), 5.0);
-        a.fetch_min(3.0);
-        assert_eq!(a.load(), 3.0);
-        a.store(1.0);
-        assert_eq!(a.load(), 1.0);
-    }
-
-    #[test]
-    fn atomic_f64_concurrent_min() {
-        use std::sync::Arc;
-        let a = Arc::new(AtomicF64::new(f64::INFINITY));
-        let mut hs = Vec::new();
-        for t in 0..8u64 {
-            let a = Arc::clone(&a);
-            hs.push(std::thread::spawn(move || {
-                for i in 0..1000u64 {
-                    a.fetch_min(((t * 1000 + i) % 997) as f64 + 1.0);
-                }
-            }));
-        }
-        for h in hs {
-            h.join().unwrap();
-        }
-        assert_eq!(a.load(), 1.0);
     }
 }

@@ -355,7 +355,7 @@ impl Journal {
 }
 
 fn write_record(out: &mut String, rec: &Record) {
-    use crate::json::{push_escaped, push_f64};
+    use crate::json::{push_escaped, push_f64, push_u64};
     out.push_str(&format!(
         "{{\"seq\": {}, \"t_us\": {}, \"type\": \"{}\"",
         rec.seq,
@@ -377,7 +377,8 @@ fn write_record(out: &mut String, rec: &Record) {
                 ", \"tid\": {tid}, \"depth\": {depth}, \"start_us\": {start_us}, \"dur_us\": {dur_us}"
             ));
             if let Some(a) = arg {
-                out.push_str(&format!(", \"arg\": {a}"));
+                out.push_str(", \"arg\": ");
+                push_u64(out, *a);
             }
         }
         Event::Gen {
@@ -394,9 +395,9 @@ fn write_record(out: &mut String, rec: &Record) {
             d_cache_hits,
             d_cache_misses,
         } => {
-            out.push_str(&format!(
-                ", \"seed\": {seed}, \"generation\": {generation}, \"best\": "
-            ));
+            out.push_str(", \"seed\": ");
+            push_u64(out, *seed);
+            out.push_str(&format!(", \"generation\": {generation}, \"best\": "));
             push_f64(out, *best);
             out.push_str(", \"mean\": ");
             push_f64(out, *mean);
@@ -413,9 +414,9 @@ fn write_record(out: &mut String, rec: &Record) {
             size,
             origin,
         } => {
-            out.push_str(&format!(
-                ", \"seed\": {seed}, \"generation\": {generation}, \"fitness\": "
-            ));
+            out.push_str(", \"seed\": ");
+            push_u64(out, *seed);
+            out.push_str(&format!(", \"generation\": {generation}, \"fitness\": "));
             push_f64(out, *fitness);
             out.push_str(&format!(", \"size\": {size}, \"origin\": "));
             push_escaped(out, origin);
@@ -440,9 +441,9 @@ fn write_record(out: &mut String, rec: &Record) {
             busy_us,
             idle_us,
         } => {
-            out.push_str(&format!(
-                ", \"seed\": {seed}, \"round\": {round}, \"kind\": "
-            ));
+            out.push_str(", \"seed\": ");
+            push_u64(out, *seed);
+            out.push_str(&format!(", \"round\": {round}, \"kind\": "));
             push_escaped(out, kind);
             out.push_str(&format!(
                 ", \"len\": {len}, \"workers\": {workers}, \"candidates\": {candidates}, \

@@ -50,6 +50,19 @@ fn require_u64(obj: &Value, key: &str, line: usize, errs: &mut Vec<String>) {
     }
 }
 
+/// A field that can hold any `u64` (a run seed, a span's trace-id `arg`),
+/// written with [`crate::json::push_u64`]: a number below 2^53, a decimal
+/// string from there up.
+fn wide_u64(obj: &Value, key: &str) -> Option<u64> {
+    obj.get(key).and_then(crate::json::read_u64)
+}
+
+fn require_wide_u64(obj: &Value, key: &str, line: usize, errs: &mut Vec<String>) {
+    if wide_u64(obj, key).is_none() {
+        errs.push(format!("line {line}: missing or non-integer field {key:?}"));
+    }
+}
+
 fn require_str(obj: &Value, key: &str, line: usize, errs: &mut Vec<String>) {
     if obj.get(key).and_then(Value::as_str).is_none() {
         errs.push(format!("line {line}: missing or non-string field {key:?}"));
@@ -158,8 +171,8 @@ pub fn validate(src: &str) -> Vec<String> {
                 }
             }
             Some("gen") => {
+                require_wide_u64(&obj, "seed", lineno, &mut errs);
                 for key in [
-                    "seed",
                     "generation",
                     "evaluations",
                     "steps",
@@ -176,7 +189,8 @@ pub fn validate(src: &str) -> Vec<String> {
                 require_num_or_null(&obj, "mean", lineno, &mut errs);
             }
             Some("elite") => {
-                for key in ["seed", "generation", "size"] {
+                require_wide_u64(&obj, "seed", lineno, &mut errs);
+                for key in ["generation", "size"] {
                     require_u64(&obj, key, lineno, &mut errs);
                 }
                 require_num_or_null(&obj, "fitness", lineno, &mut errs);
@@ -189,8 +203,8 @@ pub fn validate(src: &str) -> Vec<String> {
             }
             Some("round") => {
                 require_str(&obj, "kind", lineno, &mut errs);
+                require_wide_u64(&obj, "seed", lineno, &mut errs);
                 for key in [
-                    "seed",
                     "round",
                     "len",
                     "workers",
@@ -318,7 +332,7 @@ pub fn summary(src: &str) -> Result<String, String> {
     let mut by_seed: BTreeMap<u64, Vec<&Value>> = BTreeMap::new();
     for e in &j.events {
         if e.get("type").and_then(Value::as_str) == Some("gen") {
-            let seed = e.get("seed").and_then(Value::as_u64).unwrap_or(0);
+            let seed = wide_u64(e, "seed").unwrap_or(0);
             by_seed.entry(seed).or_default().push(e);
         }
     }
@@ -365,7 +379,7 @@ pub fn summary(src: &str) -> Result<String, String> {
     let mut last_round: BTreeMap<u64, &Value> = BTreeMap::new();
     for e in &j.events {
         if e.get("type").and_then(Value::as_str) == Some("round") {
-            let seed = e.get("seed").and_then(Value::as_u64).unwrap_or(0);
+            let seed = wide_u64(e, "seed").unwrap_or(0);
             last_round.insert(seed, e);
         }
     }
@@ -402,7 +416,7 @@ pub fn summary(src: &str) -> Result<String, String> {
         for e in elites.iter().take(10) {
             out.push_str(&format!(
                 "  seed {} gen {:>4}: fitness {:.5} (size {}, via {})\n",
-                e.get("seed").and_then(Value::as_u64).unwrap_or(0),
+                wide_u64(e, "seed").unwrap_or(0),
                 e.get("generation").and_then(Value::as_u64).unwrap_or(0),
                 e.get("fitness").and_then(Value::as_f64).unwrap_or(f64::NAN),
                 e.get("size").and_then(Value::as_u64).unwrap_or(0),
@@ -490,11 +504,7 @@ pub fn to_chrome(src: &str) -> Result<String, String> {
                 }
                 let mut esc = String::new();
                 crate::json::push_escaped(&mut esc, name);
-                let arg = e
-                    .get("arg")
-                    .and_then(Value::as_u64)
-                    .map(|a| format!(", \"args\": {{\"arg\": {a}}}"))
-                    .unwrap_or_default();
+                let arg = span_args(e);
                 push_event(
                     &mut out,
                     format!(
@@ -503,7 +513,7 @@ pub fn to_chrome(src: &str) -> Result<String, String> {
                 );
             }
             Some("gen") => {
-                let seed = e.get("seed").and_then(Value::as_u64).unwrap_or(0);
+                let seed = wide_u64(e, "seed").unwrap_or(0);
                 if let Some(best) = e.get("best").and_then(Value::as_f64) {
                     if best.is_finite() {
                         push_event(
@@ -516,7 +526,7 @@ pub fn to_chrome(src: &str) -> Result<String, String> {
                 }
             }
             Some("elite") => {
-                let seed = e.get("seed").and_then(Value::as_u64).unwrap_or(0);
+                let seed = wide_u64(e, "seed").unwrap_or(0);
                 let origin = e.get("origin").and_then(Value::as_str).unwrap_or("?");
                 let mut esc = String::new();
                 crate::json::push_escaped(&mut esc, &format!("elite via {origin} (seed {seed})"));
@@ -552,6 +562,18 @@ pub fn to_chrome(src: &str) -> Result<String, String> {
     }
     out.push_str("\n]}\n");
     Ok(out)
+}
+
+/// A span's `arg` as Chrome `args`, rendered so that a trace id above 2^53
+/// keeps every bit; empty when the span has none.
+fn span_args(e: &Value) -> String {
+    let Some(a) = wide_u64(e, "arg") else {
+        return String::new();
+    };
+    let mut out = String::from(", \"args\": {\"arg\": ");
+    crate::json::push_u64(&mut out, a);
+    out.push('}');
+    out
 }
 
 /// The synthetic Chrome tid `access` events render on (they carry no
@@ -679,7 +701,7 @@ pub fn stitch(inputs: &[(String, String)]) -> Result<Stitched, String> {
                 Some("span")
                     if e.get("name").and_then(Value::as_str) == Some("serve.sweep.member") =>
                 {
-                    if let Some(trace) = e.get("arg").and_then(Value::as_u64) {
+                    if let Some(trace) = wide_u64(e, "arg") {
                         let start = e.get("start_us").and_then(Value::as_u64).unwrap_or(0);
                         let tid = e.get("tid").and_then(Value::as_u64).unwrap_or(0);
                         sweep_members.entry((pid, trace)).or_default().push(Hit {
@@ -719,11 +741,7 @@ pub fn stitch(inputs: &[(String, String)]) -> Result<Stitched, String> {
                     }
                     let mut esc = String::new();
                     crate::json::push_escaped(&mut esc, name);
-                    let arg = e
-                        .get("arg")
-                        .and_then(Value::as_u64)
-                        .map(|a| format!(", \"args\": {{\"arg\": {a}}}"))
-                        .unwrap_or_default();
+                    let arg = span_args(e);
                     push_event(
                         &mut out,
                         format!(
@@ -964,21 +982,23 @@ mod tests {
         }
     }
 
-    #[test]
-    fn stitch_connects_gateway_hops_to_backend_spans() {
+    /// Stitch a gateway and a backend journal carrying two proxied hops,
+    /// the first of which ran inside a sweep-member span, and check every
+    /// flow start and end is emitted.
+    fn assert_stitches_hops_and_sweep_member(a: u64, b: u64) {
         let gw = Journal::new(64);
-        gw.push(access(0xaaaa, 0, "gw:/simulate", 200));
-        gw.push(access(0xbbbb, 0, "gw:/simulate", 200));
+        gw.push(access(a, 0, "gw:/simulate", 200));
+        gw.push(access(b, 0, "gw:/simulate", 200));
         let be = Journal::new(64);
-        be.push(access(0xaaaa, 0xaaaa ^ 0xff, "/simulate", 200));
-        be.push(access(0xbbbb, 0xbbbb ^ 0xff, "/simulate", 200));
+        be.push(access(a, a ^ 0xff, "/simulate", 200));
+        be.push(access(b, b ^ 0xff, "/simulate", 200));
         be.push(Event::Span {
             name: "serve.sweep.member",
             tid: 3,
             depth: 1,
             start_us: 50,
             dur_us: 80,
-            arg: Some(0xaaaa),
+            arg: Some(a),
         });
         let inputs = vec![
             ("gateway".to_string(), gw.to_jsonl()),
@@ -1002,7 +1022,75 @@ mod tests {
             .iter()
             .any(|e| e.get("pid").and_then(Value::as_u64) == Some(2)));
         // Both hop flow ids carry the greppable hex trace id.
-        assert!(s.chrome.contains(&crate::journal::hex_id(0xaaaa)));
+        assert!(s.chrome.contains(&crate::journal::hex_id(a)));
+        // The member span's Chrome `args` keep the trace id bit for bit.
+        let member = events
+            .iter()
+            .find(|e| e.get("name").and_then(Value::as_str) == Some("serve.sweep.member"))
+            .expect("member span rendered");
+        let arg = member.get("args").and_then(|x| x.get("arg"));
+        assert_eq!(arg.and_then(crate::json::read_u64), Some(a));
+    }
+
+    #[test]
+    fn stitch_connects_gateway_hops_to_backend_spans() {
+        assert_stitches_hops_and_sweep_member(0xaaaa, 0xbbbb);
+    }
+
+    #[test]
+    fn stitch_links_sweep_spans_by_trace_ids_above_2_pow_53() {
+        // Trace ids are `splitmix64` outputs, almost always 2^53 or more,
+        // which an `f64` cannot hold exactly: the member span's `arg` must
+        // round-trip bit for bit, or its sweep flow is lost.
+        assert_stitches_hops_and_sweep_member(0xaaaa_bbbb_cccc_dddd, 0x1111_2222_3333_4444);
+    }
+
+    #[test]
+    fn seeds_above_2_pow_53_validate_and_render_exactly() {
+        let j = Journal::new(16);
+        j.push(Event::Gen {
+            seed: u64::MAX,
+            generation: 0,
+            best: 2.0,
+            mean: 3.0,
+            evaluations: 1,
+            steps: 1,
+            elapsed_us: 1,
+            d_evals: 1,
+            d_fulls: 1,
+            d_shorts: 0,
+            d_cache_hits: 0,
+            d_cache_misses: 1,
+        });
+        j.push(Event::EliteChange {
+            seed: u64::MAX,
+            generation: 0,
+            fitness: 2.0,
+            size: 5,
+            origin: "init",
+        });
+        j.push(Event::Round {
+            seed: u64::MAX - 1,
+            round: 1,
+            kind: "evaluate",
+            len: 1,
+            workers: 1,
+            candidates: 1,
+            steals: 0,
+            busy_us: 1,
+            idle_us: 0,
+        });
+        let text = j.to_jsonl();
+        let errs = validate(&text);
+        assert!(errs.is_empty(), "{errs:?}");
+        let s = summary(&text).unwrap();
+        assert!(s.contains(&format!("run seed {}", u64::MAX)), "{s}");
+        assert!(s.contains(&format!("seed {} gen", u64::MAX)), "{s}");
+        assert!(s.contains(&format!("seed {}:", u64::MAX - 1)), "{s}");
+        let chrome = to_chrome(&text).unwrap();
+        assert!(chrome.contains(&format!("(seed {})", u64::MAX)), "{chrome}");
+        // Below 2^53 a seed still renders as a plain JSON number.
+        assert!(sample_journal().contains("\"seed\": 42,"));
     }
 
     #[test]

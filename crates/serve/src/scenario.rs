@@ -215,10 +215,13 @@ pub fn parse_sweep_request(v: &Value) -> Result<SweepRequest, String> {
     let variants = v
         .get("variants")
         .and_then(Value::as_u64)
-        .ok_or("missing \"variants\" (a positive integer)")? as u32;
-    if variants == 0 || variants > MAX_VARIANTS {
-        return Err(format!("\"variants\" must be in 1..={MAX_VARIANTS}"));
-    }
+        .ok_or("missing \"variants\" (a positive integer)")?;
+    // Range-check the full value before narrowing: `as u32` would wrap
+    // 2^32 + 1 to a valid 1.
+    let variants = u32::try_from(variants)
+        .ok()
+        .filter(|n| (1..=MAX_VARIANTS).contains(n))
+        .ok_or_else(|| format!("\"variants\" must be in 1..={MAX_VARIANTS}"))?;
     let reduce = match v.get("reduce") {
         None => ReduceSpec::default(),
         Some(r) => {
@@ -534,6 +537,9 @@ mod tests {
             r#"{"scenario": "s", "model": "m"}"#,
             r#"{"scenario": "s", "model": "m", "variants": 0}"#,
             r#"{"scenario": "s", "model": "m", "variants": 99999999}"#,
+            // 2^32 + 1 and 2^32 + 256: in range once wrapped to 32 bits.
+            r#"{"scenario": "s", "model": "m", "variants": 4294967297}"#,
+            r#"{"scenario": "s", "model": "m", "variants": 4294967552}"#,
             r#"{"scenario": "s", "model": "m", "variants": 1, "varaints": 2}"#,
             r#"{"scenario": "s", "model": "m", "variants": 1, "reduce": {"treshold": 1}}"#,
             r#"{"scenario": "s", "model": "m", "variants": 1, "dt": -1}"#,
