@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
 # CI gate: formatting, lints, build, tests, and the gmr-lint battery.
-# Mirrors .github/workflows/ci.yml so the same checks run locally.
+# .github/workflows/ci.yml runs this script, so the same checks run locally.
 set -eu
 
 echo "==> cargo fmt --check"
@@ -117,8 +117,8 @@ done
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || { echo "FAIL: gmr-serve did not drain cleanly on SIGTERM"; exit 1; }
 cargo run --release -q -p gmr-obsv --bin gmr-trace -- validate smoke-serve/journal.jsonl
-grep -q '"type": "request"' smoke-serve/journal.jsonl || {
-    echo "FAIL: journal carries no request events"
+grep -q '"type": "access"' smoke-serve/journal.jsonl || {
+    echo "FAIL: journal carries no access events"
     exit 1
 }
 

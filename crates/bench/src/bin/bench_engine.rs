@@ -307,9 +307,8 @@ fn render_json(
             r.compiles,
         ));
         out.push_str(&format!(
-            "     \"pool\": {{\"rounds\": {}, \"steals\": {}, \"busy_ms\": {:.3}, \"idle_ms\": {:.3}, \"workers\": [",
+            "     \"pool\": {{\"rounds\": {}, \"busy_ms\": {:.3}, \"idle_ms\": {:.3}, \"workers\": [",
             r.pool.rounds,
-            r.pool.total_steals(),
             ms(r.pool.total_busy()),
             ms(r.pool.total_idle()),
         ));
@@ -318,8 +317,8 @@ fn render_json(
                 out.push_str(", ");
             }
             out.push_str(&format!(
-                "{{\"worker\": {}, \"candidates\": {}, \"claims\": {}, \"steals\": {}, \"busy_ms\": {:.3}, \"idle_ms\": {:.3}}}",
-                ws.worker, ws.candidates, ws.claims, ws.steals, ms(ws.busy), ms(ws.idle)
+                "{{\"worker\": {}, \"candidates\": {}, \"claims\": {}, \"busy_ms\": {:.3}, \"idle_ms\": {:.3}}}",
+                ws.worker, ws.candidates, ws.claims, ms(ws.busy), ms(ws.idle)
             ));
         }
         out.push_str("]}}");
@@ -528,13 +527,12 @@ fn main() {
 
     for r in &runs {
         gmr_obsv::info!(
-            "  threads={}: {:.1} ms wall, {} candidates ({:.1}/s, {:.2}x), {} steals, {:.1} ms idle",
+            "  threads={}: {:.1} ms wall, {} candidates ({:.1}/s, {:.2}x), {:.1} ms idle",
             r.threads,
             ms(r.wall),
             r.candidates,
             r.candidates_per_sec(),
             r.candidates_per_sec() / base,
-            r.pool.total_steals(),
             ms(r.pool.total_idle()),
         );
     }
@@ -606,7 +604,6 @@ mod tests {
                         worker,
                         candidates: 960,
                         claims: 12,
-                        steals: 2,
                         ..Default::default()
                     })
                     .collect(),

@@ -63,7 +63,7 @@ use gmr_bio::{manual, name_table};
 use gmr_expr::{parse, CompiledSystem, Expr};
 use gmr_hydro::{generate, SyntheticConfig, NUM_VARS};
 use gmr_json::{push_f64, Value};
-use gmr_obsv::metrics::quantile_from_buckets;
+use gmr_obsv::metrics::{parse_histogram, quantile_from_buckets};
 use gmr_serve::batch::{simulate_single, HostedTable, Tables};
 use gmr_serve::server::{read_response, write_request, Client};
 use gmr_serve::{
@@ -116,16 +116,7 @@ struct Latency {
 impl Latency {
     /// From a histogram snapshot: `{"count", "sum", "buckets": [[i, c]…]}`.
     fn from_histogram(h: &Value) -> Option<Latency> {
-        let count = h.get("count").and_then(Value::as_u64)?;
-        let buckets: Vec<(usize, u64)> = h
-            .get("buckets")
-            .and_then(Value::as_arr)?
-            .iter()
-            .filter_map(|p| {
-                let p = p.as_arr()?;
-                Some((p.first()?.as_u64()? as usize, p.get(1)?.as_u64()?))
-            })
-            .collect();
+        let (count, buckets) = parse_histogram(h)?;
         Some(Latency {
             count,
             p50_us: quantile_from_buckets(&buckets, 0.5),

@@ -14,14 +14,11 @@
 //!   does), obtain revised models with train/test scores;
 //! * [`analysis`] — the §IV-E interpretability toolkit: extension usage,
 //!   variable selectivity among the best models, and perturbation-based
-//!   correlation signs (Fig. 9);
-//! * [`model_io`] — save/load revised models as re-parseable equation
-//!   files (the interchange artifact for shipping a discovered model).
+//!   correlation signs (Fig. 9).
 
 pub mod analysis;
 pub mod evaluator;
 pub mod gmr;
-pub mod model_io;
 
 /// The workspace's shared zero-dependency JSON module ([`gmr_json`]),
 /// re-exported so artifact tooling built on `gmr-core` reaches the same
@@ -31,4 +28,3 @@ pub use gmr_json as json;
 pub use analysis::{extension_usage, perturb_correlation, selectivity, Correlation};
 pub use evaluator::{river_priors, RiverEvaluator};
 pub use gmr::{Gmr, GmrConfig, GmrResult};
-pub use model_io::{load_model, parse_model, render_model, save_model, ModelIoError};

@@ -198,7 +198,8 @@ pub struct RunReport {
     /// runtime compilation is on; equations of one system compile together
     /// so cross-equation CSE can share work).
     pub compiles: u64,
-    /// Evaluation-pool statistics: per-worker candidates, steals, idle time.
+    /// Evaluation-pool statistics: per-worker candidates, claims, busy and
+    /// idle time.
     pub pool: PoolStats,
     /// Fraction of the final population's top ten whose recorded fitness
     /// came from a full evaluation (Fig. 11's "% fully evaluated among
@@ -278,11 +279,10 @@ impl RunReport {
                 o.push_str(", ");
             }
             o.push_str(&format!(
-                "{{\"worker\": {}, \"candidates\": {}, \"claims\": {}, \"steals\": {}, \"busy_ms\": {:.3}, \"idle_ms\": {:.3}}}",
+                "{{\"worker\": {}, \"candidates\": {}, \"claims\": {}, \"busy_ms\": {:.3}, \"idle_ms\": {:.3}}}",
                 w.worker,
                 w.candidates,
                 w.claims,
-                w.steals,
                 w.busy.as_secs_f64() * 1e3,
                 w.idle.as_secs_f64() * 1e3
             ));
@@ -708,7 +708,6 @@ impl<'a, E: Evaluator> Engine<'a, E> {
             len: len as u64,
             workers: snap.workers.len() as u64,
             candidates: snap.total_candidates(),
-            steals: snap.total_steals(),
             busy_us: snap.total_busy().as_micros() as u64,
             idle_us: snap.total_idle().as_micros() as u64,
         });

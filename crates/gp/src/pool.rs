@@ -35,9 +35,6 @@ pub struct WorkerStats {
     pub candidates: u64,
     /// Chunk claims made.
     pub claims: u64,
-    /// Claims beyond the first within a round — work a static split would
-    /// have parked behind a slower worker.
-    pub steals: u64,
     /// Time spent running items.
     pub busy: Duration,
     /// Time within rounds spent not running items: starting up, waiting
@@ -59,11 +56,6 @@ impl PoolStats {
     /// Total candidates processed across workers.
     pub fn total_candidates(&self) -> u64 {
         self.workers.iter().map(|w| w.candidates).sum()
-    }
-
-    /// Total steals across workers.
-    pub fn total_steals(&self) -> u64 {
-        self.workers.iter().map(|w| w.steals).sum()
     }
 
     /// Total idle time across workers.
@@ -144,7 +136,6 @@ impl EvalPool {
                 me.candidates += part.len() as u64;
                 me.claims += 1;
             }
-            me.steals = me.claims.saturating_sub(1);
             me.busy = start.elapsed();
             me
         };
@@ -173,7 +164,6 @@ impl EvalPool {
             let me = done.get(w).cloned().unwrap_or_default();
             total.candidates += me.candidates;
             total.claims += me.claims;
-            total.steals += me.steals;
             total.busy += me.busy;
             total.idle += wall.saturating_sub(me.busy);
         }
@@ -360,9 +350,5 @@ mod tests {
         });
         let claims: u64 = stats.workers.iter().map(|w| w.claims).sum();
         assert!(claims >= 2, "512 items must take several claims");
-        assert_eq!(
-            stats.total_steals(),
-            stats.workers.iter().map(|w| w.steals).sum::<u64>()
-        );
     }
 }

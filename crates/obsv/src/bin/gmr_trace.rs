@@ -1,7 +1,8 @@
 //! `gmr-trace` — inspect `gmr-journal/v1` JSONL files.
 //!
 //! ```text
-//! gmr-trace summary RUN.jsonl          # human summary: spans, gens, pool
+//! gmr-trace summary RUN.jsonl          # human summary: spans, gens, pool,
+//!                                      # served requests
 //! gmr-trace chrome RUN.jsonl [--out T] # Chrome trace-event JSON (Perfetto)
 //! gmr-trace validate RUN.jsonl         # schema check; exit 1 on failure
 //! gmr-trace --validate RUN.jsonl       # same, flag spelling
@@ -21,7 +22,8 @@ fn usage() -> ExitCode {
         "usage: gmr-trace <summary|chrome|validate|json> FILE [--out FILE]\n\
          \x20      gmr-trace stitch GATEWAY.jsonl BACKEND.jsonl... [--out FILE]\n\
          \n\
-         summary    print spans / generations / pool utilization / lineage\n\
+         summary    print spans / generations / pool utilization / lineage /\n\
+                    served requests\n\
          chrome     convert to Chrome trace-event JSON (load in Perfetto)\n\
          validate   check the gmr-journal/v1 schema; exit 1 when invalid\n\
          json       strict-parse a standalone JSON document (reports the\n\

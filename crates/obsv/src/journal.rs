@@ -99,13 +99,13 @@ pub enum Event {
         /// `replicate`, `ls-insert`, `ls-delete`, `ls-tweak`.
         origin: &'static str,
     },
-    /// A tree-cache shard shed entries.
+    /// The tree cache shed entries.
     CacheEvict {
         /// Surrogate (short-circuited) entries dropped.
         shed_surrogate: u64,
         /// Fully-evaluated entries dropped.
         shed_full: u64,
-        /// Shard occupancy after the wave.
+        /// Cache occupancy after the wave.
         len_after: u64,
     },
     /// Evaluation-pool round boundary: cumulative pool accounting
@@ -123,8 +123,6 @@ pub enum Event {
         workers: u64,
         /// Cumulative candidates processed (all workers).
         candidates: u64,
-        /// Cumulative steals.
-        steals: u64,
         /// Cumulative busy time, µs.
         busy_us: u64,
         /// Cumulative idle time, µs.
@@ -141,13 +139,6 @@ pub enum Event {
         /// Round wall time, µs.
         round_us: u64,
     },
-    /// A metric-registry snapshot (pre-rendered JSON object).
-    Metrics {
-        /// What the registry belongs to (`engine`, `bench`…).
-        scope: &'static str,
-        /// `metrics::snapshot_json` output.
-        json: String,
-    },
     /// Free-form annotation.
     Note {
         /// Event name.
@@ -155,24 +146,11 @@ pub enum Event {
         /// Message.
         msg: String,
     },
-    /// One served HTTP request (the serving stack's access log).
-    Request {
-        /// Endpoint path (`/simulate`, `/models`…).
-        endpoint: &'static str,
-        /// HTTP status returned.
-        status: u16,
-        /// Wall time from dequeue to response written, µs.
-        dur_us: u64,
-        /// Simulations coalesced into the batch that served this request
-        /// (1 = unbatched; 0 = no simulation ran).
-        batch: u64,
-    },
-    /// One traced HTTP request (the distributed-tracing access log).
-    ///
-    /// Unlike [`Event::Request`] this carries the propagated trace
-    /// context (`X-Gmr-Trace`), so `gmr-trace stitch` can connect a
-    /// gateway hop to the backend span that served it and a user can
-    /// grep any journal for their own request id.
+    /// One answered HTTP request: the serving stack's access log, and its
+    /// only per-request record. It carries the propagated trace context
+    /// (`X-Gmr-Trace`), so `gmr-trace stitch` can connect a gateway hop
+    /// to the backend span that served it and a user can grep any
+    /// journal for their own request id.
     Access {
         /// Trace id shared by every hop of one client request.
         trace: u64,
@@ -226,9 +204,7 @@ impl Event {
             Event::CacheEvict { .. } => "cache_evict",
             Event::Round { .. } => "round",
             Event::Stall { .. } => "stall",
-            Event::Metrics { .. } => "metrics",
             Event::Note { .. } => "note",
-            Event::Request { .. } => "request",
             Event::Access { .. } => "access",
             Event::Backend { .. } => "backend",
         }
@@ -354,6 +330,93 @@ impl Journal {
     }
 }
 
+/// What a journal field holds, as `write_record` writes it and
+/// `gmr-trace validate` requires it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FieldKind {
+    /// A non-negative JSON integer.
+    Int,
+    /// Any `u64` (a run seed, a span's `arg`), written with
+    /// [`crate::json::push_u64`]: a number below 2^53, a decimal string
+    /// from there up.
+    WideU64,
+    /// A JSON string.
+    Str,
+    /// A JSON boolean.
+    Bool,
+    /// A [`hex_id`]-rendered trace or span id.
+    HexId,
+    /// A float, `null` when it is not finite.
+    NumOrNull,
+}
+
+impl FieldKind {
+    /// Whether `v` (the field's value, `None` when absent) is of this kind.
+    pub(crate) fn accepts(self, v: Option<&crate::json::Value>) -> bool {
+        use crate::json::Value;
+        match self {
+            FieldKind::Int => v.and_then(Value::as_u64).is_some(),
+            FieldKind::WideU64 => v.and_then(crate::json::read_u64).is_some(),
+            FieldKind::Str => v.and_then(Value::as_str).is_some(),
+            FieldKind::Bool => v.and_then(Value::as_bool).is_some(),
+            FieldKind::HexId => v.and_then(Value::as_str).and_then(parse_hex_id).is_some(),
+            FieldKind::NumOrNull => matches!(v, Some(Value::Num(_) | Value::Null)),
+        }
+    }
+
+    /// The kind, as a validation error names it.
+    pub(crate) fn describe(self) -> &'static str {
+        match self {
+            FieldKind::Int | FieldKind::WideU64 => "an integer",
+            FieldKind::Str => "a string",
+            FieldKind::Bool => "a boolean",
+            FieldKind::HexId => "a 16-digit lowercase hex id",
+            FieldKind::NumOrNull => "a number or null",
+        }
+    }
+}
+
+/// Every event type's `type` tag and the fields `write_record` writes for
+/// it after `seq`, `t_us` and `type`, in order: the one list `gmr-trace
+/// validate` checks each line against. A `span`'s `arg` (a
+/// [`FieldKind::WideU64`]) is written only when set, so it is not listed.
+#[rustfmt::skip]
+pub(crate) const EVENT_FIELDS: [(&str, &[(&str, FieldKind)]); 9] = {
+    use FieldKind::{Bool, HexId, Int, NumOrNull as Num, Str, WideU64 as Wide};
+    [
+        ("span", &[("name", Str), ("tid", Int), ("depth", Int), ("start_us", Int), ("dur_us", Int)]),
+        ("gen", &[
+            ("seed", Wide), ("generation", Int), ("best", Num), ("mean", Num),
+            ("evaluations", Int), ("steps", Int), ("elapsed_us", Int), ("d_evals", Int),
+            ("d_fulls", Int), ("d_shorts", Int), ("d_cache_hits", Int), ("d_cache_misses", Int),
+        ]),
+        ("elite", &[
+            ("seed", Wide), ("generation", Int), ("fitness", Num), ("size", Int), ("origin", Str),
+        ]),
+        ("cache_evict", &[("shed_surrogate", Int), ("shed_full", Int), ("len_after", Int)]),
+        ("round", &[
+            ("seed", Wide), ("round", Int), ("kind", Str), ("len", Int), ("workers", Int),
+            ("candidates", Int), ("busy_us", Int), ("idle_us", Int),
+        ]),
+        ("stall", &[("round", Int), ("worker", Int), ("round_us", Int)]),
+        ("note", &[("name", Str), ("msg", Str)]),
+        ("access", &[
+            ("trace", HexId), ("span", HexId), ("parent", HexId), ("method", Str), ("path", Str),
+            ("model", Str), ("table", Str), ("status", Int), ("shed", Bool), ("batched", Bool),
+            ("queue_us", Int), ("sim_us", Int), ("dur_us", Int),
+        ]),
+        ("backend", &[("idx", Int), ("addr", Str), ("state", Str), ("restarts", Int)]),
+    ]
+};
+
+/// The [`EVENT_FIELDS`] entry for a `type` tag; `None` for an unknown one.
+pub(crate) fn event_fields(tag: &str) -> Option<&'static [(&'static str, FieldKind)]> {
+    EVENT_FIELDS
+        .iter()
+        .find(|(t, _)| *t == tag)
+        .map(|(_, fields)| *fields)
+}
+
 fn write_record(out: &mut String, rec: &Record) {
     use crate::json::{push_escaped, push_f64, push_u64};
     out.push_str(&format!(
@@ -437,7 +500,6 @@ fn write_record(out: &mut String, rec: &Record) {
             len,
             workers,
             candidates,
-            steals,
             busy_us,
             idle_us,
         } => {
@@ -447,7 +509,7 @@ fn write_record(out: &mut String, rec: &Record) {
             push_escaped(out, kind);
             out.push_str(&format!(
                 ", \"len\": {len}, \"workers\": {workers}, \"candidates\": {candidates}, \
-                 \"steals\": {steals}, \"busy_us\": {busy_us}, \"idle_us\": {idle_us}"
+                 \"busy_us\": {busy_us}, \"idle_us\": {idle_us}"
             ));
         }
         Event::Stall {
@@ -459,28 +521,11 @@ fn write_record(out: &mut String, rec: &Record) {
                 ", \"round\": {round}, \"worker\": {worker}, \"round_us\": {round_us}"
             ));
         }
-        Event::Metrics { scope, json } => {
-            out.push_str(", \"scope\": ");
-            push_escaped(out, scope);
-            out.push_str(&format!(", \"registry\": {json}"));
-        }
         Event::Note { name, msg } => {
             out.push_str(", \"name\": ");
             push_escaped(out, name);
             out.push_str(", \"msg\": ");
             push_escaped(out, msg);
-        }
-        Event::Request {
-            endpoint,
-            status,
-            dur_us,
-            batch,
-        } => {
-            out.push_str(", \"endpoint\": ");
-            push_escaped(out, endpoint);
-            out.push_str(&format!(
-                ", \"status\": {status}, \"dur_us\": {dur_us}, \"batch\": {batch}"
-            ));
         }
         Event::Access {
             trace,
@@ -532,15 +577,147 @@ fn write_record(out: &mut String, rec: &Record) {
     out.push('}');
 }
 
+/// One event of every variant, in [`EVENT_FIELDS`] order: the fixture the
+/// field-table test and the `gmr-trace` reader tests share.
+#[cfg(test)]
+pub(crate) fn every_event() -> Vec<Event> {
+    vec![
+        Event::Span {
+            name: "gen.evaluate",
+            tid: 0,
+            depth: 0,
+            start_us: 5,
+            dur_us: 100,
+            arg: Some(1),
+        },
+        Event::Gen {
+            seed: 42,
+            generation: 0,
+            best: 2.0,
+            mean: f64::INFINITY, // must serialize as null, not break JSON
+            evaluations: 32,
+            steps: 2048,
+            elapsed_us: 900,
+            d_evals: 32,
+            d_fulls: 30,
+            d_shorts: 2,
+            d_cache_hits: 0,
+            d_cache_misses: 32,
+        },
+        Event::EliteChange {
+            seed: 42,
+            generation: 0,
+            fitness: 2.0,
+            size: 5,
+            origin: "init",
+        },
+        Event::CacheEvict {
+            shed_surrogate: 3,
+            shed_full: 1,
+            len_after: 60,
+        },
+        Event::Round {
+            seed: 42,
+            round: 1,
+            kind: "evaluate",
+            len: 32,
+            workers: 4,
+            candidates: 32,
+            busy_us: 800,
+            idle_us: 100,
+        },
+        Event::Stall {
+            round: 1,
+            worker: 2,
+            round_us: 900,
+        },
+        Event::Note {
+            name: "test",
+            msg: "hello".into(),
+        },
+        Event::Access {
+            trace: 0x0123_4567_89ab_cdef,
+            span: 0xfedc_ba98_7654_3210,
+            parent: 0,
+            method: "POST".into(),
+            path: "/simulate",
+            model: "table5-manual".into(),
+            table: "t".into(),
+            status: 200,
+            shed: false,
+            batched: true,
+            queue_us: 12,
+            sim_us: 340,
+            dur_us: 360,
+        },
+        Event::Backend {
+            idx: 0,
+            addr: "127.0.0.1:9000".into(),
+            state: "up",
+            restarts: 0,
+        },
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Value;
 
     fn note(i: u64) -> Event {
         Event::Note {
             name: "test",
             msg: format!("event {i}"),
         }
+    }
+
+    /// The fixture written to JSONL and parsed back, header first.
+    fn fixture_lines() -> Vec<Value> {
+        let j = Journal::new(64);
+        for e in every_event() {
+            j.push(e);
+        }
+        let text = j.to_jsonl();
+        text.lines()
+            .map(|l| crate::json::parse(l).unwrap())
+            .collect()
+    }
+
+    /// The writer and the validator's table cannot drift apart: every
+    /// variant writes exactly its table entry's fields, each of its kind.
+    #[test]
+    fn every_variant_writes_exactly_its_table_fields() {
+        let mut tags = Vec::new();
+        for v in &fixture_lines()[1..] {
+            let Value::Obj(obj) = v else {
+                panic!("not an object: {v:?}")
+            };
+            let tag = v.get("type").and_then(Value::as_str).unwrap();
+            let fields = event_fields(tag).unwrap_or_else(|| panic!("{tag:?} has no table entry"));
+            let mut keys: Vec<&str> = obj
+                .keys()
+                .map(String::as_str)
+                .filter(|k| !matches!(*k, "seq" | "t_us" | "type" | "arg"))
+                .collect();
+            let mut want: Vec<&str> = fields.iter().map(|(k, _)| *k).collect();
+            keys.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(keys, want, "{tag}");
+            for (key, kind) in fields {
+                assert!(
+                    kind.accepts(v.get(key)),
+                    "{tag}.{key} is not {}",
+                    kind.describe()
+                );
+            }
+            if let Some(arg) = v.get("arg") {
+                assert_eq!(tag, "span");
+                assert!(FieldKind::WideU64.accepts(Some(arg)));
+            }
+            tags.push(tag.to_string());
+        }
+        let table: Vec<&str> = EVENT_FIELDS.iter().map(|(t, _)| *t).collect();
+        assert_eq!(tags, table, "one event per table entry");
     }
 
     #[test]
@@ -576,77 +753,42 @@ mod tests {
 
     #[test]
     fn jsonl_header_and_lines_parse() {
-        let j = Journal::new(64);
-        j.push(Event::Gen {
-            seed: 7,
-            generation: 0,
-            best: 1.5,
-            mean: f64::INFINITY, // must serialize as null, not break JSON
-            evaluations: 10,
-            steps: 640,
-            elapsed_us: 1234,
-            d_evals: 10,
-            d_fulls: 8,
-            d_shorts: 2,
-            d_cache_hits: 1,
-            d_cache_misses: 9,
-        });
-        j.push(Event::Span {
-            name: "gen.breed",
-            tid: 0,
-            depth: 1,
-            start_us: 10,
-            dur_us: 42,
-            arg: Some(3),
-        });
-        let text = j.to_jsonl();
-        let mut lines = text.lines();
-        let header = crate::json::parse(lines.next().unwrap()).unwrap();
-        assert_eq!(header.get("schema").and_then(|v| v.as_str()), Some(SCHEMA));
-        assert_eq!(header.get("events").and_then(|v| v.as_u64()), Some(2));
-        let gen = crate::json::parse(lines.next().unwrap()).unwrap();
-        assert_eq!(gen.get("type").and_then(|v| v.as_str()), Some("gen"));
-        assert_eq!(gen.get("mean"), Some(&crate::json::Value::Null));
-        assert_eq!(gen.get("d_shorts").and_then(|v| v.as_u64()), Some(2));
-        let span = crate::json::parse(lines.next().unwrap()).unwrap();
-        assert_eq!(span.get("name").and_then(|v| v.as_str()), Some("gen.breed"));
-        assert_eq!(span.get("arg").and_then(|v| v.as_u64()), Some(3));
-        assert!(lines.next().is_none());
+        let lines = fixture_lines();
+        let header = &lines[0];
+        assert_eq!(header.get("schema").and_then(Value::as_str), Some(SCHEMA));
+        assert_eq!(
+            header.get("events").and_then(Value::as_u64),
+            Some(EVENT_FIELDS.len() as u64)
+        );
+        let span = &lines[1];
+        assert_eq!(
+            span.get("name").and_then(Value::as_str),
+            Some("gen.evaluate")
+        );
+        assert_eq!(span.get("arg").and_then(Value::as_u64), Some(1));
+        let gen = &lines[2];
+        assert_eq!(gen.get("type").and_then(Value::as_str), Some("gen"));
+        assert_eq!(gen.get("mean"), Some(&Value::Null));
+        assert_eq!(gen.get("d_shorts").and_then(Value::as_u64), Some(2));
     }
 
     #[test]
     fn access_event_round_trips_with_hex_trace_ids() {
-        let j = Journal::new(8);
-        j.push(Event::Access {
-            trace: 0x0123_4567_89ab_cdef,
-            span: 0xfedc_ba98_7654_3210,
-            parent: 0,
-            method: "POST".into(),
-            path: "/simulate",
-            model: "table5-manual".into(),
-            table: "t".into(),
-            status: 200,
-            shed: false,
-            batched: true,
-            queue_us: 12,
-            sim_us: 340,
-            dur_us: 360,
-        });
-        let text = j.to_jsonl();
-        let mut lines = text.lines();
-        let header = crate::json::parse(lines.next().unwrap()).unwrap();
-        assert!(header.get("t0_unix_us").and_then(|v| v.as_u64()).is_some());
-        let e = crate::json::parse(lines.next().unwrap()).unwrap();
-        assert_eq!(e.get("type").and_then(|v| v.as_str()), Some("access"));
-        let trace = e.get("trace").and_then(|v| v.as_str()).unwrap();
+        let lines = fixture_lines();
+        assert!(lines[0].get("t0_unix_us").and_then(Value::as_u64).is_some());
+        let e = lines
+            .iter()
+            .find(|v| v.get("type").and_then(Value::as_str) == Some("access"))
+            .unwrap();
+        let trace = e.get("trace").and_then(Value::as_str).unwrap();
         assert_eq!(trace, "0123456789abcdef");
         assert_eq!(parse_hex_id(trace), Some(0x0123_4567_89ab_cdef));
         assert_eq!(
-            e.get("parent").and_then(|v| v.as_str()),
+            e.get("parent").and_then(Value::as_str),
             Some("0000000000000000")
         );
-        assert_eq!(e.get("batched"), Some(&crate::json::Value::Bool(true)));
-        assert_eq!(e.get("queue_us").and_then(|v| v.as_u64()), Some(12));
+        assert_eq!(e.get("batched"), Some(&Value::Bool(true)));
+        assert_eq!(e.get("queue_us").and_then(Value::as_u64), Some(12));
         // Rejects the shapes a header value must never take.
         assert_eq!(parse_hex_id("0123"), None);
         assert_eq!(parse_hex_id("0123456789ABCDEF"), None);

@@ -8,12 +8,12 @@
 //!
 //! * **[`span`]s** — RAII scoped timers with thread-safe nesting and two
 //!   detail levels, recorded as completed-span events;
-//! * **[`metrics`]** — lock-free counters/gauges/histograms behind a named
+//! * **[`metrics`]** — lock-free counters and histograms behind a named
 //!   [`metrics::Registry`], absorbing the engine's one-off atomic counters
 //!   into one snapshot-able sheet;
 //! * **the [`journal`]** — a bounded ring buffer of typed events
 //!   (generation stats, elite lineage, cache evictions, pool rounds,
-//!   worker stalls) flushed to `gmr-journal/v1` JSONL, which the
+//!   worker stalls, served requests) flushed to `gmr-journal/v1` JSONL, which the
 //!   `gmr-trace` CLI summarizes, validates, and converts to Chrome
 //!   trace-event JSON for Perfetto / `about://tracing`.
 //!

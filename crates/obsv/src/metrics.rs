@@ -1,9 +1,9 @@
 //! Lock-free metric primitives and a named registry.
 //!
-//! Counters, gauges and histograms are plain atomics — safe to hammer from
-//! every evaluation-pool worker without locks — and a [`Registry`] names
-//! them so a whole sheet can be snapshotted at round boundaries and dumped
-//! into run reports or the journal.
+//! Counters and histograms are plain atomics — safe to hammer from every
+//! evaluation-pool worker without locks — and a [`Registry`] names them so
+//! a whole sheet can be snapshotted and dumped into run reports or a
+//! service's `/metrics` body.
 //!
 //! Unlike spans and the journal, this module is **not** gated by the
 //! `enabled` feature: the engine's own counters (`evals`, `pheno_builds`,
@@ -11,6 +11,7 @@
 //! must exist even in a build with observability compiled out. The cost is
 //! identical to the ad-hoc `AtomicU64` fields they replace.
 
+use crate::json::Value;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -38,33 +39,6 @@ impl Counter {
     #[inline]
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-write-wins float gauge (stored as bits).
-#[derive(Debug)]
-pub struct Gauge(AtomicU64);
-
-impl Default for Gauge {
-    fn default() -> Self {
-        Gauge(AtomicU64::new(0.0f64.to_bits()))
-    }
-}
-
-impl Gauge {
-    /// Gauge at zero.
-    pub fn new() -> Self {
-        Gauge::default()
-    }
-    /// Overwrite the value.
-    #[inline]
-    pub fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed);
-    }
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 }
 
@@ -116,40 +90,22 @@ impl Histogram {
         self.sum.load(Ordering::Relaxed)
     }
 
-    /// Mean sample (0 when empty).
-    pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / n as f64
-        }
-    }
-
-    /// Bucket counts (index = `ilog2(v+1)`).
-    pub fn bucket_counts(&self) -> Vec<u64> {
+    /// The non-empty buckets as sparse `(bucket_index, count)` pairs in
+    /// index order (index = `ilog2(v+1)`): the form [`Sample::Histogram`]
+    /// carries and the `/metrics` rollup ships across processes.
+    pub fn buckets(&self) -> Vec<(usize, u64)> {
         self.buckets
             .iter()
             .map(|b| b.load(Ordering::Relaxed))
+            .enumerate()
+            .filter(|&(_, c)| c > 0)
             .collect()
     }
 
     /// Upper-bound estimate of the `q`-quantile (`q` in `[0,1]`): the
     /// inclusive upper edge of the bucket holding that rank.
     pub fn quantile(&self, q: f64) -> u64 {
-        let sparse: Vec<(usize, u64)> = self
-            .bucket_counts()
-            .into_iter()
-            .enumerate()
-            .filter(|&(_, c)| c > 0)
-            .collect();
-        quantile_from_buckets(&sparse, q)
-    }
-
-    /// Upper-bound estimate of the largest recorded sample (the upper
-    /// edge of the highest non-empty bucket; 0 when empty).
-    pub fn max_estimate(&self) -> u64 {
-        self.quantile(1.0)
+        quantile_from_buckets(&self.buckets(), q)
     }
 }
 
@@ -162,11 +118,12 @@ pub fn bucket_upper_edge(i: usize) -> u64 {
     (1u64 << (i + 1)) - 2
 }
 
-/// [`Histogram::quantile`] over a sparse `(bucket_index, count)` snapshot
-/// — the form [`Sample::Histogram`] carries and the `/metrics` rollup
-/// ships across processes. Buckets need not be sorted; 0 when empty.
+/// [`Histogram::quantile`] over sparse `(bucket_index, count)` pairs
+/// ([`Histogram::buckets`], [`parse_histogram`]). Buckets need not be
+/// sorted; 0 when empty. Counts from another process may be anything, so
+/// they sum saturating.
 pub fn quantile_from_buckets(buckets: &[(usize, u64)], q: f64) -> u64 {
-    let n: u64 = buckets.iter().map(|&(_, c)| c).sum();
+    let n = buckets.iter().fold(0u64, |n, &(_, c)| n.saturating_add(c));
     if n == 0 {
         return 0;
     }
@@ -175,7 +132,7 @@ pub fn quantile_from_buckets(buckets: &[(usize, u64)], q: f64) -> u64 {
     sorted.sort_unstable();
     let mut seen = 0u64;
     for (i, c) in sorted {
-        seen += c;
+        seen = seen.saturating_add(c);
         if seen >= rank {
             return bucket_upper_edge(i);
         }
@@ -191,7 +148,7 @@ pub fn quantile_from_buckets(buckets: &[(usize, u64)], q: f64) -> u64 {
 pub fn merge_buckets(acc: &mut Vec<(usize, u64)>, other: &[(usize, u64)]) {
     for &(i, c) in other {
         match acc.iter_mut().find(|(j, _)| *j == i) {
-            Some((_, n)) => *n += c,
+            Some((_, n)) => *n = n.saturating_add(c),
             None => acc.push((i, c)),
         }
     }
@@ -203,8 +160,6 @@ pub fn merge_buckets(acc: &mut Vec<(usize, u64)>, other: &[(usize, u64)]) {
 pub enum Sample {
     /// Counter value.
     Counter(u64),
-    /// Gauge value.
-    Gauge(f64),
     /// Histogram: count, sum, and non-empty `(bucket_index, count)` pairs.
     Histogram {
         /// Sample count.
@@ -218,7 +173,6 @@ pub enum Sample {
 
 enum Metric {
     Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
 }
 
@@ -251,18 +205,6 @@ impl Registry {
         }
     }
 
-    /// Get or create the gauge named `name`.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.lock();
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::new())))
-        {
-            Metric::Gauge(g) => Arc::clone(g),
-            _ => panic!("metric {name:?} already registered with a different type"),
-        }
-    }
-
     /// Get or create the histogram named `name`.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         let mut map = self.lock();
@@ -282,16 +224,10 @@ impl Registry {
             .map(|(name, m)| {
                 let sample = match m {
                     Metric::Counter(c) => Sample::Counter(c.get()),
-                    Metric::Gauge(g) => Sample::Gauge(g.get()),
                     Metric::Histogram(h) => Sample::Histogram {
                         count: h.count(),
                         sum: h.sum(),
-                        buckets: h
-                            .bucket_counts()
-                            .into_iter()
-                            .enumerate()
-                            .filter(|&(_, c)| c > 0)
-                            .collect(),
+                        buckets: h.buckets(),
                     },
                 };
                 (name.clone(), sample)
@@ -300,8 +236,9 @@ impl Registry {
     }
 }
 
-/// Render a snapshot as a JSON object string (counters and gauges as
-/// numbers; histograms as `{count, sum, mean, buckets}`).
+/// Render a snapshot as a JSON object string: counters as numbers,
+/// histograms as `{"count", "sum", "buckets": [[index, count]…]}`
+/// ([`parse_histogram`] reads one back).
 pub fn snapshot_json(snapshot: &[(String, Sample)]) -> String {
     let mut out = String::from("{");
     for (i, (name, sample)) in snapshot.iter().enumerate() {
@@ -312,7 +249,6 @@ pub fn snapshot_json(snapshot: &[(String, Sample)]) -> String {
         out.push_str(": ");
         match sample {
             Sample::Counter(v) => out.push_str(&v.to_string()),
-            Sample::Gauge(v) => crate::json::push_f64(&mut out, *v),
             Sample::Histogram {
                 count,
                 sum,
@@ -335,21 +271,41 @@ pub fn snapshot_json(snapshot: &[(String, Sample)]) -> String {
     out
 }
 
+/// Read one histogram of a [`snapshot_json`] object back: its sample
+/// count and sparse buckets. `None` unless `count` is an integer and
+/// `buckets` an array of `[index, count]` integer pairs with every index
+/// below [`HIST_BUCKETS`].
+pub fn parse_histogram(v: &Value) -> Option<(u64, Vec<(usize, u64)>)> {
+    let count = v.get("count").and_then(Value::as_u64)?;
+    let buckets = v
+        .get("buckets")
+        .and_then(Value::as_arr)?
+        .iter()
+        .map(|pair| match pair.as_arr()? {
+            [i, c] => {
+                let i = usize::try_from(i.as_u64()?)
+                    .ok()
+                    .filter(|&i| i < HIST_BUCKETS)?;
+                Some((i, c.as_u64()?))
+            }
+            _ => None,
+        })
+        .collect::<Option<Vec<_>>>()?;
+    Some((count, buckets))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_basics() {
+    fn counter_basics() {
         let r = Registry::new();
         let c = r.counter("evals");
         c.inc();
         c.add(4);
-        let g = r.gauge("hit_rate");
-        g.set(0.75);
         // Same name returns the same underlying metric.
         assert_eq!(r.counter("evals").get(), 5);
-        assert_eq!(r.gauge("hit_rate").get(), 0.75);
     }
 
     #[test]
@@ -360,7 +316,6 @@ mod tests {
         }
         assert_eq!(h.count(), 6);
         assert_eq!(h.sum(), 112);
-        assert!((h.mean() - 112.0 / 6.0).abs() < 1e-12);
         // Median falls in the {1,2} bucket.
         assert!(h.quantile(0.5) >= 1 && h.quantile(0.5) < 7);
         assert!(h.quantile(1.0) >= 100);
@@ -371,7 +326,7 @@ mod tests {
         let h = Histogram::new();
         assert_eq!(h.quantile(0.5), 0);
         assert_eq!(h.quantile(0.99), 0);
-        assert_eq!(h.max_estimate(), 0);
+        assert_eq!(h.quantile(1.0), 0);
         assert_eq!(quantile_from_buckets(&[], 0.9), 0);
         let mut acc = Vec::new();
         merge_buckets(&mut acc, &[]);
@@ -405,13 +360,7 @@ mod tests {
                     h.record(v);
                     concat.record(v);
                 }
-                let sparse: Vec<(usize, u64)> = h
-                    .bucket_counts()
-                    .into_iter()
-                    .enumerate()
-                    .filter(|&(_, c)| c > 0)
-                    .collect();
-                merge_buckets(&mut merged, &sparse);
+                merge_buckets(&mut merged, &h.buckets());
             }
             for q in [0.5, 0.9, 0.99, 1.0] {
                 let got = quantile_from_buckets(&merged, q);
@@ -428,7 +377,7 @@ mod tests {
     fn snapshot_is_sorted_and_complete() {
         let r = Registry::new();
         r.counter("z").add(1);
-        r.gauge("a").set(2.0);
+        r.counter("a").add(2);
         r.histogram("m").record(3);
         let snap = r.snapshot();
         let names: Vec<&str> = snap.iter().map(|(n, _)| n.as_str()).collect();
@@ -436,13 +385,12 @@ mod tests {
         let json = snapshot_json(&snap);
         let parsed = crate::json::parse(&json).unwrap();
         assert_eq!(parsed.get("z").and_then(|v| v.as_u64()), Some(1));
-        assert_eq!(
-            parsed
-                .get("m")
-                .and_then(|m| m.get("count"))
-                .and_then(|v| v.as_u64()),
-            Some(1)
-        );
+        // 3 lands in bucket ilog2(4) = 2.
+        let m = parsed.get("m").expect("histogram rendered");
+        assert_eq!(parse_histogram(m), Some((1, vec![(2, 1)])));
+        // An index past the last bucket is not a snapshot this build wrote.
+        let far = crate::json::parse(r#"{"count": 1, "sum": 0, "buckets": [[40, 1]]}"#).unwrap();
+        assert_eq!(parse_histogram(&far), None);
     }
 
     #[test]
@@ -450,7 +398,7 @@ mod tests {
     fn type_confusion_panics() {
         let r = Registry::new();
         let _ = r.counter("x");
-        let _ = r.gauge("x");
+        let _ = r.histogram("x");
     }
 
     #[test]

@@ -2,24 +2,9 @@
 //! Chrome trace-event conversion. Backs the `gmr-trace` CLI and the
 //! round-trip tests.
 
-use crate::journal::SCHEMA;
-use crate::json::{parse, Value};
+use crate::journal::{event_fields, parse_hex_id, FieldKind, SCHEMA};
+use crate::json::{parse, push_escaped, push_u64, Value};
 use std::collections::BTreeMap;
-
-/// Event `type` tags the validator accepts.
-pub const KNOWN_TYPES: [&str; 11] = [
-    "span",
-    "gen",
-    "elite",
-    "cache_evict",
-    "round",
-    "stall",
-    "metrics",
-    "note",
-    "request",
-    "access",
-    "backend",
-];
 
 /// A parsed journal: the header object and one [`Value`] per event line.
 pub struct ParsedJournal {
@@ -44,10 +29,24 @@ pub fn parse_journal(src: &str) -> Result<ParsedJournal, String> {
     Ok(ParsedJournal { header, events })
 }
 
-fn require_u64(obj: &Value, key: &str, line: usize, errs: &mut Vec<String>) {
-    if obj.get(key).and_then(Value::as_u64).is_none() {
-        errs.push(format!("line {line}: missing or non-integer field {key:?}"));
-    }
+/// An event's `type` tag.
+fn type_of(e: &Value) -> Option<&str> {
+    e.get("type").and_then(Value::as_str)
+}
+
+/// The events tagged `tag`, in file order.
+fn of_type<'a>(events: &'a [Value], tag: &'a str) -> impl Iterator<Item = &'a Value> {
+    events.iter().filter(move |e| type_of(e) == Some(tag))
+}
+
+/// An integer field, 0 when absent or mistyped.
+fn num(e: &Value, key: &str) -> u64 {
+    e.get(key).and_then(Value::as_u64).unwrap_or(0)
+}
+
+/// A string field, `default` when absent or mistyped.
+fn text<'a>(e: &'a Value, key: &str, default: &'a str) -> &'a str {
+    e.get(key).and_then(Value::as_str).unwrap_or(default)
 }
 
 /// A field that can hold any `u64` (a run seed, a span's trace-id `arg`),
@@ -57,51 +56,26 @@ fn wide_u64(obj: &Value, key: &str) -> Option<u64> {
     obj.get(key).and_then(crate::json::read_u64)
 }
 
-fn require_wide_u64(obj: &Value, key: &str, line: usize, errs: &mut Vec<String>) {
-    if wide_u64(obj, key).is_none() {
-        errs.push(format!("line {line}: missing or non-integer field {key:?}"));
-    }
-}
-
-fn require_str(obj: &Value, key: &str, line: usize, errs: &mut Vec<String>) {
-    if obj.get(key).and_then(Value::as_str).is_none() {
-        errs.push(format!("line {line}: missing or non-string field {key:?}"));
-    }
-}
-
-fn require_bool(obj: &Value, key: &str, line: usize, errs: &mut Vec<String>) {
-    if obj.get(key).and_then(Value::as_bool).is_none() {
-        errs.push(format!("line {line}: missing or non-boolean field {key:?}"));
-    }
-}
-
-fn require_hex_id(obj: &Value, key: &str, line: usize, errs: &mut Vec<String>) {
-    let ok = obj
-        .get(key)
-        .and_then(Value::as_str)
-        .and_then(crate::journal::parse_hex_id)
-        .is_some();
-    if !ok {
-        errs.push(format!(
-            "line {line}: field {key:?} must be a 16-digit lowercase hex id"
-        ));
-    }
-}
-
-fn require_num_or_null(obj: &Value, key: &str, line: usize, errs: &mut Vec<String>) {
-    match obj.get(key) {
-        Some(Value::Num(_)) | Some(Value::Null) => {}
-        _ => errs.push(format!(
-            "line {line}: missing field {key:?} (number or null)"
-        )),
+/// Push an error for every field in `fields` that `obj` lacks or holds
+/// with the wrong kind.
+fn require(obj: &Value, fields: &[(&str, FieldKind)], line: usize, errs: &mut Vec<String>) {
+    for &(key, kind) in fields {
+        if !kind.accepts(obj.get(key)) {
+            errs.push(format!(
+                "line {line}: field {key:?} must be {}",
+                kind.describe()
+            ));
+        }
     }
 }
 
 /// Validate a `gmr-journal/v1` JSONL text. Returns every failure found
 /// (empty = valid): bad schema tag, unparsable lines (truncation), event
-/// count mismatches, unknown event types, missing per-type fields, and
+/// count mismatches, unknown event types, missing or mistyped per-type
+/// fields (checked against `journal::EVENT_FIELDS`), and
 /// non-monotone `seq` / `t_us`.
 pub fn validate(src: &str) -> Vec<String> {
+    use FieldKind::Int;
     let mut errs = Vec::new();
     let mut lines = src.lines();
     let Some(first) = lines.next() else {
@@ -116,9 +90,12 @@ pub fn validate(src: &str) -> Vec<String> {
         Some(s) => errs.push(format!("schema is {s:?}, expected {SCHEMA:?}")),
         None => errs.push("header missing \"schema\"".into()),
     }
-    for key in ["events", "dropped", "next_seq"] {
-        require_u64(&header, key, 1, &mut errs);
-    }
+    require(
+        &header,
+        &[("events", Int), ("dropped", Int), ("next_seq", Int)],
+        1,
+        &mut errs,
+    );
 
     let mut count = 0usize;
     let mut prev_seq: Option<u64> = None;
@@ -139,12 +116,12 @@ pub fn validate(src: &str) -> Vec<String> {
             }
         };
         count += 1;
-        require_u64(&obj, "seq", lineno, &mut errs);
-        require_u64(&obj, "t_us", lineno, &mut errs);
-        let ty = obj.get("type").and_then(Value::as_str);
-        match ty {
-            Some(t) if KNOWN_TYPES.contains(&t) => {}
-            Some(t) => errs.push(format!("line {lineno}: unknown event type {t:?}")),
+        require(&obj, &[("seq", Int), ("t_us", Int)], lineno, &mut errs);
+        match type_of(&obj) {
+            Some(t) => match event_fields(t) {
+                Some(fields) => require(&obj, fields, lineno, &mut errs),
+                None => errs.push(format!("line {lineno}: unknown event type {t:?}")),
+            },
             None => errs.push(format!("line {lineno}: missing \"type\"")),
         }
         if let Some(seq) = obj.get("seq").and_then(Value::as_u64) {
@@ -162,104 +139,6 @@ pub fn validate(src: &str) -> Vec<String> {
                 }
             }
             prev_t = Some(t);
-        }
-        match ty {
-            Some("span") => {
-                require_str(&obj, "name", lineno, &mut errs);
-                for key in ["tid", "depth", "start_us", "dur_us"] {
-                    require_u64(&obj, key, lineno, &mut errs);
-                }
-            }
-            Some("gen") => {
-                require_wide_u64(&obj, "seed", lineno, &mut errs);
-                for key in [
-                    "generation",
-                    "evaluations",
-                    "steps",
-                    "elapsed_us",
-                    "d_evals",
-                    "d_fulls",
-                    "d_shorts",
-                    "d_cache_hits",
-                    "d_cache_misses",
-                ] {
-                    require_u64(&obj, key, lineno, &mut errs);
-                }
-                require_num_or_null(&obj, "best", lineno, &mut errs);
-                require_num_or_null(&obj, "mean", lineno, &mut errs);
-            }
-            Some("elite") => {
-                require_wide_u64(&obj, "seed", lineno, &mut errs);
-                for key in ["generation", "size"] {
-                    require_u64(&obj, key, lineno, &mut errs);
-                }
-                require_num_or_null(&obj, "fitness", lineno, &mut errs);
-                require_str(&obj, "origin", lineno, &mut errs);
-            }
-            Some("cache_evict") => {
-                for key in ["shed_surrogate", "shed_full", "len_after"] {
-                    require_u64(&obj, key, lineno, &mut errs);
-                }
-            }
-            Some("round") => {
-                require_str(&obj, "kind", lineno, &mut errs);
-                require_wide_u64(&obj, "seed", lineno, &mut errs);
-                for key in [
-                    "round",
-                    "len",
-                    "workers",
-                    "candidates",
-                    "steals",
-                    "busy_us",
-                    "idle_us",
-                ] {
-                    require_u64(&obj, key, lineno, &mut errs);
-                }
-            }
-            Some("stall") => {
-                for key in ["round", "worker", "round_us"] {
-                    require_u64(&obj, key, lineno, &mut errs);
-                }
-            }
-            Some("metrics") => {
-                require_str(&obj, "scope", lineno, &mut errs);
-                if !matches!(obj.get("registry"), Some(Value::Obj(_))) {
-                    errs.push(format!("line {lineno}: \"registry\" must be an object"));
-                }
-            }
-            Some("note") => {
-                require_str(&obj, "name", lineno, &mut errs);
-                require_str(&obj, "msg", lineno, &mut errs);
-            }
-            Some("request") => {
-                require_str(&obj, "endpoint", lineno, &mut errs);
-                for key in ["status", "dur_us", "batch"] {
-                    require_u64(&obj, key, lineno, &mut errs);
-                }
-            }
-            Some("access") => {
-                for key in ["trace", "span", "parent"] {
-                    require_hex_id(&obj, key, lineno, &mut errs);
-                }
-                for key in ["method", "path", "model", "table"] {
-                    require_str(&obj, key, lineno, &mut errs);
-                }
-                for key in ["status", "queue_us", "sim_us", "dur_us"] {
-                    require_u64(&obj, key, lineno, &mut errs);
-                }
-                for key in ["shed", "batched"] {
-                    require_bool(&obj, key, lineno, &mut errs);
-                }
-            }
-            Some("backend") => {
-                for key in ["idx", "restarts"] {
-                    require_u64(&obj, key, lineno, &mut errs);
-                }
-                for key in ["addr", "state"] {
-                    require_str(&obj, key, lineno, &mut errs);
-                }
-            }
-            _ => {}
         }
     }
     if let Some(declared) = header.get("events").and_then(Value::as_u64) {
@@ -279,33 +158,39 @@ struct SpanAgg {
     max_us: u64,
 }
 
+/// Served requests sharing one path and status.
+#[derive(Default)]
+struct AccessAgg {
+    count: u64,
+    total_us: u64,
+    queue_us: u64,
+    sim_us: u64,
+    batched: u64,
+}
+
 fn ms(us: u64) -> f64 {
     us as f64 / 1e3
 }
 
 /// Render the human summary: top spans, per-generation timing per run
-/// (seed), pool utilization, elite lineage, cache/stall counts.
+/// (seed), pool utilization, elite lineage, served requests, cache/stall
+/// counts. Sums of journal durations saturate at `u64::MAX`.
 pub fn summary(src: &str) -> Result<String, String> {
     let j = parse_journal(src)?;
     let mut out = String::new();
-    let dropped = j.header.get("dropped").and_then(Value::as_u64).unwrap_or(0);
     out.push_str(&format!(
         "journal: {} events ({} dropped to the ring bound)\n",
         j.events.len(),
-        dropped
+        num(&j.header, "dropped")
     ));
 
     // --- spans ---
     let mut spans: BTreeMap<String, SpanAgg> = BTreeMap::new();
-    for e in &j.events {
-        if e.get("type").and_then(Value::as_str) != Some("span") {
-            continue;
-        }
-        let name = e.get("name").and_then(Value::as_str).unwrap_or("?");
-        let dur = e.get("dur_us").and_then(Value::as_u64).unwrap_or(0);
-        let agg = spans.entry(name.to_string()).or_default();
+    for e in of_type(&j.events, "span") {
+        let dur = num(e, "dur_us");
+        let agg = spans.entry(text(e, "name", "?").to_string()).or_default();
         agg.count += 1;
-        agg.total_us += dur;
+        agg.total_us = agg.total_us.saturating_add(dur);
         agg.max_us = agg.max_us.max(dur);
     }
     if !spans.is_empty() {
@@ -330,11 +215,9 @@ pub fn summary(src: &str) -> Result<String, String> {
 
     // --- per-generation tables, grouped by seed ---
     let mut by_seed: BTreeMap<u64, Vec<&Value>> = BTreeMap::new();
-    for e in &j.events {
-        if e.get("type").and_then(Value::as_str) == Some("gen") {
-            let seed = wide_u64(e, "seed").unwrap_or(0);
-            by_seed.entry(seed).or_default().push(e);
-        }
+    for e in of_type(&j.events, "gen") {
+        let seed = wide_u64(e, "seed").unwrap_or(0);
+        by_seed.entry(seed).or_default().push(e);
     }
     for (seed, gens) in &by_seed {
         out.push_str(&format!("\nrun seed {seed}: {} generations\n", gens.len()));
@@ -352,7 +235,7 @@ pub fn summary(src: &str) -> Result<String, String> {
         };
         let mut last_gen = None;
         for e in shown {
-            let gen = e.get("generation").and_then(Value::as_u64).unwrap_or(0);
+            let gen = num(e, "generation");
             if let Some(lg) = last_gen {
                 if gen > lg + 1 {
                     out.push_str("   ...\n");
@@ -366,10 +249,10 @@ pub fn summary(src: &str) -> Result<String, String> {
                 gen,
                 best,
                 mean,
-                e.get("d_evals").and_then(Value::as_u64).unwrap_or(0),
-                e.get("d_fulls").and_then(Value::as_u64).unwrap_or(0),
-                e.get("d_shorts").and_then(Value::as_u64).unwrap_or(0),
-                ms(e.get("elapsed_us").and_then(Value::as_u64).unwrap_or(0)),
+                num(e, "d_evals"),
+                num(e, "d_fulls"),
+                num(e, "d_shorts"),
+                ms(num(e, "elapsed_us")),
             ));
         }
     }
@@ -377,28 +260,22 @@ pub fn summary(src: &str) -> Result<String, String> {
     // --- pool utilization: the final round event per seed carries the
     // cumulative busy/idle totals ---
     let mut last_round: BTreeMap<u64, &Value> = BTreeMap::new();
-    for e in &j.events {
-        if e.get("type").and_then(Value::as_str) == Some("round") {
-            let seed = wide_u64(e, "seed").unwrap_or(0);
-            last_round.insert(seed, e);
-        }
+    for e in of_type(&j.events, "round") {
+        last_round.insert(wide_u64(e, "seed").unwrap_or(0), e);
     }
     if !last_round.is_empty() {
         out.push_str("\npool utilization (cumulative at last round):\n");
         for (seed, e) in &last_round {
-            let busy = e.get("busy_us").and_then(Value::as_u64).unwrap_or(0);
-            let idle = e.get("idle_us").and_then(Value::as_u64).unwrap_or(0);
-            let util = if busy + idle == 0 {
-                0.0
-            } else {
-                100.0 * busy as f64 / (busy + idle) as f64
+            let (busy, idle) = (num(e, "busy_us"), num(e, "idle_us"));
+            let util = match busy.saturating_add(idle) {
+                0 => 0.0,
+                total => 100.0 * busy as f64 / total as f64,
             };
             out.push_str(&format!(
-                "  seed {seed}: {} rounds, {} workers, {} candidates, {} steals, busy {:.1} ms / idle {:.1} ms ({util:.1}% busy)\n",
-                e.get("round").and_then(Value::as_u64).unwrap_or(0),
-                e.get("workers").and_then(Value::as_u64).unwrap_or(0),
-                e.get("candidates").and_then(Value::as_u64).unwrap_or(0),
-                e.get("steals").and_then(Value::as_u64).unwrap_or(0),
+                "  seed {seed}: {} rounds, {} workers, {} candidates, busy {:.1} ms / idle {:.1} ms ({util:.1}% busy)\n",
+                num(e, "round"),
+                num(e, "workers"),
+                num(e, "candidates"),
                 ms(busy),
                 ms(idle),
             ));
@@ -406,21 +283,17 @@ pub fn summary(src: &str) -> Result<String, String> {
     }
 
     // --- elite lineage ---
-    let elites: Vec<&Value> = j
-        .events
-        .iter()
-        .filter(|e| e.get("type").and_then(Value::as_str) == Some("elite"))
-        .collect();
+    let elites: Vec<&Value> = of_type(&j.events, "elite").collect();
     if !elites.is_empty() {
         out.push_str(&format!("\nelite changes: {}\n", elites.len()));
         for e in elites.iter().take(10) {
             out.push_str(&format!(
                 "  seed {} gen {:>4}: fitness {:.5} (size {}, via {})\n",
                 wide_u64(e, "seed").unwrap_or(0),
-                e.get("generation").and_then(Value::as_u64).unwrap_or(0),
+                num(e, "generation"),
                 e.get("fitness").and_then(Value::as_f64).unwrap_or(f64::NAN),
-                e.get("size").and_then(Value::as_u64).unwrap_or(0),
-                e.get("origin").and_then(Value::as_str).unwrap_or("?"),
+                num(e, "size"),
+                text(e, "origin", "?"),
             ));
         }
         if elites.len() > 10 {
@@ -428,140 +301,97 @@ pub fn summary(src: &str) -> Result<String, String> {
         }
     }
 
-    // --- served requests (the serving stack's access log) ---
-    let mut req_agg: BTreeMap<(String, u64), (u64, u64, u64)> = BTreeMap::new();
-    for e in &j.events {
-        if e.get("type").and_then(Value::as_str) != Some("request") {
-            continue;
+    // --- served requests (the `access` log) ---
+    let mut access: BTreeMap<(String, u64), AccessAgg> = BTreeMap::new();
+    for e in of_type(&j.events, "access") {
+        let key = (text(e, "path", "?").to_string(), num(e, "status"));
+        let agg = access.entry(key).or_default();
+        agg.count += 1;
+        agg.total_us = agg.total_us.saturating_add(num(e, "dur_us"));
+        agg.queue_us = agg.queue_us.saturating_add(num(e, "queue_us"));
+        agg.sim_us = agg.sim_us.saturating_add(num(e, "sim_us"));
+        if e.get("batched").and_then(Value::as_bool) == Some(true) {
+            agg.batched += 1;
         }
-        let endpoint = e
-            .get("endpoint")
-            .and_then(Value::as_str)
-            .unwrap_or("?")
-            .to_string();
-        let status = e.get("status").and_then(Value::as_u64).unwrap_or(0);
-        let dur = e.get("dur_us").and_then(Value::as_u64).unwrap_or(0);
-        let batch = e.get("batch").and_then(Value::as_u64).unwrap_or(0);
-        let slot = req_agg.entry((endpoint, status)).or_insert((0, 0, 0));
-        slot.0 += 1;
-        slot.1 += dur;
-        slot.2 += batch;
     }
-    if !req_agg.is_empty() {
+    if !access.is_empty() {
+        out.push_str("\nserved requests by path and status:\n");
         out.push_str(&format!(
-            "\n{:<16} {:>6} {:>8} {:>10} {:>10}\n",
-            "endpoint", "status", "count", "mean ms", "mean batch"
+            "  {:<16} {:>6} {:>8} {:>10} {:>10} {:>10} {:>8}\n",
+            "path", "status", "count", "mean ms", "queue ms", "sim ms", "batched"
         ));
-        for ((endpoint, status), (count, dur_us, batch)) in &req_agg {
+        for ((path, status), a) in &access {
+            let mean = |us: u64| ms(us) / a.count as f64;
             out.push_str(&format!(
-                "{endpoint:<16} {status:>6} {count:>8} {:>10.3} {:>10.2}\n",
-                ms(*dur_us / (*count).max(1)),
-                *batch as f64 / (*count).max(1) as f64,
+                "  {path:<16} {status:>6} {:>8} {:>10.3} {:>10.3} {:>10.3} {:>7.1}%\n",
+                a.count,
+                mean(a.total_us),
+                mean(a.queue_us),
+                mean(a.sim_us),
+                100.0 * a.batched as f64 / a.count as f64,
             ));
         }
     }
 
-    let count_of = |tag: &str| {
-        j.events
-            .iter()
-            .filter(|e| e.get("type").and_then(Value::as_str) == Some(tag))
-            .count()
-    };
-    let (evicts, stalls) = (count_of("cache_evict"), count_of("stall"));
+    let evicts = of_type(&j.events, "cache_evict").count();
+    let stalls = of_type(&j.events, "stall").count();
     out.push_str(&format!(
         "\ncache eviction waves: {evicts}   worker stall warnings: {stalls}\n"
     ));
     Ok(out)
 }
 
-/// Convert to Chrome trace-event JSON (the `{"traceEvents": [...]}` form
-/// Perfetto and `about://tracing` load): spans become `X` complete events,
-/// generation stats become `C` counter tracks, elite changes become `i`
-/// instants.
-pub fn to_chrome(src: &str) -> Result<String, String> {
-    let j = parse_journal(src)?;
-    let mut out = String::from("{\"traceEvents\": [\n");
-    let mut first = true;
-    let mut push_event = |out: &mut String, body: String| {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str("  ");
-        out.push_str(&body);
-    };
-    let mut tids_seen: Vec<u64> = Vec::new();
-    for e in &j.events {
-        let t_us = e.get("t_us").and_then(Value::as_u64).unwrap_or(0);
-        match e.get("type").and_then(Value::as_str) {
-            Some("span") => {
-                let name = e.get("name").and_then(Value::as_str).unwrap_or("?");
-                let tid = e.get("tid").and_then(Value::as_u64).unwrap_or(0);
-                let start = e.get("start_us").and_then(Value::as_u64).unwrap_or(0);
-                let dur = e.get("dur_us").and_then(Value::as_u64).unwrap_or(0);
-                if !tids_seen.contains(&tid) {
-                    tids_seen.push(tid);
-                }
-                let mut esc = String::new();
-                crate::json::push_escaped(&mut esc, name);
-                let arg = span_args(e);
-                push_event(
-                    &mut out,
-                    format!(
-                        "{{\"name\": {esc}, \"ph\": \"X\", \"pid\": 1, \"tid\": {tid}, \"ts\": {start}, \"dur\": {dur}{arg}}}"
-                    ),
-                );
-            }
-            Some("gen") => {
-                let seed = wide_u64(e, "seed").unwrap_or(0);
-                if let Some(best) = e.get("best").and_then(Value::as_f64) {
-                    if best.is_finite() {
-                        push_event(
-                            &mut out,
-                            format!(
-                                "{{\"name\": \"best fitness (seed {seed})\", \"ph\": \"C\", \"pid\": 1, \"ts\": {t_us}, \"args\": {{\"best\": {best}}}}}"
-                            ),
-                        );
-                    }
-                }
-            }
-            Some("elite") => {
-                let seed = wide_u64(e, "seed").unwrap_or(0);
-                let origin = e.get("origin").and_then(Value::as_str).unwrap_or("?");
-                let mut esc = String::new();
-                crate::json::push_escaped(&mut esc, &format!("elite via {origin} (seed {seed})"));
-                push_event(
-                    &mut out,
-                    format!(
-                        "{{\"name\": {esc}, \"ph\": \"i\", \"s\": \"g\", \"pid\": 1, \"tid\": 0, \"ts\": {t_us}}}"
-                    ),
-                );
-            }
-            Some("stall") => {
-                let worker = e.get("worker").and_then(Value::as_u64).unwrap_or(0);
-                push_event(
-                    &mut out,
-                    format!(
-                        "{{\"name\": \"worker {worker} stalled\", \"ph\": \"i\", \"s\": \"p\", \"pid\": 1, \"tid\": {worker}, \"ts\": {t_us}}}"
-                    ),
-                );
-            }
-            Some("access") => {
-                push_event(&mut out, access_x_event(e, 1, 0));
-            }
-            _ => {}
+/// The synthetic Chrome tid `access` events render on (they carry no
+/// worker thread id of their own).
+const ACCESS_TID: u64 = 1_000_000;
+
+/// Chrome trace-event JSON under construction: the
+/// `{"traceEvents": [...]}` form Perfetto and `about://tracing` load.
+struct ChromeTrace {
+    out: String,
+    first: bool,
+}
+
+impl ChromeTrace {
+    fn new() -> ChromeTrace {
+        ChromeTrace {
+            out: String::from("{\"traceEvents\": [\n"),
+            first: true,
         }
     }
-    for tid in tids_seen {
-        push_event(
-            &mut out,
-            format!(
-                "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": {tid}, \"args\": {{\"name\": \"worker-{tid}\"}}}}"
-            ),
-        );
+
+    fn push(&mut self, event: &str) {
+        if !self.first {
+            self.out.push_str(",\n");
+        }
+        self.first = false;
+        self.out.push_str("  ");
+        self.out.push_str(event);
     }
-    out.push_str("\n]}\n");
-    Ok(out)
+
+    /// A flow arrow `name`/`id` from `pid`'s access track at `ts` to the
+    /// slice enclosing `to`.
+    fn push_flow(&mut self, name: &str, id: &str, pid: usize, ts: u64, to: &Hit) {
+        self.push(&format!(
+            "{{\"name\": \"{name}\", \"cat\": \"trace\", \"ph\": \"s\", \"id\": \"{id}\", \"pid\": {pid}, \"tid\": {ACCESS_TID}, \"ts\": {ts}}}"
+        ));
+        self.push(&format!(
+            "{{\"name\": \"{name}\", \"cat\": \"trace\", \"ph\": \"f\", \"bp\": \"e\", \"id\": \"{id}\", \"pid\": {}, \"tid\": {}, \"ts\": {}}}",
+            to.pid, to.tid, to.ts
+        ));
+    }
+
+    fn finish(mut self) -> String {
+        self.out.push_str("\n]}\n");
+        self.out
+    }
+}
+
+/// `s` as a JSON string literal.
+fn escaped(s: &str) -> String {
+    let mut out = String::new();
+    push_escaped(&mut out, s);
+    out
 }
 
 /// A span's `arg` as Chrome `args`, rendered so that a trace id above 2^53
@@ -571,44 +401,115 @@ fn span_args(e: &Value) -> String {
         return String::new();
     };
     let mut out = String::from(", \"args\": {\"arg\": ");
-    crate::json::push_u64(&mut out, a);
+    push_u64(&mut out, a);
     out.push('}');
     out
 }
 
-/// The synthetic Chrome tid `access` events render on (they carry no
-/// worker thread id of their own).
-const ACCESS_TID: u64 = 1_000_000;
+/// Where an `access` event starts on a timeline shifted by `offset` µs:
+/// the event is journaled when the response is written, so it covers
+/// `[t_us - dur_us, t_us]`.
+fn access_start(e: &Value, offset: u64) -> u64 {
+    num(e, "t_us")
+        .saturating_sub(num(e, "dur_us"))
+        .saturating_add(offset)
+}
 
-/// Render one `access` event as a Chrome `X` complete event on `pid`'s
-/// access track, time-shifted by `offset` µs. The span covers
-/// `[t_us - dur_us, t_us]` — the event is emitted when the response is
-/// written, so its end is the record timestamp.
-fn access_x_event(e: &Value, pid: usize, offset: u64) -> String {
-    let path = e.get("path").and_then(Value::as_str).unwrap_or("?");
-    let t_us = e.get("t_us").and_then(Value::as_u64).unwrap_or(0);
-    let dur = e.get("dur_us").and_then(Value::as_u64).unwrap_or(0);
-    let start = t_us.saturating_sub(dur) + offset;
-    let mut esc = String::new();
-    crate::json::push_escaped(&mut esc, &format!("access {path}"));
-    let s = |key: &str| e.get(key).and_then(Value::as_str).unwrap_or("").to_string();
-    let n = |key: &str| e.get(key).and_then(Value::as_u64).unwrap_or(0);
-    let b = |key: &str| e.get(key).and_then(Value::as_bool).unwrap_or(false);
-    let mut args = String::new();
-    for key in ["trace", "span", "parent", "model", "table"] {
-        args.push_str(&format!(", \"{key}\": "));
-        crate::json::push_escaped(&mut args, &s(key));
+/// Render one journal's events as Chrome trace events of process `pid`, on
+/// a timeline shifted by `offset` µs (times saturate rather than wrap):
+/// spans and `access` events become `X` complete events (`access` on its
+/// own track), `gen` best fitness a `C` counter track, `elite` and
+/// `stall` events `i` instants; then a `thread_name` record for every
+/// span thread and, when the journal served requests, the access track.
+fn render_process(chrome: &mut ChromeTrace, events: &[Value], pid: usize, offset: u64) {
+    let mut tids: Vec<u64> = Vec::new();
+    let mut served = false;
+    for e in events {
+        let ts = num(e, "t_us").saturating_add(offset);
+        match type_of(e) {
+            Some("span") => {
+                let tid = num(e, "tid");
+                if !tids.contains(&tid) {
+                    tids.push(tid);
+                }
+                chrome.push(&format!(
+                    "{{\"name\": {}, \"ph\": \"X\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": {}, \"dur\": {}{}}}",
+                    escaped(text(e, "name", "?")),
+                    num(e, "start_us").saturating_add(offset),
+                    num(e, "dur_us"),
+                    span_args(e),
+                ));
+            }
+            Some("gen") => {
+                let seed = wide_u64(e, "seed").unwrap_or(0);
+                if let Some(best) = e.get("best").and_then(Value::as_f64) {
+                    if best.is_finite() {
+                        chrome.push(&format!(
+                            "{{\"name\": \"best fitness (seed {seed})\", \"ph\": \"C\", \"pid\": {pid}, \"ts\": {ts}, \"args\": {{\"best\": {best}}}}}"
+                        ));
+                    }
+                }
+            }
+            Some("elite") => {
+                let name = format!(
+                    "elite via {} (seed {})",
+                    text(e, "origin", "?"),
+                    wide_u64(e, "seed").unwrap_or(0)
+                );
+                chrome.push(&format!(
+                    "{{\"name\": {}, \"ph\": \"i\", \"s\": \"g\", \"pid\": {pid}, \"tid\": 0, \"ts\": {ts}}}",
+                    escaped(&name)
+                ));
+            }
+            Some("stall") => {
+                let worker = num(e, "worker");
+                chrome.push(&format!(
+                    "{{\"name\": \"worker {worker} stalled\", \"ph\": \"i\", \"s\": \"p\", \"pid\": {pid}, \"tid\": {worker}, \"ts\": {ts}}}"
+                ));
+            }
+            Some("access") => {
+                served = true;
+                let mut args = String::new();
+                for key in ["trace", "span", "parent", "model", "table"] {
+                    args.push_str(&format!(", \"{key}\": {}", escaped(text(e, key, ""))));
+                }
+                chrome.push(&format!(
+                    "{{\"name\": {}, \"ph\": \"X\", \"pid\": {pid}, \"tid\": {ACCESS_TID}, \
+                     \"ts\": {}, \"dur\": {}, \"args\": {{\"status\": {}, \"queue_us\": {}, \
+                     \"sim_us\": {}, \"shed\": {}, \"batched\": {}{args}}}}}",
+                    escaped(&format!("access {}", text(e, "path", "?"))),
+                    access_start(e, offset),
+                    num(e, "dur_us"),
+                    num(e, "status"),
+                    num(e, "queue_us"),
+                    num(e, "sim_us"),
+                    e.get("shed").and_then(Value::as_bool).unwrap_or(false),
+                    e.get("batched").and_then(Value::as_bool).unwrap_or(false),
+                ));
+            }
+            _ => {}
+        }
     }
-    format!(
-        "{{\"name\": {esc}, \"ph\": \"X\", \"pid\": {pid}, \"tid\": {ACCESS_TID}, \
-         \"ts\": {start}, \"dur\": {dur}, \"args\": {{\"status\": {}, \"queue_us\": {}, \
-         \"sim_us\": {}, \"shed\": {}, \"batched\": {}{args}}}}}",
-        n("status"),
-        n("queue_us"),
-        n("sim_us"),
-        b("shed"),
-        b("batched"),
-    )
+    for tid in tids {
+        chrome.push(&format!(
+            "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": {tid}, \"args\": {{\"name\": \"worker-{tid}\"}}}}"
+        ));
+    }
+    if served {
+        chrome.push(&format!(
+            "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": {ACCESS_TID}, \"args\": {{\"name\": \"access\"}}}}"
+        ));
+    }
+}
+
+/// Convert to Chrome trace-event JSON (the `{"traceEvents": [...]}` form
+/// Perfetto and `about://tracing` load): the journal as one process, see
+/// [`stitch`] for several.
+pub fn to_chrome(src: &str) -> Result<String, String> {
+    let j = parse_journal(src)?;
+    let mut chrome = ChromeTrace::new();
+    render_process(&mut chrome, &j.events, 1, 0);
+    Ok(chrome.finish())
 }
 
 /// The result of stitching one gateway journal plus N backend journals.
@@ -623,12 +524,20 @@ pub struct Stitched {
     pub orphans: Vec<String>,
 }
 
+/// Where a flow arrow ends: an aligned event start on one process's track.
+struct Hit {
+    pid: usize,
+    ts: u64,
+    tid: u64,
+}
+
 /// Merge journals from the gateway (first input) and its backends (the
-/// rest) into one cross-process Chrome trace: one `pid` per process,
-/// every span and `access` event on a wall-clock-aligned timeline, and
-/// flow arrows connecting each gateway hop to the backend `access` span
-/// that served it and each backend `access` span to the VM-sweep span
-/// its simulation ran in (batch members fan into their shared sweep).
+/// rest) into one cross-process Chrome trace: one `pid` per process, each
+/// rendered as [`to_chrome`] renders one journal on a wall-clock-aligned
+/// timeline, and flow arrows connecting each gateway hop to the backend
+/// `access` span that served it and each backend `access` span to the
+/// VM-sweep span its simulation ran in (batch members fan into their
+/// shared sweep).
 ///
 /// Inputs are `(label, jsonl)` pairs. Every journal is strictly
 /// validated first; any validation failure aborts the stitch. A
@@ -657,57 +566,32 @@ pub fn stitch(inputs: &[(String, String)]) -> Result<Stitched, String> {
     }
     let base = parsed.iter().map(|(_, t0, _)| *t0).min().unwrap_or(0);
 
-    let mut out = String::from("{\"traceEvents\": [\n");
-    let mut first = true;
-    let mut push_event = |out: &mut String, body: String| {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str("  ");
-        out.push_str(&body);
-    };
-
     // Backend access events by trace id, and per-backend sweep spans by
     // trace id (the batcher stamps each member span's `arg` with the
-    // member's trace id), collected up front so the gateway pass can
-    // resolve hops and emit flows in one sweep.
-    struct Hit {
-        pid: usize,
-        ts: u64, // aligned start of the target event
-        tid: u64,
-    }
-    let mut backend_access: BTreeMap<String, Vec<Hit>> = BTreeMap::new();
+    // member's trace id), collected up front so the gateway's hops
+    // resolve in one pass.
+    let mut backend_access: BTreeMap<&str, Vec<Hit>> = BTreeMap::new();
     let mut sweep_members: BTreeMap<(usize, u64), Vec<Hit>> = BTreeMap::new();
     for (pid0, (_, t0, j)) in parsed.iter().enumerate().skip(1) {
         let pid = pid0 + 1;
         let offset = t0 - base;
         for e in &j.events {
-            match e.get("type").and_then(Value::as_str) {
+            match type_of(e) {
                 Some("access") => {
                     if let Some(trace) = e.get("trace").and_then(Value::as_str) {
-                        let t_us = e.get("t_us").and_then(Value::as_u64).unwrap_or(0);
-                        let dur = e.get("dur_us").and_then(Value::as_u64).unwrap_or(0);
-                        backend_access
-                            .entry(trace.to_string())
-                            .or_default()
-                            .push(Hit {
-                                pid,
-                                ts: t_us.saturating_sub(dur) + offset,
-                                tid: ACCESS_TID,
-                            });
+                        backend_access.entry(trace).or_default().push(Hit {
+                            pid,
+                            ts: access_start(e, offset),
+                            tid: ACCESS_TID,
+                        });
                     }
                 }
-                Some("span")
-                    if e.get("name").and_then(Value::as_str) == Some("serve.sweep.member") =>
-                {
+                Some("span") if text(e, "name", "") == "serve.sweep.member" => {
                     if let Some(trace) = wide_u64(e, "arg") {
-                        let start = e.get("start_us").and_then(Value::as_u64).unwrap_or(0);
-                        let tid = e.get("tid").and_then(Value::as_u64).unwrap_or(0);
                         sweep_members.entry((pid, trace)).or_default().push(Hit {
                             pid,
-                            ts: start + offset,
-                            tid,
+                            ts: num(e, "start_us").saturating_add(offset),
+                            tid: num(e, "tid"),
                         });
                     }
                 }
@@ -716,121 +600,54 @@ pub fn stitch(inputs: &[(String, String)]) -> Result<Stitched, String> {
         }
     }
 
+    let mut chrome = ChromeTrace::new();
     let mut hops = 0usize;
     let mut resolved = 0usize;
     let mut orphans = Vec::new();
     for (pid0, (label, t0, j)) in parsed.iter().enumerate() {
         let pid = pid0 + 1;
         let offset = t0 - base;
-        let mut esc = String::new();
-        crate::json::push_escaped(&mut esc, label);
-        push_event(
-            &mut out,
-            format!("{{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": {pid}, \"args\": {{\"name\": {esc}}}}}"),
-        );
-        let mut tids_seen: Vec<u64> = Vec::new();
-        for e in &j.events {
-            match e.get("type").and_then(Value::as_str) {
-                Some("span") => {
-                    let name = e.get("name").and_then(Value::as_str).unwrap_or("?");
-                    let tid = e.get("tid").and_then(Value::as_u64).unwrap_or(0);
-                    let start = e.get("start_us").and_then(Value::as_u64).unwrap_or(0) + offset;
-                    let dur = e.get("dur_us").and_then(Value::as_u64).unwrap_or(0);
-                    if !tids_seen.contains(&tid) {
-                        tids_seen.push(tid);
-                    }
-                    let mut esc = String::new();
-                    crate::json::push_escaped(&mut esc, name);
-                    let arg = span_args(e);
-                    push_event(
-                        &mut out,
-                        format!(
-                            "{{\"name\": {esc}, \"ph\": \"X\", \"pid\": {pid}, \"tid\": {tid}, \"ts\": {start}, \"dur\": {dur}{arg}}}"
-                        ),
-                    );
+        chrome.push(&format!(
+            "{{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": {pid}, \"args\": {{\"name\": {}}}}}",
+            escaped(label)
+        ));
+        render_process(&mut chrome, &j.events, pid, offset);
+        for e in of_type(&j.events, "access") {
+            // `validate` passed, so the id is 16 hex digits: safe to
+            // splice into a flow id unescaped.
+            let trace = text(e, "trace", "");
+            let start = access_start(e, offset);
+            if pid == 1 {
+                // A successfully proxied simulate hop must have landed on
+                // exactly one backend.
+                if text(e, "path", "") != "gw:/simulate" || num(e, "status") != 200 {
+                    continue;
                 }
-                Some("access") => {
-                    push_event(&mut out, access_x_event(e, pid, offset));
-                    let trace = e.get("trace").and_then(Value::as_str).unwrap_or("");
-                    let t_us = e.get("t_us").and_then(Value::as_u64).unwrap_or(0);
-                    let dur = e.get("dur_us").and_then(Value::as_u64).unwrap_or(0);
-                    let start = t_us.saturating_sub(dur) + offset;
-                    if pid == 1 {
-                        // A successfully proxied simulate hop must have
-                        // landed on exactly one backend.
-                        let path = e.get("path").and_then(Value::as_str).unwrap_or("");
-                        let status = e.get("status").and_then(Value::as_u64).unwrap_or(0);
-                        if path == "gw:/simulate" && status == 200 {
-                            hops += 1;
-                            match backend_access.get(trace).map(Vec::as_slice) {
-                                Some([hit]) => {
-                                    resolved += 1;
-                                    push_event(
-                                        &mut out,
-                                        format!(
-                                            "{{\"name\": \"hop\", \"cat\": \"trace\", \"ph\": \"s\", \"id\": \"{trace}\", \"pid\": 1, \"tid\": {ACCESS_TID}, \"ts\": {start}}}"
-                                        ),
-                                    );
-                                    push_event(
-                                        &mut out,
-                                        format!(
-                                            "{{\"name\": \"hop\", \"cat\": \"trace\", \"ph\": \"f\", \"bp\": \"e\", \"id\": \"{trace}\", \"pid\": {}, \"tid\": {}, \"ts\": {}}}",
-                                            hit.pid, hit.tid, hit.ts
-                                        ),
-                                    );
-                                }
-                                Some(hits) => orphans.push(format!(
-                                    "trace {trace}: gateway hop matches {} backend access spans",
-                                    hits.len()
-                                )),
-                                None => orphans.push(format!(
-                                    "trace {trace}: gateway hop has no backend access span"
-                                )),
-                            }
-                        }
-                    } else if let Some(id) = crate::journal::parse_hex_id(trace) {
-                        // Backend access → the sweep-member span its
-                        // simulation ran in (batch members share a sweep).
-                        if let Some(hits) = sweep_members.get(&(pid, id)) {
-                            for hit in hits {
-                                push_event(
-                                    &mut out,
-                                    format!(
-                                        "{{\"name\": \"sweep\", \"cat\": \"trace\", \"ph\": \"s\", \"id\": \"{trace}-sweep\", \"pid\": {pid}, \"tid\": {ACCESS_TID}, \"ts\": {start}}}"
-                                    ),
-                                );
-                                push_event(
-                                    &mut out,
-                                    format!(
-                                        "{{\"name\": \"sweep\", \"cat\": \"trace\", \"ph\": \"f\", \"bp\": \"e\", \"id\": \"{trace}-sweep\", \"pid\": {}, \"tid\": {}, \"ts\": {}}}",
-                                        hit.pid, hit.tid, hit.ts
-                                    ),
-                                );
-                            }
-                        }
+                hops += 1;
+                match backend_access.get(trace).map(Vec::as_slice) {
+                    Some([hit]) => {
+                        resolved += 1;
+                        chrome.push_flow("hop", trace, 1, start, hit);
                     }
+                    Some(hits) => orphans.push(format!(
+                        "trace {trace}: gateway hop matches {} backend access spans",
+                        hits.len()
+                    )),
+                    None => orphans.push(format!(
+                        "trace {trace}: gateway hop has no backend access span"
+                    )),
                 }
-                _ => {}
+            } else if let Some(id) = parse_hex_id(trace) {
+                // Backend access → the sweep-member span its simulation
+                // ran in (batch members share a sweep).
+                for hit in sweep_members.get(&(pid, id)).into_iter().flatten() {
+                    chrome.push_flow("sweep", &format!("{trace}-sweep"), pid, start, hit);
+                }
             }
         }
-        for tid in tids_seen {
-            push_event(
-                &mut out,
-                format!(
-                    "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": {tid}, \"args\": {{\"name\": \"worker-{tid}\"}}}}"
-                ),
-            );
-        }
-        push_event(
-            &mut out,
-            format!(
-                "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": {ACCESS_TID}, \"args\": {{\"name\": \"access\"}}}}"
-            ),
-        );
     }
-    out.push_str("\n]}\n");
     Ok(Stitched {
-        chrome: out,
+        chrome: chrome.finish(),
         hops,
         resolved,
         orphans,
@@ -844,52 +661,9 @@ mod tests {
 
     fn sample_journal() -> String {
         let j = Journal::new(256);
-        j.push(Event::Span {
-            name: "gen.evaluate",
-            tid: 0,
-            depth: 0,
-            start_us: 5,
-            dur_us: 100,
-            arg: Some(1),
-        });
-        j.push(Event::Gen {
-            seed: 42,
-            generation: 0,
-            best: 2.0,
-            mean: 3.0,
-            evaluations: 32,
-            steps: 2048,
-            elapsed_us: 900,
-            d_evals: 32,
-            d_fulls: 30,
-            d_shorts: 2,
-            d_cache_hits: 0,
-            d_cache_misses: 32,
-        });
-        j.push(Event::EliteChange {
-            seed: 42,
-            generation: 0,
-            fitness: 2.0,
-            size: 5,
-            origin: "init",
-        });
-        j.push(Event::Round {
-            seed: 42,
-            round: 1,
-            kind: "evaluate",
-            len: 32,
-            workers: 4,
-            candidates: 32,
-            steals: 3,
-            busy_us: 800,
-            idle_us: 100,
-        });
-        j.push(Event::Request {
-            endpoint: "/simulate",
-            status: 200,
-            dur_us: 350,
-            batch: 4,
-        });
+        for e in crate::journal::every_event() {
+            j.push(e);
+        }
         j.to_jsonl()
     }
 
@@ -942,10 +716,13 @@ mod tests {
 
     #[test]
     fn unknown_event_type_fails() {
-        let text = sample_journal().replace("\"type\": \"gen\"", "\"type\": \"mystery\"");
-        assert!(validate(&text)
-            .iter()
-            .any(|e| e.contains("unknown event type")));
+        // `request` and `metrics` were event types of earlier builds.
+        for tag in ["mystery", "request", "metrics"] {
+            let text =
+                sample_journal().replace("\"type\": \"gen\"", &format!("\"type\": \"{tag}\""));
+            let want = format!("unknown event type {tag:?}");
+            assert!(validate(&text).iter().any(|e| e.contains(&want)), "{tag}");
+        }
     }
 
     #[test]
@@ -962,6 +739,63 @@ mod tests {
         assert!(s.contains("pool utilization"), "{s}");
         assert!(s.contains("elite changes"), "{s}");
         assert!(s.contains("seed 42"), "{s}");
+        assert!(s.contains("served requests by path and status"), "{s}");
+        assert!(s.contains("/simulate"), "{s}");
+    }
+
+    /// A duration `validate` accepts that overflows when summed twice.
+    const HUGE_US: u64 = 18_446_744_073_709_549_568;
+
+    fn huge_span(start_us: u64, dur_us: u64) -> Event {
+        Event::Span {
+            name: "huge",
+            tid: 0,
+            depth: 0,
+            start_us,
+            dur_us,
+            arg: None,
+        }
+    }
+
+    #[test]
+    fn summary_saturates_durations_past_u64_max() {
+        let j = Journal::new(8);
+        j.push(huge_span(0, HUGE_US));
+        j.push(huge_span(0, HUGE_US));
+        let text = j.to_jsonl();
+        assert!(validate(&text).is_empty());
+        let s = summary(&text).unwrap();
+        assert!(s.contains("huge"), "{s}");
+    }
+
+    /// `j` as JSONL with its header's wall-clock anchor set to `t0`.
+    fn anchored(j: &Journal, t0: u64) -> String {
+        let text = j.to_jsonl();
+        let (head, rest) = text.split_once('\n').unwrap();
+        let at = head.find("\"t0_unix_us\"").unwrap();
+        format!("{}\"t0_unix_us\": {t0}}}\n{rest}", &head[..at])
+    }
+
+    #[test]
+    fn stitch_saturates_shifted_times_past_u64_max() {
+        let be = Journal::new(8);
+        be.push(huge_span(HUGE_US, 1));
+        let inputs = vec![
+            ("gateway".to_string(), anchored(&Journal::new(8), 0)),
+            ("backend-0".to_string(), anchored(&be, 1_000_000)),
+        ];
+        assert!(inputs.iter().all(|(_, j)| validate(j).is_empty()));
+        let s = stitch(&inputs).expect("stitch");
+        let v = crate::json::parse(&s.chrome).expect("chrome JSON");
+        let events = v.get("traceEvents").and_then(Value::as_arr).unwrap();
+        let span = events
+            .iter()
+            .find(|e| e.get("name").and_then(Value::as_str) == Some("huge"))
+            .expect("span rendered");
+        assert_eq!(
+            span.get("ts").and_then(Value::as_f64),
+            Some(u64::MAX as f64)
+        );
     }
 
     fn access(trace: u64, parent: u64, path: &'static str, status: u16) -> Event {
@@ -1048,38 +882,14 @@ mod tests {
     #[test]
     fn seeds_above_2_pow_53_validate_and_render_exactly() {
         let j = Journal::new(16);
-        j.push(Event::Gen {
-            seed: u64::MAX,
-            generation: 0,
-            best: 2.0,
-            mean: 3.0,
-            evaluations: 1,
-            steps: 1,
-            elapsed_us: 1,
-            d_evals: 1,
-            d_fulls: 1,
-            d_shorts: 0,
-            d_cache_hits: 0,
-            d_cache_misses: 1,
-        });
-        j.push(Event::EliteChange {
-            seed: u64::MAX,
-            generation: 0,
-            fitness: 2.0,
-            size: 5,
-            origin: "init",
-        });
-        j.push(Event::Round {
-            seed: u64::MAX - 1,
-            round: 1,
-            kind: "evaluate",
-            len: 1,
-            workers: 1,
-            candidates: 1,
-            steals: 0,
-            busy_us: 1,
-            idle_us: 0,
-        });
+        for mut e in crate::journal::every_event() {
+            match &mut e {
+                Event::Gen { seed, .. } | Event::EliteChange { seed, .. } => *seed = u64::MAX,
+                Event::Round { seed, .. } => *seed = u64::MAX - 1,
+                _ => {}
+            }
+            j.push(e);
+        }
         let text = j.to_jsonl();
         let errs = validate(&text);
         assert!(errs.is_empty(), "{errs:?}");
@@ -1131,5 +941,73 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| e.get("ph").and_then(Value::as_str) == Some("M")));
+    }
+
+    /// Every reader over `text`; `stitch` pairs it with the fixture
+    /// anchored at the epoch, which shifts `text`'s times by its whole
+    /// wall-clock anchor. Panicking is the failure the properties below
+    /// look for.
+    fn read_all(text: &str) {
+        let _ = validate(text);
+        let _ = summary(text);
+        let _ = to_chrome(text);
+        let epoch = anchored(&Journal::new(1), 0);
+        let _ = stitch(&[("a".into(), epoch.clone()), ("b".into(), text.into())]);
+        let _ = stitch(&[("a".into(), text.into()), ("b".into(), epoch)]);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn truncated_journals_never_panic_a_reader(cut in 0.0_f64..1.0) {
+            let text = sample_journal();
+            let mut at = (text.len() as f64 * cut) as usize;
+            while !text.is_char_boundary(at) {
+                at -= 1;
+            }
+            read_all(&text[..at]);
+        }
+
+        #[test]
+        fn byte_flipped_journals_never_panic_a_reader(
+            flips in prop::collection::vec((0.0_f64..1.0, any::<u8>()), 1..6),
+        ) {
+            let mut bytes = sample_journal().into_bytes();
+            for (pos, byte) in flips {
+                let at = ((bytes.len() as f64 * pos) as usize).min(bytes.len() - 1);
+                bytes[at] = byte;
+            }
+            read_all(&String::from_utf8_lossy(&bytes));
+        }
+
+        /// Rewrites whole numbers, so most edits keep the journal valid
+        /// and reach the renderers, often with the largest integer a
+        /// journal can hold.
+        #[test]
+        fn digit_edited_journals_never_panic_a_reader(
+            edits in prop::collection::vec(
+                (0.0_f64..1.0, prop_oneof![Just(HUGE_US), any::<u64>(), 0u64..1000]),
+                1..6,
+            ),
+        ) {
+            let mut text = sample_journal();
+            for (pos, value) in edits {
+                let digits: Vec<usize> = text
+                    .bytes()
+                    .enumerate()
+                    .filter(|(_, b)| b.is_ascii_digit())
+                    .map(|(i, _)| i)
+                    .collect();
+                let at = digits[((digits.len() as f64 * pos) as usize).min(digits.len() - 1)];
+                let bytes = text.as_bytes();
+                let start = (0..at).rev().take_while(|&i| bytes[i].is_ascii_digit()).last().unwrap_or(at);
+                let end = (at..bytes.len()).find(|&i| !bytes[i].is_ascii_digit()).unwrap_or(bytes.len());
+                text.replace_range(start..end, &value.to_string());
+            }
+            read_all(&text);
+        }
     }
 }

@@ -35,7 +35,8 @@ use crate::trace::TraceCtx;
 use gmr_json::Value;
 use gmr_obsv::journal::Event;
 use gmr_obsv::metrics::{
-    merge_buckets, quantile_from_buckets, snapshot_json, Counter, Histogram, Registry,
+    merge_buckets, parse_histogram, quantile_from_buckets, snapshot_json, Counter, Histogram,
+    Registry,
 };
 use std::io;
 use std::net::SocketAddr;
@@ -541,13 +542,7 @@ fn quantile_summary(buckets: &[(usize, u64)], count: u64) -> String {
 }
 
 fn histogram_summary(h: &Histogram) -> String {
-    let sparse: Vec<(usize, u64)> = h
-        .bucket_counts()
-        .into_iter()
-        .enumerate()
-        .filter(|&(_, c)| c > 0)
-        .collect();
-    quantile_summary(&sparse, h.count())
+    quantile_summary(&h.buckets(), h.count())
 }
 
 impl Proxy {
@@ -601,23 +596,10 @@ impl Proxy {
         let mut fleet: Vec<(usize, u64)> = Vec::new();
         let mut fleet_count = 0u64;
         for snap in snapshots.iter().flatten() {
-            let Some(h) = snap.get("serve.latency_us") else {
-                continue;
-            };
-            fleet_count += h.get("count").and_then(Value::as_u64).unwrap_or(0);
-            let pairs: Vec<(usize, u64)> = h
-                .get("buckets")
-                .and_then(Value::as_arr)
-                .map(|arr| {
-                    arr.iter()
-                        .filter_map(|p| {
-                            let p = p.as_arr()?;
-                            Some((p.first()?.as_u64()? as usize, p.get(1)?.as_u64()?))
-                        })
-                        .collect()
-                })
-                .unwrap_or_default();
-            merge_buckets(&mut fleet, &pairs);
+            if let Some((count, buckets)) = snap.get("serve.latency_us").and_then(parse_histogram) {
+                fleet_count = fleet_count.saturating_add(count);
+                merge_buckets(&mut fleet, &buckets);
+            }
         }
         body.push_str("}, \"fleet\": ");
         body.push_str(&quantile_summary(&fleet, fleet_count));

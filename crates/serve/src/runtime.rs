@@ -10,8 +10,8 @@
 //! The runtime owns everything about connections: the listener, the
 //! bounded connection queue with its `429` at the door, the worker
 //! threads, the keep-alive loop, per-request bookkeeping (route tags, the
-//! request/shed/latency metrics, the `request` and `access` journal
-//! events) and the drain. A [`Service`] supplies only what is its own:
+//! request/shed/latency metrics, one `access` journal event per answered
+//! request) and the drain. A [`Service`] supplies only what is its own:
 //! its [`Labels`], its per-worker state, `dispatch`, and one hook for its
 //! extra metrics.
 //!
@@ -328,26 +328,17 @@ impl<S: Service> Shared<S> {
     }
 
     /// Shed a connection the full queue cannot hold: an explicit `429`,
-    /// never a hang. The request is never read, so there is no header to
-    /// adopt — mint a root trace and echo it anyway; the shed is
-    /// attributable like any served request.
+    /// never a hang. The request is never read.
     fn shed_at_door(&self, mut stream: TcpStream) {
         let metrics = self.service.conn_metrics();
         metrics.shed.inc();
         metrics.requests.inc();
-        let ctx = TraceCtx::mint();
-        let mut served = Served::error(429, S::LABELS.shed_body);
         let _ = stream.set_nodelay(true);
-        let _ = http::write_response_traced(
+        answer_unparsed(
             &mut stream,
-            429,
-            "application/json",
-            &served.body,
-            true,
-            None,
-            Some(&ctx.header_value()),
+            S::LABELS.accept,
+            Served::error(429, S::LABELS.shed_body),
         );
-        journal(S::LABELS.accept, "-", ctx, &mut served, 0);
     }
 
     /// Serve queued connections until the drain empties the queue.
@@ -447,13 +438,7 @@ impl<S: Service> Shared<S> {
                 Err(HttpError::Io(_)) => return,
                 Err(HttpError::Malformed(msg)) => {
                     metrics.requests.inc();
-                    gmr_obsv::emit(Event::Request {
-                        endpoint: labels.malformed,
-                        status: 400,
-                        dur_us: 0,
-                        batch: 0,
-                    });
-                    return refuse(&mut writer, 400, msg);
+                    return answer_unparsed(&mut writer, labels.malformed, Served::error(400, msg));
                 }
             }
         }
@@ -466,15 +451,27 @@ fn refuse(writer: &mut TcpStream, status: u16, msg: &str) {
     let _ = http::write_response(writer, status, "application/json", &body, true);
 }
 
-/// Journal one answered request: the `request` event and the traced
-/// `access` event. Takes the model and table out of `served`.
+/// Answer a request that was never parsed (a door shed, a malformed head)
+/// and close. There is no header to adopt, so mint a root trace and echo
+/// it anyway: the answer is journaled under `tag` and attributable like
+/// any served request.
+fn answer_unparsed(stream: &mut TcpStream, tag: &'static str, mut served: Served) {
+    let ctx = TraceCtx::mint();
+    let _ = http::write_response_traced(
+        stream,
+        served.status,
+        "application/json",
+        &served.body,
+        true,
+        None,
+        Some(&ctx.header_value()),
+    );
+    journal(tag, "-", ctx, &mut served, 0);
+}
+
+/// Journal one answered request as its `access` event. Takes the model
+/// and table out of `served`.
 fn journal(tag: &'static str, method: &str, ctx: TraceCtx, served: &mut Served, dur_us: u64) {
-    gmr_obsv::emit(Event::Request {
-        endpoint: tag,
-        status: served.status,
-        dur_us,
-        batch: served.batch,
-    });
     gmr_obsv::emit(Event::Access {
         trace: ctx.trace,
         span: ctx.span,

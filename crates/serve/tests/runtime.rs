@@ -7,10 +7,12 @@
 //! it: with one worker, every other client would wait behind the trickle,
 //! and so would `shutdown()`.
 
-use gmr_serve::batch::Tables;
+use gmr_serve::batch::{HostedTable, Tables};
 use gmr_serve::http::read_request;
-use gmr_serve::server::{http_request, read_response_full};
-use gmr_serve::{BackendSlot, Gateway, GatewayConfig, ModelRegistry, Server, ServerConfig};
+use gmr_serve::server::{http_request, read_response_full, Client};
+use gmr_serve::{
+    BackendSlot, Gateway, GatewayConfig, ModelArtifact, ModelRegistry, Server, ServerConfig,
+};
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
@@ -133,12 +135,41 @@ fn paced_request_within_the_budget_is_served() {
     shutdown();
 }
 
-/// Both services journal a malformed request the same way: one `request`
-/// event under their own `(malformed)` tag.
+/// The trace id of the context a response echoes.
+#[cfg(feature = "obsv")]
+fn echoed_trace(echo: Option<&str>) -> u64 {
+    echo.and_then(|v| v.split_once('-'))
+        .and_then(|(trace, _)| gmr_obsv::journal::parse_hex_id(trace))
+        .expect("the answer echoes its trace context")
+}
+
+/// Every `access` event journaled under `trace`, as `(path, status)`,
+/// in journal order. Other tests journal into the same process-global
+/// journal, so a test's own requests are told apart by trace id.
+#[cfg(feature = "obsv")]
+fn access_events(trace: u64) -> Vec<(&'static str, u16)> {
+    use gmr_obsv::journal::Event;
+    let journal = gmr_obsv::global().expect("journal installed").snapshot();
+    journal
+        .iter()
+        .filter_map(|r| match r.event {
+            Event::Access {
+                trace: t,
+                path,
+                status,
+                ..
+            } if t == trace => Some((path, status)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Both services journal a malformed request the same way: one `access`
+/// event under their own `(malformed)` tag, with the trace id the `400`
+/// echoes.
 #[cfg(feature = "obsv")]
 #[test]
 fn malformed_requests_are_journaled_by_both_services() {
-    use gmr_obsv::journal::Event;
     gmr_obsv::init(gmr_obsv::DEFAULT_CAPACITY);
     for (start, tag) in [
         (server as fn() -> Started, "(malformed)"),
@@ -150,12 +181,47 @@ fn malformed_requests_are_journaled_by_both_services() {
         let resp = read_response_full(&mut BufReader::new(stream)).unwrap();
         assert_eq!(resp.status, 400);
         shutdown();
-        let journal = gmr_obsv::global().expect("journal installed").snapshot();
-        let seen = journal.iter().any(
-            |r| matches!(r.event, Event::Request { endpoint, status: 400, .. } if endpoint == tag),
-        );
-        assert!(seen, "no request event tagged {tag}");
+        let trace = echoed_trace(resp.trace.as_deref());
+        assert_eq!(access_events(trace), [(tag, 400)]);
     }
+}
+
+/// A served `/simulate` is journaled once per service it passes through:
+/// one `access` event from a backend hit directly, one from the gateway
+/// and one from the backend it relayed to.
+#[cfg(feature = "obsv")]
+#[test]
+fn served_requests_are_journaled_once_per_service() {
+    gmr_obsv::init(gmr_obsv::DEFAULT_CAPACITY);
+    let mut registry = ModelRegistry::new();
+    registry.insert(ModelArtifact::builtin_manual()).unwrap();
+    let mut tables = Tables::new();
+    let rows = vec![[1.0; gmr_hydro::NUM_VARS]; 30];
+    tables.insert("t", HostedTable::Single(rows));
+    let backend = Server::new(ServerConfig::default(), registry, tables)
+        .start()
+        .unwrap();
+    let slots = Arc::new(vec![BackendSlot::default()]);
+    slots[0].set_addr(backend.addr());
+    let gateway = Gateway::new(GatewayConfig::default(), slots)
+        .start()
+        .unwrap();
+    let body = br#"{"model": "table5-manual", "forcings_ref": "t", "mode": "summary"}"#;
+    let simulate = |addr| {
+        let resp = Client::new(addr)
+            .request("POST", "/simulate", body)
+            .unwrap();
+        assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+        echoed_trace(resp.trace.as_deref())
+    };
+    let direct = simulate(backend.addr());
+    let proxied = simulate(gateway.addr());
+    gateway.shutdown();
+    backend.shutdown();
+    assert_eq!(access_events(direct), [("/simulate", 200)]);
+    let mut hops = access_events(proxied);
+    hops.sort_unstable();
+    assert_eq!(hops, [("/simulate", 200), ("gw:/simulate", 200)]);
 }
 
 /// A backend's `429` relayed by the gateway is the backend's shed, so the
