@@ -36,9 +36,6 @@ cargo test --workspace -q
 echo "==> perfbench builds against the workspace crates and its tests pass"
 cargo test --release --manifest-path perfbench/Cargo.toml -q
 
-echo "==> determinism with observability compiled out"
-cargo test -q -p gmr-gp --no-default-features --test determinism --test obsv_determinism
-
 echo "==> gmr-lint --builtin (zero errors required)"
 cargo run --release -q -p gmr-lint -- --builtin
 
@@ -122,7 +119,7 @@ grep -q '"type": "access"' smoke-serve/journal.jsonl || {
     exit 1
 }
 
-echo "==> gmr-serve cluster smoke (2 supervised backends, gateway rollup, journal stitch, SIGTERM drain)"
+echo "==> gmr-serve cluster smoke (2 supervised backends, gateway fleet metrics, journal stitch, SIGTERM drain)"
 rm -rf smoke-cluster
 mkdir -p smoke-cluster
 ./target/release/gmr-serve cluster --backends 2 --days 365 \
@@ -153,7 +150,11 @@ for f in smoke-cluster/healthz.json smoke-cluster/sim.json smoke-cluster/metrics
     cargo run --release -q -p gmr-obsv --bin gmr-trace -- json "$f"
 done
 grep -q '"backends"' smoke-cluster/metrics.json || {
-    echo "FAIL: cluster /metrics rollup carries no backends array"
+    echo "FAIL: cluster /metrics carries no backends array"
+    exit 1
+}
+grep -q '"fleet"' smoke-cluster/metrics.json || {
+    echo "FAIL: cluster /metrics carries no fleet snapshot"
     exit 1
 }
 grep -q '"slo"' smoke-cluster/metrics.json || {

@@ -43,6 +43,7 @@
 use gmr_bench::cli;
 use gmr_expr::EvalContext;
 use gmr_gp::{Engine, Evaluator, GpConfig, ParamPriors, Phenotype, PoolStats};
+use gmr_json::Value;
 use gmr_tag::grammar::test_fixtures::tiny_grammar;
 use std::time::{Duration, Instant};
 
@@ -339,84 +340,75 @@ fn render_json(
     out
 }
 
-/// Pull the first numeric value following `"key":` out of the emitted JSON.
-fn json_number(src: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let i = src.find(&pat)? + pat.len();
-    let rest = src[i..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// Enforce the acceptance gate on an emitted file. Returns the failures.
-/// The document must strict-reparse under `gmr_json` before any gate is
-/// read — a truncated or hand-mangled baseline fails loudly, not by
-/// accidentally missing a `contains` probe.
+/// The document must strict-reparse under `gmr_json`, and every gate
+/// reads the parsed document: a truncated or hand-mangled baseline fails
+/// loudly, and spacing is the writer's business.
 fn validate(src: &str) -> Vec<String> {
-    let mut errs = Vec::new();
     let doc = match gmr_json::parse(src) {
         Ok(doc) => doc,
         Err(e) => return vec![format!("not strict JSON: {e}")],
     };
-    if !src.contains(&format!("\"schema\": \"{SCHEMA}\"")) {
+    let mut errs = Vec::new();
+    if doc.get("schema").and_then(Value::as_str) != Some(SCHEMA) {
         errs.push(format!("missing schema tag {SCHEMA:?}"));
     }
-    for key in [
-        "workload",
-        "runs",
-        "candidates_per_sec",
-        "speedup_vs_1",
-        "pool",
-        "workers",
-    ] {
-        if !src.contains(&format!("\"{key}\":")) {
+    for key in ["workload", "runs", "obsv"] {
+        if doc.get(key).is_none() {
             errs.push(format!("missing key {key:?}"));
         }
     }
-    if !src.contains("\"deterministic_across_threads\": true") {
+    let runs = doc.get("runs").and_then(Value::as_arr).unwrap_or(&[]);
+    for (i, run) in runs.iter().enumerate() {
+        for key in ["candidates_per_sec", "speedup_vs_1", "pool"] {
+            if run.get(key).is_none() {
+                errs.push(format!("run {i}: missing key {key:?}"));
+            }
+        }
+        if run.get("pool").is_some_and(|p| p.get("workers").is_none()) {
+            errs.push(format!("run {i}: missing key \"workers\""));
+        }
+    }
+    if doc.get("deterministic_across_threads") != Some(&Value::Bool(true)) {
         errs.push("deterministic_across_threads is not true".into());
     }
-    match json_number(src, "speedup_threads4") {
+    match doc.get("speedup_threads4").and_then(Value::as_f64) {
         Some(s) if s >= MIN_SPEEDUP_T4 => {}
         Some(s) => errs.push(format!(
             "speedup_threads4 {s:.3} below the {MIN_SPEEDUP_T4}x gate"
         )),
         None => errs.push("speedup_threads4 missing or not a number".into()),
     }
-    if !src.contains("\"obsv\":") {
-        errs.push("missing key \"obsv\"".into());
-    }
-    match json_number(src, "overhead_pct") {
+    let overhead = doc.get("obsv").and_then(|o| o.get("overhead_pct"));
+    match overhead.and_then(Value::as_f64) {
         Some(o) if o <= MAX_OVERHEAD_PCT => {}
         Some(o) => errs.push(format!(
             "obsv overhead {o:.3}% above the {MAX_OVERHEAD_PCT}% gate"
         )),
         None => errs.push("obsv.overhead_pct missing or not a number".into()),
     }
+    let threads: Vec<u64> = runs
+        .iter()
+        .filter_map(|r| r.get("threads")?.as_u64())
+        .collect();
     for t in THREAD_COUNTS {
-        if !src.contains(&format!("\"threads\": {t},")) {
+        if !threads.contains(&(t as u64)) {
             errs.push(format!("no run entry for threads={t}"));
         }
     }
-    errs.extend(counter_mismatches(&doc));
+    errs.extend(counter_mismatches(runs));
     errs
 }
 
 /// Every run of the workload must report the same [`COUNTERS`]; one
 /// failure per counter that is missing or differs from the first run's.
-fn counter_mismatches(doc: &gmr_json::Value) -> Vec<String> {
-    let runs = doc
-        .get("runs")
-        .and_then(gmr_json::Value::as_arr)
-        .unwrap_or(&[]);
+fn counter_mismatches(runs: &[Value]) -> Vec<String> {
     COUNTERS
         .iter()
         .filter_map(|key| {
             let vals: Vec<Option<u64>> = runs
                 .iter()
-                .map(|r| r.get(key).and_then(gmr_json::Value::as_u64))
+                .map(|r| r.get(key).and_then(Value::as_u64))
                 .collect();
             let same = vals.iter().all(|v| v.is_some() && *v == vals[0]);
             (!same).then(|| format!("runs disagree on {key:?} (or lack it): {vals:?}"))
@@ -626,6 +618,10 @@ mod tests {
         let json = render_json(&Workload::quick(), &runs, true, 3.2, &obsv);
         gmr_json::parse(&json).expect("strict parse");
         assert_eq!(validate(&json), Vec::<String>::new());
+        // The gates read the parsed document, not the writer's spacing.
+        let compact = json.replace(": ", ":");
+        assert_ne!(compact, json);
+        assert_eq!(validate(&compact), Vec::<String>::new());
         assert!(validate("{\"schema\": ")
             .iter()
             .any(|e| e.contains("not strict JSON")));

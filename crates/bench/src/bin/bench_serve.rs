@@ -63,7 +63,7 @@ use gmr_bio::{manual, name_table};
 use gmr_expr::{parse, CompiledSystem, Expr};
 use gmr_hydro::{generate, SyntheticConfig, NUM_VARS};
 use gmr_json::{push_f64, Value};
-use gmr_obsv::metrics::{parse_histogram, quantile_from_buckets};
+use gmr_obsv::metrics::{parse_sample, quantile_from_buckets, Sample};
 use gmr_serve::batch::{simulate_single, HostedTable, Tables};
 use gmr_serve::server::{read_response, write_request, Client};
 use gmr_serve::{
@@ -99,12 +99,12 @@ const ENV_TERMS: usize = 160;
 
 // ------------------------------------------------------------- latency --
 
-/// Latency quantiles lifted from a `/metrics` response — either estimated
-/// from a registry histogram's log-scaled buckets or copied from a
-/// gateway quantile summary. Report-only values are machine-dependent;
+/// Latency quantiles estimated from a `/metrics` histogram's log-scaled
+/// buckets: a backend's own `serve.latency_us`, or the gateway's `fleet`
+/// merge of every backend's. Report-only values are machine-dependent;
 /// the gate is that they are *populated* (`count >= 1`), which pins the
 /// whole metrics surface: recording, snapshot JSON, and (for the fleet
-/// view) the gateway's cross-backend bucket merge.
+/// view) the gateway's cross-backend merge.
 struct Latency {
     count: u64,
     p50_us: u64,
@@ -116,24 +116,15 @@ struct Latency {
 impl Latency {
     /// From a histogram snapshot: `{"count", "sum", "buckets": [[i, c]…]}`.
     fn from_histogram(h: &Value) -> Option<Latency> {
-        let (count, buckets) = parse_histogram(h)?;
+        let Sample::Histogram { count, buckets, .. } = parse_sample(h)? else {
+            return None;
+        };
         Some(Latency {
             count,
             p50_us: quantile_from_buckets(&buckets, 0.5),
             p90_us: quantile_from_buckets(&buckets, 0.9),
             p99_us: quantile_from_buckets(&buckets, 0.99),
             max_us: quantile_from_buckets(&buckets, 1.0),
-        })
-    }
-
-    /// From a gateway quantile summary: `{"count", "p50_us", …}`.
-    fn from_summary(v: &Value) -> Option<Latency> {
-        Some(Latency {
-            count: v.get("count").and_then(Value::as_u64)?,
-            p50_us: v.get("p50_us").and_then(Value::as_u64)?,
-            p90_us: v.get("p90_us").and_then(Value::as_u64)?,
-            p99_us: v.get("p99_us").and_then(Value::as_u64)?,
-            max_us: v.get("max_us").and_then(Value::as_u64)?,
         })
     }
 
@@ -740,9 +731,9 @@ fn cluster_bench(quick: bool, backends_max: usize, serve_bin: &Path) -> ClusterR
         if backends == backends_max {
             if let Some(m) = fetch_metrics(addr) {
                 fleet_latency = m
-                    .get("latency")
-                    .and_then(|l| l.get("fleet"))
-                    .and_then(Latency::from_summary);
+                    .get("fleet")
+                    .and_then(|f| f.get("serve.latency_us"))
+                    .and_then(Latency::from_histogram);
                 if let Some(s) = m.get("slo") {
                     slo_target_ms = s.get("target_ms").and_then(Value::as_u64).unwrap_or(0);
                     slo_good = s.get("good").and_then(Value::as_u64).unwrap_or(0);

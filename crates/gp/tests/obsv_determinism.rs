@@ -4,11 +4,9 @@
 //! This lives in its own test binary because the contract is about the
 //! *process-global* journal: the off-arm must run before `gmr_obsv::init`
 //! ever executes in the process, which no test sharing a binary could
-//! guarantee. One test function sequences both arms.
-//!
-//! Compiled with `--no-default-features` the same test doubles as the
-//! compiled-out proof: every instrumentation call site is a no-op and the
-//! journal stays uninstalled.
+//! guarantee. One test function sequences both arms, within one build:
+//! the instrumentation is always compiled in, and only the journal's
+//! presence differs between them.
 
 use gmr_expr::EvalContext;
 use gmr_gp::short_circuit::Extrapolate;
@@ -125,31 +123,24 @@ fn trajectories_bit_identical_with_observability_on_and_off() {
         );
     }
 
-    // With the feature compiled in, arm 2 must actually have recorded —
-    // otherwise this test proves nothing.
-    if cfg!(feature = "obsv") {
-        assert!(gmr_obsv::enabled(), "init() should install the journal");
-        let recs = gmr_obsv::drain();
-        assert!(
-            recs.iter().any(|r| matches!(
-                r.event,
-                gmr_obsv::Event::Span {
-                    name: "gen.evaluate",
-                    ..
-                }
-            )),
-            "expected gen.evaluate spans in the journal, got {} events",
-            recs.len()
-        );
-        assert!(
-            recs.iter()
-                .any(|r| matches!(r.event, gmr_obsv::Event::Gen { .. })),
-            "expected per-generation events in the journal"
-        );
-    } else {
-        assert!(
-            !gmr_obsv::enabled() && gmr_obsv::global().is_none(),
-            "with the feature off, init() must stay a no-op"
-        );
-    }
+    // Arm 2 must actually have recorded — otherwise this test proves
+    // nothing.
+    assert!(gmr_obsv::enabled(), "init() should install the journal");
+    let recs = gmr_obsv::drain();
+    assert!(
+        recs.iter().any(|r| matches!(
+            r.event,
+            gmr_obsv::Event::Span {
+                name: "gen.evaluate",
+                ..
+            }
+        )),
+        "expected gen.evaluate spans in the journal, got {} events",
+        recs.len()
+    );
+    assert!(
+        recs.iter()
+            .any(|r| matches!(r.event, gmr_obsv::Event::Gen { .. })),
+        "expected per-generation events in the journal"
+    );
 }

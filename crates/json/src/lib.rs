@@ -441,26 +441,6 @@ pub fn push_value(out: &mut String, v: &Value) {
     }
 }
 
-/// Field-wise sum of the numeric top-level fields of several objects —
-/// the cluster `/metrics` rollup: each backend reports a flat object of
-/// counters, the gateway serves their sum. Non-numeric fields (nested
-/// histogram objects, strings) are skipped; non-objects contribute
-/// nothing. Keys missing from some objects sum over those present.
-pub fn sum_numeric<'a>(objs: impl IntoIterator<Item = &'a Value>) -> Value {
-    let mut acc: BTreeMap<String, Value> = BTreeMap::new();
-    for obj in objs {
-        let Value::Obj(m) = obj else { continue };
-        for (k, v) in m {
-            let Value::Num(x) = v else { continue };
-            match acc.entry(k.clone()).or_insert(Value::Num(0.0)) {
-                Value::Num(total) => *total += x,
-                _ => unreachable!("accumulator only holds Num"),
-            }
-        }
-    }
-    Value::Obj(acc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -601,17 +581,5 @@ mod tests {
         let v = parse(src).unwrap();
         let text = render(&v);
         assert_eq!(parse(&text).unwrap(), v, "render must parse back equal");
-    }
-
-    #[test]
-    fn sum_numeric_is_fieldwise_over_present_keys() {
-        let a = parse(r#"{"hits": 3, "lat": 1.5, "name": "b0", "h": {"count": 2}}"#).unwrap();
-        let b = parse(r#"{"hits": 4, "misses": 2, "name": "b1"}"#).unwrap();
-        let sum = sum_numeric([&a, &b]);
-        assert_eq!(sum.get("hits").and_then(Value::as_f64), Some(7.0));
-        assert_eq!(sum.get("misses").and_then(Value::as_f64), Some(2.0));
-        assert_eq!(sum.get("lat").and_then(Value::as_f64), Some(1.5));
-        assert_eq!(sum.get("name"), None, "strings are not summable");
-        assert_eq!(sum.get("h"), None, "nested objects are skipped");
     }
 }

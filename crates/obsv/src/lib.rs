@@ -6,7 +6,7 @@
 //! `RunReport`'s terminal aggregates and scattered `eprintln!` lines. This
 //! crate gives every layer the same three instruments:
 //!
-//! * **[`span`]s** — RAII scoped timers with thread-safe nesting and two
+//! * **[`span`](mod@span)s** — RAII scoped timers with thread-safe nesting and two
 //!   detail levels, recorded as completed-span events;
 //! * **[`metrics`]** — lock-free counters and histograms behind a named
 //!   [`metrics::Registry`], absorbing the engine's one-off atomic counters
@@ -22,12 +22,11 @@
 //! 1. **Off the fitness path.** Instrumentation reads clocks and pushes
 //!    events; it never touches RNG streams, baselines or fitness values,
 //!    so the engine's thread-count determinism contract holds with
-//!    observability on or off (pinned by `gp/tests/determinism.rs`).
-//! 2. **Cheap when idle, gone when compiled out.** Until [`init`] installs
-//!    the global journal every span is one relaxed atomic load; without
-//!    the `enabled` cargo feature the span/journal/log call sites compile
-//!    to nothing (the [`metrics`] counter types remain — they are program
-//!    semantics, see the module docs).
+//!    observability on or off (pinned by `gp/tests/obsv_determinism.rs`).
+//! 2. **Cheap when idle.** Until [`init`] installs the global journal
+//!    every span and journal call site is one atomic load. There is one
+//!    build: the instrumentation is always compiled in, so an untraced run
+//!    measures the same code a traced one runs.
 //! 3. **Zero dependencies.** `std` only — the build environment has no
 //!    crates.io access, and observability must never constrain the build.
 
@@ -57,9 +56,6 @@ pub const DEFAULT_CAPACITY: usize = 1 << 16;
 /// Install the global journal (idempotent; the first capacity wins).
 /// Returns whether this call performed the installation.
 pub fn init(capacity: usize) -> bool {
-    if cfg!(not(feature = "enabled")) {
-        return false;
-    }
     let mut installed = false;
     GLOBAL.get_or_init(|| {
         installed = true;
@@ -68,24 +64,16 @@ pub fn init(capacity: usize) -> bool {
     installed
 }
 
-/// The global journal, when [`init`] has run (and the `enabled` feature is
-/// compiled in).
+/// The global journal, when [`init`] has run.
 pub fn global() -> Option<&'static Journal> {
-    #[cfg(feature = "enabled")]
-    {
-        GLOBAL.get()
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        None
-    }
+    GLOBAL.get()
 }
 
 /// Whether events are currently being recorded. Callers with non-trivial
 /// event-assembly cost should check this first.
 #[inline]
 pub fn enabled() -> bool {
-    cfg!(feature = "enabled") && global().is_some()
+    global().is_some()
 }
 
 /// Append an event to the global journal (no-op before [`init`]).
@@ -123,15 +111,13 @@ mod tests {
     fn emit_before_init_is_a_silent_no_op() {
         // Runs before `global_init_collects` in no particular order, so it
         // cannot assert the global is uninstalled — only that emit never
-        // panics and enabled() agrees with global().
+        // panics.
         emit(Event::Note {
             name: "x",
             msg: "pre-init".into(),
         });
-        assert_eq!(enabled(), global().is_some());
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn global_init_collects_and_flushes() {
         init(1024);

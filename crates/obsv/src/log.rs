@@ -4,7 +4,9 @@
 //! once from the shared `--quiet` / `-v` flags, consulted by the
 //! [`info!`](crate::info)/[`debug!`](crate::debug)/[`warn!`](crate::warn)
 //! macros. Output goes to stderr (experiment *results* go to stdout, as
-//! before). With the `enabled` feature off the macros compile to nothing.
+//! before).
+
+use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Verbosity level, in increasing order of chattiness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -17,60 +19,18 @@ pub enum Level {
     Debug,
 }
 
-#[cfg(feature = "enabled")]
-mod imp {
-    use super::Level;
-    use std::sync::atomic::{AtomicU8, Ordering};
+static LEVEL: AtomicU8 = AtomicU8::new(Level::Info as u8);
 
-    static LEVEL: AtomicU8 = AtomicU8::new(1);
-
-    /// Set the global verbosity.
-    pub fn set_level(l: Level) {
-        let v = match l {
-            Level::Quiet => 0,
-            Level::Info => 1,
-            Level::Debug => 2,
-        };
-        LEVEL.store(v, Ordering::Relaxed);
-    }
-
-    /// The global verbosity.
-    pub fn level() -> Level {
-        match LEVEL.load(Ordering::Relaxed) {
-            0 => Level::Quiet,
-            1 => Level::Info,
-            _ => Level::Debug,
-        }
-    }
-
-    /// Whether a message at `l` should print.
-    #[inline]
-    pub fn should_log(l: Level) -> bool {
-        l <= level()
-    }
+/// Set the global verbosity.
+pub fn set_level(l: Level) {
+    LEVEL.store(l as u8, Ordering::Relaxed);
 }
 
-#[cfg(not(feature = "enabled"))]
-mod imp {
-    use super::Level;
-
-    /// No-op.
-    #[inline(always)]
-    pub fn set_level(_: Level) {}
-
-    /// Always [`Level::Quiet`].
-    pub fn level() -> Level {
-        Level::Quiet
-    }
-
-    /// Always false: logging is compiled out.
-    #[inline(always)]
-    pub fn should_log(_: Level) -> bool {
-        false
-    }
+/// Whether a message at `l` should print.
+#[inline]
+pub fn should_log(l: Level) -> bool {
+    l as u8 <= LEVEL.load(Ordering::Relaxed)
 }
-
-pub use imp::{level, set_level, should_log};
 
 /// Parse the shared verbosity flags out of a CLI argument list:
 /// `--quiet`/`-q` → [`Level::Quiet`], `-v`/`--verbose` → [`Level::Debug`],
@@ -129,7 +89,6 @@ mod tests {
         assert_eq!(level_from_args(&["exp", "--quiet", "-v"]), Level::Debug);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn level_ordering_gates_messages() {
         // Note: global level; keep the default restored for other tests.

@@ -3,13 +3,15 @@
 //! Counters and histograms are plain atomics — safe to hammer from every
 //! evaluation-pool worker without locks — and a [`Registry`] names them so
 //! a whole sheet can be snapshotted and dumped into run reports or a
-//! service's `/metrics` body.
+//! service's `/metrics` body. The engine's own counters (`evals`,
+//! `pheno_builds`, cache hits, …) live here too: `RunReport` reads them,
+//! and they cost what the ad-hoc `AtomicU64` fields they replace did.
 //!
-//! Unlike spans and the journal, this module is **not** gated by the
-//! `enabled` feature: the engine's own counters (`evals`, `pheno_builds`,
-//! cache hits, …) are program semantics — `RunReport` reads them — so they
-//! must exist even in a build with observability compiled out. The cost is
-//! identical to the ad-hoc `AtomicU64` fields they replace.
+//! A snapshot crosses processes as JSON: [`snapshot_json`] writes it,
+//! [`parse_sample`] reads one field back, and [`merge_snapshots`] adds
+//! several processes' snapshots into one (the gateway's `fleet` view).
+//! Quantiles are left to whoever reads the document
+//! ([`quantile_from_buckets`]).
 
 use crate::json::Value;
 use std::collections::BTreeMap;
@@ -92,7 +94,7 @@ impl Histogram {
 
     /// The non-empty buckets as sparse `(bucket_index, count)` pairs in
     /// index order (index = `ilog2(v+1)`): the form [`Sample::Histogram`]
-    /// carries and the `/metrics` rollup ships across processes.
+    /// carries and `/metrics` ships across processes.
     pub fn buckets(&self) -> Vec<(usize, u64)> {
         self.buckets
             .iter()
@@ -101,27 +103,14 @@ impl Histogram {
             .filter(|&(_, c)| c > 0)
             .collect()
     }
-
-    /// Upper-bound estimate of the `q`-quantile (`q` in `[0,1]`): the
-    /// inclusive upper edge of the bucket holding that rank.
-    pub fn quantile(&self, q: f64) -> u64 {
-        quantile_from_buckets(&self.buckets(), q)
-    }
 }
 
-/// Inclusive upper edge of bucket `i` (bucket `i` holds samples `v` with
-/// `ilog2(v+1) == i`, so the edge is `2^(i+1) - 2`).
-pub fn bucket_upper_edge(i: usize) -> u64 {
-    if i + 1 >= 64 {
-        return u64::MAX;
-    }
-    (1u64 << (i + 1)) - 2
-}
-
-/// [`Histogram::quantile`] over sparse `(bucket_index, count)` pairs
-/// ([`Histogram::buckets`], [`parse_histogram`]). Buckets need not be
-/// sorted; 0 when empty. Counts from another process may be anything, so
-/// they sum saturating.
+/// Upper-bound estimate of the `q`-quantile (`q` in `[0,1]`) over sparse
+/// `(bucket_index, count)` pairs ([`Histogram::buckets`],
+/// [`parse_sample`]): the inclusive upper edge of the bucket holding that
+/// rank (bucket `i` holds samples `v` with `ilog2(v+1) == i`, so the edge
+/// is `2^(i+1) - 2`). Buckets need not be sorted; 0 when empty. Counts
+/// from another process may be anything, so they sum saturating.
 pub fn quantile_from_buckets(buckets: &[(usize, u64)], q: f64) -> u64 {
     let n = buckets.iter().fold(0u64, |n, &(_, c)| n.saturating_add(c));
     if n == 0 {
@@ -134,7 +123,11 @@ pub fn quantile_from_buckets(buckets: &[(usize, u64)], q: f64) -> u64 {
     for (i, c) in sorted {
         seen = seen.saturating_add(c);
         if seen >= rank {
-            return bucket_upper_edge(i);
+            return if i >= 63 {
+                u64::MAX
+            } else {
+                (1 << (i + 1)) - 2
+            };
         }
     }
     u64::MAX
@@ -238,7 +231,7 @@ impl Registry {
 
 /// Render a snapshot as a JSON object string: counters as numbers,
 /// histograms as `{"count", "sum", "buckets": [[index, count]…]}`
-/// ([`parse_histogram`] reads one back).
+/// ([`parse_sample`] reads one field back).
 pub fn snapshot_json(snapshot: &[(String, Sample)]) -> String {
     let mut out = String::from("{");
     for (i, (name, sample)) in snapshot.iter().enumerate() {
@@ -271,12 +264,15 @@ pub fn snapshot_json(snapshot: &[(String, Sample)]) -> String {
     out
 }
 
-/// Read one histogram of a [`snapshot_json`] object back: its sample
-/// count and sparse buckets. `None` unless `count` is an integer and
-/// `buckets` an array of `[index, count]` integer pairs with every index
-/// below [`HIST_BUCKETS`].
-pub fn parse_histogram(v: &Value) -> Option<(u64, Vec<(usize, u64)>)> {
-    let count = v.get("count").and_then(Value::as_u64)?;
+/// Read one field of a [`snapshot_json`] object back. An integer is a
+/// counter; `{count, sum, buckets}` with integer `count` and `sum` and
+/// `buckets` an array of `[index, count]` integer pairs, every index below
+/// [`HIST_BUCKETS`], is a histogram. Anything else is `None`.
+pub fn parse_sample(v: &Value) -> Option<Sample> {
+    if let Some(n) = v.as_u64() {
+        return Some(Sample::Counter(n));
+    }
+    let int = |key| v.get(key).and_then(Value::as_u64);
     let buckets = v
         .get("buckets")
         .and_then(Value::as_arr)?
@@ -291,7 +287,67 @@ pub fn parse_histogram(v: &Value) -> Option<(u64, Vec<(usize, u64)>)> {
             _ => None,
         })
         .collect::<Option<Vec<_>>>()?;
-    Some((count, buckets))
+    Some(Sample::Histogram {
+        count: int("count")?,
+        sum: int("sum")?,
+        buckets,
+    })
+}
+
+/// Add several processes' [`snapshot_json`] objects into one snapshot,
+/// sorted by name: counters add, and histograms add their count, sum and
+/// buckets. A field [`parse_sample`] cannot read, or one whose kind
+/// differs from the first snapshot that has it, is skipped; a non-object
+/// adds nothing. Every sum saturates, because the input comes from other
+/// processes.
+pub fn merge_snapshots<'a>(
+    snapshots: impl IntoIterator<Item = &'a Value>,
+) -> Vec<(String, Sample)> {
+    let mut acc: BTreeMap<String, Sample> = BTreeMap::new();
+    for snapshot in snapshots {
+        let Value::Obj(fields) = snapshot else {
+            continue;
+        };
+        for (name, v) in fields {
+            let Some(sample) = parse_sample(v) else {
+                continue;
+            };
+            match acc.get_mut(name) {
+                Some(total) => total.add(sample),
+                None => {
+                    acc.insert(name.clone(), sample);
+                }
+            }
+        }
+    }
+    acc.into_iter().collect()
+}
+
+impl Sample {
+    /// Add `other` into `self`, saturating; a sample of the other kind is
+    /// ignored.
+    fn add(&mut self, other: Sample) {
+        match (self, other) {
+            (Sample::Counter(n), Sample::Counter(m)) => *n = n.saturating_add(m),
+            (
+                Sample::Histogram {
+                    count,
+                    sum,
+                    buckets,
+                },
+                Sample::Histogram {
+                    count: c,
+                    sum: s,
+                    buckets: b,
+                },
+            ) => {
+                *count = count.saturating_add(c);
+                *sum = sum.saturating_add(s);
+                merge_buckets(buckets, &b);
+            }
+            _ => {}
+        }
+    }
 }
 
 #[cfg(test)]
@@ -316,18 +372,18 @@ mod tests {
         }
         assert_eq!(h.count(), 6);
         assert_eq!(h.sum(), 112);
+        let q = |q| quantile_from_buckets(&h.buckets(), q);
         // Median falls in the {1,2} bucket.
-        assert!(h.quantile(0.5) >= 1 && h.quantile(0.5) < 7);
-        assert!(h.quantile(1.0) >= 100);
+        assert!(q(0.5) >= 1 && q(0.5) < 7);
+        assert!(q(1.0) >= 100);
     }
 
     #[test]
     fn empty_histogram_quantiles_are_zero() {
         let h = Histogram::new();
-        assert_eq!(h.quantile(0.5), 0);
-        assert_eq!(h.quantile(0.99), 0);
-        assert_eq!(h.quantile(1.0), 0);
-        assert_eq!(quantile_from_buckets(&[], 0.9), 0);
+        for q in [0.5, 0.9, 0.99, 1.0] {
+            assert_eq!(quantile_from_buckets(&h.buckets(), q), 0);
+        }
         let mut acc = Vec::new();
         merge_buckets(&mut acc, &[]);
         assert_eq!(quantile_from_buckets(&acc, 0.5), 0);
@@ -364,7 +420,7 @@ mod tests {
             }
             for q in [0.5, 0.9, 0.99, 1.0] {
                 let got = quantile_from_buckets(&merged, q);
-                let want = concat.quantile(q);
+                let want = quantile_from_buckets(&concat.buckets(), q);
                 assert_eq!(
                     got, want,
                     "case {case} q {q}: merged {got} vs concatenated {want}"
@@ -387,10 +443,46 @@ mod tests {
         assert_eq!(parsed.get("z").and_then(|v| v.as_u64()), Some(1));
         // 3 lands in bucket ilog2(4) = 2.
         let m = parsed.get("m").expect("histogram rendered");
-        assert_eq!(parse_histogram(m), Some((1, vec![(2, 1)])));
+        assert_eq!(parse_sample(m).as_ref(), Some(&snap[1].1));
         // An index past the last bucket is not a snapshot this build wrote.
         let far = crate::json::parse(r#"{"count": 1, "sum": 0, "buckets": [[40, 1]]}"#).unwrap();
-        assert_eq!(parse_histogram(&far), None);
+        assert_eq!(parse_sample(&far), None);
+    }
+
+    /// The fleet merge: counters and histograms add field by field across
+    /// snapshots; a malformed histogram, a float, a string or a
+    /// non-object is skipped; and a sum that would overflow saturates.
+    #[test]
+    fn merge_adds_counters_and_histograms_skips_the_rest_and_saturates() {
+        // The largest integer below 2^64 that a JSON number carries.
+        let big = u64::MAX - 2047;
+        let docs = [
+            format!(
+                r#"{{"n": 3, "big": {big}, "h": {{"count": 2, "sum": {big}, "buckets": [[1, 1], [2, {big}]]}},
+                    "bad": {{"count": 1, "sum": 1, "buckets": [[40, 1]]}}, "x": 0.5}}"#
+            ),
+            format!(
+                r#"{{"n": 4, "big": {big}, "h": {{"count": 3, "sum": 9, "buckets": [[2, {big}], [5, 1]]}},
+                    "bad": {{"count": 1, "buckets": [[1, 1]]}}, "x": "s"}}"#
+            ),
+            "[1, 2]".to_string(),
+        ]
+        .map(|d| crate::json::parse(&d).unwrap());
+        let h = Sample::Histogram {
+            count: 5,
+            sum: big + 9,
+            buckets: vec![(1, 1), (2, u64::MAX), (5, 1)],
+        };
+        let want = [
+            ("big", Sample::Counter(u64::MAX)),
+            ("h", h),
+            ("n", Sample::Counter(7)),
+        ];
+        assert_eq!(
+            merge_snapshots(&docs),
+            want.map(|(n, s)| (n.to_string(), s))
+        );
+        assert!(merge_snapshots(&[]).is_empty());
     }
 
     #[test]

@@ -8,9 +8,14 @@
 //! Two detail levels keep instrumentation off the fitness path's budget:
 //! [`Detail::Coarse`] (default) records phase-scale spans only;
 //! [`Detail::Fine`] adds per-candidate and per-claim spans (`vm.simulate`,
-//! `vm.compile`, `pool.drain`, `netsim.station`). When the `enabled` cargo
-//! feature is off, every call site collapses to a no-op returning a unit
-//! guard.
+//! `vm.compile`, `pool.drain`, `netsim.station`). Until [`crate::init`]
+//! installs the journal, opening a span is one atomic load and the guard
+//! records nothing.
+
+use crate::journal::Event;
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
+use std::time::Instant;
 
 /// Span granularity a call site declares; recorded only when the global
 /// detail level includes it.
@@ -22,187 +27,110 @@ pub enum Detail {
     Fine,
 }
 
-#[cfg(feature = "enabled")]
-mod imp {
-    use super::Detail;
-    use crate::journal::Event;
-    use std::cell::Cell;
-    use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
-    use std::time::Instant;
+static DETAIL: AtomicU8 = AtomicU8::new(0);
+static NEXT_TID: AtomicU32 = AtomicU32::new(0);
 
-    static DETAIL: AtomicU8 = AtomicU8::new(0);
-    static NEXT_TID: AtomicU32 = AtomicU32::new(0);
+thread_local! {
+    static TID: Cell<u32> = const { Cell::new(u32::MAX) };
+    static DEPTH: Cell<u16> = const { Cell::new(0) };
+}
 
-    thread_local! {
-        static TID: Cell<u32> = const { Cell::new(u32::MAX) };
-        static DEPTH: Cell<u16> = const { Cell::new(0) };
+/// Set the global detail level.
+pub fn set_detail(d: Detail) {
+    DETAIL.store(if d == Detail::Fine { 1 } else { 0 }, Ordering::Relaxed);
+}
+
+/// The global detail level.
+pub fn detail() -> Detail {
+    if DETAIL.load(Ordering::Relaxed) == 1 {
+        Detail::Fine
+    } else {
+        Detail::Coarse
     }
+}
 
-    /// Set the global detail level.
-    pub fn set_detail(d: Detail) {
-        DETAIL.store(if d == Detail::Fine { 1 } else { 0 }, Ordering::Relaxed);
-    }
-
-    /// The global detail level.
-    pub fn detail() -> Detail {
-        if DETAIL.load(Ordering::Relaxed) == 1 {
-            Detail::Fine
-        } else {
-            Detail::Coarse
+/// This thread's journal-local id (assigned on first use).
+pub fn tid() -> u32 {
+    TID.with(|t| {
+        let v = t.get();
+        if v != u32::MAX {
+            return v;
         }
-    }
+        let v = NEXT_TID.fetch_add(1, Ordering::Relaxed);
+        t.set(v);
+        v
+    })
+}
 
-    /// This thread's journal-local id (assigned on first use).
-    pub fn tid() -> u32 {
-        TID.with(|t| {
-            let v = t.get();
-            if v != u32::MAX {
-                return v;
-            }
-            let v = NEXT_TID.fetch_add(1, Ordering::Relaxed);
-            t.set(v);
+struct Active {
+    name: &'static str,
+    arg: Option<u64>,
+    start: Instant,
+    start_us: u64,
+    depth: u16,
+}
+
+/// RAII span guard; records a [`Event::Span`] when dropped.
+pub struct Span(Option<Active>);
+
+impl Span {
+    /// Open a span carrying an optional numeric argument (generation
+    /// index, station id, trace id…); it records only when the journal is
+    /// installed and the global detail level includes `min_detail`. Call
+    /// sites use [`span!`](crate::span!) and [`span_fine!`](crate::span_fine!).
+    #[inline]
+    pub fn begin(name: &'static str, arg: Option<u64>, min_detail: Detail) -> Span {
+        let Some(journal) = crate::global() else {
+            return Span(None);
+        };
+        if min_detail > detail() {
+            return Span(None);
+        }
+        let depth = DEPTH.with(|d| {
+            let v = d.get();
+            d.set(v + 1);
             v
-        })
-    }
-
-    struct Active {
-        name: &'static str,
-        arg: Option<u64>,
-        start: Instant,
-        start_us: u64,
-        depth: u16,
-    }
-
-    /// RAII span guard; records a [`Event::Span`] when dropped.
-    pub struct Span(Option<Active>);
-
-    impl Span {
-        #[inline]
-        pub(super) fn begin(name: &'static str, arg: Option<u64>, min_detail: Detail) -> Span {
-            let Some(journal) = crate::global() else {
-                return Span(None);
-            };
-            if min_detail > detail() {
-                return Span(None);
-            }
-            let depth = DEPTH.with(|d| {
-                let v = d.get();
-                d.set(v + 1);
-                v
-            });
-            Span(Some(Active {
-                name,
-                arg,
-                start: Instant::now(),
-                start_us: journal.now_us(),
-                depth,
-            }))
-        }
-
-        /// Whether this span is actually recording.
-        pub fn is_recording(&self) -> bool {
-            self.0.is_some()
-        }
-    }
-
-    impl Drop for Span {
-        fn drop(&mut self) {
-            let Some(active) = self.0.take() else { return };
-            DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-            crate::emit(Event::Span {
-                name: active.name,
-                tid: tid(),
-                depth: active.depth,
-                start_us: active.start_us,
-                dur_us: active.start.elapsed().as_micros() as u64,
-                arg: active.arg,
-            });
-        }
-    }
-
-    /// Record an externally timed span (for per-item timings accumulated in
-    /// a loop rather than scoped): `start_us` from [`crate::now_us`], plus
-    /// a measured duration.
-    pub fn record_external(name: &'static str, start_us: u64, dur_us: u64, arg: Option<u64>) {
-        if crate::global().is_none() {
-            return;
-        }
-        crate::emit(Event::Span {
+        });
+        Span(Some(Active {
             name,
-            tid: tid(),
-            depth: DEPTH.with(|d| d.get()),
-            start_us,
-            dur_us,
             arg,
+            start: Instant::now(),
+            start_us: journal.now_us(),
+            depth,
+        }))
+    }
+}
+
+impl Drop for Span {
+    fn drop(&mut self) {
+        let Some(active) = self.0.take() else { return };
+        DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
+        crate::emit(Event::Span {
+            name: active.name,
+            tid: tid(),
+            depth: active.depth,
+            start_us: active.start_us,
+            dur_us: active.start.elapsed().as_micros() as u64,
+            arg: active.arg,
         });
     }
 }
 
-#[cfg(not(feature = "enabled"))]
-mod imp {
-    use super::Detail;
-
-    /// Inert span guard (observability compiled out).
-    pub struct Span(());
-
-    impl Span {
-        #[inline(always)]
-        pub(super) fn begin(_: &'static str, _: Option<u64>, _: Detail) -> Span {
-            Span(())
-        }
-
-        /// Always false: nothing records in a compiled-out build.
-        pub fn is_recording(&self) -> bool {
-            false
-        }
+/// Record an externally timed span (for per-item timings accumulated in
+/// a loop rather than scoped): `start_us` from [`crate::now_us`], plus
+/// a measured duration.
+pub fn record_external(name: &'static str, start_us: u64, dur_us: u64, arg: Option<u64>) {
+    if crate::global().is_none() {
+        return;
     }
-
-    /// No-op.
-    #[inline(always)]
-    pub fn set_detail(_: Detail) {}
-
-    /// Always [`Detail::Coarse`].
-    pub fn detail() -> Detail {
-        Detail::Coarse
-    }
-
-    /// Always 0.
-    pub fn tid() -> u32 {
-        0
-    }
-
-    /// No-op.
-    #[inline(always)]
-    pub fn record_external(_: &'static str, _: u64, _: u64, _: Option<u64>) {}
-}
-
-pub use imp::{detail, record_external, set_detail, tid, Span};
-
-impl Span {
-    /// Open a coarse span.
-    #[inline]
-    pub fn enter(name: &'static str) -> Span {
-        Span::begin(name, None, Detail::Coarse)
-    }
-
-    /// Open a coarse span carrying a numeric argument (generation index,
-    /// station id…).
-    #[inline]
-    pub fn enter_with(name: &'static str, arg: u64) -> Span {
-        Span::begin(name, Some(arg), Detail::Coarse)
-    }
-
-    /// Open a fine-detail span (recorded only under [`Detail::Fine`]).
-    #[inline]
-    pub fn enter_fine(name: &'static str) -> Span {
-        Span::begin(name, None, Detail::Fine)
-    }
-
-    /// Fine-detail span with a numeric argument.
-    #[inline]
-    pub fn enter_fine_with(name: &'static str, arg: u64) -> Span {
-        Span::begin(name, Some(arg), Detail::Fine)
-    }
+    crate::emit(Event::Span {
+        name,
+        tid: tid(),
+        depth: DEPTH.with(|d| d.get()),
+        start_us,
+        dur_us,
+        arg,
+    });
 }
 
 /// Open a scoped span: `let _sp = obsv::span!("gen.breed");` or
@@ -210,10 +138,10 @@ impl Span {
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {
-        $crate::span::Span::enter($name)
+        $crate::span::Span::begin($name, None, $crate::Detail::Coarse)
     };
     ($name:expr, $arg:expr) => {
-        $crate::span::Span::enter_with($name, $arg)
+        $crate::span::Span::begin($name, Some($arg), $crate::Detail::Coarse)
     };
 }
 
@@ -222,14 +150,14 @@ macro_rules! span {
 #[macro_export]
 macro_rules! span_fine {
     ($name:expr) => {
-        $crate::span::Span::enter_fine($name)
+        $crate::span::Span::begin($name, None, $crate::Detail::Fine)
     };
     ($name:expr, $arg:expr) => {
-        $crate::span::Span::enter_fine_with($name, $arg)
+        $crate::span::Span::begin($name, Some($arg), $crate::Detail::Fine)
     };
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

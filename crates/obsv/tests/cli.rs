@@ -2,8 +2,6 @@
 //! the library round-trips through `validate`, `summary` and `chrome`, and
 //! corrupt/truncated journals are rejected with a non-zero exit.
 
-#![cfg(feature = "enabled")]
-
 use gmr_obsv::{Event, Journal};
 use std::path::PathBuf;
 use std::process::Command;

@@ -29,7 +29,7 @@
 use crate::registry::{ModelRegistry, ServableModel};
 use gmr_bio::{euler, simulate_network_compiled, NetworkSimOptions, StationSeries};
 use gmr_expr::{CompiledSystem, LaneForcing, PrefixTable, LANES};
-use gmr_hydro::NUM_VARS;
+use gmr_hydro::{generate, SyntheticConfig, NUM_VARS};
 use gmr_json::Value;
 use std::collections::BTreeMap;
 use std::sync::mpsc::{Receiver, Sender};
@@ -78,11 +78,52 @@ pub struct SimRequest {
     pub station: Option<String>,
 }
 
+/// Refuse a body that is not an object or that names a key outside
+/// `known` (space-separated): a misspelt key must not quietly fall back
+/// to its default.
+pub(crate) fn check_keys(v: &Value, known: &str) -> Result<(), String> {
+    let Value::Obj(m) = v else {
+        return Err("body must be an object".into());
+    };
+    for k in m.keys() {
+        if !known.split(' ').any(|key| key == k) {
+            return Err(format!("unknown key {k:?}"));
+        }
+    }
+    Ok(())
+}
+
+/// The integration settings `/simulate` and `/sweep` share, as `(init,
+/// dt, state_cap)`: `init` is a finite `[bphy, bzoo]` (default
+/// `[8, 1.2]`), and `dt` and `state_cap` are positive and finite
+/// (defaults 1 and 1e9).
+pub(crate) fn parse_integration(v: &Value) -> Result<((f64, f64), f64, f64), String> {
+    let init = match v.get("init").map(|p| p.as_arr().unwrap_or(&[])) {
+        None => (8.0, 1.2),
+        Some([a, b]) => match (a.as_f64(), b.as_f64()) {
+            (Some(a), Some(b)) if a.is_finite() && b.is_finite() => (a, b),
+            _ => return Err("\"init\" values must be finite numbers".into()),
+        },
+        Some(_) => return Err("\"init\" must be [bphy, bzoo]".into()),
+    };
+    let positive = |key: &str, default: f64| match v.get(key).map(Value::as_f64) {
+        None => Ok(default),
+        Some(Some(x)) if x.is_finite() && x > 0.0 => Ok(x),
+        Some(_) => Err(format!("{key:?} must be a positive finite number")),
+    };
+    Ok((init, positive("dt", 1.0)?, positive("state_cap", 1e9)?))
+}
+
 /// Parse and validate a `/simulate` body. Error strings are safe for a
 /// `400` response. Non-finite inline forcings are rejected *here*, before
 /// the job can reach the simulator — a NaN row must produce a 4xx, never
-/// a poisoned simulation.
+/// a poisoned simulation. Unknown keys and wrong-typed fields are refused
+/// too: a misspelt `"days"` must not simulate the whole table.
 pub fn parse_sim_request(v: &Value) -> Result<SimRequest, String> {
+    check_keys(
+        v,
+        "model forcings forcings_ref days init dt state_cap mode network station",
+    )?;
     let model = v
         .get("model")
         .and_then(Value::as_str)
@@ -129,54 +170,26 @@ pub fn parse_sim_request(v: &Value) -> Result<SimRequest, String> {
             ForcingSource::Inline(table)
         }
     };
-    let days = match v.get("days") {
+    let days = match v.get("days").map(Value::as_u64) {
         None => None,
-        Some(d) => Some(
-            d.as_u64()
-                .ok_or("\"days\" must be a non-negative integer")? as usize,
-        ),
+        Some(Some(d)) if d >= 1 => Some(d as usize),
+        Some(_) => return Err("\"days\" must be a positive integer".into()),
     };
-    if days == Some(0) {
-        return Err("\"days\" must be at least 1".into());
-    }
-    let init = match v.get("init") {
-        None => (8.0, 1.2),
-        Some(p) => {
-            let arr = p.as_arr().ok_or("\"init\" must be [bphy, bzoo]")?;
-            if arr.len() != 2 {
-                return Err("\"init\" must be [bphy, bzoo]".into());
-            }
-            let a = arr[0].as_f64().ok_or("\"init\" values must be numbers")?;
-            let b = arr[1].as_f64().ok_or("\"init\" values must be numbers")?;
-            if !a.is_finite() || !b.is_finite() {
-                return Err("\"init\" values must be finite".into());
-            }
-            (a, b)
-        }
+    let (init, dt, state_cap) = parse_integration(v)?;
+    let mode = match v.get("mode").map(Value::as_str) {
+        None | Some(Some("series")) => Mode::Series,
+        Some(Some("summary")) => Mode::Summary,
+        Some(_) => return Err("\"mode\" must be \"series\" or \"summary\"".into()),
     };
-    let f64_field = |key: &str, default: f64| -> Result<f64, String> {
-        match v.get(key) {
-            None => Ok(default),
-            Some(x) => {
-                let x = x
-                    .as_f64()
-                    .ok_or_else(|| format!("{key:?} must be a number"))?;
-                if !x.is_finite() || x <= 0.0 {
-                    return Err(format!("{key:?} must be positive and finite"));
-                }
-                Ok(x)
-            }
-        }
+    let network = match v.get("network") {
+        None => false,
+        Some(b) => b.as_bool().ok_or("\"network\" must be true or false")?,
     };
-    let dt = f64_field("dt", 1.0)?;
-    let state_cap = f64_field("state_cap", 1e9)?;
-    let mode = match v.get("mode").and_then(Value::as_str) {
-        None | Some("series") => Mode::Series,
-        Some("summary") => Mode::Summary,
-        Some(other) => return Err(format!("unknown mode {other:?}")),
+    let station = match v.get("station").map(Value::as_str) {
+        None => None,
+        Some(Some(s)) => Some(s.to_string()),
+        Some(None) => return Err("\"station\" must be a string".into()),
     };
-    let network = matches!(v.get("network"), Some(Value::Bool(true)));
-    let station = v.get("station").and_then(Value::as_str).map(str::to_string);
     if station.is_some() && !network {
         return Err("\"station\" only applies to network runs".into());
     }
@@ -265,6 +278,29 @@ impl Tables {
     /// Hosted table names, sorted.
     pub fn names(&self) -> Vec<&str> {
         self.map.keys().map(String::as_str).collect()
+    }
+
+    /// The tables `gmr-serve serve` hosts, from the synthetic Nakdong
+    /// dataset for `seed` cut to its first `days` days (all of them when
+    /// `None`): `"target"`, the target station's forcing rows, and
+    /// `"network"`, every station's rows and flow in topology order.
+    pub fn synthetic(seed: u64, days: Option<usize>) -> Tables {
+        let ds = generate(&SyntheticConfig {
+            seed,
+            ..SyntheticConfig::default()
+        });
+        let cut = days.map_or(ds.days, |d| d.min(ds.days)).max(1);
+        let mut tables = Tables::new();
+        tables.insert(
+            "target",
+            HostedTable::Single(ds.target_series().vars[..cut].to_vec()),
+        );
+        let stations = ds.stations.iter().map(|s| NetStation {
+            vars: s.vars[..cut].to_vec(),
+            flow: s.flow[..cut].to_vec(),
+        });
+        tables.insert("network", HostedTable::Network(stations.collect()));
+        tables
     }
 }
 
@@ -390,44 +426,28 @@ fn run_solo(
     sys: &CompiledSystem,
 ) -> Result<SimOutput, (u16, String)> {
     let req = &job.request;
-    match &req.source {
-        ForcingSource::Inline(rows) => {
-            let days = req.days.unwrap_or(rows.len());
-            if days > rows.len() {
-                return Err((400, format!("days {days} > {} forcing rows", rows.len())));
+    let scn_rows;
+    let rows: &[[f64; NUM_VARS]] = match &req.source {
+        ForcingSource::Inline(rows) => rows,
+        ForcingSource::Ref(name) => match tables.get(name) {
+            Some(HostedTable::Single(rows)) => rows,
+            Some(HostedTable::Network(stations)) => return run_network(job, stations, sys),
+            // Not a hosted table: maybe a scenario-variant virtual table
+            // (`scn:<name>/<variant>`), materialized on demand.
+            None => {
+                scn_rows = tables
+                    .scenario_rows(name)
+                    .ok_or_else(|| (404, format!("no hosted table {name:?}")))?;
+                &scn_rows
             }
-            let (bphy, bzoo) = simulate_single(sys, &rows[..days], req.init, req.dt, req.state_cap);
-            Ok(SimOutput::Single { bphy, bzoo })
-        }
-        ForcingSource::Ref(name) => {
-            match tables.get(name) {
-                Some(HostedTable::Single(rows)) => {
-                    let days = req.days.unwrap_or(rows.len());
-                    if days > rows.len() {
-                        return Err((400, format!("days {days} > {} table rows", rows.len())));
-                    }
-                    let (bphy, bzoo) =
-                        simulate_single(sys, &rows[..days], req.init, req.dt, req.state_cap);
-                    Ok(SimOutput::Single { bphy, bzoo })
-                }
-                Some(HostedTable::Network(stations)) => run_network(job, stations, sys),
-                // Not a hosted table: maybe a scenario-variant virtual
-                // table (`scn:<name>/<variant>`), materialized on demand.
-                None => {
-                    let rows = tables
-                        .scenario_rows(name)
-                        .ok_or_else(|| (404, format!("no hosted table {name:?}")))?;
-                    let days = req.days.unwrap_or(rows.len());
-                    if days > rows.len() {
-                        return Err((400, format!("days {days} > {} table rows", rows.len())));
-                    }
-                    let (bphy, bzoo) =
-                        simulate_single(sys, &rows[..days], req.init, req.dt, req.state_cap);
-                    Ok(SimOutput::Single { bphy, bzoo })
-                }
-            }
-        }
+        },
+    };
+    let days = req.days.unwrap_or(rows.len());
+    if days > rows.len() {
+        return Err((400, format!("days {days} > {} forcing rows", rows.len())));
     }
+    let (bphy, bzoo) = simulate_single(sys, &rows[..days], req.init, req.dt, req.state_cap);
+    Ok(SimOutput::Single { bphy, bzoo })
 }
 
 /// Run a full-network simulation job.

@@ -20,8 +20,8 @@
 //! `"network"` (all stations' forcings + flows, for `"network": true`
 //! requests against topology-carrying models).
 
-use gmr_hydro::{generate, SyntheticConfig};
-use gmr_serve::batch::{HostedTable, NetStation, Tables};
+use gmr_hydro::SyntheticConfig;
+use gmr_serve::batch::Tables;
 use gmr_serve::server::Client;
 use gmr_serve::{
     sig, Cluster, ClusterConfig, Gateway, GatewayConfig, ModelArtifact, ModelRegistry, Server,
@@ -96,33 +96,6 @@ fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> 
     }
 }
 
-/// Build the hosted forcing tables from the synthetic Nakdong dataset.
-fn hosted_tables(seed: u64, days: Option<usize>) -> Tables {
-    let ds = generate(&SyntheticConfig {
-        seed,
-        ..SyntheticConfig::default()
-    });
-    let cut = days.map_or(ds.days, |d| d.min(ds.days)).max(1);
-    let mut tables = Tables::new();
-    tables.insert(
-        "target",
-        HostedTable::Single(ds.target_series().vars[..cut].to_vec()),
-    );
-    tables.insert(
-        "network",
-        HostedTable::Network(
-            ds.stations
-                .iter()
-                .map(|s| NetStation {
-                    vars: s.vars[..cut].to_vec(),
-                    flow: s.flow[..cut].to_vec(),
-                })
-                .collect(),
-        ),
-    );
-    tables
-}
-
 fn cmd_serve(args: &[String]) -> ExitCode {
     if let Err(e) = check_flags(
         args,
@@ -178,7 +151,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let tables = hosted_tables(seed, days);
+    let tables = Tables::synthetic(seed, days);
     let config = ServerConfig {
         addr: flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:0".into()),
         workers,

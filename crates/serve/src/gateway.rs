@@ -34,10 +34,7 @@ use crate::runtime::{routes, ConnMetrics, Labels, Limits, Runtime, Served, Servi
 use crate::trace::TraceCtx;
 use gmr_json::Value;
 use gmr_obsv::journal::Event;
-use gmr_obsv::metrics::{
-    merge_buckets, parse_histogram, quantile_from_buckets, snapshot_json, Counter, Histogram,
-    Registry,
-};
+use gmr_obsv::metrics::{merge_snapshots, snapshot_json, Counter, Histogram, Registry};
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -206,8 +203,7 @@ pub(crate) const LABELS: Labels = Labels {
     shed_body: "gateway connection queue full",
 };
 
-/// Gateway metrics, exposed by its `/metrics` alongside the cluster
-/// rollup.
+/// Gateway metrics, exposed by its `/metrics` beside the fleet snapshot.
 struct GatewayMetrics {
     registry: Registry,
     /// What the runtime records: `gateway.requests_total`,
@@ -348,7 +344,7 @@ impl Service for Proxy {
                 Served::plain(200, body.into_bytes())
             }
             ("GET", "/models" | "/scenarios") => self.forward_any(pool, path, ctx),
-            ("GET", "/metrics") => Served::plain(200, self.rollup_metrics(pool)),
+            ("GET", "/metrics") => Served::plain(200, self.fleet_metrics(pool)),
             ("POST", "/simulate") => self.proxy_pinned(pool, req, path, ctx, |v| {
                 // Inline-forcings requests have no table name; they hash by
                 // model alone so repeats still pin to one backend's hot tier.
@@ -527,83 +523,28 @@ impl Proxy {
 /// SLO will eventually be violated.
 const SLO_OBJECTIVE: f64 = 0.99;
 
-/// `{count, p50_us, p90_us, p99_us, max_us}` over sparse histogram
-/// buckets — all quantiles are bucket upper edges (see
-/// [`quantile_from_buckets`]), consistent within one bucket of the exact
-/// sample quantile.
-fn quantile_summary(buckets: &[(usize, u64)], count: u64) -> String {
-    format!(
-        "{{\"count\": {count}, \"p50_us\": {}, \"p90_us\": {}, \"p99_us\": {}, \"max_us\": {}}}",
-        quantile_from_buckets(buckets, 0.5),
-        quantile_from_buckets(buckets, 0.9),
-        quantile_from_buckets(buckets, 0.99),
-        quantile_from_buckets(buckets, 1.0),
-    )
-}
-
-fn histogram_summary(h: &Histogram) -> String {
-    quantile_summary(&h.buckets(), h.count())
-}
-
 impl Proxy {
-    /// The cluster `/metrics` view: the gateway's own registry under
-    /// `"gateway"` (kept distinct from the fleet so its counters can't be
-    /// conflated with summed backend ones), a `"rollup"` object summing every
-    /// backend's numeric fields ([`gmr_json::sum_numeric`]), a `"latency"`
-    /// section with per-route/per-backend quantiles plus the fleet-merged
-    /// `serve.latency_us` (bucket-level merge — `sum_numeric` skips nested
-    /// objects by design, so histograms are merged here explicitly), an
-    /// `"slo"` section, and a `"backends"` array with each backend's liveness
-    /// and verbatim snapshot.
-    fn rollup_metrics(&self, pool: &mut Pool) -> Vec<u8> {
-        let mut body = String::from("{\"gateway\": ");
-        body.push_str(&snapshot_json(&self.metrics.registry.snapshot()));
-        body.push_str(", ");
-        let mut snapshots: Vec<Option<Value>> = Vec::with_capacity(self.slots.len());
-        for (b, slot) in self.slots.iter().enumerate() {
-            let snap = slot.addr().and_then(|addr| {
+    /// The cluster `/metrics` document: the gateway's own snapshot under
+    /// `"gateway"` (kept apart so its counters are never conflated with
+    /// the backends'), every answering backend's snapshot merged under
+    /// `"fleet"` ([`merge_snapshots`]), the `"slo"` section, and a
+    /// `"backends"` array with each backend's liveness and verbatim
+    /// snapshot. Quantiles are left to whoever reads the histograms.
+    fn fleet_metrics(&self, pool: &mut Pool) -> Vec<u8> {
+        let snapshots: Vec<Option<Value>> = (0..self.slots.len())
+            .map(|b| {
+                let addr = self.slots[b].addr()?;
                 let resp = self
                     .client(pool, b, addr)
                     .request("GET", "/metrics", b"")
                     .ok()?;
                 gmr_json::parse(std::str::from_utf8(&resp.body).ok()?).ok()
-            });
-            snapshots.push(snap);
-        }
-        let rollup = gmr_json::sum_numeric(snapshots.iter().flatten());
-        body.push_str("\"rollup\": ");
-        gmr_json::push_value(&mut body, &rollup);
-
-        body.push_str(", \"latency\": {\"routes\": {");
-        for (i, tag) in LABELS.routes.iter().enumerate() {
-            if i > 0 {
-                body.push_str(", ");
-            }
-            gmr_json::push_escaped(&mut body, tag);
-            body.push_str(": ");
-            body.push_str(&histogram_summary(&self.metrics.conn.route_latency[i]));
-        }
-        body.push_str("}, \"backends\": {");
-        for (b, h) in self.metrics.backend_latency.iter().enumerate() {
-            if b > 0 {
-                body.push_str(", ");
-            }
-            body.push_str(&format!("\"{b}\": "));
-            body.push_str(&histogram_summary(h));
-        }
-        // Fleet view of backend service latency: merge each backend's
-        // `serve.latency_us` buckets, then take quantiles over the merge.
-        let mut fleet: Vec<(usize, u64)> = Vec::new();
-        let mut fleet_count = 0u64;
-        for snap in snapshots.iter().flatten() {
-            if let Some((count, buckets)) = snap.get("serve.latency_us").and_then(parse_histogram) {
-                fleet_count = fleet_count.saturating_add(count);
-                merge_buckets(&mut fleet, &buckets);
-            }
-        }
-        body.push_str("}, \"fleet\": ");
-        body.push_str(&quantile_summary(&fleet, fleet_count));
-        body.push('}');
+            })
+            .collect();
+        let mut body = String::from("{\"gateway\": ");
+        body.push_str(&snapshot_json(&self.metrics.registry.snapshot()));
+        body.push_str(", \"fleet\": ");
+        body.push_str(&snapshot_json(&merge_snapshots(snapshots.iter().flatten())));
 
         let good = self.metrics.slo_good.get();
         let total = self.metrics.slo_total.get();

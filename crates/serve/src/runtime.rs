@@ -100,7 +100,7 @@ pub(crate) struct ConnMetrics {
     /// Dispatch time per request, microseconds.
     latency_us: Arc<Histogram>,
     /// Per-route dispatch time, index-aligned with [`Labels::routes`].
-    pub route_latency: Vec<Arc<Histogram>>,
+    route_latency: Vec<Arc<Histogram>>,
 }
 
 impl ConnMetrics {
@@ -143,7 +143,8 @@ pub(crate) struct Served {
     pub model: String,
     /// Forcing-table name (`"(inline)"` for shipped rows).
     pub table: String,
-    /// Coalesced simulation width (0 when no simulation ran here).
+    /// Width of the coalesced `/simulate` batch that served the request
+    /// (0 when no `/simulate` job ran here; a `/sweep` is not a batch).
     pub batch: u64,
     /// Microseconds the job waited in the simulation queue.
     pub queue_us: u64,

@@ -23,6 +23,7 @@
 //! solo session would (`bench_scenario --validate` gates on it through the
 //! gateway).
 
+use crate::batch::{check_keys, parse_integration};
 use gmr_bio::euler;
 use gmr_expr::{CompiledSystem, LaneForcing, LANES};
 use gmr_hydro::NUM_VARS;
@@ -185,23 +186,7 @@ pub struct SweepRequest {
 /// Unknown keys are rejected — a misspelled `"variants"` must not quietly
 /// sweep a 1-variant default.
 pub fn parse_sweep_request(v: &Value) -> Result<SweepRequest, String> {
-    let Value::Obj(m) = v else {
-        return Err("body must be an object".into());
-    };
-    const KEYS: [&str; 7] = [
-        "scenario",
-        "model",
-        "variants",
-        "reduce",
-        "init",
-        "dt",
-        "state_cap",
-    ];
-    for k in m.keys() {
-        if !KEYS.contains(&k.as_str()) {
-            return Err(format!("unknown key {k:?}"));
-        }
-    }
+    check_keys(v, "scenario model variants reduce init dt state_cap")?;
     let scenario = v
         .get("scenario")
         .and_then(Value::as_str)
@@ -233,53 +218,25 @@ pub fn parse_sweep_request(v: &Value) -> Result<SweepRequest, String> {
                     return Err(format!("unknown reduce key {k:?}"));
                 }
             }
-            let threshold = r
-                .get("threshold")
-                .and_then(Value::as_f64)
-                .unwrap_or(ReduceSpec::default().threshold);
-            if !threshold.is_finite() || threshold < 0.0 {
-                return Err("\"reduce.threshold\" must be finite and non-negative".into());
-            }
+            let threshold = match r.get("threshold").map(Value::as_f64) {
+                None => ReduceSpec::default().threshold,
+                Some(Some(t)) if t.is_finite() && t >= 0.0 => t,
+                Some(_) => {
+                    return Err("\"reduce.threshold\" must be a finite non-negative number".into())
+                }
+            };
             ReduceSpec { threshold }
         }
     };
-    let init = match v.get("init") {
-        None => (8.0, 1.2),
-        Some(p) => {
-            let arr = p.as_arr().ok_or("\"init\" must be [bphy, bzoo]")?;
-            if arr.len() != 2 {
-                return Err("\"init\" must be [bphy, bzoo]".into());
-            }
-            let a = arr[0].as_f64().ok_or("\"init\" values must be numbers")?;
-            let b = arr[1].as_f64().ok_or("\"init\" values must be numbers")?;
-            if !a.is_finite() || !b.is_finite() {
-                return Err("\"init\" values must be finite".into());
-            }
-            (a, b)
-        }
-    };
-    let f64_field = |key: &str, default: f64| -> Result<f64, String> {
-        match v.get(key) {
-            None => Ok(default),
-            Some(x) => {
-                let x = x
-                    .as_f64()
-                    .ok_or_else(|| format!("{key:?} must be a number"))?;
-                if !x.is_finite() || x <= 0.0 {
-                    return Err(format!("{key:?} must be positive and finite"));
-                }
-                Ok(x)
-            }
-        }
-    };
+    let (init, dt, state_cap) = parse_integration(v)?;
     Ok(SweepRequest {
         scenario,
         model,
         variants,
         reduce,
         init,
-        dt: f64_field("dt", 1.0)?,
-        state_cap: f64_field("state_cap", 1e9)?,
+        dt,
+        state_cap,
     })
 }
 
@@ -542,6 +499,7 @@ mod tests {
             r#"{"scenario": "s", "model": "m", "variants": 4294967552}"#,
             r#"{"scenario": "s", "model": "m", "variants": 1, "varaints": 2}"#,
             r#"{"scenario": "s", "model": "m", "variants": 1, "reduce": {"treshold": 1}}"#,
+            r#"{"scenario": "s", "model": "m", "variants": 1, "reduce": {"threshold": "1"}}"#,
             r#"{"scenario": "s", "model": "m", "variants": 1, "dt": -1}"#,
         ] {
             let v = gmr_json::parse(bad).unwrap();

@@ -30,7 +30,7 @@ use crate::scenario::{parse_sweep_request, render_sweep, run_sweep, ScenarioStor
 use crate::trace::TraceCtx;
 use gmr_json::{push_escaped, push_f64};
 use gmr_obsv::journal::Event;
-use gmr_obsv::metrics::{snapshot_json, Counter, Histogram, Registry};
+use gmr_obsv::metrics::{snapshot_json, Counter, Histogram, Registry, Sample};
 use std::io;
 use std::net::SocketAddr;
 use std::sync::mpsc::{self, SyncSender, TrySendError};
@@ -307,8 +307,10 @@ impl Backend {
 
     /// `POST /sweep`: fan one request into `variants` jittered forcings of an
     /// admitted scenario, execute them through lock-step ensemble lanes, and
-    /// answer with per-variant summary statistics. Runs inline on the worker
-    /// (a sweep IS a batch — it does not coalesce with `/simulate` jobs).
+    /// answer with per-variant summary statistics. Runs inline on the worker:
+    /// a sweep never coalesces with other requests, so it leaves
+    /// [`Served::batch`] unset — its `access` event reads `batched: false`
+    /// and `serve.batch_size` keeps only `/simulate` batch widths.
     fn sweep(&self, req: &Request, ctx: TraceCtx) -> Served {
         let sreq = match req.json().and_then(|v| parse_sweep_request(&v)) {
             Ok(r) => r,
@@ -331,7 +333,6 @@ impl Backend {
         self.metrics.scn_sweeps.inc();
         self.metrics.scn_variants.add(sreq.variants as u64);
         Served {
-            batch: sreq.variants as u64,
             sim_us,
             ..Served::plain(200, render_sweep(&sreq, scn.days, &summaries))
         }
@@ -392,31 +393,27 @@ impl Backend {
         }
     }
 
-    /// The `/metrics` body: the counter/histogram snapshot plus the model
-    /// registry's hot-tier statistics, one flat JSON object so the gateway
-    /// rollup (and `jq`-less shell checks) can sum fields across backends.
+    /// The `/metrics` body: one snapshot of the counters and histograms
+    /// plus the model registry's hot-tier figures, sorted by name, so the
+    /// gateway can merge it with other backends' into its `fleet` view.
     fn metrics_body(&self) -> String {
         let registry = &self.registry;
-        let mut body = snapshot_json(&self.metrics.registry.snapshot());
         let stats = registry.stats();
-        debug_assert!(body.ends_with('}'));
-        body.pop();
-        if body.len() > 1 {
-            body.push_str(", ");
-        }
-        body.push_str(&format!(
-            "\"registry.models\": {}, \"registry.hot_cap\": {}, \"registry.hot_resident\": {}, \
-             \"registry.hot_hits\": {}, \"registry.hot_misses\": {}, \
-             \"registry.hot_evictions\": {}, \"registry.prefix_bytes\": {}}}",
-            registry.len(),
-            registry.hot_cap(),
-            stats.resident,
-            stats.hits,
-            stats.misses,
-            stats.evictions,
-            stats.prefix_bytes,
-        ));
-        body
+        let mut snapshot = self.metrics.registry.snapshot();
+        snapshot.extend(
+            [
+                ("registry.models", registry.len() as u64),
+                ("registry.hot_cap", registry.hot_cap() as u64),
+                ("registry.hot_resident", stats.resident),
+                ("registry.hot_hits", stats.hits),
+                ("registry.hot_misses", stats.misses),
+                ("registry.hot_evictions", stats.evictions),
+                ("registry.prefix_bytes", stats.prefix_bytes),
+            ]
+            .map(|(name, v)| (name.to_string(), Sample::Counter(v))),
+        );
+        snapshot.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        snapshot_json(&snapshot)
     }
 }
 
@@ -447,6 +444,18 @@ fn push_summary(o: &mut String, bphy: &[f64], bzoo: &[f64]) {
     push_f64(o, max);
 }
 
+/// One trajectory's fields: its `bphy`/`bzoo` series, or their summary.
+fn push_trajectory(o: &mut String, mode: Mode, bphy: &[f64], bzoo: &[f64]) {
+    match mode {
+        Mode::Series => {
+            push_series(o, "bphy", bphy);
+            o.push_str(", ");
+            push_series(o, "bzoo", bzoo);
+        }
+        Mode::Summary => push_summary(o, bphy, bzoo),
+    }
+}
+
 /// Render the `/simulate` response body.
 fn render_output(model: &str, output: &SimOutput, mode: Mode, batch: usize) -> Vec<u8> {
     let mut o = String::from("{\"model\": ");
@@ -455,14 +464,7 @@ fn render_output(model: &str, output: &SimOutput, mode: Mode, batch: usize) -> V
     match output {
         SimOutput::Single { bphy, bzoo } => {
             o.push_str(&format!("\"days\": {}, ", bphy.len()));
-            match mode {
-                Mode::Series => {
-                    push_series(&mut o, "bphy", bphy);
-                    o.push_str(", ");
-                    push_series(&mut o, "bzoo", bzoo);
-                }
-                Mode::Summary => push_summary(&mut o, bphy, bzoo),
-            }
+            push_trajectory(&mut o, mode, bphy, bzoo);
         }
         SimOutput::Network {
             stations,
@@ -478,14 +480,7 @@ fn render_output(model: &str, output: &SimOutput, mode: Mode, batch: usize) -> V
                 o.push_str("{\"name\": ");
                 push_escaped(&mut o, name);
                 o.push_str(", ");
-                match mode {
-                    Mode::Series => {
-                        push_series(&mut o, "bphy", &bphy[i]);
-                        o.push_str(", ");
-                        push_series(&mut o, "bzoo", &bzoo[i]);
-                    }
-                    Mode::Summary => push_summary(&mut o, &bphy[i], &bzoo[i]),
-                }
+                push_trajectory(&mut o, mode, &bphy[i], &bzoo[i]);
                 o.push('}');
             }
             o.push(']');

@@ -14,20 +14,23 @@
 //! * **Traceability** — journals written by a real `gmr-serve cluster`
 //!   run stitch into one cross-process Chrome trace in which every
 //!   gateway `/simulate` hop resolves to exactly one backend span.
+//! * **One metrics document** — the gateway's `/metrics` `fleet` snapshot
+//!   is the field-by-field sum of the backends' snapshots it carries.
 //!
 //! Backends are the crate's own binary (`CARGO_BIN_EXE_gmr-serve`), so
 //! these tests exercise the same process-supervision path `gmr-serve
-//! cluster` ships.
+//! cluster` ships; tests of the gateway alone run in-process servers.
 
-use gmr_hydro::{generate, SyntheticConfig};
+use gmr_hydro::SyntheticConfig;
 use gmr_json::Value;
-use gmr_serve::batch::{HostedTable, NetStation, Tables};
+use gmr_serve::batch::Tables;
 use gmr_serve::gateway::BackendSlot;
 use gmr_serve::server::{http_request, read_response_full, write_request};
 use gmr_serve::{
     Cluster, ClusterConfig, Gateway, GatewayConfig, ModelArtifact, ModelRegistry, Server,
-    ServerConfig,
+    ServerConfig, ServerHandle,
 };
+use std::collections::BTreeMap;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -47,26 +50,16 @@ fn scratch(tag: &str) -> PathBuf {
 /// The same hosted tables `gmr-serve serve --days DAYS` builds (default
 /// seed), for the solo reference server.
 fn reference_tables() -> Tables {
-    let ds = generate(&SyntheticConfig::default());
-    let cut = DAYS.min(ds.days);
-    let mut tables = Tables::new();
-    tables.insert(
-        "target",
-        HostedTable::Single(ds.target_series().vars[..cut].to_vec()),
-    );
-    tables.insert(
-        "network",
-        HostedTable::Network(
-            ds.stations
-                .iter()
-                .map(|s| NetStation {
-                    vars: s.vars[..cut].to_vec(),
-                    flow: s.flow[..cut].to_vec(),
-                })
-                .collect(),
-        ),
-    );
-    tables
+    Tables::synthetic(SyntheticConfig::default().seed, Some(DAYS))
+}
+
+/// An in-process server hosting MANUAL over the reference tables.
+fn solo_server() -> ServerHandle {
+    let mut registry = ModelRegistry::new();
+    registry.insert(ModelArtifact::builtin_manual()).unwrap();
+    Server::new(ServerConfig::default(), registry, reference_tables())
+        .start()
+        .unwrap()
 }
 
 fn start_cluster(tag: &str, backends: usize, tweak: impl FnOnce(&mut ClusterConfig)) -> Cluster {
@@ -88,7 +81,7 @@ fn sim_body(model: &str) -> String {
     format!(r#"{{"model": "{model}", "forcings_ref": "target"}}"#)
 }
 
-/// Per-backend `/simulate` counts from the gateway's rollup view: the
+/// Per-backend `/simulate` counts from the gateway's `/metrics`: the
 /// `serve.batch_size` histogram only records when a simulation ran.
 fn sim_counts(gateway_addr: SocketAddr) -> Vec<u64> {
     let (status, bytes) = http_request(gateway_addr, "GET", "/metrics", b"").unwrap();
@@ -96,7 +89,7 @@ fn sim_counts(gateway_addr: SocketAddr) -> Vec<u64> {
     let v = gmr_json::parse(std::str::from_utf8(&bytes).unwrap()).unwrap();
     v.get("backends")
         .and_then(Value::as_arr)
-        .expect("rollup carries a backends array")
+        .expect("gateway metrics carry a backends array")
         .iter()
         .map(|b| {
             b.get("metrics")
@@ -116,11 +109,7 @@ fn gateway_is_bit_identical_to_solo_and_routes_deterministically() {
         .unwrap();
 
     // Solo reference: same model, same hosted tables, in-process.
-    let mut registry = ModelRegistry::new();
-    registry.insert(ModelArtifact::builtin_manual()).unwrap();
-    let solo = Server::new(ServerConfig::default(), registry, reference_tables())
-        .start()
-        .unwrap();
+    let solo = solo_server();
 
     let body = sim_body("table5-manual");
     let (solo_status, solo_bytes) =
@@ -414,11 +403,7 @@ fn gateway_propagates_backend_429_and_retry_after() {
 /// down a gateway worker — and the gateway must keep serving.
 #[test]
 fn gateway_answers_hostile_nesting_with_400_and_keeps_serving() {
-    let mut registry = ModelRegistry::new();
-    registry.insert(ModelArtifact::builtin_manual()).unwrap();
-    let backend = Server::new(ServerConfig::default(), registry, reference_tables())
-        .start()
-        .unwrap();
+    let backend = solo_server();
     let slots: Arc<Vec<BackendSlot>> = Arc::new(vec![BackendSlot::default()]);
     slots[0].set_addr(backend.addr());
     let gateway = Gateway::new(GatewayConfig::default(), slots)
@@ -517,4 +502,90 @@ fn scenario_sweep_through_gateway_matches_solo_refs() {
 
     gateway.shutdown();
     cluster.shutdown();
+}
+
+/// The integer fields of a `/metrics` snapshot.
+fn integers(snapshot: &Value) -> BTreeMap<String, u64> {
+    let Value::Obj(fields) = snapshot else {
+        panic!("snapshot is not an object: {snapshot:?}");
+    };
+    fields
+        .iter()
+        .filter_map(|(name, v)| Some((name.clone(), v.as_u64()?)))
+        .collect()
+}
+
+/// A `/metrics` histogram as `(count, sum, buckets)`.
+fn histogram(v: &Value) -> (u64, u64, BTreeMap<u64, u64>) {
+    let int = |key| v.get(key).and_then(Value::as_u64).unwrap();
+    let pairs = v.get("buckets").and_then(Value::as_arr).unwrap();
+    let buckets = pairs.iter().map(|p| {
+        let p = p.as_arr().unwrap();
+        (p[0].as_u64().unwrap(), p[1].as_u64().unwrap())
+    });
+    (int("count"), int("sum"), buckets.collect())
+}
+
+/// The gateway's `/metrics` is one document of four sections, and its
+/// `fleet` snapshot adds up the backend snapshots it also carries: every
+/// integer field is the sum over `backends[*].metrics`, and
+/// `serve.latency_us` their count-, sum- and bucket-wise sum.
+#[test]
+fn gateway_fleet_metrics_are_the_sum_of_the_backends() {
+    let backends = [solo_server(), solo_server()];
+    let slots: Arc<Vec<BackendSlot>> = Arc::new((0..2).map(|_| BackendSlot::default()).collect());
+    for (slot, backend) in slots.iter().zip(&backends) {
+        slot.set_addr(backend.addr());
+    }
+    let gateway = Gateway::new(GatewayConfig::default(), slots)
+        .start()
+        .unwrap();
+    // Uneven traffic: one request to backend 0, three to backend 1, and
+    // three through the gateway.
+    let (b0, b1, gw) = (backends[0].addr(), backends[1].addr(), gateway.addr());
+    for addr in [b0, b1, b1, b1, gw, gw, gw] {
+        let body = sim_body("table5-manual");
+        let (status, _) = http_request(addr, "POST", "/simulate", body.as_bytes()).unwrap();
+        assert_eq!(status, 200);
+    }
+
+    let (status, bytes) = http_request(gw, "GET", "/metrics", b"").unwrap();
+    assert_eq!(status, 200);
+    let doc = gmr_json::parse(std::str::from_utf8(&bytes).unwrap()).unwrap();
+    let Value::Obj(sections) = &doc else {
+        panic!("metrics document is not an object: {doc:?}");
+    };
+    let keys: Vec<&str> = sections.keys().map(String::as_str).collect();
+    assert_eq!(keys, ["backends", "fleet", "gateway", "slo"]);
+    let fleet = &sections["fleet"];
+    let snapshots: Vec<&Value> = sections["backends"]
+        .as_arr()
+        .unwrap()
+        .iter()
+        .map(|b| b.get("metrics").expect("each backend answered"))
+        .collect();
+    assert_eq!(snapshots.len(), 2);
+
+    let mut sums = BTreeMap::new();
+    let mut latency = (0, 0, BTreeMap::new());
+    for snapshot in &snapshots {
+        for (name, n) in integers(snapshot) {
+            *sums.entry(name).or_insert(0) += n;
+        }
+        let (count, sum, buckets) = histogram(snapshot.get("serve.latency_us").unwrap());
+        latency.0 += count;
+        latency.1 += sum;
+        for (i, c) in buckets {
+            *latency.2.entry(i).or_insert(0) += c;
+        }
+    }
+    assert_eq!(integers(fleet), sums);
+    assert_eq!(sums["serve.requests_total"], 7);
+    assert_eq!(histogram(fleet.get("serve.latency_us").unwrap()), latency);
+    assert_eq!(latency.0, 7);
+
+    gateway.shutdown();
+    for backend in backends {
+        backend.shutdown();
+    }
 }

@@ -136,18 +136,17 @@ fn paced_request_within_the_budget_is_served() {
 }
 
 /// The trace id of the context a response echoes.
-#[cfg(feature = "obsv")]
 fn echoed_trace(echo: Option<&str>) -> u64 {
     echo.and_then(|v| v.split_once('-'))
         .and_then(|(trace, _)| gmr_obsv::journal::parse_hex_id(trace))
         .expect("the answer echoes its trace context")
 }
 
-/// Every `access` event journaled under `trace`, as `(path, status)`,
-/// in journal order. Other tests journal into the same process-global
-/// journal, so a test's own requests are told apart by trace id.
-#[cfg(feature = "obsv")]
-fn access_events(trace: u64) -> Vec<(&'static str, u16)> {
+/// Every `access` event journaled under `trace`, as `(path, status,
+/// batched)`, in journal order. Other tests journal into the same
+/// process-global journal, so a test's own requests are told apart by
+/// trace id.
+fn access_events(trace: u64) -> Vec<(&'static str, u16, bool)> {
     use gmr_obsv::journal::Event;
     let journal = gmr_obsv::global().expect("journal installed").snapshot();
     journal
@@ -157,8 +156,9 @@ fn access_events(trace: u64) -> Vec<(&'static str, u16)> {
                 trace: t,
                 path,
                 status,
+                batched,
                 ..
-            } if t == trace => Some((path, status)),
+            } if t == trace => Some((path, status, batched)),
             _ => None,
         })
         .collect()
@@ -167,7 +167,6 @@ fn access_events(trace: u64) -> Vec<(&'static str, u16)> {
 /// Both services journal a malformed request the same way: one `access`
 /// event under their own `(malformed)` tag, with the trace id the `400`
 /// echoes.
-#[cfg(feature = "obsv")]
 #[test]
 fn malformed_requests_are_journaled_by_both_services() {
     gmr_obsv::init(gmr_obsv::DEFAULT_CAPACITY);
@@ -182,14 +181,16 @@ fn malformed_requests_are_journaled_by_both_services() {
         assert_eq!(resp.status, 400);
         shutdown();
         let trace = echoed_trace(resp.trace.as_deref());
-        assert_eq!(access_events(trace), [(tag, 400)]);
+        assert_eq!(access_events(trace), [(tag, 400, false)]);
     }
 }
 
-/// A served `/simulate` is journaled once per service it passes through:
-/// one `access` event from a backend hit directly, one from the gateway
-/// and one from the backend it relayed to.
-#[cfg(feature = "obsv")]
+/// A served request is journaled once per service it passes through: a
+/// `/simulate` once by a backend hit directly, and once by the gateway and
+/// once by the backend it relayed to. A `/sweep` runs inline rather than
+/// in a coalesced `/simulate` batch, so its `access` event reads
+/// `batched: false` and `serve.batch_size`, the histogram of `/simulate`
+/// batch widths, does not count it.
 #[test]
 fn served_requests_are_journaled_once_per_service() {
     gmr_obsv::init(gmr_obsv::DEFAULT_CAPACITY);
@@ -206,28 +207,41 @@ fn served_requests_are_journaled_once_per_service() {
     let gateway = Gateway::new(GatewayConfig::default(), slots)
         .start()
         .unwrap();
-    let body = br#"{"model": "table5-manual", "forcings_ref": "t", "mode": "summary"}"#;
-    let simulate = |addr| {
-        let resp = Client::new(addr)
-            .request("POST", "/simulate", body)
-            .unwrap();
+    let post = |addr, path, body: &[u8]| {
+        let resp = Client::new(addr).request("POST", path, body).unwrap();
         assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
         echoed_trace(resp.trace.as_deref())
     };
-    let direct = simulate(backend.addr());
-    let proxied = simulate(gateway.addr());
+    let body = br#"{"model": "table5-manual", "forcings_ref": "t", "mode": "summary"}"#;
+    let direct = post(backend.addr(), "/simulate", body);
+    let proxied = post(gateway.addr(), "/simulate", body);
+    let spec = br#"{"schema": "gmr-scenario/v1", "name": "dry", "seed": 5,
+        "topology": {"kind": "braided", "stations": 12}, "years": 1, "spread": 0.3}"#;
+    post(backend.addr(), "/scenarios", spec);
+    let batches = || {
+        let metrics = gmr_json::parse(&backend.metrics_json()).unwrap();
+        let histogram = metrics.get("serve.batch_size").unwrap();
+        histogram.get("count").and_then(gmr_json::Value::as_u64)
+    };
+    assert_eq!(batches(), Some(2));
+    let body = br#"{"scenario": "dry", "model": "table5-manual", "variants": 8}"#;
+    let sweep = post(backend.addr(), "/sweep", body);
+    assert_eq!(batches(), Some(2), "a sweep is not a /simulate batch");
     gateway.shutdown();
     backend.shutdown();
-    assert_eq!(access_events(direct), [("/simulate", 200)]);
+    assert_eq!(access_events(direct), [("/simulate", 200, false)]);
     let mut hops = access_events(proxied);
     hops.sort_unstable();
-    assert_eq!(hops, [("/simulate", 200), ("gw:/simulate", 200)]);
+    assert_eq!(
+        hops,
+        [("/simulate", 200, false), ("gw:/simulate", 200, false)]
+    );
+    assert_eq!(access_events(sweep), [("/sweep", 200, false)]);
 }
 
 /// A backend's `429` relayed by the gateway is the backend's shed, so the
 /// gateway journals it with `shed: false`; `gateway.shed_total` still
 /// counts it, like every 429 the gateway answers.
-#[cfg(feature = "obsv")]
 #[test]
 fn relayed_429_is_counted_but_not_journaled_as_the_gateways_shed() {
     use gmr_json::Value;

@@ -7,7 +7,9 @@
 //! tests pin the whole chain (artifact → registry → HTTP → batcher → VM →
 //! JSON → parse) end to end.
 
-use gmr_bio::{RiverProblem, SimOptions};
+use gmr_bio::{
+    simulate_network_compiled, NetworkSimOptions, RiverProblem, SimOptions, StationSeries,
+};
 use gmr_core::Gmr;
 use gmr_expr::{CompiledSystem, Tier};
 use gmr_gp::GpConfig;
@@ -18,6 +20,7 @@ use gmr_serve::server::{http_request, read_response, write_request};
 use gmr_serve::{ModelArtifact, ModelRegistry, Server, ServerConfig, ServerHandle};
 use std::io::BufReader;
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn rows(n: usize) -> Vec<[f64; NUM_VARS]> {
@@ -50,6 +53,13 @@ fn start(
     (handle, table)
 }
 
+/// MANUAL compiled the way a server's registry compiles it.
+fn manual_system() -> Arc<CompiledSystem> {
+    let mut registry = ModelRegistry::new();
+    registry.insert(ModelArtifact::builtin_manual()).unwrap();
+    registry.touch("table5-manual").unwrap().system.clone()
+}
+
 fn json_series(v: &Value, key: &str) -> Vec<f64> {
     v.get(key)
         .and_then(Value::as_arr)
@@ -78,12 +88,7 @@ fn simulate_is_bit_identical_to_in_process_evaluation() {
         observed: vec![0.0; table.len()],
         opts,
     };
-    let reg = {
-        let mut r = ModelRegistry::new();
-        r.insert(ModelArtifact::builtin_manual()).unwrap();
-        r
-    };
-    let system = reg.touch("table5-manual").unwrap().system.clone();
+    let system = manual_system();
     let want_bphy = problem.simulate_compiled(&system);
     let (_, want_bzoo) = simulate_single(&system, &table, opts.init, opts.dt, opts.state_cap);
 
@@ -130,12 +135,7 @@ fn simulate_is_bit_identical_to_in_process_evaluation() {
 #[test]
 fn concurrent_same_model_requests_coalesce_and_stay_exact() {
     let (handle, table) = start(200, |c| c.workers = 8);
-    let reg = {
-        let mut r = ModelRegistry::new();
-        r.insert(ModelArtifact::builtin_manual()).unwrap();
-        r
-    };
-    let system = reg.touch("table5-manual").unwrap().system.clone();
+    let system = manual_system();
     let inits = [
         (8.0, 1.2),
         (2.0, 0.3),
@@ -206,6 +206,18 @@ fn bad_inputs_get_4xx_and_the_server_stays_healthy() {
         r#"{"model": "table5-manual", "forcings_ref": "t", "days": 4000}"#,
     );
     assert_eq!(status, 400);
+    // An unknown key, a wrong-typed field or a non-object: 400, never a
+    // quiet default (a misspelt "days" would simulate the whole table).
+    for body in [
+        r#"{"model": "table5-manual", "forcings_ref": "t", "day": 3}"#,
+        r#"{"model": "table5-manual", "forcings_ref": "t", "mode": 1}"#,
+        r#"{"model": "table5-manual", "forcings_ref": "t", "network": "true"}"#,
+        r#"{"model": "table5-manual", "forcings_ref": "t", "network": true, "station": 1}"#,
+        r#"["table5-manual", "t"]"#,
+    ] {
+        let (status, v) = post_simulate(&handle, body);
+        assert_eq!(status, 400, "{body}: {v:?}");
+    }
     // Garbage body: 400.
     let (status, bytes) = http_request(handle.addr(), "POST", "/simulate", b"{not json").unwrap();
     assert_eq!(status, 400);
@@ -522,5 +534,96 @@ fn scenario_admission_sweep_and_solo_refs_agree() {
             .and_then(Value::as_u64),
         Some(5)
     );
+    handle.shutdown();
+}
+
+/// `/simulate` in network mode, against the `"network"` table `gmr-serve
+/// serve` hosts and the built-in MANUAL model (which carries the Nakdong
+/// topology): every station's series and summary equal
+/// in-process `simulate_network_compiled` bit for bit, the `station`
+/// filter keeps one station, and each misuse is a 4xx.
+#[test]
+fn network_simulate_is_bit_identical_to_in_process_network_simulation() {
+    const DAYS: usize = 60;
+    let mut tables = Tables::synthetic(SyntheticConfig::default().seed, Some(DAYS));
+    let Some(HostedTable::Network(stations)) = tables.get("network").cloned() else {
+        panic!("the synthetic tables include a network table");
+    };
+    tables.insert("two", HostedTable::Network(stations[..2].to_vec()));
+    let manual = ModelArtifact::builtin_manual();
+    let net = manual.topology.clone().expect("MANUAL carries a topology");
+    let flat = ModelArtifact {
+        name: "flat".into(),
+        topology: None,
+        ..manual.clone()
+    };
+    let mut registry = ModelRegistry::new();
+    registry.insert(manual).unwrap();
+    registry.insert(flat).unwrap();
+    let handle = Server::new(ServerConfig::default(), registry, tables)
+        .start()
+        .unwrap();
+    let series: Vec<StationSeries<'_>> = stations
+        .iter()
+        .map(|s| StationSeries {
+            vars: &s.vars,
+            flow: &s.flow,
+        })
+        .collect();
+    let opts = NetworkSimOptions::default();
+    let want = simulate_network_compiled(&net, &series, 0, DAYS, &manual_system(), opts);
+    // The stations a network request answers with, as `(name, station)`.
+    let simulate = |extra: &str| -> Vec<(String, Value)> {
+        let body = format!(
+            r#"{{"model": "table5-manual", "forcings_ref": "network", "network": true{extra}}}"#
+        );
+        let (status, v) = post_simulate(&handle, &body);
+        assert_eq!(status, 200, "{body}: {v:?}");
+        assert_eq!(v.get("days").and_then(Value::as_u64), Some(DAYS as u64));
+        let stations = v.get("stations").and_then(Value::as_arr).unwrap();
+        let name = |st: &Value| st.get("name").and_then(Value::as_str).unwrap().to_string();
+        stations.iter().map(|st| (name(st), st.clone())).collect()
+    };
+
+    let got = simulate("");
+    assert_eq!(got.len(), net.len());
+    for ((name, st), (sid, station)) in got.iter().zip(net.stations()) {
+        assert_eq!(name, &station.name);
+        assert_eq!(json_series(st, "bphy"), want.bphy[sid.0], "{name}");
+        assert_eq!(json_series(st, "bzoo"), want.bzoo[sid.0], "{name}");
+    }
+    let got = simulate(r#", "mode": "summary""#);
+    for ((name, st), (sid, _)) in got.iter().zip(net.stations()) {
+        let (bphy, bzoo) = (&want.bphy[sid.0], &want.bzoo[sid.0]);
+        let last = [*bphy.last().unwrap(), *bzoo.last().unwrap()];
+        let mean = bphy.iter().sum::<f64>() / DAYS as f64;
+        let max = bphy.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        assert_eq!(json_series(st, "final"), last, "{name}");
+        assert_eq!(st.get("mean_bphy").and_then(Value::as_f64), Some(mean));
+        assert_eq!(st.get("max_bphy").and_then(Value::as_f64), Some(max));
+    }
+    let (sid, outlet) = net.stations().last().unwrap();
+    let got = simulate(&format!(r#", "station": "{}""#, outlet.name));
+    assert_eq!(got.len(), 1);
+    assert_eq!(got[0].0, outlet.name);
+    assert_eq!(json_series(&got[0].1, "bphy"), want.bphy[sid.0]);
+
+    for (body, want_status) in [
+        // A model without a topology cannot run a network.
+        (r#""model": "flat", "forcings_ref": "network""#, 400),
+        // The table's station count must match the topology's.
+        (r#""model": "table5-manual", "forcings_ref": "two""#, 400),
+        (
+            r#""model": "table5-manual", "forcings_ref": "network", "station": "nowhere""#,
+            404,
+        ),
+    ] {
+        let body = format!(r#"{{{body}, "network": true}}"#);
+        let (status, v) = post_simulate(&handle, &body);
+        assert_eq!(status, want_status, "{body}: {v:?}");
+    }
+    // `station` only applies to network runs.
+    let body = r#"{"model": "table5-manual", "forcings_ref": "network", "station": "S1"}"#;
+    assert_eq!(post_simulate(&handle, body).0, 400);
     handle.shutdown();
 }
