@@ -312,11 +312,10 @@ pub fn merge_snapshots<'a>(
             let Some(sample) = parse_sample(v) else {
                 continue;
             };
-            match acc.get_mut(name) {
-                Some(total) => total.add(sample),
-                None => {
-                    acc.insert(name.clone(), sample);
-                }
+            if let Some(total) = acc.get_mut(name) {
+                total.add(sample);
+            } else {
+                acc.insert(name.clone(), sample);
             }
         }
     }
@@ -443,7 +442,12 @@ mod tests {
         assert_eq!(parsed.get("z").and_then(|v| v.as_u64()), Some(1));
         // 3 lands in bucket ilog2(4) = 2.
         let m = parsed.get("m").expect("histogram rendered");
-        assert_eq!(parse_sample(m).as_ref(), Some(&snap[1].1));
+        let want = Sample::Histogram {
+            count: 1,
+            sum: 3,
+            buckets: vec![(2, 1)],
+        };
+        assert_eq!(parse_sample(m), Some(want));
         // An index past the last bucket is not a snapshot this build wrote.
         let far = crate::json::parse(r#"{"count": 1, "sum": 0, "buckets": [[40, 1]]}"#).unwrap();
         assert_eq!(parse_sample(&far), None);

@@ -80,12 +80,9 @@ impl Span {
     /// sites use [`span!`](crate::span!) and [`span_fine!`](crate::span_fine!).
     #[inline]
     pub fn begin(name: &'static str, arg: Option<u64>, min_detail: Detail) -> Span {
-        let Some(journal) = crate::global() else {
+        let Some(journal) = crate::global().filter(|_| min_detail <= detail()) else {
             return Span(None);
         };
-        if min_detail > detail() {
-            return Span(None);
-        }
         let depth = DEPTH.with(|d| {
             let v = d.get();
             d.set(v + 1);

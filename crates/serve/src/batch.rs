@@ -78,19 +78,17 @@ pub struct SimRequest {
     pub station: Option<String>,
 }
 
-/// Refuse a body that is not an object or that names a key outside
-/// `known` (space-separated): a misspelt key must not quietly fall back
-/// to its default.
-pub(crate) fn check_keys(v: &Value, known: &str) -> Result<(), String> {
+/// Refuse `v` (named `what` in the message) if it is not an object or if
+/// it names a key outside `known`: a misspelt key must not quietly fall
+/// back to its default.
+pub(crate) fn check_keys(v: &Value, what: &str, known: &[&str]) -> Result<(), String> {
     let Value::Obj(m) = v else {
-        return Err("body must be an object".into());
+        return Err(format!("{what} must be an object"));
     };
-    for k in m.keys() {
-        if !known.split(' ').any(|key| key == k) {
-            return Err(format!("unknown key {k:?}"));
-        }
+    match m.keys().find(|k| !known.contains(&k.as_str())) {
+        Some(k) => Err(format!("unknown key {k:?} in {what}")),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// The integration settings `/simulate` and `/sweep` share, as `(init,
@@ -122,7 +120,19 @@ pub(crate) fn parse_integration(v: &Value) -> Result<((f64, f64), f64, f64), Str
 pub fn parse_sim_request(v: &Value) -> Result<SimRequest, String> {
     check_keys(
         v,
-        "model forcings forcings_ref days init dt state_cap mode network station",
+        "body",
+        &[
+            "model",
+            "forcings",
+            "forcings_ref",
+            "days",
+            "init",
+            "dt",
+            "state_cap",
+            "mode",
+            "network",
+            "station",
+        ],
     )?;
     let model = v
         .get("model")

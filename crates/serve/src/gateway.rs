@@ -574,10 +574,7 @@ impl Proxy {
                 &slot.addr_any().map(|a| a.to_string()).unwrap_or_default(),
             );
             body.push_str(", \"metrics\": ");
-            match &snapshots[b] {
-                Some(v) => gmr_json::push_value(&mut body, v),
-                None => body.push_str("null"),
-            }
+            gmr_json::push_value(&mut body, snapshots[b].as_ref().unwrap_or(&Value::Null));
             body.push('}');
         }
         body.push_str("]}");

@@ -186,7 +186,19 @@ pub struct SweepRequest {
 /// Unknown keys are rejected — a misspelled `"variants"` must not quietly
 /// sweep a 1-variant default.
 pub fn parse_sweep_request(v: &Value) -> Result<SweepRequest, String> {
-    check_keys(v, "scenario model variants reduce init dt state_cap")?;
+    check_keys(
+        v,
+        "body",
+        &[
+            "scenario",
+            "model",
+            "variants",
+            "reduce",
+            "init",
+            "dt",
+            "state_cap",
+        ],
+    )?;
     let scenario = v
         .get("scenario")
         .and_then(Value::as_str)
@@ -210,14 +222,7 @@ pub fn parse_sweep_request(v: &Value) -> Result<SweepRequest, String> {
     let reduce = match v.get("reduce") {
         None => ReduceSpec::default(),
         Some(r) => {
-            let Value::Obj(rm) = r else {
-                return Err("\"reduce\" must be an object".into());
-            };
-            for k in rm.keys() {
-                if k != "threshold" {
-                    return Err(format!("unknown reduce key {k:?}"));
-                }
-            }
+            check_keys(r, "\"reduce\"", &["threshold"])?;
             let threshold = match r.get("threshold").map(Value::as_f64) {
                 None => ReduceSpec::default().threshold,
                 Some(Some(t)) if t.is_finite() && t >= 0.0 => t,
