@@ -36,6 +36,21 @@ cargo test --workspace -q
 echo "==> perfbench builds against the workspace crates and its tests pass"
 cargo test --release --manifest-path perfbench/Cargo.toml -q
 
+echo "==> perfbench gmr_search answers: grouped and per-member evaluation agree"
+# The untraced half scores each evaluation round's chunks as groups
+# (`Gmr::run_with_lint`); the traced half scores member by member through
+# perfbench's timing wrapper, and each search's champion and scores must
+# be equal. perfbench exits 0 on a wrong answer, so the gate reads its
+# last line, `{"correct": ..., ...}`.
+mkdir -p perfbench/out
+cargo run --release --manifest-path perfbench/Cargo.toml -- \
+    --workload gmr_search --seed 1 --seconds 2 --trace 1 > perfbench/out/ci-gmr_search.txt
+tail -n 1 perfbench/out/ci-gmr_search.txt | grep -q '"correct": true' || {
+    echo "FAIL: perfbench gmr_search answered incorrectly:"
+    tail -n 1 perfbench/out/ci-gmr_search.txt
+    exit 1
+}
+
 echo "==> gmr-lint --builtin (zero errors required)"
 cargo run --release -q -p gmr-lint -- --builtin
 

@@ -200,10 +200,10 @@ fn simulate_multi(p: &RiverProblem, sys: &CompiledSystem, out: &mut Vec<f64>) {
     });
     let rhs = |t, s: &[f64], d: &mut [f64]| session.step(t, s, d);
     let o = &p.opts;
-    let inits = [o.init; LANES];
+    let mut states = [[o.init.0, o.init.1]; LANES];
     euler(
-        &inits,
-        p.num_cases(),
+        &mut states,
+        0..p.num_cases(),
         o.dt,
         o.state_cap,
         rhs,

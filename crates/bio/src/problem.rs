@@ -19,9 +19,11 @@
 //! row showing a 2.79e+9 training RMSE rather than a crash), and a NaN state
 //! is snapped to the cap.
 
-use gmr_expr::{CompiledSystem, EvalContext, Expr, Tier};
+use gmr_expr::{CompiledSystem, EvalContext, Expr, Tier, LANES};
 use gmr_hydro::data::{RiverDataset, Split};
 use gmr_hydro::{mae, rmse, NUM_VARS};
+use std::ops::Range;
+use std::slice;
 
 /// Integration options.
 #[derive(Debug, Clone, Copy)]
@@ -85,8 +87,9 @@ pub fn euler_step(state: [f64; 2], d: [f64; 2], dt: f64, cap: f64) -> [f64; 2] {
     ]
 }
 
-/// The one forward-Euler loop: `k = inits.len()` trajectories of
-/// `(B_Phy, B_Zoo)` integrated for `days` days in lock-step.
+/// The one forward-Euler loop: `k = states.len()` trajectories of
+/// `(B_Phy, B_Zoo)` integrated in lock-step over `days`, from and into
+/// `states` — so a caller may integrate a long horizon in several calls.
 ///
 /// Per day: `visit(lane, day, bphy, bzoo)` observes each lane's
 /// *pre-step* state (recording a prediction, reducing a summary, scoring
@@ -97,8 +100,8 @@ pub fn euler_step(state: [f64; 2], d: [f64; 2], dt: f64, cap: f64) -> [f64; 2] {
 /// Both closures are generic, so a step makes no dynamic call and no
 /// allocation.
 pub fn euler<F, V>(
-    inits: &[(f64, f64)],
-    days: usize,
+    states: &mut [[f64; 2]],
+    days: Range<usize>,
     dt: f64,
     cap: f64,
     mut rhs: F,
@@ -108,9 +111,8 @@ where
     F: FnMut(usize, &[f64], &mut [f64]),
     V: FnMut(usize, usize, f64, f64) -> bool,
 {
-    let mut states: Vec<[f64; 2]> = inits.iter().map(|&(p, z)| [p, z]).collect();
     let mut d = vec![[0.0f64; 2]; states.len()];
-    for day in 0..days {
+    for day in days {
         for (lane, s) in states.iter().enumerate() {
             if !visit(lane, day, s[0], s[1]) {
                 return false;
@@ -122,6 +124,59 @@ where
         }
     }
     true
+}
+
+/// Running RMSE of one trajectory against the observations, with the
+/// short-circuit checkpoints of [`RiverProblem::evaluate_with`]: the one
+/// scoring rule of the interpreter and the compiled group.
+#[derive(Clone, Copy, Default)]
+struct Score {
+    sse: f64,
+    /// The running RMSE the controller stopped at.
+    aborted: Option<f64>,
+}
+
+impl Score {
+    /// Score day `i`'s prediction; `false` when `ctl` stops the
+    /// evaluation at a checkpoint. Checkpoints fire between cases: when
+    /// day `i` is visited, `i` cases are integrated and scored, which is
+    /// exactly the historical end-of-iteration check with `done == i`
+    /// (and `done < n` holds for free because case `i` is still pending).
+    fn visit(
+        &mut self,
+        p: &RiverProblem,
+        i: usize,
+        bphy: f64,
+        mut ctl: impl FnMut(f64, usize) -> bool,
+    ) -> bool {
+        if i > 0 && i.is_multiple_of(p.opts.check_every) {
+            let running = finite_or_inf((self.sse / i as f64).sqrt());
+            if !ctl(running, i) {
+                self.aborted = Some(running);
+                return false;
+            }
+        }
+        let err = bphy - p.observed[i];
+        self.sse += err * err;
+        true
+    }
+
+    /// `(fitness, fully_evaluated)`: the running RMSE an abort stopped
+    /// at, or the RMSE over all `n` cases.
+    fn finish(&self, n: usize) -> (f64, bool) {
+        match self.aborted {
+            Some(running) => (running, false),
+            None => (finite_or_inf((self.sse / n.max(1) as f64).sqrt()), true),
+        }
+    }
+}
+
+fn finite_or_inf(x: f64) -> f64 {
+    if x.is_finite() {
+        x
+    } else {
+        f64::INFINITY
+    }
 }
 
 impl RiverProblem {
@@ -154,8 +209,8 @@ impl RiverProblem {
     {
         let o = &self.opts;
         euler(
-            &[o.init],
-            self.forcings.len(),
+            &mut [[o.init.0, o.init.1]],
+            0..self.forcings.len(),
             o.dt,
             o.state_cap,
             rhs,
@@ -241,54 +296,68 @@ impl RiverProblem {
     /// [`Self::evaluate_with`] taking an already-compiled system, so
     /// callers that memoise the compiled artifact per genotype (the GP
     /// engine's phenotype cache) pay the compile cost once instead of on
-    /// every evaluation.
+    /// every evaluation. A compiled system is scored as a one-member
+    /// [`Self::evaluate_group`].
     pub fn evaluate_precompiled(
         &self,
         eqs: [&Expr; 2],
         compiled: Option<&CompiledSystem>,
         ctl: &mut dyn FnMut(f64, usize) -> bool,
     ) -> (f64, bool) {
-        let n = self.num_cases();
-        let check = self.opts.check_every;
-        let mut sse = 0.0f64;
-        let mut aborted_fitness = f64::INFINITY;
-        // Checkpoints fire between cases: when `visit(i, ..)` runs, `i`
-        // cases are integrated and scored, which is exactly the historical
-        // end-of-iteration check with `done == i` (and `done < n` holds
-        // for free because case `i` is still pending).
-        let visit = |i: usize, bphy: f64| -> bool {
-            if i > 0 && i.is_multiple_of(check) {
-                let running = (sse / i as f64).sqrt();
-                let running = if running.is_finite() {
-                    running
-                } else {
-                    f64::INFINITY
-                };
-                if !ctl(running, i) {
-                    aborted_fitness = running;
-                    return false;
-                }
-            }
-            let err = bphy - self.observed[i];
-            sse += err * err;
-            true
-        };
-        let completed = match compiled {
-            Some(sys) => self.integrate(self.compiled_rhs(sys), visit),
-            None => self.integrate(self.interp_rhs(eqs), visit),
-        };
-        if !completed {
-            return (aborted_fitness, false);
+        if let Some(sys) = compiled {
+            return self.evaluate_group(&[sys], &mut |_, running, done| ctl(running, done))[0];
         }
-        let full = (sse / n.max(1) as f64).sqrt();
-        (
-            if full.is_finite() {
-                full
-            } else {
-                f64::INFINITY
-            },
-            true,
-        )
+        let mut score = Score::default();
+        self.integrate(self.interp_rhs(eqs), |i, bphy| {
+            score.visit(self, i, bphy, &mut *ctl)
+        });
+        score.finish(self.num_cases())
+    }
+
+    /// Score compiled systems of one tier together, member `m` under
+    /// `ctl(m, running, done)` exactly as [`Self::evaluate_precompiled`]
+    /// scores it alone. Their state-independent prefixes run as one merged
+    /// program ([`CompiledSystem::group_session`]), so a value several
+    /// members compute is swept once per [`LANES`]-day chunk. Chunk by
+    /// chunk, every member still running resumes its own [`euler`] loop
+    /// over the chunk's days; a member whose controller stops it retires
+    /// and costs nothing more. Returns each member's
+    /// `(fitness, fully_evaluated)`, bit-identical to scoring it alone.
+    pub fn evaluate_group(
+        &self,
+        systems: &[&CompiledSystem],
+        ctl: &mut dyn FnMut(usize, f64, usize) -> bool,
+    ) -> Vec<(f64, bool)> {
+        assert!(
+            systems.iter().all(|s| s.n_eqs() == 2),
+            "the river system has two equations"
+        );
+        let o = &self.opts;
+        let n = self.num_cases();
+        let mut scores = vec![Score::default(); systems.len()];
+        for run in CompiledSystem::group_runs(systems) {
+            let mut session = CompiledSystem::group_session(&systems[run.clone()], &self.forcings);
+            let scores = &mut scores[run.clone()];
+            let mut states = vec![[o.init.0, o.init.1]; run.len()];
+            let mut live: Vec<usize> = (0..run.len()).collect();
+            for first in (0..n).step_by(LANES) {
+                live.retain(|&m| {
+                    euler(
+                        slice::from_mut(&mut states[m]),
+                        first..n.min(first + LANES),
+                        o.dt,
+                        o.state_cap,
+                        |i, state, d| session.step(m, i, state, d),
+                        |_, i, bphy, _| {
+                            scores[m].visit(self, i, bphy, |running, done| {
+                                ctl(run.start + m, running, done)
+                            })
+                        },
+                    )
+                });
+            }
+        }
+        scores.iter().map(|s| s.finish(n)).collect()
     }
 }
 
@@ -393,6 +462,31 @@ mod tests {
         let (a, _) = p.evaluate_with(&eqs, false, &mut |_, _| true);
         let (b, _) = p.evaluate_with(&eqs, true, &mut |_, _| true);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn group_scores_each_member_as_the_interpreter_scores_it_alone() {
+        // Duplicates and a variant, stopped by their controllers at
+        // checkpoints off the 32-day chunk grid, or never.
+        let mut p = tiny_problem();
+        p.opts.check_every = 20;
+        let [a, b] = manual_system();
+        let half = Expr::bin(gmr_expr::BinOp::Mul, b.clone(), Expr::Num(0.5));
+        let systems = [[a.clone(), b.clone()], [a.clone(), half], [a, b]];
+        let compiled: Vec<CompiledSystem> = systems
+            .iter()
+            .map(|eqs| CompiledSystem::compile(eqs, Tier::Threaded))
+            .collect();
+        let stop_at = [usize::MAX, 60, 140];
+        let refs: Vec<&CompiledSystem> = compiled.iter().collect();
+        let got = p.evaluate_group(&refs, &mut |m, _, done| done < stop_at[m]);
+        for (m, eqs) in systems.iter().enumerate() {
+            let want =
+                p.evaluate_precompiled([&eqs[0], &eqs[1]], None, &mut |_, done| done < stop_at[m]);
+            assert_eq!(got[m].0.to_bits(), want.0.to_bits(), "member {m}");
+            assert_eq!(got[m].1, want.1, "member {m}");
+        }
+        assert_eq!(got.iter().filter(|r| r.1).count(), 1);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use gmr_bio::params::{NUM_CALIBRATED, PARAMS};
 use gmr_bio::RiverProblem;
+use gmr_expr::CompiledSystem;
 use gmr_gp::{Evaluator, ParamPriors, Phenotype};
 
 /// Table III (plus the `R` pseudo-parameter) as GP mutation priors.
@@ -45,6 +46,27 @@ impl Evaluator for RiverEvaluator {
         // instead of recompiling per evaluation.
         self.problem
             .evaluate_precompiled([&eqs[0], &eqs[1]], ph.compiled(), ctl)
+    }
+
+    /// A group of compiled members is scored as one group, sharing the
+    /// state-independent work their prefixes have in common
+    /// ([`RiverProblem::evaluate_group`]); with runtime compilation off,
+    /// the interpreter scores the members one by one. Each result equals
+    /// [`Self::evaluate`]'s.
+    fn evaluate_group(
+        &self,
+        phs: &[&Phenotype],
+        ctl: &mut dyn FnMut(usize, f64, usize) -> bool,
+    ) -> Vec<(f64, bool)> {
+        let systems: Option<Vec<&CompiledSystem>> = phs.iter().map(|ph| ph.compiled()).collect();
+        match systems {
+            Some(systems) => self.problem.evaluate_group(&systems, ctl),
+            None => phs
+                .iter()
+                .enumerate()
+                .map(|(i, ph)| self.evaluate(ph, &mut |running, done| ctl(i, running, done)))
+                .collect(),
+        }
     }
 }
 

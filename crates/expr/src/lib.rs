@@ -57,6 +57,6 @@ pub use hash::TreeKey;
 pub use parse::{parse, parse_with_defaults, ParseError};
 pub use simplify::simplify;
 pub use vm::{
-    CompiledSystem, Fidelity, FidelityPolicy, LaneForcing, LaneSession, PrefixTable, RInstr,
-    RegProgram, SystemScratch, SystemSession, Tier, LANES,
+    CompiledSystem, Fidelity, FidelityPolicy, GroupSession, LaneForcing, LaneSession, PrefixTable,
+    RInstr, RegProgram, SystemScratch, SystemSession, Tier, LANES,
 };

@@ -50,7 +50,10 @@
 //!    precomputed prefix values through a pinned register window. A solo
 //!    [`SystemSession`] sweeps in chunks on demand, so a short-circuited
 //!    evaluation (paper Alg. 1) never pays for rows it does not visit; a
-//!    lock-step [`LaneSession`] reads a prefix materialized up front.
+//!    lock-step [`LaneSession`] reads a prefix materialized up front; a
+//!    [`GroupSession`] merges many systems' prefixes (an evaluation
+//!    round's candidates) by value numbering, so each distinct
+//!    instruction is swept once per chunk for the members still running.
 //!
 //! 4. **Threaded execution.** Both programs are built into threaded code
 //!    ([`crate::threaded`]): every instruction pre-resolved to a
@@ -282,6 +285,29 @@ impl RInstr {
                 f(c);
             }
         }
+    }
+
+    /// This instruction with every register it reads replaced by `f(r)`,
+    /// in [`reads`](Self::reads) order; the destination, indices and
+    /// immediates are kept.
+    fn map_reads(mut self, mut f: impl FnMut(u16) -> u16) -> RInstr {
+        match &mut self {
+            RInstr::LoadVar { .. } | RInstr::LoadState { .. } => {}
+            RInstr::Un { a, .. } | RInstr::VarBinR { a, .. } | RInstr::ConstBinR { a, .. } => {
+                *a = f(*a)
+            }
+            RInstr::VarBinL { b, .. } | RInstr::ConstBinL { b, .. } => *b = f(*b),
+            RInstr::Bin { a, b, .. } => {
+                *a = f(*a);
+                *b = f(*b);
+            }
+            RInstr::MulSub { a, b, c, .. } => {
+                *a = f(*a);
+                *b = f(*b);
+                *c = f(*c);
+            }
+        }
+        self
     }
 
     /// The forcing-variable (`vars`) index this instruction reads, if any.
@@ -2407,6 +2433,277 @@ impl<R: AsRef<[f64]>> LaneSession<'_, R> {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Groups: one merged prefix for many systems
+// ---------------------------------------------------------------------------
+
+/// The exact identity of one value in a group's merged prefix: the
+/// instruction's form and operator, its operands as merged registers (one
+/// per distinct value; pinned constants by bit pattern), its forcing
+/// column and its immediate's bit pattern. Equal keys run the same kernel
+/// on the same operand bits, so they give the same bits. Keys are compared
+/// whole, never by hash alone; `-0.0` against `0.0`, or two NaN payloads,
+/// are two values, and so are a fused form and its unfused spelling.
+#[derive(Hash, PartialEq, Eq)]
+enum ValueKey {
+    LoadVar(u8),
+    Un(UnOp, u16),
+    Bin(BinOp, u16, u16),
+    VarBinL(BinOp, u8, u16),
+    VarBinR(BinOp, u16, u8),
+    ConstBinL(BinOp, u64, u16),
+    ConstBinR(BinOp, u16, u64),
+    MulSub(u16, u16, u16),
+}
+
+impl ValueKey {
+    /// The key of a prefix instruction whose operands are merged registers.
+    fn of(ins: RInstr) -> ValueKey {
+        match ins {
+            RInstr::LoadVar { idx, .. } => ValueKey::LoadVar(idx),
+            RInstr::LoadState { .. } => unreachable!("a prefix program loads no state"),
+            RInstr::Un { op, a, .. } => ValueKey::Un(op, a),
+            RInstr::Bin { op, a, b, .. } => ValueKey::Bin(op, a, b),
+            RInstr::VarBinL { op, idx, b, .. } => ValueKey::VarBinL(op, idx, b),
+            RInstr::VarBinR { op, a, idx, .. } => ValueKey::VarBinR(op, a, idx),
+            RInstr::ConstBinL { op, c, b, .. } => ValueKey::ConstBinL(op, c.to_bits(), b),
+            RInstr::ConstBinR { op, a, c, .. } => ValueKey::ConstBinR(op, a, c.to_bits()),
+            RInstr::MulSub { a, b, c, .. } => ValueKey::MulSub(a, b, c),
+        }
+    }
+}
+
+/// A register index of a merged program.
+fn merged_reg(r: usize) -> u16 {
+    u16::try_from(r).expect("a group's merged prefix outgrew the u16 register file")
+}
+
+/// The prefix programs of a group merged by value numbering into one
+/// validated [`RegProgram`]: the pinned constants, deduplicated by bit
+/// pattern, then one instruction and one register per distinct
+/// [`ValueKey`], in first-seen order, so every operand is written before
+/// it is read. No register is reused: an instruction a sweep skips leaves
+/// a stale stripe that no member stepping in that chunk reads.
+struct MergedPrefix {
+    prog: RegProgram,
+    /// Member `i`'s prefix output `j` is register `windows[i][j]`.
+    windows: Vec<Vec<u16>>,
+    /// The merged instructions member `i` needs, ascending: the one that
+    /// computes each of its own prefix instructions' values. Closed under
+    /// operands, because a key names its operands' values.
+    needs: Vec<Vec<u32>>,
+}
+
+impl MergedPrefix {
+    fn new(progs: &[&RegProgram]) -> MergedPrefix {
+        let mut consts = Vec::new();
+        let mut const_reg: HashMap<u64, u16> = HashMap::new();
+        for p in progs {
+            for &c in &p.consts {
+                const_reg.entry(c.to_bits()).or_insert_with(|| {
+                    consts.push(c);
+                    merged_reg(consts.len() - 1)
+                });
+            }
+        }
+        let nc = consts.len();
+        let mut code: Vec<RInstr> = Vec::new();
+        let mut values: HashMap<ValueKey, u16> = HashMap::new();
+        let mut windows = Vec::with_capacity(progs.len());
+        let mut needs = Vec::with_capacity(progs.len());
+        let mut needs_vars = 0;
+        // The merged register each of the current member's registers holds.
+        let mut merged: Vec<u16> = Vec::new();
+        for p in progs {
+            merged.clear();
+            merged.extend(p.consts.iter().map(|c| const_reg[&c.to_bits()]));
+            merged.resize(p.n_regs as usize, 0);
+            let mut mine = Vec::with_capacity(p.code.len());
+            for ins in &p.code {
+                let renamed = ins.map_reads(|r| merged[r as usize]);
+                let r = *values.entry(ValueKey::of(renamed)).or_insert_with(|| {
+                    let r = merged_reg(nc + code.len());
+                    let mut def = renamed;
+                    def.set_dst(r);
+                    code.push(def);
+                    r
+                });
+                merged[ins.dst() as usize] = r;
+                mine.push(u32::from(r) - nc as u32);
+            }
+            mine.sort_unstable();
+            mine.dedup();
+            needs.push(mine);
+            windows.push(p.outputs.iter().map(|&o| merged[o as usize]).collect());
+            needs_vars = needs_vars.max(p.needs_vars);
+        }
+        let prog = RegProgram {
+            n_regs: merged_reg(nc + code.len()),
+            code,
+            consts,
+            n_pre: 0,
+            outputs: windows.concat(),
+            needs_vars,
+            needs_states: 0,
+        };
+        prog.validate();
+        MergedPrefix {
+            prog,
+            windows,
+            needs,
+        }
+    }
+}
+
+impl CompiledSystem {
+    /// Open a session that steps several systems of one tier over one
+    /// forcing table — an evaluation round's candidates. Their prefix
+    /// programs merge by value numbering into one program, and each
+    /// distinct instruction is swept once per [`LANES`]-row chunk for
+    /// the members still stepping; each member's core then steps on its
+    /// own over the shared stripes. Every member's outputs are
+    /// bit-identical to its own [`session`](Self::session): each value is
+    /// computed by the same kernel, at the same width and `fast` flag,
+    /// from the same operand bits.
+    ///
+    /// Panics when the members mix tiers, when one is analysis-only, or
+    /// when the merged prefix outgrows the `u16` register file
+    /// ([`group_runs`](Self::group_runs) cuts a list into groups that fit).
+    pub fn group_session<'a, R: AsRef<[f64]>>(
+        members: &[&'a CompiledSystem],
+        rows: &'a [R],
+    ) -> GroupSession<'a, R> {
+        let tier = members.first().map(|s| s.tier);
+        assert!(
+            members.iter().all(|s| Some(s.tier) == tier),
+            "a group mixes tiers"
+        );
+        // The sweep runs the lane kernels and the steps the threaded
+        // cores: refuse analysis-only systems before merging their code.
+        for s in members {
+            s.thunks();
+        }
+        let progs: Vec<&RegProgram> = members.iter().map(|s| &s.prefix).collect();
+        let prefix = MergedPrefix::new(&progs);
+        let mut lane_regs = vec![0.0; prefix.prog.n_regs as usize * LANES];
+        prefix.prog.init_consts_lanes(&mut lane_regs);
+        let cores = members
+            .iter()
+            .map(|s| {
+                let mut regs = vec![0.0; s.core.n_regs as usize];
+                s.core.init_consts(&mut regs);
+                regs
+            })
+            .collect();
+        GroupSession {
+            members: members.to_vec(),
+            rows,
+            stamps: vec![usize::MAX; prefix.prog.code.len()],
+            swept: vec![usize::MAX; members.len()],
+            prefix,
+            lane_regs,
+            chunk: 0,
+            cores,
+            fast: members.first().is_some_and(|s| s.relaxed()),
+        }
+    }
+
+    /// Cut `members` into consecutive runs that
+    /// [`group_session`](Self::group_session) can merge: a run's prefix
+    /// instructions and constants, counted with repeats, bound its merged
+    /// register file, which `u16` indexes.
+    pub fn group_runs(members: &[&CompiledSystem]) -> Vec<std::ops::Range<usize>> {
+        let mut runs = Vec::new();
+        let (mut start, mut regs) = (0, 0);
+        for (i, s) in members.iter().enumerate() {
+            let need = s.prefix.code.len() + s.prefix.consts.len();
+            if i > start && regs + need > usize::from(u16::MAX) {
+                runs.push(start..i);
+                (start, regs) = (i, 0);
+            }
+            regs += need;
+        }
+        if start < members.len() {
+            runs.push(start..members.len());
+        }
+        runs
+    }
+}
+
+/// Several compiled systems stepped over one forcing table with one merged
+/// prefix program. Opened by [`CompiledSystem::group_session`].
+pub struct GroupSession<'a, R: AsRef<[f64]>> {
+    members: Vec<&'a CompiledSystem>,
+    rows: &'a [R],
+    prefix: MergedPrefix,
+    /// One [`LANES`]-wide stripe per merged register.
+    lane_regs: Vec<f64>,
+    /// The chunk whose rows each merged instruction's stripe holds.
+    stamps: Vec<usize>,
+    /// The chunk each member's needed instructions were last swept for.
+    swept: Vec<usize>,
+    /// The latest chunk any member has stepped in.
+    chunk: usize,
+    /// Each member's scalar core register file.
+    cores: Vec<Vec<f64>>,
+    fast: bool,
+}
+
+impl<R: AsRef<[f64]>> GroupSession<'_, R> {
+    /// Evaluate member `i`'s step `t` under `state`; `out` receives one
+    /// value per equation. Members step in any order and may stop at any
+    /// step; a member that stops costs no more sweeping. The stripes hold
+    /// one chunk at a time, so no step may return to a chunk before the
+    /// latest one any member has stepped in.
+    pub fn step(&mut self, i: usize, t: usize, state: &[f64], out: &mut [f64]) {
+        let sys = self.members[i];
+        assert!(
+            t < self.rows.len(),
+            "step {t} out of {} rows",
+            self.rows.len()
+        );
+        assert_eq!(out.len(), sys.n_eqs);
+        let chunk = t / LANES;
+        assert!(
+            chunk >= self.chunk,
+            "step {t} returns to a chunk the group has left"
+        );
+        self.chunk = chunk;
+        if self.swept[i] != chunk {
+            self.sweep(i, chunk);
+        }
+        let window = sys.core.consts.len();
+        let regs = &mut self.cores[i];
+        for (j, &r) in self.prefix.windows[i].iter().enumerate() {
+            regs[window + j] = self.lane_regs[r as usize * LANES + t % LANES];
+        }
+        sys.thunks().core.run(self.rows[t].as_ref(), state, regs);
+        for (e, &r) in sys.core.outputs.iter().enumerate() {
+            out[e] = regs[r as usize];
+        }
+    }
+
+    /// Sweep `chunk` for the merged instructions member `i` needs that no
+    /// member has swept in it yet, in program order.
+    fn sweep(&mut self, i: usize, chunk: usize) {
+        let first = chunk * LANES;
+        let m = LANES.min(self.rows.len() - first);
+        let rows = &self.rows[first..first + m];
+        for &j in &self.prefix.needs[i] {
+            let stamp = &mut self.stamps[j as usize];
+            if *stamp != chunk {
+                // `lane_instr`'s contract holds as in `run_lanes`: the
+                // merged program is validated, `lane_regs` is exactly
+                // `n_regs * LANES` long, and `m <= LANES`.
+                let ins = &self.prefix.prog.code[j as usize];
+                lane_instr(ins, rows, &[], 0, m, &mut self.lane_regs, self.fast);
+                *stamp = chunk;
+            }
+        }
+        self.swept[i] = chunk;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2642,6 +2939,85 @@ mod tests {
         assert_eq!(session.rows_swept(), LANES, "no re-sweep inside chunk");
         session.step(LANES, &[1.0, 1.0], &mut out);
         assert_eq!(session.rows_swept(), 2 * LANES);
+    }
+
+    /// How many merged instructions hold chunk `chunk`'s rows.
+    fn swept_in<R: AsRef<[f64]>>(group: &GroupSession<'_, R>, chunk: usize) -> usize {
+        group.stamps.iter().filter(|&&s| s == chunk).count()
+    }
+
+    #[test]
+    fn group_shares_values_and_sweeps_only_for_running_members() {
+        // Two copies of one system merge whole. A variant whose forcing
+        // divisor differs only in the sign of a zero shares the `max`
+        // term and nothing downstream of the divisor.
+        let [eq0, eq1] = sample_system();
+        let swap = |e: &Expr| match e {
+            Expr::Num(v) if *v == 40.0 => Expr::Num(-0.0),
+            other => other.clone(),
+        };
+        let variant = [map_leaves(&eq0, &swap), map_leaves(&eq1, &swap)];
+        let base = CompiledSystem::compile(&sample_system(), Tier::Threaded);
+        let zero = CompiledSystem::compile(&variant, Tier::Threaded);
+        let rows: Vec<Vec<f64>> = (0..LANES + 5).map(|t| vec![t as f64, 1.0]).collect();
+        let members = [&base, &base, &zero];
+        let mut group = CompiledSystem::group_session(&members, &rows);
+        let n = base.prefix_len();
+        assert_eq!(group.prefix.needs[0], group.prefix.needs[1]);
+        assert!(group.prefix.prog.len() < n + zero.prefix_len());
+
+        let state = [1.0, 2.0];
+        let (mut want, mut got) = ([0.0; 2], [0.0; 2]);
+        for (m, sys) in members.iter().enumerate() {
+            let mut solo = sys.session(&rows);
+            solo.step(0, &state, &mut want);
+            group.step(m, 0, &state, &mut got);
+            assert_eq!(want.map(f64::to_bits), got.map(f64::to_bits), "member {m}");
+        }
+        assert_eq!(swept_in(&group, 0), group.prefix.prog.len());
+        // Only the first copy steps on: chunk 1 sweeps its instructions
+        // alone, and the last chunk is a ragged one.
+        group.step(0, LANES + 4, &state, &mut got);
+        assert_eq!(swept_in(&group, 1), n);
+        let mut solo = base.session(&rows);
+        solo.step(LANES + 4, &state, &mut want);
+        assert_eq!(want.map(f64::to_bits), got.map(f64::to_bits));
+    }
+
+    fn map_leaves(e: &Expr, f: &impl Fn(&Expr) -> Expr) -> Expr {
+        match e {
+            Expr::Unary(op, a) => Expr::un(*op, map_leaves(a, f)),
+            Expr::Binary(op, a, b) => Expr::bin(*op, map_leaves(a, f), map_leaves(b, f)),
+            leaf => f(leaf),
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a group mixes tiers")]
+    fn group_refuses_mixed_tiers() {
+        let eqs = sample_system();
+        let a = CompiledSystem::compile(&eqs, Tier::Threaded);
+        let b = CompiledSystem::compile(&eqs, Tier::Simd);
+        let rows = vec![vec![1.0, 2.0]];
+        let _ = CompiledSystem::group_session(&[&a, &b], &rows);
+    }
+
+    #[test]
+    fn group_runs_keep_the_merged_register_file_in_u16() {
+        let sys = CompiledSystem::compile(&sample_system(), Tier::Threaded);
+        let cost = sys.prefix_len() + sys.prefix().consts().len();
+        let members = vec![&sys; 2 * usize::from(u16::MAX) / cost + 1];
+        let runs = CompiledSystem::group_runs(&members);
+        assert!(runs.len() >= 3, "{runs:?}");
+        assert_eq!(runs.first().map(|r| r.start), Some(0));
+        assert_eq!(runs.last().map(|r| r.end), Some(members.len()));
+        for pair in runs.windows(2) {
+            assert_eq!(pair[0].end, pair[1].start);
+        }
+        assert!(runs.iter().all(|r| r.len() * cost <= usize::from(u16::MAX)));
+        let rows = vec![vec![1.0, 2.0]];
+        let group = CompiledSystem::group_session(&members[runs[0].clone()], &rows);
+        assert_eq!(group.prefix.prog.len(), sys.prefix_len());
     }
 
     #[test]

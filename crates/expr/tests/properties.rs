@@ -593,3 +593,103 @@ proptest! {
         }
     }
 }
+
+/// One member of a group: a variant of the group's base system.
+fn group_member(base: &[Expr], kind: u8, c: f64, own: &Expr, shown: u8) -> Vec<Expr> {
+    let v = Expr::Var(shown);
+    match kind {
+        0 => base.to_vec(),
+        // Members that differ only in `c`: pinned in a register (the
+        // forcing load fuses into the multiply) and inline (`ConstBin`).
+        1 => {
+            let mut eqs = base.to_vec();
+            eqs.push(Expr::bin(BinOp::Mul, v.clone(), Expr::Num(c)));
+            eqs.push(Expr::bin(BinOp::Mul, Expr::un(UnOp::Exp, v), Expr::Num(c)));
+            eqs
+        }
+        // A system of its own that shares the base's first equation.
+        _ => vec![own.clone(), base[0].clone()],
+    }
+}
+
+/// Constants that `==` confuses: both zeros and two NaN payloads, beside
+/// ordinary values.
+fn arb_group_const() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        -10.0_f64..10.0,
+        prop_oneof![
+            Just(0.0),
+            Just(-0.0),
+            Just(2.5),
+            Just(f64::NAN),
+            Just(f64::from_bits(OTHER_NAN)),
+        ],
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn group_sessions_match_solo_sessions(
+        base in prop::collection::vec(arb_wild_expr(), 1..3),
+        members in prop::collection::vec(
+            (0u8..3, arb_group_const(), arb_wild_expr(), 0usize..140),
+            1..41,
+        ),
+        shown in 0u8..4,
+        rows in prop::collection::vec(prop::collection::vec(arb_forcing_value(), 4), 1..100)
+            .prop_filter("row count off the chunk boundary", |rows| rows.len() % 32 != 0),
+        member_major in any::<bool>(),
+    ) {
+        // An evaluation round's candidates: duplicates, variants that
+        // differ only in a constant (or only in the sign of a zero, or a
+        // NaN's payload), and systems of their own, each retiring at its
+        // own step. Merging their prefixes by value numbering must leave
+        // every member's outputs bit for bit those of its solo session,
+        // whichever order the members step in within a chunk.
+        let n = rows.len();
+        let systems: Vec<Vec<Expr>> = members
+            .iter()
+            .map(|(kind, c, own, _)| group_member(&base, *kind, *c, own, shown))
+            .collect();
+        let retire: Vec<usize> = members.iter().map(|m| m.3.min(n)).collect();
+        for tier in Tier::ALL {
+            let compiled: Vec<CompiledSystem> =
+                systems.iter().map(|eqs| CompiledSystem::compile(eqs, tier)).collect();
+            let refs: Vec<&CompiledSystem> = compiled.iter().collect();
+            let mut group = CompiledSystem::group_session(&refs, &rows);
+            let mut solo: Vec<_> = compiled.iter().map(|s| s.session(&rows)).collect();
+            let mut check = |m: usize, t: usize| -> Result<(), TestCaseError> {
+                let state = [1.0 + m as f64, 0.5];
+                let mut want = vec![0.0; compiled[m].n_eqs()];
+                let mut got = want.clone();
+                solo[m].step(t, &state, &mut want);
+                group.step(m, t, &state, &mut got);
+                for (e, (w, g)) in want.iter().zip(&got).enumerate() {
+                    prop_assert!(w.to_bits() == g.to_bits(),
+                        "tier {tier:?} member {m} eq {e} at t={t}: solo {w} vs group {g}");
+                }
+                Ok(())
+            };
+            for first in (0..n).step_by(32) {
+                let days = first..n.min(first + 32);
+                if member_major {
+                    for (m, &stop) in retire.iter().enumerate() {
+                        for t in days.clone().take_while(|&t| t < stop) {
+                            check(m, t)?;
+                        }
+                    }
+                } else {
+                    for t in days {
+                        for (m, &stop) in retire.iter().enumerate() {
+                            if t < stop {
+                                check(m, t)?;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}

@@ -57,6 +57,23 @@ pub trait Evaluator: Sync {
     /// system once per genotype and the implementation should run the
     /// bytecode instead of interpreting [`Phenotype::eqs`].
     fn evaluate(&self, ph: &Phenotype, ctl: &mut dyn FnMut(f64, usize) -> bool) -> (f64, bool);
+
+    /// Evaluate a group of phenotypes — one claimed chunk of an evaluation
+    /// round — member `i` under `ctl(i, running, done)`; returns each
+    /// member's `(fitness, fully_evaluated)`. Each result must equal what
+    /// [`Self::evaluate`] returns for that member alone, so an
+    /// implementation may only share work between members, never change
+    /// a result. The default evaluates the members one by one.
+    fn evaluate_group(
+        &self,
+        phs: &[&Phenotype],
+        ctl: &mut dyn FnMut(usize, f64, usize) -> bool,
+    ) -> Vec<(f64, bool)> {
+        phs.iter()
+            .enumerate()
+            .map(|(i, ph)| self.evaluate(ph, &mut |running, done| ctl(i, running, done)))
+            .collect()
+    }
 }
 
 /// Engine configuration. Defaults are the paper's Appendix B settings.
@@ -542,14 +559,16 @@ impl<'a, E: Evaluator> Engine<'a, E> {
         (slots, jobs)
     }
 
-    /// Round step 2, one pool job: simulate a derived phenotype under the
-    /// short-circuiting controller against `baseline`. Returns
+    /// Round step 2, one claimed chunk of pool jobs: simulate their
+    /// phenotypes as one group under the short-circuiting controller
+    /// against `baseline`, and store each job's
     /// `(fitness, fully_evaluated)`.
     ///
-    /// The result is a pure function of `(phenotype, baseline)` — the only
-    /// writes are the atomic work counters — which is what lets the pool
-    /// run jobs on any worker in any order.
-    fn simulate(&self, ph: &Phenotype, baseline: f64) -> (f64, bool) {
+    /// Each result is a pure function of `(phenotype, baseline)` — the
+    /// only writes are the atomic work counters, and the group only
+    /// shares work between its members — which is what lets the pool run
+    /// jobs on any worker, in any order and in any chunk.
+    fn simulate(&self, jobs: &mut [Job], baseline: f64) {
         let es = match self.cfg.es_threshold {
             Some(th) => EsController {
                 threshold: th,
@@ -559,28 +578,32 @@ impl<'a, E: Evaluator> Engine<'a, E> {
             None => EsController::disabled(),
         };
         let total = self.evaluator.num_cases();
-        let mut last_done = 0usize;
-        let mut ctl = |running: f64, done: usize| -> bool {
-            last_done = done;
+        let mut last_done = vec![0usize; jobs.len()];
+        let mut ctl = |i: usize, running: f64, done: usize| -> bool {
+            last_done[i] = done;
             match es.check(running, done, total) {
                 EsOutcome::Continue => true,
                 EsOutcome::Stop(_) => false,
             }
         };
-        let (fitness, full) = {
-            let _sp = gmr_obsv::span_fine!("vm.simulate");
-            self.evaluator.evaluate(ph, &mut ctl)
+        let phs: Vec<&Phenotype> = jobs.iter().map(|job| job.ph).collect();
+        let results = {
+            let _sp = gmr_obsv::span_fine!("vm.simulate", jobs.len() as u64);
+            self.evaluator.evaluate_group(&phs, &mut ctl)
         };
+        assert_eq!(results.len(), jobs.len(), "one result per group member");
 
-        self.evals.inc();
-        if full {
-            self.steps.add(total as u64);
-            self.fulls.inc();
-        } else {
-            self.steps.add(last_done as u64);
-            self.shorts.inc();
+        for ((job, (fitness, full)), done) in jobs.iter_mut().zip(results).zip(last_done) {
+            self.evals.inc();
+            if full {
+                self.steps.add(total as u64);
+                self.fulls.inc();
+            } else {
+                self.steps.add(done as u64);
+                self.shorts.inc();
+            }
+            job.result = (fitness, full);
         }
-        (fitness, full)
     }
 
     /// Round step 3, on the coordinator: record every job's result in
@@ -614,7 +637,8 @@ impl<'a, E: Evaluator> Engine<'a, E> {
 
     /// Score derived phenotypes, given in candidate order, against one
     /// baseline snapshot: look up on the coordinator, evaluate each
-    /// distinct miss once on the pool, record on the coordinator.
+    /// distinct miss once on the pool — each claimed chunk as one group —
+    /// and record on the coordinator.
     fn evaluate_round(
         &self,
         pool: &EvalPool,
@@ -622,9 +646,7 @@ impl<'a, E: Evaluator> Engine<'a, E> {
         baseline: f64,
     ) -> Vec<(f64, bool)> {
         let (slots, mut jobs) = self.lookup(phenos);
-        pool.for_each_mut(&mut jobs, |_, job| {
-            job.result = self.simulate(job.ph, baseline);
-        });
+        pool.for_each_chunk_mut(&mut jobs, |_, chunk| self.simulate(chunk, baseline));
         self.record(&slots, &jobs)
     }
 

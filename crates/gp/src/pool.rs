@@ -107,6 +107,18 @@ impl EvalPool {
     /// over the pool by dynamic chunk claiming. Blocks until every item is
     /// processed; a panic in a task is re-raised here with its own payload.
     pub fn for_each_mut<T: Send>(&self, items: &mut [T], f: impl Fn(usize, &mut T) + Sync) {
+        self.for_each_chunk_mut(items, |first, part| {
+            for (j, item) in part.iter_mut().enumerate() {
+                f(first + j, item);
+            }
+        });
+    }
+
+    /// Run `f(first, chunk)` once per claimed chunk of `items`, where
+    /// `first` is the chunk's first global index: [`Self::for_each_mut`]
+    /// for tasks that share work across the items of a chunk. The chunks
+    /// are the ones `for_each_mut` claims.
+    pub fn for_each_chunk_mut<T: Send>(&self, items: &mut [T], f: impl Fn(usize, &mut [T]) + Sync) {
         let len = items.len();
         if len == 0 {
             return;
@@ -130,10 +142,8 @@ impl EvalPool {
                     .expect("tasks run outside the claim lock")
                     .next();
                 let Some((c, part)) = next else { break };
-                for (j, item) in part.iter_mut().enumerate() {
-                    f(c * chunk + j, item);
-                }
                 me.candidates += part.len() as u64;
+                f(c * chunk, part);
                 me.claims += 1;
             }
             me.busy = start.elapsed();

@@ -7,10 +7,11 @@
 //!
 //! Two detail levels keep instrumentation off the fitness path's budget:
 //! [`Detail::Coarse`] (default) records phase-scale spans only;
-//! [`Detail::Fine`] adds per-candidate and per-claim spans (`vm.simulate`,
-//! `vm.compile`, `pool.drain`, `netsim.station`). Until [`crate::init`]
-//! installs the journal, opening a span is one atomic load and the guard
-//! records nothing.
+//! [`Detail::Fine`] adds per-candidate and per-claim spans (`vm.compile`,
+//! `netsim.station`; `pool.drain`, and `vm.simulate`, which covers one
+//! claimed chunk of an evaluation round scored as a group, its argument
+//! the member count). Until [`crate::init`] installs the journal, opening
+//! a span is one atomic load and the guard records nothing.
 
 use crate::journal::Event;
 use std::cell::Cell;

@@ -385,11 +385,18 @@ pub fn simulate_single(
     let mut bphy = Vec::with_capacity(rows.len());
     let mut bzoo = Vec::with_capacity(rows.len());
     let rhs = |t, s: &[f64], d: &mut [f64]| session.step(t, s, d);
-    euler(&[init], rows.len(), dt, cap, rhs, |_, _, p, z| {
-        bphy.push(p);
-        bzoo.push(z);
-        true
-    });
+    euler(
+        &mut [[init.0, init.1]],
+        0..rows.len(),
+        dt,
+        cap,
+        rhs,
+        |_, _, p, z| {
+            bphy.push(p);
+            bzoo.push(z);
+            true
+        },
+    );
     (bphy, bzoo)
 }
 
@@ -421,7 +428,8 @@ pub fn simulate_many_with_prefix(
         })
         .collect();
     let rhs = |t, s: &[f64], d: &mut [f64]| session.step(t, s, d);
-    euler(inits, rows.len(), dt, cap, rhs, |l, _, p, z| {
+    let mut states: Vec<[f64; 2]> = inits.iter().map(|&(p, z)| [p, z]).collect();
+    euler(&mut states, 0..rows.len(), dt, cap, rhs, |l, _, p, z| {
         out[l].0.push(p);
         out[l].1.push(z);
         true
@@ -439,18 +447,37 @@ fn run_solo(
     let scn_rows;
     let rows: &[[f64; NUM_VARS]] = match &req.source {
         ForcingSource::Inline(rows) => rows,
-        ForcingSource::Ref(name) => match tables.get(name) {
-            Some(HostedTable::Single(rows)) => rows,
-            Some(HostedTable::Network(stations)) => return run_network(job, stations, sys),
-            // Not a hosted table: maybe a scenario-variant virtual table
-            // (`scn:<name>/<variant>`), materialized on demand.
-            None => {
-                scn_rows = tables
-                    .scenario_rows(name)
-                    .ok_or_else(|| (404, format!("no hosted table {name:?}")))?;
-                &scn_rows
+        // The `"network"` flag must name the kind of table the ref
+        // resolves to: a network table runs the whole network, and only
+        // with the flag.
+        ForcingSource::Ref(name) => {
+            let not_network = |kind: &str| {
+                let msg = format!("\"network\": true needs a network table; {name:?} is {kind}");
+                Err((400, msg))
+            };
+            match (tables.get(name), req.network) {
+                (Some(HostedTable::Network(stations)), true) => {
+                    return run_network(job, stations, sys)
+                }
+                (Some(HostedTable::Network(_)), false) => {
+                    let msg = format!("{name:?} is a network table: it needs \"network\": true");
+                    return Err((400, msg));
+                }
+                (Some(HostedTable::Single(_)), true) => return not_network("a single table"),
+                (Some(HostedTable::Single(rows)), false) => rows,
+                (None, true) if tables.scenario_ref_len(name).is_some() => {
+                    return not_network("a scenario variant")
+                }
+                // Not a hosted table: maybe a scenario-variant virtual
+                // table (`scn:<name>/<variant>`), materialized on demand.
+                (None, _) => {
+                    scn_rows = tables
+                        .scenario_rows(name)
+                        .ok_or_else(|| (404, format!("no hosted table {name:?}")))?;
+                    &scn_rows
+                }
             }
-        },
+        }
     };
     let days = req.days.unwrap_or(rows.len());
     if days > rows.len() {

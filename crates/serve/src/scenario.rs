@@ -282,10 +282,10 @@ pub fn run_sweep(
         // The same integrator, pre-step recording included, that the solo
         // path runs.
         let rhs = |t, s: &[f64], d: &mut [f64]| session.step(t, s, d);
-        let inits = vec![req.init; k];
+        let mut states = vec![[req.init.0, req.init.1]; k];
         euler(
-            &inits,
-            scn.days,
+            &mut states,
+            0..scn.days,
             req.dt,
             req.state_cap,
             rhs,

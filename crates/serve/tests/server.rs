@@ -502,6 +502,14 @@ fn scenario_admission_sweep_and_solo_refs_agree() {
         r#"{"model": "table5-manual", "forcings_ref": "scn:nope/0"}"#,
     );
     assert_eq!(status, 404);
+    // A scenario variant is one trajectory's table, not a network.
+    let (status, v) = post_simulate(
+        &handle,
+        r#"{"model": "table5-manual", "forcings_ref": "scn:wet-year/0", "network": true}"#,
+    );
+    assert_eq!(status, 400, "{v:?}");
+    let msg = v.get("error").and_then(Value::as_str).unwrap_or_default();
+    assert!(msg.contains("scenario variant"), "{msg:?}");
     let sweep_404 = r#"{"scenario": "nope", "model": "table5-manual", "variants": 2}"#.as_bytes();
     let (status, _) = http_request(addr, "POST", "/sweep", sweep_404).unwrap();
     assert_eq!(status, 404);
@@ -608,19 +616,45 @@ fn network_simulate_is_bit_identical_to_in_process_network_simulation() {
     assert_eq!(got[0].0, outlet.name);
     assert_eq!(json_series(&got[0].1, "bphy"), want.bphy[sid.0]);
 
-    for (body, want_status) in [
+    for (body, want_status, names) in [
         // A model without a topology cannot run a network.
-        (r#""model": "flat", "forcings_ref": "network""#, 400),
-        // The table's station count must match the topology's.
-        (r#""model": "table5-manual", "forcings_ref": "two""#, 400),
         (
-            r#""model": "table5-manual", "forcings_ref": "network", "station": "nowhere""#,
+            r#""model": "flat", "forcings_ref": "network", "network": true"#,
+            400,
+            "topology",
+        ),
+        // The table's station count must match the topology's.
+        (
+            r#""model": "table5-manual", "forcings_ref": "two", "network": true"#,
+            400,
+            "stations",
+        ),
+        (
+            r#""model": "table5-manual", "forcings_ref": "network", "station": "nowhere", "network": true"#,
             404,
+            "nowhere",
+        ),
+        // The flag must match the kind of table: a single table is not a
+        // network, and a network table needs the flag.
+        (
+            r#""model": "table5-manual", "forcings_ref": "target", "network": true, "mode": "summary""#,
+            400,
+            "single table",
+        ),
+        (
+            r#""model": "table5-manual", "forcings_ref": "network", "mode": "summary""#,
+            400,
+            "needs \"network\": true",
         ),
     ] {
-        let body = format!(r#"{{{body}, "network": true}}"#);
+        let body = format!("{{{body}}}");
         let (status, v) = post_simulate(&handle, &body);
         assert_eq!(status, want_status, "{body}: {v:?}");
+        let msg = v.get("error").and_then(Value::as_str).unwrap_or_default();
+        assert!(
+            msg.contains(names),
+            "{body}: {msg:?} does not name {names:?}"
+        );
     }
     // `station` only applies to network runs.
     let body = r#"{"model": "table5-manual", "forcings_ref": "network", "station": "S1"}"#;
