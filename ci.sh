@@ -121,9 +121,34 @@ done
 for p in $REQ_PIDS; do
     wait "$p" || { echo "FAIL: concurrent simulate request failed"; exit 1; }
 done
+# A network run answers every station; the "network" flag on a single
+# table and a method /simulate does not answer are refused. `request`
+# prints "HTTP <status>" on stderr and exits non-zero on a non-2xx.
+./target/release/gmr-serve request "$ADDR" POST /simulate --data \
+    '{"model": "table5-manual", "forcings_ref": "network", "network": true, "mode": "summary"}' \
+    > smoke-serve/sim-network.json
+grep -q '"stations"' smoke-serve/sim-network.json || {
+    echo "FAIL: a network /simulate answered without \"stations\""
+    exit 1
+}
+refused() { # STATUS METHOD [BODY]: the request must answer HTTP STATUS
+    if ./target/release/gmr-serve request "$ADDR" "$2" /simulate --data "${3:-}" \
+        > /dev/null 2> smoke-serve/refused.err; then
+        echo "FAIL: $2 /simulate ${3:-} was accepted"
+        exit 1
+    fi
+    grep -q "HTTP $1" smoke-serve/refused.err || {
+        echo "FAIL: $2 /simulate ${3:-} did not answer HTTP $1:"
+        cat smoke-serve/refused.err
+        exit 1
+    }
+}
+refused 400 POST '{"model": "table5-manual", "forcings_ref": "target", "network": true}'
+refused 405 PUT
 ./target/release/gmr-serve request "$ADDR" GET /metrics > smoke-serve/metrics.json
 for f in smoke-serve/healthz.json smoke-serve/sim-1.json smoke-serve/sim-2.json \
-         smoke-serve/sim-3.json smoke-serve/sim-4.json smoke-serve/metrics.json; do
+         smoke-serve/sim-3.json smoke-serve/sim-4.json smoke-serve/sim-network.json \
+         smoke-serve/metrics.json; do
     cargo run --release -q -p gmr-obsv --bin gmr-trace -- json "$f"
 done
 kill -TERM "$SERVE_PID"

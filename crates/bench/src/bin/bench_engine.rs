@@ -17,8 +17,8 @@
 //! latency-bound one can: sleeping candidates overlap, so the measured
 //! speed-up isolates what this benchmark is actually about — the pool's
 //! ability to keep `threads` candidates in flight concurrently and claim
-//! work dynamically. Compute-bound scaling on real hardware is covered by
-//! the Criterion benches (`benches/speedup.rs`).
+//! work dynamically. No benchmark here measures compute-bound scaling:
+//! perfbench's `gmr_search` runs one thread.
 //!
 //! Every thread count runs the identical seeded workload, and the run
 //! aborts unless the per-generation best-fitness trajectories are

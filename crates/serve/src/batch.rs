@@ -1,30 +1,28 @@
 //! Simulation execution and request batching.
 //!
+//! `resolve` decides once what a `/simulate` means: on the worker that
+//! parsed the body, it turns it into a [`Plan`] against the registry, the
+//! hosted tables, the scenario store and the model's topology, or into a
+//! 4xx before the job takes a queue slot. The batcher reads only the plan.
+//!
 //! All `/simulate` work funnels through one bounded queue into a single
 //! batcher thread. The batcher is self-clocking: each flush takes the job
 //! that woke it plus whatever queued while the previous flush ran, so
-//! batch width follows load and no job ever waits for company. Waiting
-//! would not pay: on an open-loop `/simulate` mix a 2 ms linger was half
-//! the median request and widened the mean batch only from 1.01 to 1.08
-//! (DESIGN.md, "Serving subsystem"). It groups jobs that simulate the
-//! *same model over the same forcing table*; each group runs as one
+//! batch width follows load and no job waits for company (a 2 ms linger
+//! did not pay; DESIGN.md, "Serving subsystem"). It groups table plans of
+//! the *same model over the same forcing table*; each group runs as one
 //! lock-step register-VM sweep (a shared-table [`gmr_expr::LaneSession`]):
-//! the state-independent prefix is computed once per forcing row and
-//! shared by every request in the group, and the sequential core
-//! dispatches each instruction once for up to [`LANES`] trajectories. On
-//! the single-core machines this project targets, that work-sharing — not
-//! thread parallelism — is where batched throughput comes from.
+//! the state-independent prefix is computed once per forcing row for the
+//! whole group, and the sequential core dispatches each instruction once
+//! for up to [`LANES`] trajectories. That work-sharing, not threads, is
+//! where batched throughput comes from. Batching never changes answers:
+//! per-lane arithmetic is the scalar protected-op sequence a solo session
+//! runs, and every run integrates through [`gmr_bio::euler`].
 //!
-//! Batching never changes answers: per-lane arithmetic is the same scalar
-//! protected-op sequence a solo session runs (pinned by the VM's
-//! bit-equality tests), and solo and batched runs alike integrate through
-//! [`gmr_bio::euler`], the loop `RiverProblem` runs.
-//!
-//! The batcher resolves each group's compiled system through the
-//! registry's hot tier at flush time ([`ModelRegistry::touch`]), so LRU
-//! order tracks execution order, and reuses the hot record's cached
-//! [`PrefixTable`] per forcing table. Padding a wide group to a full SIMD
-//! stripe is the lane session's business, not the batcher's.
+//! A flush touches the registry's hot tier once per group or solo job
+//! ([`ModelRegistry::touch`]), so LRU order tracks execution order. A
+//! hosted table's [`PrefixTable`] is cached on the hot record; a `scn:`
+//! variant's rows and prefix are built once per group and not kept.
 
 use crate::registry::{ModelRegistry, ServableModel};
 use gmr_bio::{euler, simulate_network_compiled, NetworkSimOptions, StationSeries};
@@ -54,7 +52,8 @@ pub enum Mode {
     Summary,
 }
 
-/// A parsed, validated `/simulate` request body.
+/// A parsed `/simulate` request body: each field well-typed and in range
+/// on its own. `resolve` checks the fields against each other.
 #[derive(Debug, Clone)]
 pub struct SimRequest {
     /// Model name in the registry.
@@ -112,7 +111,7 @@ pub(crate) fn parse_integration(v: &Value) -> Result<((f64, f64), f64, f64), Str
     Ok((init, positive("dt", 1.0)?, positive("state_cap", 1e9)?))
 }
 
-/// Parse and validate a `/simulate` body. Error strings are safe for a
+/// Parse a `/simulate` body, field by field. Error strings are safe for a
 /// `400` response. Non-finite inline forcings are rejected *here*, before
 /// the job can reach the simulator — a NaN row must produce a 4xx, never
 /// a poisoned simulation. Unknown keys and wrong-typed fields are refused
@@ -200,12 +199,6 @@ pub fn parse_sim_request(v: &Value) -> Result<SimRequest, String> {
         Some(Some(s)) => Some(s.to_string()),
         Some(None) => return Err("\"station\" must be a string".into()),
     };
-    if station.is_some() && !network {
-        return Err("\"station\" only applies to network runs".into());
-    }
-    if network && !matches!(source, ForcingSource::Ref(_)) {
-        return Err("network runs need \"forcings_ref\" (a hosted network table)".into());
-    }
     Ok(SimRequest {
         model,
         source,
@@ -217,6 +210,113 @@ pub fn parse_sim_request(v: &Value) -> Result<SimRequest, String> {
         network,
         station,
     })
+}
+
+/// What one `/simulate` runs, decided once by `resolve`.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Plan {
+    /// One trajectory over the first `days` rows of a hosted single table
+    /// or a `scn:` variant. Table plans of one model, table, `days` and
+    /// integrator constants share a sweep.
+    Table {
+        /// The hosted table's name, or the variant's `scn:` ref.
+        name: String,
+        /// Rows to simulate, at most the table's.
+        days: usize,
+    },
+    /// One trajectory over the rows shipped in the body, cut to `days`.
+    Inline(Vec<[f64; NUM_VARS]>),
+    /// The model's whole topology over the first `days` rows of a hosted
+    /// network table with one series per topology station.
+    Network {
+        /// The hosted network table's name.
+        name: String,
+        /// Rows to simulate, at most the table's.
+        days: usize,
+        /// Answer with this topology station's series only.
+        station: Option<String>,
+    },
+}
+
+/// Why every lookup the batcher makes for a resolved plan succeeds.
+const RESOLVED: &str = "after start no model, hosted table or admitted scenario is ever removed";
+
+/// Resolve a parsed `/simulate` into its model and [`Plan`]: the one place
+/// the request's fields are checked against each other, the registry, the
+/// hosted tables, the scenario store and the model's topology. Errors are
+/// `(http_status, message)`, and each message names the field or the
+/// mismatch.
+pub(crate) fn resolve(
+    req: SimRequest,
+    registry: &ModelRegistry,
+    tables: &Tables,
+) -> Result<(Arc<ServableModel>, Plan), (u16, String)> {
+    let bad = |msg: String| Err((400, msg));
+    if req.station.is_some() && !req.network {
+        return bad("\"station\" only applies to network runs".into());
+    }
+    if req.network && matches!(req.source, ForcingSource::Inline(_)) {
+        return bad("network runs need \"forcings_ref\" (a hosted network table)".into());
+    }
+    let Some(model) = registry.get(&req.model) else {
+        return Err((404, format!("no model {:?}", req.model)));
+    };
+    // `days` defaults to, and may not exceed, the table's rows.
+    let window = |rows: usize| match req.days {
+        Some(d) if d > rows => Err((400, format!("\"days\" {d} > {rows} table rows"))),
+        d => Ok(d.unwrap_or(rows)),
+    };
+    let name = match req.source {
+        ForcingSource::Inline(mut rows) => {
+            rows.truncate(window(rows.len())?);
+            return Ok((model, Plan::Inline(rows)));
+        }
+        ForcingSource::Ref(name) => name,
+    };
+    let not_network = |kind: &str| {
+        let msg = format!("\"network\": true needs a network table; {name:?} is {kind}");
+        bad(msg)
+    };
+    let plan = match (tables.get(&name), req.network) {
+        (Some(HostedTable::Single(rows)), false) => Plan::Table {
+            days: window(rows.len())?,
+            name,
+        },
+        (Some(HostedTable::Single(_)), true) => return not_network("a single table"),
+        (Some(HostedTable::Network(_)), false) => {
+            let msg = format!("{name:?} is a network table: it needs \"network\": true");
+            return bad(msg);
+        }
+        (Some(HostedTable::Network(stations)), true) => {
+            let Some(net) = &model.artifact.topology else {
+                return bad(format!("model {:?} has no topology", req.model));
+            };
+            if stations.len() != net.len() {
+                let (s, n) = (stations.len(), net.len());
+                let msg = format!("table {name:?} has {s} stations, model topology has {n}");
+                return bad(msg);
+            }
+            let rows = stations.iter().map(|s| s.vars.len().min(s.flow.len()));
+            let days = window(rows.min().unwrap_or(0))?;
+            if let Some(s) = req.station.as_ref().filter(|s| net.by_name(s).is_none()) {
+                return Err((404, format!("no station {s:?} in topology")));
+            }
+            Plan::Network {
+                name,
+                days,
+                station: req.station,
+            }
+        }
+        (None, network) => match tables.scenarios.as_ref().and_then(|s| s.ref_len(&name)) {
+            None => return Err((404, format!("no hosted table {name:?}"))),
+            Some(_) if network => return not_network("a scenario variant"),
+            Some(rows) => Plan::Table {
+                days: window(rows)?,
+                name,
+            },
+        },
+    };
+    Ok((model, plan))
 }
 
 /// One station's hosted series (network tables).
@@ -241,8 +341,8 @@ pub enum HostedTable {
 /// scenario store, whose `scn:<name>/<variant>` virtual tables resolve
 /// anywhere a `forcings_ref` does. Scenario admission is append-only and
 /// name-immutable (see [`crate::scenario::ScenarioStore::admit`]), so a
-/// resolved ref always means the same rows — the invariant the registry's
-/// by-name prefix caches and the gateway's by-ref routing both lean on.
+/// resolved ref always means the same rows — the invariant the batcher's
+/// plans and the gateway's by-ref routing both lean on.
 #[derive(Debug, Default)]
 pub struct Tables {
     map: BTreeMap<String, HostedTable>,
@@ -275,19 +375,20 @@ impl Tables {
         self.scenarios.as_ref()
     }
 
-    /// Row count behind a `scn:` forcing ref, without materializing it.
-    fn scenario_ref_len(&self, name: &str) -> Option<usize> {
-        self.scenarios.as_ref()?.ref_len(name)
+    /// The rows of hosted single table `name`.
+    fn single(&self, name: &str) -> Option<&[[f64; NUM_VARS]]> {
+        match self.map.get(name)? {
+            HostedTable::Single(rows) => Some(rows),
+            HostedTable::Network(_) => None,
+        }
     }
 
-    /// Materialize the rows behind a `scn:` forcing ref.
-    fn scenario_rows(&self, name: &str) -> Option<Vec<[f64; NUM_VARS]>> {
-        self.scenarios.as_ref()?.resolve_ref(name)
-    }
-
-    /// Hosted table names, sorted.
-    pub fn names(&self) -> Vec<&str> {
-        self.map.keys().map(String::as_str).collect()
+    /// The stations of hosted network table `name`.
+    fn network(&self, name: &str) -> Option<&[NetStation]> {
+        match self.map.get(name)? {
+            HostedTable::Network(stations) => Some(stations),
+            HostedTable::Single(_) => None,
+        }
     }
 
     /// The tables `gmr-serve serve` hosts, from the synthetic Nakdong
@@ -339,8 +440,8 @@ pub enum SimOutput {
 /// What the batcher sends back for one job.
 #[derive(Debug)]
 pub struct SimOutcome {
-    /// The simulation, or `(http_status, message)`.
-    pub result: Result<SimOutput, (u16, String)>,
+    /// The simulation.
+    pub output: SimOutput,
     /// Jobs coalesced into the sweep that served this one (1 = solo).
     pub batch: usize,
     /// Microseconds the job waited between enqueue and execution.
@@ -349,12 +450,19 @@ pub struct SimOutcome {
     pub sim_us: u64,
 }
 
-/// One enqueued `/simulate` job.
+/// One enqueued `/simulate` job: its resolved plan and the
+/// integrator settings it runs under.
 pub struct SimJob {
     /// The admitted model (registry `Arc`).
     pub model: Arc<ServableModel>,
-    /// The validated request.
-    pub request: SimRequest,
+    /// What to run.
+    pub plan: Plan,
+    /// Initial `(B_Phy, B_Zoo)`.
+    pub init: (f64, f64),
+    /// Euler step.
+    pub dt: f64,
+    /// State cap.
+    pub state_cap: f64,
     /// The request's trace context; the batcher stamps each job's sweep
     /// span with `ctx.trace` so `gmr-trace stitch` can fan coalesced
     /// batch members into their shared sweep.
@@ -437,93 +545,17 @@ pub fn simulate_many_with_prefix(
     out
 }
 
-/// Run one job that cannot share work (inline forcings or network mode).
-fn run_solo(
-    job: &SimJob,
-    tables: &Tables,
-    sys: &CompiledSystem,
-) -> Result<SimOutput, (u16, String)> {
-    let req = &job.request;
-    let scn_rows;
-    let rows: &[[f64; NUM_VARS]] = match &req.source {
-        ForcingSource::Inline(rows) => rows,
-        // The `"network"` flag must name the kind of table the ref
-        // resolves to: a network table runs the whole network, and only
-        // with the flag.
-        ForcingSource::Ref(name) => {
-            let not_network = |kind: &str| {
-                let msg = format!("\"network\": true needs a network table; {name:?} is {kind}");
-                Err((400, msg))
-            };
-            match (tables.get(name), req.network) {
-                (Some(HostedTable::Network(stations)), true) => {
-                    return run_network(job, stations, sys)
-                }
-                (Some(HostedTable::Network(_)), false) => {
-                    let msg = format!("{name:?} is a network table: it needs \"network\": true");
-                    return Err((400, msg));
-                }
-                (Some(HostedTable::Single(_)), true) => return not_network("a single table"),
-                (Some(HostedTable::Single(rows)), false) => rows,
-                (None, true) if tables.scenario_ref_len(name).is_some() => {
-                    return not_network("a scenario variant")
-                }
-                // Not a hosted table: maybe a scenario-variant virtual
-                // table (`scn:<name>/<variant>`), materialized on demand.
-                (None, _) => {
-                    scn_rows = tables
-                        .scenario_rows(name)
-                        .ok_or_else(|| (404, format!("no hosted table {name:?}")))?;
-                    &scn_rows
-                }
-            }
-        }
-    };
-    let days = req.days.unwrap_or(rows.len());
-    if days > rows.len() {
-        return Err((400, format!("days {days} > {} forcing rows", rows.len())));
-    }
-    let (bphy, bzoo) = simulate_single(sys, &rows[..days], req.init, req.dt, req.state_cap);
-    Ok(SimOutput::Single { bphy, bzoo })
-}
-
-/// Run a full-network simulation job.
+/// A network plan's run: the model's topology over `stations` through
+/// [`simulate_network_compiled`], answered in topology order, or for
+/// `station` alone.
 fn run_network(
     job: &SimJob,
     stations: &[NetStation],
+    days: usize,
+    station: Option<&str>,
     sys: &CompiledSystem,
-) -> Result<SimOutput, (u16, String)> {
-    let req = &job.request;
-    let net = job
-        .model
-        .artifact
-        .topology
-        .as_ref()
-        .ok_or_else(|| (400, format!("model {:?} has no topology", req.model)))?;
-    if stations.len() != net.len() {
-        return Err((
-            400,
-            format!(
-                "table has {} stations, model topology has {}",
-                stations.len(),
-                net.len()
-            ),
-        ));
-    }
-    let len = stations
-        .iter()
-        .map(|s| s.vars.len().min(s.flow.len()))
-        .min()
-        .unwrap_or(0);
-    let days = req.days.unwrap_or(len);
-    if days > len {
-        return Err((400, format!("days {days} > {len} table rows")));
-    }
-    if let Some(name) = &req.station {
-        if net.by_name(name).is_none() {
-            return Err((404, format!("no station {name:?} in topology")));
-        }
-    }
+) -> SimOutput {
+    let net = job.model.artifact.topology.as_ref().expect(RESOLVED);
     let series: Vec<StationSeries<'_>> = stations
         .iter()
         .map(|s| StationSeries {
@@ -532,151 +564,107 @@ fn run_network(
         })
         .collect();
     let opts = NetworkSimOptions {
-        init: req.init,
-        dt: req.dt,
-        state_cap: req.state_cap,
+        init: job.init,
+        dt: job.dt,
+        state_cap: job.state_cap,
     };
     let res = simulate_network_compiled(net, &series, 0, days, sys, opts);
-    let mut names = Vec::new();
-    let mut bphy = Vec::new();
-    let mut bzoo = Vec::new();
-    for (sid, st) in net.stations() {
-        if let Some(want) = &req.station {
-            if &st.name != want {
-                continue;
-            }
-        }
-        names.push(st.name.clone());
-        bphy.push(res.bphy[sid.0].clone());
-        bzoo.push(res.bzoo[sid.0].clone());
+    let answered = || {
+        net.stations()
+            .filter(|(_, st)| station.is_none_or(|want| want == st.name))
+    };
+    SimOutput::Network {
+        stations: answered().map(|(_, st)| st.name.clone()).collect(),
+        bphy: answered().map(|(sid, _)| res.bphy[sid.0].clone()).collect(),
+        bzoo: answered().map(|(sid, _)| res.bzoo[sid.0].clone()).collect(),
     }
-    Ok(SimOutput::Network {
-        stations: names,
-        bphy,
-        bzoo,
-    })
 }
 
-/// Key under which jobs may share one multi-trajectory sweep: same model,
-/// same hosted single table, same window and integrator constants. Floats
-/// key by bit pattern.
+/// Run one job that shares no work, through `run`, and answer it as a
+/// batch of one.
+fn run_solo(
+    job: &SimJob,
+    registry: &ModelRegistry,
+    run: impl FnOnce(&CompiledSystem) -> SimOutput,
+) {
+    let queue_us = job.enqueued.elapsed().as_micros() as u64;
+    let start_us = gmr_obsv::now_us();
+    let t0 = Instant::now();
+    let hot = registry.touch(&job.model.artifact.name).expect(RESOLVED);
+    let output = run(&hot.system);
+    let sim_us = t0.elapsed().as_micros() as u64;
+    gmr_obsv::span::record_external("serve.sweep.member", start_us, sim_us, Some(job.ctx.trace));
+    let _ = job.reply.send(SimOutcome {
+        output,
+        batch: 1,
+        queue_us,
+        sim_us,
+    });
+}
+
+/// Key under which table plans share one multi-trajectory sweep: same
+/// model, same table, same window and integrator constants. Floats key by
+/// bit pattern.
 type GroupKey = (String, String, usize, u64, u64);
 
-fn group_key(job: &SimJob, tables: &Tables) -> Option<(GroupKey, usize)> {
-    let req = &job.request;
-    if req.network {
-        return None;
-    }
-    let ForcingSource::Ref(name) = &req.source else {
-        return None;
-    };
-    // Hosted single tables and scenario-variant refs both group; their
-    // lengths are known without materializing anything.
-    let avail = match tables.get(name) {
-        Some(HostedTable::Single(rows)) => rows.len(),
-        Some(HostedTable::Network(_)) => return None,
-        None => tables.scenario_ref_len(name)?,
-    };
-    let days = req.days.unwrap_or(avail);
-    if days > avail {
-        return None; // fall through to solo path, which reports the 400
-    }
-    Some((
-        (
-            req.model.clone(),
-            name.clone(),
-            days,
-            req.dt.to_bits(),
-            req.state_cap.to_bits(),
-        ),
-        days,
-    ))
-}
-
-/// Flush one drained batch: group shareable jobs, sweep each group, run
-/// the rest solo. Every job gets exactly one reply. Compiled systems are
-/// resolved through the registry's hot tier here — one touch per group —
-/// and each group's sweep reads the hot record's cached prefix table.
+/// Flush one drained batch: run inline and network plans solo, group the
+/// table plans, and sweep each group. Every job gets exactly one reply.
+/// Compiled systems are resolved through the registry's hot tier here —
+/// one touch per group or solo job.
 fn flush(jobs: Vec<SimJob>, tables: &Tables, registry: &ModelRegistry) {
     let _sp = gmr_obsv::span!("serve.flush", jobs.len() as u64);
-    let mut groups: BTreeMap<GroupKey, Vec<(SimJob, usize)>> = BTreeMap::new();
-    let mut solo = Vec::new();
+    let mut groups: BTreeMap<GroupKey, Vec<SimJob>> = BTreeMap::new();
     for job in jobs {
-        match group_key(&job, tables) {
-            Some((key, days)) => groups.entry(key).or_default().push((job, days)),
-            None => solo.push(job),
+        match &job.plan {
+            Plan::Table { name, days } => {
+                let (dt, cap) = (job.dt.to_bits(), job.state_cap.to_bits());
+                let key = (
+                    job.model.artifact.name.clone(),
+                    name.clone(),
+                    *days,
+                    dt,
+                    cap,
+                );
+                groups.entry(key).or_default().push(job);
+            }
+            Plan::Inline(rows) => run_solo(&job, registry, |sys| {
+                let (bphy, bzoo) = simulate_single(sys, rows, job.init, job.dt, job.state_cap);
+                SimOutput::Single { bphy, bzoo }
+            }),
+            Plan::Network {
+                name,
+                days,
+                station,
+            } => run_solo(&job, registry, |sys| {
+                let stations = tables.network(name).expect(RESOLVED);
+                run_network(&job, stations, *days, station.as_deref(), sys)
+            }),
         }
     }
-    for job in solo {
-        let queue_us = job.enqueued.elapsed().as_micros() as u64;
-        let start_us = gmr_obsv::now_us();
-        let t0 = Instant::now();
-        let result = match registry.touch(&job.request.model) {
-            Some(hot) => run_solo(&job, tables, &hot.system),
-            None => Err((404, format!("no model {:?}", job.request.model))),
-        };
-        let sim_us = t0.elapsed().as_micros() as u64;
-        gmr_obsv::span::record_external(
-            "serve.sweep.member",
-            start_us,
-            sim_us,
-            Some(job.ctx.trace),
-        );
-        let _ = job.reply.send(SimOutcome {
-            result,
-            batch: 1,
-            queue_us,
-            sim_us,
-        });
-    }
-    for (key, group) in groups {
+    for ((model, name, days, dt, cap), group) in groups {
         let n = group.len();
-        let days = group[0].1;
-        let Some(hot) = registry.touch(&key.0) else {
-            for (job, _) in group {
-                let result = Err((404, format!("no model {:?}", key.0)));
-                let _ = job.reply.send(SimOutcome {
-                    result,
-                    batch: 1,
-                    queue_us: job.enqueued.elapsed().as_micros() as u64,
-                    sim_us: 0,
-                });
-            }
-            continue;
-        };
-        // Hosted table, or a scenario-variant ref materialized once per
-        // group (the whole group shares these rows).
-        let scn_rows: Vec<[f64; NUM_VARS]>;
-        let rows: &[[f64; NUM_VARS]] = match tables.get(&key.1) {
-            Some(HostedTable::Single(rows)) => rows,
-            _ => {
-                // `group_key` resolved this ref and the scenario store is
-                // append-only, so it still resolves here.
-                scn_rows = match tables.scenario_rows(&key.1) {
-                    Some(rows) => rows,
-                    None => unreachable!("group_key checked the table"),
-                };
-                &scn_rows
+        let hot = registry.touch(&model).expect(RESOLVED);
+        // A hosted table's prefix is cached on the hot model and covers the
+        // whole table, so any horizon shares it. A `scn:` variant's rows
+        // are materialized and swept once per group and never cached: a
+        // client can name any number of variants.
+        let scn_rows;
+        let (rows, prefix) = match tables.single(&name) {
+            Some(rows) => (&rows[..days], hot.prefix_for(&name, rows)),
+            None => {
+                let scenarios = tables.scenarios.as_ref().expect(RESOLVED);
+                scn_rows = scenarios.resolve_ref(&name).expect(RESOLVED);
+                let rows = &scn_rows[..days];
+                (rows, Arc::new(hot.system.sweep_prefix(rows)))
             }
         };
-        // The cached prefix covers the full hosted table; any request
-        // horizon shares it. (Scenario refs are name-immutable, so caching
-        // their prefixes by ref name is sound too.)
-        let prefix = hot.prefix_for(&key.1, rows);
-        let rows = &rows[..days];
-        let dt = f64::from_bits(key.3);
-        let cap = f64::from_bits(key.4);
+        let (dt, cap) = (f64::from_bits(dt), f64::from_bits(cap));
         // Chunk the group by LANES; every chunk is one lock-step sweep.
-        let mut it = group.into_iter();
-        loop {
-            let chunk: Vec<(SimJob, usize)> = it.by_ref().take(LANES).collect();
-            if chunk.is_empty() {
-                break;
-            }
-            let inits: Vec<(f64, f64)> = chunk.iter().map(|(j, _)| j.request.init).collect();
+        for chunk in group.chunks(LANES) {
+            let inits: Vec<(f64, f64)> = chunk.iter().map(|j| j.init).collect();
             let waited: Vec<u64> = chunk
                 .iter()
-                .map(|(j, _)| j.enqueued.elapsed().as_micros() as u64)
+                .map(|j| j.enqueued.elapsed().as_micros() as u64)
                 .collect();
             let start_us = gmr_obsv::now_us();
             let t0 = Instant::now();
@@ -686,7 +674,7 @@ fn flush(jobs: Vec<SimJob>, tables: &Tables, registry: &ModelRegistry) {
             // interval and each carrying its own trace id — this is what
             // lets `gmr-trace stitch` fan coalesced requests into the
             // sweep that served them.
-            for (((job, _), (bphy, bzoo)), queue_us) in chunk.into_iter().zip(results).zip(waited) {
+            for ((job, (bphy, bzoo)), queue_us) in chunk.iter().zip(results).zip(waited) {
                 gmr_obsv::span::record_external(
                     "serve.sweep.member",
                     start_us,
@@ -694,7 +682,7 @@ fn flush(jobs: Vec<SimJob>, tables: &Tables, registry: &ModelRegistry) {
                     Some(job.ctx.trace),
                 );
                 let _ = job.reply.send(SimOutcome {
-                    result: Ok(SimOutput::Single { bphy, bzoo }),
+                    output: SimOutput::Single { bphy, bzoo },
                     batch: n,
                     queue_us,
                     sim_us,
@@ -826,17 +814,13 @@ mod tests {
             let (reply, outcome_rx) = std::sync::mpsc::channel();
             tx.send(SimJob {
                 model: Arc::clone(&model),
-                request: SimRequest {
-                    model: "table5-manual".into(),
-                    source: ForcingSource::Ref("t".into()),
-                    days: None,
-                    init,
-                    dt: 1.0,
-                    state_cap: 1e9,
-                    mode: Mode::Series,
-                    network: false,
-                    station: None,
+                plan: Plan::Table {
+                    name: "t".into(),
+                    days: table.len(),
                 },
+                init,
+                dt: 1.0,
+                state_cap: 1e9,
                 ctx: crate::trace::TraceCtx::mint(),
                 enqueued: Instant::now(),
                 reply,
@@ -853,7 +837,7 @@ mod tests {
         let batcher = std::thread::spawn(move || run_batcher(rx, t_tables, t_reg));
         for (init, rx) in rxs {
             let outcome = rx.recv_timeout(Duration::from_secs(10)).unwrap();
-            let SimOutput::Single { bphy, bzoo } = outcome.result.unwrap() else {
+            let SimOutput::Single { bphy, bzoo } = outcome.output else {
                 panic!("expected single output");
             };
             let (want_p, want_z) = simulate_single(&sys, &table, init, 1.0, 1e9);

@@ -364,9 +364,6 @@ impl Service for Proxy {
                     .ok_or("missing \"scenario\"")?;
                 Ok(format!("{}{scenario}", crate::scenario::SCN_REF_PREFIX))
             }),
-            ("GET", "/simulate" | "/sweep") | ("POST", "/healthz" | "/models" | "/metrics") => {
-                Served::error(405, "method not allowed for this endpoint")
-            }
             _ => Served::error(404, "no such endpoint"),
         }
     }

@@ -67,6 +67,13 @@ pub(crate) use routes;
 /// The unprefixed table: the request paths themselves.
 const PATHS: [&str; ROUTES] = routes!("");
 
+/// The methods each known route answers, index-aligned with [`PATHS`]
+/// (a new route needs its entry): the runtime answers a known route asked
+/// with any other method `405`, for every service, before `dispatch`.
+const METHODS: [&[&str]; ROUTES - 1] = [GET, GET, POST, &["GET", "POST"], POST, GET];
+const GET: &[&str] = &["GET"];
+const POST: &[&str] = &["POST"];
+
 /// Index of `path`'s route in every [`Labels::routes`]. The query string
 /// is ignored; an unknown path gets the last slot, `(other)`.
 pub(crate) fn route_index(path: &str) -> usize {
@@ -396,7 +403,12 @@ impl<S: Service> Shared<S> {
                     let route = route_index(&req.path);
                     let tag = labels.routes[route];
                     let t0 = Instant::now();
-                    let mut served = self.service.dispatch(worker, &req, ctx, draining);
+                    let mut served = match METHODS.get(route) {
+                        Some(methods) if !methods.contains(&req.method.as_str()) => {
+                            Served::error(405, "method not allowed for this endpoint")
+                        }
+                        _ => self.service.dispatch(worker, &req, ctx, draining),
+                    };
                     let dur_us = t0.elapsed().as_micros() as u64;
                     let status = served.status;
                     metrics.record(route, status, dur_us);

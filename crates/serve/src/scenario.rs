@@ -156,11 +156,14 @@ impl ScenarioStore {
 }
 
 /// Split a `scn:<name>/<variant>` ref. `None` for anything else (a plain
-/// hosted-table name, a malformed ref).
+/// hosted-table name, a malformed ref). The variant must be spelt in
+/// canonical decimal (`7`, never `07` or `+7`), so one variant has one
+/// ref, one batch group and one gateway ring key.
 fn parse_ref(table: &str) -> Option<(&str, u32)> {
     let rest = table.strip_prefix(SCN_REF_PREFIX)?;
     let (name, var) = rest.split_once('/')?;
-    var.parse().ok().map(|v| (name, v))
+    let v: u32 = var.parse().ok()?;
+    (v.to_string() == var).then_some((name, v))
 }
 
 /// A parsed, validated `/sweep` request body.
@@ -397,6 +400,9 @@ mod tests {
         assert!(store.resolve_ref("scn:nope/0").is_none());
         assert!(store.resolve_ref("w/0").is_none(), "prefix is required");
         assert!(store.resolve_ref("scn:w/x").is_none());
+        for alias in ["scn:w/07", "scn:w/+7", "scn:w/007"] {
+            assert!(store.ref_len(alias).is_none(), "{alias} is not canonical");
+        }
     }
 
     /// Sweep scenario `name` (admitted in `store`) through `sys` at an

@@ -21,7 +21,8 @@
 //! before returning.
 
 use crate::batch::{
-    parse_sim_request, run_batcher, ForcingSource, Mode, SimJob, SimOutcome, SimOutput, Tables,
+    parse_sim_request, resolve, run_batcher, ForcingSource, Mode, SimJob, SimOutcome, SimOutput,
+    Tables,
 };
 use crate::http::Request;
 use crate::registry::ModelRegistry;
@@ -261,9 +262,6 @@ impl Service for Backend {
             ("POST", "/scenarios") => self.scenarios_admit(req),
             ("GET", "/scenarios") => Served::plain(200, self.scenarios.render_json().into_bytes()),
             ("POST", "/sweep") => self.sweep(req, ctx),
-            ("GET", "/simulate" | "/sweep") | ("POST", "/healthz" | "/models" | "/metrics") => {
-                Served::error(405, "method not allowed for this endpoint")
-            }
             _ => Served::error(404, "no such endpoint"),
         }
     }
@@ -350,14 +348,19 @@ impl Backend {
             ForcingSource::Inline(_) => "(inline)".to_string(),
         };
         let fail = |status, msg: &str| Served::error(status, msg).tagged(&model_name, &table);
-        let Some(model) = self.registry.get(&request.model) else {
-            return fail(404, &format!("no model {:?}", request.model));
+        let (mode, init, dt, state_cap) =
+            (request.mode, request.init, request.dt, request.state_cap);
+        let (model, plan) = match resolve(request, &self.registry, &self.tables) {
+            Ok(resolved) => resolved,
+            Err((status, msg)) => return fail(status, &msg),
         };
-        let mode = request.mode;
         let (reply, outcome_rx) = mpsc::channel::<SimOutcome>();
         let job = SimJob {
             model,
-            request,
+            plan,
+            init,
+            dt,
+            state_cap,
             ctx,
             enqueued: Instant::now(),
             reply,
@@ -369,27 +372,18 @@ impl Backend {
             Err(TrySendError::Full(_)) => return fail(429, "simulation queue full"),
             Err(TrySendError::Disconnected(_)) => return fail(503, "simulator is shut down"),
         }
-        let Ok(SimOutcome {
-            result,
-            batch,
-            queue_us,
-            sim_us,
-        }) = outcome_rx.recv()
-        else {
+        let Ok(done) = outcome_rx.recv() else {
             return fail(503, "simulator dropped the job");
         };
-        let served = match result {
-            Ok(output) => Served {
-                batch: batch as u64,
-                ..Served::plain(200, render_output(&model_name, &output, mode, batch))
-                    .tagged(&model_name, &table)
-            },
-            Err((status, msg)) => fail(status, &msg),
-        };
         Served {
-            queue_us,
-            sim_us,
-            ..served
+            batch: done.batch as u64,
+            queue_us: done.queue_us,
+            sim_us: done.sim_us,
+            ..Served::plain(
+                200,
+                render_output(&model_name, &done.output, mode, done.batch),
+            )
+            .tagged(&model_name, &table)
         }
     }
 

@@ -400,7 +400,8 @@ fn gateway_propagates_backend_429_and_retry_after() {
 
 /// The gateway parses `/simulate` and `/sweep` bodies itself to route
 /// them, so a hostile body must be refused there with a 400 — not take
-/// down a gateway worker — and the gateway must keep serving.
+/// down a gateway worker — and the gateway must keep serving. A known
+/// route asked with a method it does not answer is a 405 there too.
 #[test]
 fn gateway_answers_hostile_nesting_with_400_and_keeps_serving() {
     let backend = solo_server();
@@ -414,6 +415,10 @@ fn gateway_answers_hostile_nesting_with_400_and_keeps_serving() {
     for path in ["/simulate", "/sweep"] {
         let (status, bytes) = http_request(gateway.addr(), "POST", path, deep.as_bytes()).unwrap();
         assert_eq!(status, 400, "{path}: {}", String::from_utf8_lossy(&bytes));
+    }
+    for (method, path) in [("PUT", "/simulate"), ("DELETE", "/scenarios")] {
+        let (status, _) = http_request(gateway.addr(), method, path, b"").unwrap();
+        assert_eq!(status, 405, "{method} {path}");
     }
     let body = sim_body("table5-manual");
     let (status, bytes) =

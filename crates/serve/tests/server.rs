@@ -235,6 +235,11 @@ fn bad_inputs_get_4xx_and_the_server_stays_healthy() {
     assert_eq!(status, 405);
     let (status, _) = http_request(handle.addr(), "GET", "/simulate", b"").unwrap();
     assert_eq!(status, 405);
+    // Any method a known route does not answer is a 405, not a 404.
+    for (method, path) in [("PUT", "/simulate"), ("DELETE", "/scenarios")] {
+        let (status, _) = http_request(handle.addr(), method, path, b"").unwrap();
+        assert_eq!(status, 405, "{method} {path}");
+    }
     // After all of that, a good request still succeeds: nothing poisoned.
     let (status, v) = post_simulate(
         &handle,
@@ -481,7 +486,13 @@ fn scenario_admission_sweep_and_solo_refs_agree() {
 
     // ...then re-derive each variant's summary from a solo `/simulate` of
     // its `scn:` ref (served through the ordinary batcher path) and
-    // demand bitwise agreement.
+    // demand bitwise agreement. No `scn:` ref caches a prefix table: a
+    // client can name any number of variants.
+    let prefix_bytes = || {
+        let metrics = gmr_json::parse(&handle.metrics_json()).unwrap();
+        metrics.get("registry.prefix_bytes").and_then(Value::as_u64)
+    };
+    let cached = prefix_bytes();
     let reduce = gmr_scenario::ReduceSpec { threshold };
     for (i, s) in summaries.iter().enumerate() {
         let got = gmr_scenario::SweepSummary::from_value(s).expect("well-formed summary");
@@ -495,13 +506,20 @@ fn scenario_admission_sweep_and_solo_refs_agree() {
         let want = gmr_scenario::reduce_series(i as u32, &reduce, &bphy, &bzoo);
         assert_eq!(got, want, "variant {i}: sweep summary != solo-reduced");
     }
+    assert_eq!(prefix_bytes(), cached);
 
-    // Unknown refs and scenarios still 404.
-    let (status, _) = post_simulate(
-        &handle,
-        r#"{"model": "table5-manual", "forcings_ref": "scn:nope/0"}"#,
-    );
-    assert_eq!(status, 404);
+    // Unknown refs and scenarios still 404, and so does a variant spelt
+    // any way but in canonical decimal.
+    for table in [
+        "scn:nope/0",
+        "scn:wet-year/01",
+        "scn:wet-year/+1",
+        "scn:wet-year/001",
+    ] {
+        let body = format!(r#"{{"model": "table5-manual", "forcings_ref": "{table}"}}"#);
+        let (status, v) = post_simulate(&handle, &body);
+        assert_eq!(status, 404, "{table}: {v:?}");
+    }
     // A scenario variant is one trajectory's table, not a network.
     let (status, v) = post_simulate(
         &handle,
