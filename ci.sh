@@ -3,6 +3,21 @@
 # .github/workflows/ci.yml runs this script, so the same checks run locally.
 set -eu
 
+# wait_for_port_file FILE PID TRIES MESSAGE: poll every 0.1 s until FILE
+# exists; after TRIES polls print "FAIL: MESSAGE", kill PID and fail.
+wait_for_port_file() {
+    i=0
+    while [ ! -f "$1" ]; do
+        i=$((i + 1))
+        if [ "$i" -gt "$3" ]; then
+            echo "FAIL: $4"
+            kill "$2" 2>/dev/null || true
+            exit 1
+        fi
+        sleep 0.1
+    done
+}
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -78,7 +93,7 @@ cargo run --release -q -p gmr-bench --bin bench_engine -- --validate results/BEN
 cargo run --release -q -p gmr-bench --bin bench_serve -- --validate results/BENCH_serve.json
 cargo run --release -q -p gmr-bench --bin bench_scenario -- --validate results/BENCH_scenario.json
 
-echo "==> bench_vm smoke, scalar build (bit-identity to the interpreter + speedup-vs-interpreter floors)"
+echo "==> bench_vm smoke (bit-identity + speedup floors; headline gates where the AVX2 kernels run)"
 cargo run --release -q -p gmr-bench --bin bench_vm -- --quick --out BENCH_vm.json
 cargo run --release -q -p gmr-bench --bin bench_vm -- --validate BENCH_vm.json
 
@@ -99,16 +114,8 @@ echo "==> gmr-lint --bytecode over the exported artifact"
 ./target/release/gmr-serve serve --no-builtin --artifacts smoke-serve/artifacts \
     --days 1461 --port-file smoke-serve/port --journal smoke-serve/journal.jsonl &
 SERVE_PID=$!
-i=0
-while [ ! -f smoke-serve/port ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 200 ]; then
-        echo "FAIL: gmr-serve never wrote its port file"
-        kill "$SERVE_PID" 2>/dev/null || true
-        exit 1
-    fi
-    sleep 0.1
-done
+wait_for_port_file smoke-serve/port "$SERVE_PID" 200 \
+    "gmr-serve never wrote its port file"
 ADDR=$(cat smoke-serve/port)
 ./target/release/gmr-serve request "$ADDR" GET /healthz > smoke-serve/healthz.json
 REQ_PIDS=""
@@ -166,16 +173,8 @@ mkdir -p smoke-cluster
     --dir smoke-cluster/scratch --port-file smoke-cluster/port \
     --journal smoke-cluster/gateway.jsonl &
 CLUSTER_PID=$!
-i=0
-while [ ! -f smoke-cluster/port ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 300 ]; then
-        echo "FAIL: gmr-serve cluster never wrote its gateway port file"
-        kill "$CLUSTER_PID" 2>/dev/null || true
-        exit 1
-    fi
-    sleep 0.1
-done
+wait_for_port_file smoke-cluster/port "$CLUSTER_PID" 300 \
+    "gmr-serve cluster never wrote its gateway port file"
 GW_ADDR=$(cat smoke-cluster/port)
 ./target/release/gmr-serve request "$GW_ADDR" GET /healthz > smoke-cluster/healthz.json
 grep -q '"alive": 2' smoke-cluster/healthz.json || {
@@ -227,16 +226,8 @@ mkdir -p smoke-scenario
 ./target/release/gmr-serve cluster --backends 2 --days 365 \
     --dir smoke-scenario/scratch --port-file smoke-scenario/port &
 SCN_PID=$!
-i=0
-while [ ! -f smoke-scenario/port ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 300 ]; then
-        echo "FAIL: scenario smoke cluster never wrote its gateway port file"
-        kill "$SCN_PID" 2>/dev/null || true
-        exit 1
-    fi
-    sleep 0.1
-done
+wait_for_port_file smoke-scenario/port "$SCN_PID" 300 \
+    "scenario smoke cluster never wrote its gateway port file"
 SCN_ADDR=$(cat smoke-scenario/port)
 ./target/release/gmr-serve request "$SCN_ADDR" POST /scenarios \
     --body-file smoke-scenario/spec.json > smoke-scenario/admit.json
@@ -257,13 +248,5 @@ grep -q '"summaries"' smoke-scenario/summaries.json || {
 }
 kill -TERM "$SCN_PID"
 wait "$SCN_PID" || { echo "FAIL: scenario smoke cluster did not drain cleanly on SIGTERM"; exit 1; }
-
-echo "==> SIMD tier tests (vector kernels live where the host has AVX2+FMA)"
-cargo test -q -p gmr-expr --features simd
-cargo test -q -p gmr-serve --features simd --lib
-
-echo "==> bench_vm smoke, simd build (relaxed fidelity + headline gates)"
-cargo run --release -q -p gmr-bench --features simd --bin bench_vm -- --quick --out BENCH_vm_simd.json
-cargo run --release -q -p gmr-bench --features simd --bin bench_vm -- --validate BENCH_vm_simd.json
 
 echo "CI OK"

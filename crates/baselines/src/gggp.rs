@@ -236,9 +236,9 @@ impl<'a> Gggp<'a> {
             return;
         }
         let chunk = pop.len().div_ceil(threads);
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for ch in pop.chunks_mut(chunk) {
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for ind in ch.iter_mut() {
                         if !ind.fitness.is_finite() {
                             ind.fitness = self.train.rmse(&self.phenotype(ind));
@@ -246,8 +246,7 @@ impl<'a> Gggp<'a> {
                     }
                 });
             }
-        })
-        .expect("gggp evaluation worker panicked");
+        });
     }
 
     fn mutate_params<R: Rng>(&self, ind: &mut GggpIndividual, rng: &mut R) {

@@ -7,8 +7,6 @@
 //! ```sh
 //! cargo run --release -p gmr-bench --bin bench_vm -- [--quick] [--out PATH]
 //! cargo run --release -p gmr-bench --bin bench_vm -- --validate PATH
-//! # with the AVX2 kernels live:
-//! cargo run --release -p gmr-bench --features simd --bin bench_vm
 //! ```
 //!
 //! Five rows of the same simulation are timed on the Table V expert model
@@ -40,7 +38,7 @@
 //!
 //! Every **bit-exact** row must produce a `==`-identical B_Phy trajectory
 //! to the tree interpreter — checked on every run, not just in the test
-//! suite. A live `simd` tier (feature compiled in, AVX2+FMA detected)
+//! suite. A live `simd` tier (`"simd_active"`: AVX2+FMA detected)
 //! reports `"fidelity": "relaxed-simd"` and its observed `max_rel_err`
 //! against the interpreter trajectory, gated at [`REL_TOL`].
 //!

@@ -56,6 +56,29 @@ pub fn protected_pow(x: f64, y: f64) -> f64 {
     protected_exp(y * base.ln())
 }
 
+/// `min` with the tie rule every evaluation path shares: the *first*
+/// operand on a tie (`min(-0.0, 0.0)` is `-0.0`), the other one when an
+/// operand is NaN. `f64::min` (IEEE 754-2008 `minNum`) leaves the zero of
+/// a tie open, so the interpreter, thunks and lane kernels all call this.
+#[inline(always)]
+pub fn min_op(x: f64, y: f64) -> f64 {
+    if y < x || x.is_nan() {
+        y
+    } else {
+        x
+    }
+}
+
+/// `max` under [`min_op`]'s tie rule.
+#[inline(always)]
+pub fn max_op(x: f64, y: f64) -> f64 {
+    if y > x || x.is_nan() {
+        y
+    } else {
+        x
+    }
+}
+
 /// Apply a binary operator with protected semantics.
 #[inline(always)]
 pub fn apply_bin(op: BinOp, a: f64, b: f64) -> f64 {
@@ -64,8 +87,8 @@ pub fn apply_bin(op: BinOp, a: f64, b: f64) -> f64 {
         BinOp::Sub => a - b,
         BinOp::Mul => a * b,
         BinOp::Div => protected_div(a, b),
-        BinOp::Min => a.min(b),
-        BinOp::Max => a.max(b),
+        BinOp::Min => min_op(a, b),
+        BinOp::Max => max_op(a, b),
         BinOp::Pow => protected_pow(a, b),
     }
 }
@@ -188,6 +211,12 @@ mod tests {
         let hi = Expr::bin(BinOp::Max, Expr::Var(0), Expr::Var(1));
         assert_eq!(lo.eval(&CTX), 10.0);
         assert_eq!(hi.eval(&CTX), 20.0);
+        // A tie returns the first operand, a NaN operand the other one.
+        let bits = |v: f64| v.to_bits();
+        for (x, y) in [(-0.0, 0.0), (0.0, -0.0)] {
+            assert_eq!((bits(min_op(x, y)), bits(max_op(x, y))), (bits(x), bits(x)));
+        }
+        assert_eq!((min_op(f64::NAN, 2.0), max_op(2.0, f64::NAN)), (2.0, 2.0));
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! over the protected domains; the river state envelope (`lint`'s
 //! `IntervalEnv::river`) lives many orders of magnitude inside them.
 
-use crate::eval::{DIV_EPS, EXP_CLAMP, LOG_EPS};
+use crate::eval::{EXP_CLAMP, LOG_EPS};
 
 /// log2(e), for the range reduction `exp(x) = 2^n · exp(r)`.
 pub(crate) const LOG2E: f64 = std::f64::consts::LOG2_E;
@@ -141,18 +141,6 @@ pub fn fast_log(x: f64) -> f64 {
 #[inline]
 pub fn fast_pow(x: f64, y: f64) -> f64 {
     fast_exp(y * fast_log(x))
-}
-
-/// Fast `protected_div`: same guard as `protected_div` (|y| < 1e-12 → 0)
-/// — included for completeness; the quotient itself is IEEE-exact, so
-/// this is bit-identical to the protected operator and usable anywhere.
-#[inline]
-pub fn fast_div(x: f64, y: f64) -> f64 {
-    if y.abs() < DIV_EPS {
-        0.0
-    } else {
-        x / y
-    }
 }
 
 #[cfg(test)]

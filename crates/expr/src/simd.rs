@@ -1,20 +1,18 @@
 //! Explicit SoA-SIMD kernels for the columnar lane interpreters.
 //!
-//! Behind the `simd` cargo feature (x86-64 only, AVX2+FMA verified at
-//! runtime by [`active`]), the [`LANES`]-wide stripe loops of
-//! `RegProgram::run_lanes` / `run_lanes_one_row` dispatch to the
-//! `__m256d` kernels here instead of the scalar auto-vectorization
-//! candidates. Two kinds of kernel live side by side:
+//! Every x86-64 build compiles these kernels, and [`active`] (AVX2+FMA,
+//! detected once at run time) decides whether they run: where it holds,
+//! the 32-lane stripe loops of `RegProgram::run_lanes` /
+//! `run_lanes_one_row` dispatch to the `__m256d` kernels here instead of
+//! the scalar `k_*` kernels. Two kinds of kernel live side by side:
 //!
 //! * **Bit-exact kernels** — add/sub/mul, the protected division
-//!   (mask-and-blend of the `|y| < ε → 0` guard), `f64::min`/`max`
-//!   emulation (one extra blend to reproduce IEEE `minNum` NaN
-//!   semantics), sign flip, and the three fused triples (multiply and
-//!   add/sub rounded separately — `_mm256_mul_pd` then `_mm256_add_pd`,
-//!   never an FMA). Per-lane these produce the same bits as the scalar
-//!   protected operators on every input, so *every* split-family tier
-//!   uses them when the feature is on; the tier-equality contract is
-//!   untouched.
+//!   (mask-and-blend of the `|y| < ε → 0` guard), `min`/`max` under
+//!   [`crate::eval::min_op`]'s tie rule, sign flip, and `a·b − c`
+//!   (multiply and subtract rounded separately, never an FMA). Per lane
+//!   these produce the same bits as the scalar operators on every input,
+//!   signed zeros included, so *every* tier uses them; the tier-equality
+//!   contract is untouched.
 //!
 //! * **Relaxed kernels** — vectorized `exp`/`log`/`pow`
 //!   ([`crate::fastmath`]'s Cephes rationals, FMA-for-FMA identical per
@@ -24,34 +22,37 @@
 //!   policy.
 //!
 //! Every kernel operates on full 32-lane stripes (`8 × __m256d`) of the
-//! flat lane register file; ragged tail chunks (`m < LANES`) fall back
-//! to the scalar kernels at the call site. Callers guarantee — and
-//! debug-assert here — that `off + LANES <= regs.len()` for every
-//! stripe offset, which holds because offsets are `r * LANES` for
-//! registers `r < n_regs` proved by `RegProgram::validate()`
-//! (re-proved as `lint::absint` obligations, site class "simd
-//! kernels").
+//! flat lane register file; ragged tail chunks (`m < LANES`), other CPUs
+//! and other targets run the scalar kernels at the call site. Callers
+//! guarantee — and debug-assert here — that `off + LANES <= regs.len()`
+//! for every stripe offset, which holds because offsets are `r * LANES`
+//! for registers `r < n_regs` proved by `RegProgram::validate()`
+//! (re-proved as `lint::absint` obligations, site class "simd kernels").
 
 #![allow(clippy::missing_safety_doc)] // pub(crate) kernels; contract in module docs
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 pub(crate) use imp::*;
 
-/// Whether the AVX2+FMA vector kernels are live in this build on this
-/// machine — the public probe behind [`crate::Tier::fidelity`] and the
-/// bench's `"simd_active"` report field.
+/// Whether the AVX2+FMA vector kernels run on this machine (checked once,
+/// cached; false off x86-64) — the public probe behind
+/// [`crate::Tier::fidelity`] and the bench's `"simd_active"` field.
 pub fn active() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
-        imp::active()
+        static ACTIVE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+        *ACTIVE.get_or_init(|| {
+            std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+        })
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
-        fallback::active()
+        false
     }
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod imp {
     use crate::eval::{DIV_EPS, EXP_CLAMP, LOG_EPS};
     use crate::fastmath::{
@@ -59,16 +60,6 @@ mod imp {
     };
     use crate::vm::LANES;
     use core::arch::x86_64::*;
-    use std::sync::OnceLock;
-
-    /// AVX2 + FMA available on this machine (checked once, cached).
-    pub fn active() -> bool {
-        static ACTIVE: OnceLock<bool> = OnceLock::new();
-        *ACTIVE.get_or_init(|| {
-            std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-        })
-    }
 
     // SAFETY (shared by every kernel in this module): callers hold a
     // `&mut [f64]` lane register file and pass stripe offsets
@@ -206,39 +197,32 @@ mod imp {
     }
 
     // ---- element ops (4 lanes at a time) --------------------------------
+    //
+    // Register-only math with no memory access: safe `target_feature`
+    // functions, callable from the kernels, which enable the same features.
 
-    // SAFETY (all element helpers): pure register arithmetic, no memory
-    // access; `avx2,fma` guaranteed transitively by the calling kernel.
-    // SAFETY: `unsafe` only for `target_feature`; register-only math
-    // (no memory access) — see the element-helpers note above.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn e_add(x: __m256d, y: __m256d) -> __m256d {
+    fn e_add(x: __m256d, y: __m256d) -> __m256d {
         _mm256_add_pd(x, y)
     }
 
-    // SAFETY: `unsafe` only for `target_feature`; register-only math
-    // (no memory access) — see the element-helpers note above.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn e_sub(x: __m256d, y: __m256d) -> __m256d {
+    fn e_sub(x: __m256d, y: __m256d) -> __m256d {
         _mm256_sub_pd(x, y)
     }
 
-    // SAFETY: `unsafe` only for `target_feature`; register-only math
-    // (no memory access) — see the element-helpers note above.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn e_mul(x: __m256d, y: __m256d) -> __m256d {
+    fn e_mul(x: __m256d, y: __m256d) -> __m256d {
         _mm256_mul_pd(x, y)
     }
 
     /// Protected division: `|y| < ε → 0`, bit-exact vs `protected_div`.
-    // SAFETY: `unsafe` only for `target_feature`; register-only math
-    // (no memory access) — see the element-helpers note above.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn e_div_p(x: __m256d, y: __m256d) -> __m256d {
+    fn e_div_p(x: __m256d, y: __m256d) -> __m256d {
         let absmask = _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fff_ffff_ffff_ffff));
         // NLT + unordered: the guard fires only when `|y| < ε` compares
         // *ordered* true — a NaN divisor falls through to the division
@@ -249,55 +233,46 @@ mod imp {
         _mm256_and_pd(ok, _mm256_div_pd(x, y))
     }
 
-    /// `f64::min` (IEEE minNum): `vminpd` returns the second operand
-    /// when either is NaN, so patch the `y is NaN → x` half back in.
-    // SAFETY: `unsafe` only for `target_feature`; register-only math
-    // (no memory access) — see the element-helpers note above.
+    /// [`min_op`](crate::eval::min_op): `vminpd(y, x)` is `y < x ? y : x`,
+    /// so a tie (`-0.0` against `0.0` too) or a NaN `y` gives `x`; patch
+    /// the `x is NaN → y` lanes back in.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn e_min_p(x: __m256d, y: __m256d) -> __m256d {
-        let m = _mm256_min_pd(x, y);
-        let y_nan = _mm256_cmp_pd::<_CMP_UNORD_Q>(y, y);
-        _mm256_blendv_pd(m, x, y_nan)
+    fn e_min_p(x: __m256d, y: __m256d) -> __m256d {
+        let m = _mm256_min_pd(y, x);
+        let x_nan = _mm256_cmp_pd::<_CMP_UNORD_Q>(x, x);
+        _mm256_blendv_pd(m, y, x_nan)
     }
 
-    /// `f64::max` (IEEE maxNum); see [`e_min_p`].
-    // SAFETY: `unsafe` only for `target_feature`; register-only math
-    // (no memory access) — see the element-helpers note above.
+    /// [`max_op`](crate::eval::max_op); see [`e_min_p`].
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn e_max_p(x: __m256d, y: __m256d) -> __m256d {
-        let m = _mm256_max_pd(x, y);
-        let y_nan = _mm256_cmp_pd::<_CMP_UNORD_Q>(y, y);
-        _mm256_blendv_pd(m, x, y_nan)
+    fn e_max_p(x: __m256d, y: __m256d) -> __m256d {
+        let m = _mm256_max_pd(y, x);
+        let x_nan = _mm256_cmp_pd::<_CMP_UNORD_Q>(x, x);
+        _mm256_blendv_pd(m, y, x_nan)
     }
 
     /// Sign flip — identical to scalar negation on every f64.
-    // SAFETY: `unsafe` only for `target_feature`; register-only math
-    // (no memory access) — see the element-helpers note above.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn e_neg(x: __m256d) -> __m256d {
+    fn e_neg(x: __m256d) -> __m256d {
         _mm256_xor_pd(x, _mm256_set1_pd(-0.0))
     }
 
     /// Two separate roundings — never contracted to an FMA.
-    // SAFETY: `unsafe` only for `target_feature`; register-only math
-    // (no memory access) — see the element-helpers note above.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn e_mul_sub(x: __m256d, y: __m256d, z: __m256d) -> __m256d {
+    fn e_mul_sub(x: __m256d, y: __m256d, z: __m256d) -> __m256d {
         _mm256_sub_pd(_mm256_mul_pd(x, y), z)
     }
 
     /// Vector `fast_exp` — operation-for-operation the scalar
     /// [`crate::fastmath::fast_exp`], so each lane is bit-identical to
     /// the scalar fallback. Relaxed fidelity only.
-    // SAFETY: `unsafe` only for `target_feature`; register-only math
-    // (no memory access) — see the element-helpers note above.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn e_exp(x0: __m256d) -> __m256d {
+    fn e_exp(x0: __m256d) -> __m256d {
         let nan = _mm256_cmp_pd::<_CMP_UNORD_Q>(x0, x0);
         let x = _mm256_max_pd(
             _mm256_min_pd(x0, _mm256_set1_pd(EXP_CLAMP)),
@@ -327,11 +302,9 @@ mod imp {
     }
 
     /// Vector `fast_log`; see [`e_exp`] for the mirroring contract.
-    // SAFETY: `unsafe` only for `target_feature`; register-only math
-    // (no memory access) — see the element-helpers note above.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn e_log(x0: __m256d) -> __m256d {
+    fn e_log(x0: __m256d) -> __m256d {
         let nan = _mm256_cmp_pd::<_CMP_UNORD_Q>(x0, x0);
         let absmask = _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fff_ffff_ffff_ffff));
         let x = _mm256_max_pd(_mm256_and_pd(x0, absmask), _mm256_set1_pd(LOG_EPS));
@@ -377,13 +350,10 @@ mod imp {
     }
 
     /// Vector `fast_pow`: `exp(y · log(x))`, relaxed fidelity only.
-    // SAFETY: `unsafe` only for `target_feature`; register-only math
-    // (no memory access) — see the element-helpers note above.
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn e_pow(x: __m256d, y: __m256d) -> __m256d {
-        // SAFETY: register-only helpers under the same target features.
-        unsafe { e_exp(_mm256_mul_pd(y, e_log(x))) }
+    fn e_pow(x: __m256d, y: __m256d) -> __m256d {
+        e_exp(_mm256_mul_pd(y, e_log(x)))
     }
 
     // ---- stripe kernels --------------------------------------------------
@@ -411,135 +381,130 @@ mod imp {
     #[cfg(test)]
     mod tests {
         use super::*;
-        use crate::eval::{protected_div, protected_log};
+        use crate::ast::{BinOp, UnOp};
+        use crate::eval::apply_bin;
         use crate::fastmath::{fast_exp, fast_log, fast_pow};
+        use crate::simd::active;
 
-        fn feq(a: f64, b: f64) -> bool {
-            (a.is_nan() && b.is_nan()) || a == b
+        type Rr = unsafe fn(&mut [f64], usize, usize, usize);
+        type Cl = unsafe fn(&mut [f64], usize, f64, usize);
+        type Cr = unsafe fn(&mut [f64], usize, usize, f64);
+
+        /// Both zeros, both infinities, NaN, divisors at and below
+        /// `DIV_EPS` and ordinary values: 16, so a stripe holds them twice.
+        fn specials() -> [f64; 16] {
+            let (inf, nan, eps) = (f64::INFINITY, f64::NAN, DIV_EPS);
+            let (below, half) = (f64::from_bits(eps.to_bits() - 1), eps / 2.0);
+            [
+                0.0, -0.0, 1.0, -1.0, 2.5, -3.75, 1e300, -1e-300, inf, -inf, nan, eps, -eps, below,
+                -below, half,
+            ]
         }
 
-        /// Drive a 1-in 1-out kernel over a 2-stripe file.
-        fn run1(k: unsafe fn(&mut [f64], usize, usize), input: &[f64; LANES]) -> Vec<f64> {
-            let mut regs = vec![0.0; 2 * LANES];
-            regs[LANES..].copy_from_slice(input);
-            assert!(active(), "test host must have avx2+fma");
-            // SAFETY: stripes 0 and 1 of a 2-stripe buffer; avx2+fma
-            // asserted above.
-            unsafe { k(&mut regs, 0, LANES) };
-            regs[..LANES].to_vec()
+        /// Same bits in every lane; any NaN matches any NaN (payloads may
+        /// differ).
+        fn check(form: &str, op: impl std::fmt::Debug, got: &[f64], want: impl Fn(usize) -> f64) {
+            for (l, &g) in got.iter().enumerate() {
+                let w = want(l);
+                let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
+                assert!(same, "{op:?} {form} lane {l}: kernel {g:e}, scalar {w:e}");
+            }
         }
 
+        /// Every bit-exact kernel in every form (`rr`, `cl`, `cr`, `vl`,
+        /// `vr`, `neg`, `mul_sub`) against the interpreter's operators on
+        /// every pair (and `mul_sub` triple) of specials, bit for bit: a
+        /// `-0.0`/`0.0` tie in `min`/`max` counts.
         #[test]
-        fn vector_exp_log_bit_match_scalar_fastmath() {
-            let mut xs = [0.0; LANES];
-            for (i, x) in xs.iter_mut().enumerate() {
-                *x = (i as f64 - 15.0) * 3.7 + 0.123;
+        fn bit_exact_kernels_match_the_scalar_operators_bitwise() {
+            if !active() {
+                return; // no AVX2+FMA on this CPU: these kernels never run
             }
-            xs[0] = f64::NAN;
-            xs[1] = f64::INFINITY;
-            xs[2] = -1e300;
-            xs[3] = 0.0;
-            xs[4] = 1e-13;
-            let got = run1(exp_k, &xs);
-            for (l, &x) in xs.iter().enumerate() {
-                assert!(feq(got[l], fast_exp(x)), "exp lane {l}: x={x}");
-            }
-            let got = run1(log_k, &xs);
-            for (l, &x) in xs.iter().enumerate() {
-                assert!(feq(got[l], fast_log(x)), "log lane {l}: x={x}");
-            }
-        }
-
-        #[test]
-        fn bit_exact_kernels_match_protected_ops() {
-            let mut a = [0.0; LANES];
-            let mut b = [0.0; LANES];
-            for i in 0..LANES {
-                a[i] = (i as f64 * 1.37 - 20.0) * 1e3;
-                b[i] = (i as f64 * 0.73 - 10.0) * 1e-8;
-            }
-            a[0] = f64::NAN;
-            b[1] = f64::NAN;
-            b[2] = 0.0;
-            b[3] = 1e-13;
-            a[4] = f64::INFINITY;
-            b[5] = f64::NEG_INFINITY;
-            let mut regs = vec![0.0; 3 * LANES];
-            regs[LANES..2 * LANES].copy_from_slice(&a);
-            regs[2 * LANES..].copy_from_slice(&b);
-            assert!(active(), "test host must have avx2+fma");
-            type K2 = unsafe fn(&mut [f64], usize, usize, usize);
-            #[allow(clippy::type_complexity)]
-            let cases: [(K2, fn(f64, f64) -> f64); 4] = [
-                (div_rr, protected_div),
-                (min_rr, f64::min),
-                (max_rr, f64::max),
-                (sub_rr, |x, y| x - y),
+            let ops: [(BinOp, Rr, Cl, Cr); 6] = [
+                (BinOp::Add, add_rr, add_cl, add_cr),
+                (BinOp::Sub, sub_rr, sub_cl, sub_cr),
+                (BinOp::Mul, mul_rr, mul_cl, mul_cr),
+                (BinOp::Div, div_rr, div_cl, div_cr),
+                (BinOp::Min, min_rr, min_cl, min_cr),
+                (BinOp::Max, max_rr, max_cl, max_cr),
             ];
-            for (k, f) in cases {
-                // SAFETY: stripes 0..3 of a 3-stripe buffer; avx2+fma
-                // asserted above.
-                unsafe { k(&mut regs, 0, LANES, 2 * LANES) };
-                for l in 0..LANES {
-                    assert!(
-                        feq(regs[l], f(a[l], b[l])),
-                        "lane {l}: {} vs {}",
-                        regs[l],
-                        f(a[l], b[l])
-                    );
+            let s = specials();
+            let ys: [f64; LANES] = std::array::from_fn(|l| s[l % s.len()]);
+            let mut regs = vec![0.0; 4 * LANES];
+            regs[2 * LANES..3 * LANES].copy_from_slice(&ys);
+            for x in s {
+                let xs = [x; LANES];
+                regs[LANES..2 * LANES].copy_from_slice(&xs);
+                let want = |op| move |l: usize| apply_bin(op, x, ys[l]);
+                let want_r = |op| move |l: usize| apply_bin(op, ys[l], x);
+                // SAFETY (each call in this loop): stripes 0..4 of a
+                // 4-stripe buffer and a stack-owned gathered operand;
+                // AVX2+FMA checked above.
+                for (op, rr, cl, cr) in ops {
+                    unsafe { rr(&mut regs, 0, LANES, 2 * LANES) };
+                    check("rr", op, &regs[..LANES], want(op));
+                    unsafe { cl(&mut regs, 0, x, 2 * LANES) };
+                    check("cl", op, &regs[..LANES], want(op));
+                    unsafe { cr(&mut regs, 0, 2 * LANES, x) };
+                    check("cr", op, &regs[..LANES], want_r(op));
+                }
+                unsafe { div_vl(&mut regs, 0, &xs, 2 * LANES) };
+                check("vl", BinOp::Div, &regs[..LANES], want(BinOp::Div));
+                // SAFETY: as above.
+                unsafe { div_vr(&mut regs, 0, 2 * LANES, &xs) };
+                check("vr", BinOp::Div, &regs[..LANES], want_r(BinOp::Div));
+                for z in s {
+                    regs[3 * LANES..].fill(z);
+                    unsafe { mul_sub_k(&mut regs, 0, LANES, 2 * LANES, 3 * LANES) };
+                    // Two roundings, as `RInstr::MulSub` requires.
+                    check("mul_sub", (x, z), &regs[..LANES], |l| x * ys[l] - z);
                 }
             }
-            let _ = protected_log; // silence unused when cfg combinations shift
+            // SAFETY: as above.
+            unsafe { neg_k(&mut regs, 0, 2 * LANES) };
+            check("neg", UnOp::Neg, &regs[..LANES], |l| -ys[l]);
         }
 
+        /// Every x86-64 build carries the kernels; the CPU alone decides
+        /// whether they run.
         #[test]
-        fn gathered_operand_kernels_match_scalar() {
-            let mut v = [0.0; LANES];
-            let mut b = [0.0; LANES];
-            for i in 0..LANES {
-                v[i] = (i as f64 * 1.37 - 20.0) * 1e2;
-                b[i] = i as f64 * 0.31 - 4.0;
-            }
-            v[0] = f64::NAN;
-            b[1] = 0.0;
-            b[2] = 1e-13;
-            v[3] = f64::INFINITY;
-            v[4] = 0.0;
-            let mut regs = vec![0.0; 2 * LANES];
-            regs[LANES..].copy_from_slice(&b);
-            assert!(active(), "test host must have avx2+fma");
-            // SAFETY (all four calls): stripes 0 and 1 of a 2-stripe
-            // buffer plus a stack-owned gathered operand; avx2+fma
-            // asserted above. Stripe 1 (the register operand) is never a
-            // destination, so each call sees the same inputs.
-            unsafe { div_vl(&mut regs, 0, &v, LANES) };
-            for l in 0..LANES {
-                assert!(feq(regs[l], protected_div(v[l], b[l])), "div_vl lane {l}");
-            }
-            // SAFETY: see above.
-            unsafe { div_vr(&mut regs, 0, LANES, &v) };
-            for l in 0..LANES {
-                assert!(feq(regs[l], protected_div(b[l], v[l])), "div_vr lane {l}");
-            }
-            // SAFETY: see above.
-            unsafe { pow_vl(&mut regs, 0, &v, LANES) };
-            for l in 0..LANES {
-                assert!(feq(regs[l], fast_pow(v[l], b[l])), "pow_vl lane {l}");
-            }
-            // SAFETY: see above.
-            unsafe { pow_vr(&mut regs, 0, LANES, &v) };
-            for l in 0..LANES {
-                assert!(feq(regs[l], fast_pow(b[l], v[l])), "pow_vr lane {l}");
-            }
+        fn kernels_run_exactly_where_the_cpu_has_avx2_and_fma() {
+            let avx2_fma = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma");
+            assert_eq!(active(), avx2_fma);
         }
-    }
-}
 
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-mod fallback {
-    /// SIMD unavailable (feature off or non-x86-64): the relaxed tier
-    /// degrades to the bit-exact threaded tier.
-    pub fn active() -> bool {
-        false
+        /// The relaxed kernels against [`crate::fastmath`]'s scalar
+        /// versions, bit for bit, on the specials and a sweep.
+        #[test]
+        fn relaxed_kernels_match_scalar_fastmath_bitwise() {
+            if !active() {
+                return; // no AVX2+FMA on this CPU: these kernels never run
+            }
+            let s = specials();
+            let xs: [f64; LANES] =
+                std::array::from_fn(|l| s.get(l).copied().unwrap_or(l as f64 * 3.7 - 55.4));
+            let ys: [f64; LANES] = std::array::from_fn(|l| l as f64 * 0.31 - 4.0);
+            let mut regs = vec![0.0; 3 * LANES];
+            regs[LANES..2 * LANES].copy_from_slice(&xs);
+            regs[2 * LANES..].copy_from_slice(&ys);
+            let pow = |l: usize| fast_pow(xs[l], ys[l]);
+            // SAFETY (each call below): stripes 0..3 of a 3-stripe buffer
+            // and stack-owned gathered operands; AVX2+FMA checked above.
+            unsafe { exp_k(&mut regs, 0, LANES) };
+            check("exp", UnOp::Exp, &regs[..LANES], |l| fast_exp(xs[l]));
+            unsafe { log_k(&mut regs, 0, LANES) };
+            check("log", UnOp::Log, &regs[..LANES], |l| fast_log(xs[l]));
+            unsafe { pow_rr(&mut regs, 0, LANES, 2 * LANES) };
+            check("rr", BinOp::Pow, &regs[..LANES], pow);
+            unsafe { pow_vl(&mut regs, 0, &xs, 2 * LANES) };
+            check("vl", BinOp::Pow, &regs[..LANES], pow);
+            unsafe { pow_vr(&mut regs, 0, LANES, &ys) };
+            check("vr", BinOp::Pow, &regs[..LANES], pow);
+            // SAFETY: as above.
+            unsafe { pow_cl(&mut regs, 0, 2.5, 2 * LANES) };
+            check("cl", BinOp::Pow, &regs[..LANES], |l| fast_pow(2.5, ys[l]));
+            unsafe { pow_cr(&mut regs, 0, LANES, 1.7) };
+            check("cr", BinOp::Pow, &regs[..LANES], |l| fast_pow(xs[l], 1.7));
+        }
     }
 }

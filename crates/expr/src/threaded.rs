@@ -47,7 +47,7 @@
 //! tier bit-exact (property-tested in `tests/properties.rs`).
 
 use crate::ast::{BinOp, UnOp};
-use crate::eval::{protected_div, protected_exp, protected_log, protected_pow};
+use crate::eval::{max_op, min_op, protected_div, protected_exp, protected_log, protected_pow};
 use crate::fastmath::{fast_exp, fast_log, fast_pow};
 use crate::vm::{RInstr, RegProgram};
 
@@ -216,8 +216,8 @@ t_bin!(t_add, |x, y| x + y);
 t_bin!(t_sub, |x, y| x - y);
 t_bin!(t_mul, |x, y| x * y);
 t_bin!(t_div, protected_div);
-t_bin!(t_min, f64::min);
-t_bin!(t_max, f64::max);
+t_bin!(t_min, min_op);
+t_bin!(t_max, max_op);
 t_bin!(t_pow, protected_pow);
 t_bin!(t_pow_fast, fast_pow);
 
@@ -225,8 +225,8 @@ t_vbl!(t_vbl_add, |x, y| x + y);
 t_vbl!(t_vbl_sub, |x, y| x - y);
 t_vbl!(t_vbl_mul, |x, y| x * y);
 t_vbl!(t_vbl_div, protected_div);
-t_vbl!(t_vbl_min, f64::min);
-t_vbl!(t_vbl_max, f64::max);
+t_vbl!(t_vbl_min, min_op);
+t_vbl!(t_vbl_max, max_op);
 t_vbl!(t_vbl_pow, protected_pow);
 t_vbl!(t_vbl_pow_fast, fast_pow);
 
@@ -234,8 +234,8 @@ t_vbr!(t_vbr_add, |x, y| x + y);
 t_vbr!(t_vbr_sub, |x, y| x - y);
 t_vbr!(t_vbr_mul, |x, y| x * y);
 t_vbr!(t_vbr_div, protected_div);
-t_vbr!(t_vbr_min, f64::min);
-t_vbr!(t_vbr_max, f64::max);
+t_vbr!(t_vbr_min, min_op);
+t_vbr!(t_vbr_max, max_op);
 t_vbr!(t_vbr_pow, protected_pow);
 t_vbr!(t_vbr_pow_fast, fast_pow);
 
@@ -243,8 +243,8 @@ t_cbl!(t_cbl_add, |x, y| x + y);
 t_cbl!(t_cbl_sub, |x, y| x - y);
 t_cbl!(t_cbl_mul, |x, y| x * y);
 t_cbl!(t_cbl_div, protected_div);
-t_cbl!(t_cbl_min, f64::min);
-t_cbl!(t_cbl_max, f64::max);
+t_cbl!(t_cbl_min, min_op);
+t_cbl!(t_cbl_max, max_op);
 t_cbl!(t_cbl_pow, protected_pow);
 t_cbl!(t_cbl_pow_fast, fast_pow);
 
@@ -252,8 +252,8 @@ t_cbr!(t_cbr_add, |x, y| x + y);
 t_cbr!(t_cbr_sub, |x, y| x - y);
 t_cbr!(t_cbr_mul, |x, y| x * y);
 t_cbr!(t_cbr_div, protected_div);
-t_cbr!(t_cbr_min, f64::min);
-t_cbr!(t_cbr_max, f64::max);
+t_cbr!(t_cbr_min, min_op);
+t_cbr!(t_cbr_max, max_op);
 t_cbr!(t_cbr_pow, protected_pow);
 t_cbr!(t_cbr_pow_fast, fast_pow);
 

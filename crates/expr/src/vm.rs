@@ -75,7 +75,8 @@
 use crate::ast::{BinOp, Expr, UnOp};
 use crate::compile::{check_arity, CompileError};
 use crate::eval::{
-    apply_bin, apply_un, protected_div, protected_exp, protected_log, protected_pow, EvalContext,
+    apply_bin, apply_un, max_op, min_op, protected_div, protected_exp, protected_log,
+    protected_pow, EvalContext,
 };
 use crate::fastmath::{fast_exp, fast_log, fast_pow};
 use crate::threaded::ThreadedProgram;
@@ -100,8 +101,7 @@ pub enum Tier {
     /// Threaded code with relaxed-fidelity fast transcendentals
     /// ([`crate::fastmath`]) plus vectorized lane kernels
     /// ([`crate::simd`]) where the hardware supports them. Degrades to
-    /// exactly [`Tier::Threaded`] semantics when the `simd` cargo feature
-    /// is off or the CPU lacks AVX2+FMA.
+    /// exactly [`Tier::Threaded`] semantics when the CPU lacks AVX2+FMA.
     Simd,
 }
 
@@ -120,8 +120,7 @@ impl Tier {
 
     /// The fidelity this tier delivers **on this machine right now**: the
     /// `simd` tier is relaxed only when its vector kernels are actually
-    /// live (feature compiled in and AVX2+FMA detected); in the fallback
-    /// it is bit-exact threaded code.
+    /// live (AVX2+FMA detected); otherwise it is bit-exact threaded code.
     pub fn fidelity(self) -> Fidelity {
         if self == Tier::Simd && crate::simd::active() {
             Fidelity::RelaxedSimd
@@ -817,7 +816,7 @@ fn k_bin_cr(f: impl Fn(f64, f64) -> f64, regs: &mut [f64], d: usize, a: usize, c
 // Lane-kernel dispatchers: resolve `(op, fast)` to the right kernel once
 // per instruction, outside the lane loop. On a full stripe (`m == LANES`)
 // with live SIMD support these call the `__m256d` kernels in
-// `crate::simd`; otherwise (ragged tail, feature off, no AVX2+FMA) the
+// `crate::simd`; otherwise (ragged tail, no AVX2+FMA, not x86-64) the
 // scalar `k_*` kernels run. Fast transcendentals are chosen only when
 // `fast` (the relaxed `simd` tier); both paths compute bit-identical
 // per-lane values, so chunk alignment never changes a trajectory.
@@ -828,7 +827,7 @@ fn k_bin_cr(f: impl Fn(f64, f64) -> f64, regs: &mut [f64], d: usize, a: usize, c
 // asserted `n_regs * LANES` long — the exact contract the kernels state.
 #[inline]
 fn l_un(op: UnOp, fast: bool, regs: &mut [f64], d: usize, a: usize, m: usize) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if m == LANES && crate::simd::active() {
         // SAFETY: see the shared dispatcher argument above.
         unsafe {
@@ -851,7 +850,7 @@ fn l_un(op: UnOp, fast: bool, regs: &mut [f64], d: usize, a: usize, m: usize) {
 
 #[inline]
 fn l_bin(op: BinOp, fast: bool, regs: &mut [f64], d: usize, a: usize, b: usize, m: usize) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if m == LANES && crate::simd::active() {
         // SAFETY: see the shared dispatcher argument above.
         unsafe {
@@ -872,8 +871,8 @@ fn l_bin(op: BinOp, fast: bool, regs: &mut [f64], d: usize, a: usize, b: usize, 
         BinOp::Sub => k_bin(|x, y| x - y, regs, d, a, b, m),
         BinOp::Mul => k_bin(|x, y| x * y, regs, d, a, b, m),
         BinOp::Div => k_bin(protected_div, regs, d, a, b, m),
-        BinOp::Min => k_bin(f64::min, regs, d, a, b, m),
-        BinOp::Max => k_bin(f64::max, regs, d, a, b, m),
+        BinOp::Min => k_bin(min_op, regs, d, a, b, m),
+        BinOp::Max => k_bin(max_op, regs, d, a, b, m),
         BinOp::Pow => {
             let f: fn(f64, f64) -> f64 = if fast { fast_pow } else { protected_pow };
             k_bin(f, regs, d, a, b, m)
@@ -883,7 +882,7 @@ fn l_bin(op: BinOp, fast: bool, regs: &mut [f64], d: usize, a: usize, b: usize, 
 
 #[inline]
 fn l_bin_cl(op: BinOp, fast: bool, regs: &mut [f64], d: usize, c: f64, b: usize, m: usize) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if m == LANES && crate::simd::active() {
         // SAFETY: see the shared dispatcher argument above.
         unsafe {
@@ -904,8 +903,8 @@ fn l_bin_cl(op: BinOp, fast: bool, regs: &mut [f64], d: usize, c: f64, b: usize,
         BinOp::Sub => k_bin_cl(|x, y| x - y, regs, d, c, b, m),
         BinOp::Mul => k_bin_cl(|x, y| x * y, regs, d, c, b, m),
         BinOp::Div => k_bin_cl(protected_div, regs, d, c, b, m),
-        BinOp::Min => k_bin_cl(f64::min, regs, d, c, b, m),
-        BinOp::Max => k_bin_cl(f64::max, regs, d, c, b, m),
+        BinOp::Min => k_bin_cl(min_op, regs, d, c, b, m),
+        BinOp::Max => k_bin_cl(max_op, regs, d, c, b, m),
         BinOp::Pow => {
             let f: fn(f64, f64) -> f64 = if fast { fast_pow } else { protected_pow };
             k_bin_cl(f, regs, d, c, b, m)
@@ -915,7 +914,7 @@ fn l_bin_cl(op: BinOp, fast: bool, regs: &mut [f64], d: usize, c: f64, b: usize,
 
 #[inline]
 fn l_bin_cr(op: BinOp, fast: bool, regs: &mut [f64], d: usize, a: usize, c: f64, m: usize) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if m == LANES && crate::simd::active() {
         // SAFETY: see the shared dispatcher argument above.
         unsafe {
@@ -936,8 +935,8 @@ fn l_bin_cr(op: BinOp, fast: bool, regs: &mut [f64], d: usize, a: usize, c: f64,
         BinOp::Sub => k_bin_cr(|x, y| x - y, regs, d, a, c, m),
         BinOp::Mul => k_bin_cr(|x, y| x * y, regs, d, a, c, m),
         BinOp::Div => k_bin_cr(protected_div, regs, d, a, c, m),
-        BinOp::Min => k_bin_cr(f64::min, regs, d, a, c, m),
-        BinOp::Max => k_bin_cr(f64::max, regs, d, a, c, m),
+        BinOp::Min => k_bin_cr(min_op, regs, d, a, c, m),
+        BinOp::Max => k_bin_cr(max_op, regs, d, a, c, m),
         BinOp::Pow => {
             let f: fn(f64, f64) -> f64 = if fast { fast_pow } else { protected_pow };
             k_bin_cr(f, regs, d, a, c, m)
@@ -955,7 +954,7 @@ fn l_bin_vl(
     b: usize,
     m: usize,
 ) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if m == LANES && crate::simd::active() {
         // SAFETY: see the shared dispatcher argument above; the gathered
         // operand is a full stack-owned stripe.
@@ -988,7 +987,7 @@ fn l_bin_vr(
     v: &[f64; LANES],
     m: usize,
 ) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if m == LANES && crate::simd::active() {
         // SAFETY: see the shared dispatcher argument above; the gathered
         // operand is a full stack-owned stripe.
@@ -1015,7 +1014,7 @@ fn l_bin_vr(
 /// three-operand superinstruction).
 #[inline]
 fn l_fused3(regs: &mut [f64], d: usize, a: usize, b: usize, c: usize, m: usize) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if m == LANES && crate::simd::active() {
         // SAFETY: see the shared dispatcher argument above.
         unsafe {
@@ -1870,8 +1869,8 @@ impl CompiledSystem {
 
     /// True when this system executes with relaxed fidelity **on this
     /// machine right now**: the simd tier with the vector kernels live. A
-    /// simd-tier system on a machine without AVX2+FMA (or with the `simd`
-    /// feature off) is bit-exact threaded code.
+    /// simd-tier system on a machine without AVX2+FMA is bit-exact
+    /// threaded code.
     pub fn relaxed(&self) -> bool {
         self.fidelity() == Fidelity::RelaxedSimd
     }
@@ -3182,12 +3181,51 @@ mod tests {
     }
 
     #[test]
+    fn full_stripe_min_max_keep_the_sign_of_a_zero_tie() {
+        // A full stripe (the AVX2 kernels where they run) and solo
+        // sessions agree on the sign of a `min`/`max` tie between zeros.
+        let m = |op, a, b| Expr::bin(op, a, b);
+        let eqs = [
+            m(BinOp::Min, Expr::State(0), Expr::Num(0.0)),
+            m(
+                BinOp::Max,
+                Expr::Num(-0.0),
+                m(BinOp::Min, Expr::State(1), Expr::State(0)),
+            ),
+        ];
+        let rows = vec![vec![1.0, 2.0]];
+        // Lane `l`'s two states take their signs from `l`'s low two bits.
+        let zero = |bit: usize| if bit == 0 { 0.0 } else { -0.0 };
+        let states: Vec<f64> = (0..LANES)
+            .flat_map(|l| [zero(l & 1), zero(l & 2)])
+            .collect();
+        for tier in exact_tiers() {
+            let sys = CompiledSystem::compile(&eqs, tier);
+            let prefix = sys.sweep_prefix(&rows);
+            let mut lanes = sys.lane_session(LaneForcing::Shared {
+                rows: &rows,
+                prefix: &prefix,
+                lanes: LANES,
+            });
+            let mut out = vec![0.0; LANES * 2];
+            lanes.step(0, &states, &mut out);
+            for (l, got) in out.chunks(2).enumerate() {
+                let mut want = [0.0; 2];
+                sys.session(&rows)
+                    .step(0, &states[l * 2..l * 2 + 2], &mut want);
+                let bits = |v: &[f64]| [v[0].to_bits(), v[1].to_bits()];
+                assert_eq!(bits(got), bits(&want), "lane {l} for {tier:?}");
+            }
+        }
+    }
+
+    #[test]
     fn lane_sessions_match_solo_sessions_at_padded_widths() {
         // Widths from the padding threshold to one short of a full stripe.
-        // With the vector kernels live (`--features simd` on an AVX2+FMA
-        // host) these sessions run padded to LANES lanes; otherwise at
-        // their own width. Either way every real lane must match its solo
-        // session bit for bit, in both layouts.
+        // With the vector kernels live (an AVX2+FMA host) these sessions
+        // run padded to LANES lanes; otherwise at their own width. Either
+        // way every real lane must match its solo session bit for bit, in
+        // both layouts.
         let eqs = sample_system();
         let n_rows = LANES + 9;
         let table = |l: usize| -> Vec<Vec<f64>> {
@@ -3517,7 +3555,6 @@ mod tests {
 
     /// With live SIMD kernels the simd tier is *relaxed*: transcendentals
     /// track the interpreter to ~1e-12 relative error instead of bitwise.
-    #[cfg(feature = "simd")]
     #[test]
     fn relaxed_simd_tier_tracks_interpreter_within_tolerance() {
         if !crate::simd::active() {

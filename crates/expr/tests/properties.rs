@@ -133,8 +133,8 @@ fn feq(a: f64, b: f64) -> bool {
 
 /// Every tier whose contract is bit-exactness vs the interpreter. The
 /// threaded tier is always bit-exact; the simd tier is bit-exact exactly
-/// when its vector kernels are dormant (feature off, or no AVX2+FMA at
-/// runtime) and it falls back to the threaded thunks.
+/// when its vector kernels are dormant (no AVX2+FMA at run time) and it
+/// falls back to the threaded thunks.
 fn exact_tiers() -> Vec<Tier> {
     Tier::ALL
         .into_iter()
@@ -144,7 +144,6 @@ fn exact_tiers() -> Vec<Tier> {
 
 /// Relative closeness for the relaxed-simd fidelity class: the vector
 /// transcendentals are allowed to differ from libm in the last few ulps.
-#[cfg(feature = "simd")]
 fn close(a: f64, b: f64) -> bool {
     if a.is_nan() || b.is_nan() {
         return a.is_nan() && b.is_nan();
@@ -321,7 +320,6 @@ proptest! {
     }
 
     #[test]
-    #[cfg(feature = "simd")]
     fn simd_session_stays_within_relaxed_tolerance(
         eqs in prop::collection::vec(arb_expr(), 2..3),
         rows in prop::collection::vec(prop::collection::vec(-1e3_f64..1e3, 4), 1..80),
@@ -371,7 +369,8 @@ proptest! {
             Expr::bin(BinOp::Mul, Expr::bin(BinOp::Div, Expr::Var(0), inner.clone()), Expr::State(0)),
             Expr::bin(BinOp::Add, Expr::bin(BinOp::Div, inner, Expr::Var(1)), Expr::State(1)),
         ];
-        for tier in exact_tiers() {
+        for tier in Tier::ALL {
+            let relaxed = tier.fidelity() == Fidelity::RelaxedSimd;
             let sys = CompiledSystem::compile(&eqs, tier);
             let mut session = sys.session(&rows);
             let mut out = vec![0.0; sys.n_eqs()];
@@ -381,27 +380,10 @@ proptest! {
                     session.step(t, state, &mut out);
                     for (i, (eq, &got)) in eqs.iter().zip(&out).enumerate() {
                         let want = eq.eval(&ctx);
-                        prop_assert!(feq(want, got),
-                            "tier {tier:?} row {t} eq {i}: interpreter {want} vs session {got}");
-                    }
-                }
-            }
-        }
-        #[cfg(feature = "simd")]
-        if gmr_expr::simd::active() {
-            let sys = CompiledSystem::compile(&eqs, Tier::Simd);
-            let mut session = sys.session(&rows);
-            let mut out = vec![0.0; sys.n_eqs()];
-            for (t, row) in rows.iter().enumerate() {
-                for state in &states {
-                    let ctx = EvalContext { vars: row, state };
-                    session.step(t, state, &mut out);
-                    for (i, (eq, &got)) in eqs.iter().zip(&out).enumerate() {
-                        let want = eq.eval(&ctx);
                         // eqs 0/1 are the relaxed pow shapes; 2/3 divide.
-                        let ok = if i < 2 { close(want, got) } else { feq(want, got) };
+                        let ok = if relaxed && i < 2 { close(want, got) } else { feq(want, got) };
                         prop_assert!(ok,
-                            "live simd row {t} eq {i}: interpreter {want} vs session {got}");
+                            "tier {tier:?} row {t} eq {i}: interpreter {want} vs session {got}");
                     }
                 }
             }

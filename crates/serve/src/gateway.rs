@@ -4,9 +4,10 @@
 //! processes. `/simulate` requests are routed by **(model, table)**: the
 //! pair is hashed onto a [`Ring`] of virtual nodes, so one backend owns
 //! each pair and its hot tier / prefix caches only ever hold its shard.
-//! That pinning is the whole scaling story — backends don't share memory,
-//! they share *nothing*, and aggregate hot-cache capacity grows linearly
-//! with the backend count (see DESIGN.md "Cluster serving").
+//! `bench_serve --cluster`'s `cluster_speedup` runs every backend at hot
+//! cap `models − 1`: one backend recompiles and resweeps on every touch
+//! while each of N shards stays hot, so the ratio counts recompiles
+//! avoided at unequal total capacity, not parallel scale-out (DESIGN.md).
 //!
 //! Discipline preserved end to end:
 //!

@@ -38,7 +38,7 @@
 //! "served responses are bit-identical to in-process evaluation" contract
 //! (pinned by `tests/server.rs`) possible over a text protocol.
 //!
-//! A fourth layer shards the stack horizontally:
+//! A fourth layer spreads the stack over processes:
 //!
 //! * [`cluster`] + [`gateway`] — `gmr-serve cluster` supervises N backend
 //!   server processes (health-checked restarts, graceful drain) behind a
@@ -46,7 +46,8 @@
 //!   pinned to one backend — so every backend's hot tier and prefix
 //!   caches only hold its shard — while preserving the bounded-queue/429
 //!   discipline end to end. The gateway is a second service on the same
-//!   connection runtime, and reaches backends through [`client`].
+//!   connection runtime, and reaches backends through [`client`]. The
+//!   processes buy fault isolation and hot-cache capacity, not parallelism.
 //!
 //! And a fifth serves what-if studies instead of single trajectories:
 //!

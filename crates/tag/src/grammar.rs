@@ -116,14 +116,6 @@ impl Grammar {
             .map(|(i, t)| (TreeId(i as u32), t))
     }
 
-    /// Find a tree by name.
-    pub fn tree_by_name(&self, name: &str) -> Option<TreeId> {
-        self.trees
-            .iter()
-            .position(|t| t.name == name)
-            .map(|i| TreeId(i as u32))
-    }
-
     /// α-trees rooted at the start symbol (derivation roots).
     pub fn start_alphas(&self) -> &[TreeId] {
         &self.start_alphas
